@@ -17,54 +17,19 @@ import numpy as np
 import pytest
 
 from repro import GpgpuDevice
-from repro.baselines import cpu_sgemm
-from repro.baselines.cpu_kernels import random_matrices
 from repro.core.numerics import FP16_MANTISSA_BITS, FP16_MAX
-from repro.kernels import make_sgemm_kernel, make_sum_kernel
-from repro.validation import precision_report
-
-
-def run_sum(fmt: str, size: int = 4096, seed: int = 13):
-    rng = np.random.default_rng(seed)
-    a32 = (rng.standard_normal(size) * 100).astype(np.float32)
-    b32 = (rng.standard_normal(size) * 100).astype(np.float32)
-    device = GpgpuDevice(float_model="ieee32")
-    kernel = make_sum_kernel(device, fmt)
-    dtype = np.float16 if fmt == "float16" else np.float32
-    out = device.empty(size, fmt)
-    kernel(out, {"a": device.array(a32.astype(dtype)),
-                 "b": device.array(b32.astype(dtype))})
-    return precision_report(a32 + b32, out.to_host().astype(np.float64))
-
-
-def run_sgemm(fmt: str, n: int = 32, seed: int = 14):
-    a, b, c = random_matrices(n, np.float32, seed=seed)
-    device = GpgpuDevice(float_model="ieee32")
-    kernel = make_sgemm_kernel(device, fmt, n)
-    dtype = np.float16 if fmt == "float16" else np.float32
-    out = device.empty(n * n, fmt)
-    kernel(
-        out,
-        {"a": device.array(a.reshape(-1).astype(dtype)),
-         "b": device.array(b.reshape(-1).astype(dtype)),
-         "c0": device.array(c.reshape(-1).astype(dtype))},
-        {"u_n": float(n), "u_alpha": 1.0, "u_beta": 0.0},
-    )
-    reference = cpu_sgemm(1.0, a, b, 0.0, c)
-    return precision_report(reference, out.to_host().astype(np.float64))
+from repro.experiments.half import run_half_float_comparison, run_sum
+from repro.kernels import make_sum_kernel
 
 
 @pytest.fixture(scope="module")
 def reports():
-    table = {}
+    table = run_half_float_comparison()
     print()
     print(f"{'benchmark':>9} {'path':>8} {'median bits':>12} {'>=15 bits':>10}")
-    for bench, runner in (("sum", run_sum), ("sgemm", run_sgemm)):
-        for fmt in ("float16", "float32"):
-            report = runner(fmt)
-            table[(bench, fmt)] = report
-            print(f"{bench:>9} {fmt:>8} {report.median_bits:12.1f} "
-                  f"{report.fraction_ge_15 * 100:9.1f}%")
+    for (bench, fmt), report in table.items():
+        print(f"{bench:>9} {fmt:>8} {report.median_bits:12.1f} "
+              f"{report.fraction_ge_15 * 100:9.1f}%")
     return table
 
 

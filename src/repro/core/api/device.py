@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ...gles2 import GLES2Context, enums as gl
+from ...gles2.pipeline import DEFAULT_EXECUTION_BACKEND
 from ...gles2.precision import FloatModel
 from ...perf.machines import GpuParameters, VIDEOCORE_IV_GPU
 from ...perf.wallclock import GpuTimeline, gpu_wall_time
@@ -44,11 +45,11 @@ class GpgpuDevice:
     machine:
         GPU timing parameters for :meth:`wall_time`.
     execution_backend:
-        ``"ast"`` (reference tree-walking interpreter), ``"ir"``
-        (compiled linear-IR executor, bit-identical and faster on
-        repeated launches) or ``"jit"`` (generated straight-line
-        numpy code per compiled program — fastest steady state;
-        falls back to the IR executor outside the JIT subset).
+        ``"jit"`` (the default: generated straight-line numpy code
+        per compiled program — fastest steady state; falls back to the
+        IR executor outside the JIT subset), ``"ir"`` (compiled
+        linear-IR executor, bit-identical) or ``"ast"`` (reference
+        tree-walking interpreter).
     tile_size:
         Fragment-tile edge in pixels; None selects the automatic
         policy (tile only when workers could use it and the draw is
@@ -72,7 +73,7 @@ class GpgpuDevice:
         machine: GpuParameters = VIDEOCORE_IV_GPU,
         strict_errors: bool = True,
         max_loop_iterations: int = 65536,
-        execution_backend: str = "ast",
+        execution_backend: str = DEFAULT_EXECUTION_BACKEND,
         tile_size: Optional[int] = None,
         shade_workers: Optional[int] = None,
         graph_mode: Optional[bool] = None,

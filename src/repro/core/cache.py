@@ -20,11 +20,12 @@ Three artifact kinds are stored, one per pipeline stage:
     (lowering + the whole pass pipeline), keyed additionally by the
     float model and fusion signature.
 ``jit``
-    The generated NumPy source plus its captured namespace in a
-    pickle-safe encoding (arrays as-is, builtin implementations by
-    registry key), keyed additionally by the texture-gather flag and
-    the wide-global set.  Programs outside the JIT subset store an
-    ``unsupported`` marker so the negative result is warm too.
+    The generated NumPy source, its marshalled code object, and its
+    captured namespace in a pickle-safe encoding (arrays as-is, builtin
+    implementations by registry key), keyed additionally by the
+    texture-gather flag and the wide-global set.  Programs outside the
+    JIT subset store an ``unsupported`` marker so the negative result
+    is warm too.
 
 Every key mixes in the cache schema version and the Python/NumPy
 versions (:func:`env_fingerprint`), so interpreter or dependency
@@ -60,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import marshal
 import os
 import pickle
 import sys
@@ -73,7 +75,7 @@ from ..perf import trace
 from ..perf.counters import disk_cache_stats
 
 #: Bump to invalidate every existing store (key *and* entry header).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"
@@ -456,42 +458,17 @@ def reset_stats() -> None:
 # ----------------------------------------------------------------------
 # Artifact (de)serialisation
 # ----------------------------------------------------------------------
-class _ArtifactPickler(pickle.Pickler):
-    """Pickler that ships builtin overloads by registry key (their
-    ``impl`` lambdas do not pickle) and strips a
-    :class:`CompiledProgram` down to its persistent fields — the
-    structured IR, register count and constant pool — dropping the
-    attached runtime caches and the live CheckedShader reference."""
+def _builtin_by_key(key: str):
+    """Unpickle target for a builtin overload shipped by registry key
+    (its ``impl`` lambda does not pickle).  A key the registry no
+    longer holds raises ``KeyError``: a counted load failure."""
+    from ..glsl.builtins import OVERLOADS_BY_KEY
 
-    def persistent_id(self, obj):
-        from ..glsl.builtins import BuiltinOverload
-
-        if isinstance(obj, BuiltinOverload):
-            return ("builtin", obj.key)
-        return None
-
-    def reducer_override(self, obj):
-        from ..glsl.ir.nodes import CompiledProgram
-
-        if isinstance(obj, CompiledProgram):
-            state = {
-                "globals_plan": obj.globals_plan,
-                "body": obj.body,
-                "nregs": obj.nregs,
-                "consts": obj.consts,
-            }
-            return (_fresh_program, (), state)
-        return NotImplemented
+    return OVERLOADS_BY_KEY[key]
 
 
-class _ArtifactUnpickler(pickle.Unpickler):
-    def persistent_load(self, pid):
-        from ..glsl.builtins import OVERLOADS_BY_KEY
-
-        tag, key = pid
-        if tag == "builtin":
-            return OVERLOADS_BY_KEY[key]
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+def _reduce_builtin(overload):
+    return (_builtin_by_key, (overload.key,))
 
 
 def _fresh_program():
@@ -505,20 +482,57 @@ def _fresh_program():
     return program
 
 
+def _reduce_program(program):
+    """Strip a :class:`CompiledProgram` down to its persistent fields —
+    the structured IR, register count and constant pool — dropping the
+    attached runtime caches and the live CheckedShader reference."""
+    state = {
+        "globals_plan": program.globals_plan,
+        "body": program.body,
+        "nregs": program.nregs,
+        "consts": program.consts,
+    }
+    return (_fresh_program, (), state)
+
+
+_dispatch_table = None
+
+
+def _artifact_dispatch_table():
+    """The copyreg table plus the two artifact reducers.  A dispatch
+    table is looked up by exact type inside the C pickler, so unlike a
+    ``persistent_id``/``reducer_override`` hook it costs no Python call
+    per pickled object.  Built on first use: the GLSL modules import
+    this one."""
+    global _dispatch_table
+    if _dispatch_table is None:
+        import copyreg
+
+        from ..glsl.builtins import BuiltinOverload
+        from ..glsl.ir.nodes import CompiledProgram
+
+        table = copyreg.dispatch_table.copy()
+        table[BuiltinOverload] = _reduce_builtin
+        table[CompiledProgram] = _reduce_program
+        _dispatch_table = table
+    return _dispatch_table
+
+
 def _dumps(obj) -> bytes:
     buffer = io.BytesIO()
-    _ArtifactPickler(buffer, protocol=4).dump(obj)
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.dispatch_table = _artifact_dispatch_table()
+    pickler.dump(obj)
     return buffer.getvalue()
 
 
 #: What deserialising a stale or hostile payload can legitimately
 #: raise: the pickle protocol's own errors (``UnpicklingError``,
 #: ``EOFError``, ``AttributeError``, ``ImportError``, ``IndexError``
-#: per the pickle docs), ``KeyError`` from
-#: :meth:`_ArtifactUnpickler.persistent_load` resolving a builtin key
-#: that no longer exists in the registry, and ``TypeError`` /
-#: ``ValueError`` / ``UnicodeDecodeError`` from malformed opcodes and
-#: reconstructed state.  Anything else (``KeyboardInterrupt``,
+#: per the pickle docs), ``KeyError`` from :func:`_builtin_by_key`
+#: resolving a builtin key that no longer exists in the registry, and
+#: ``TypeError`` / ``ValueError`` / ``UnicodeDecodeError`` from
+#: malformed opcodes and reconstructed state.  Anything else (``KeyboardInterrupt``,
 #: ``MemoryError``, a genuine repro bug) propagates — a cache must
 #: degrade on bad *data*, not mask broken *code*.
 _DESERIALISE_ERRORS = (
@@ -535,7 +549,7 @@ _DESERIALISE_ERRORS = (
 
 
 def _loads(data: bytes):
-    return _ArtifactUnpickler(io.BytesIO(data)).load()
+    return pickle.loads(data)
 
 
 def _note_load_failure(kind: str, exc: BaseException) -> None:
@@ -617,8 +631,15 @@ def decode_captured(encoded: Dict) -> Dict[str, object]:
     }
 
 
-def dump_jit_entry(source: str, encoded_captured: Dict) -> bytes:
-    return _dumps({"source": source, "captured": encoded_captured})
+def dump_jit_entry(source: str, encoded_captured: Dict, code) -> bytes:
+    """The generated source, its captured namespace and its compiled
+    code object (``marshal``: valid within one Python minor version,
+    which the key pins), so a warm load execs without ``compile()``."""
+    return _dumps({
+        "source": source,
+        "captured": encoded_captured,
+        "code": marshal.dumps(code),
+    })
 
 
 def dump_jit_unsupported(reason: str) -> bytes:
@@ -626,8 +647,9 @@ def dump_jit_unsupported(reason: str) -> bytes:
 
 
 def load_jit_entry(data: bytes) -> Optional[Dict]:
-    """Deserialise a JIT artifact — either ``{"source", "captured"}``
-    or ``{"unsupported": reason}``; None on any data failure."""
+    """Deserialise a JIT artifact — either ``{"source", "captured",
+    "code"}`` or ``{"unsupported": reason}``; None on any data
+    failure."""
     try:
         entry = _loads(data)
     except _DESERIALISE_ERRORS as exc:
@@ -641,5 +663,7 @@ def load_jit_entry(data: bytes) -> Optional[Dict]:
     if not isinstance(entry.get("source"), str):
         return None
     if not isinstance(entry.get("captured"), dict):
+        return None
+    if not isinstance(entry.get("code"), bytes):
         return None
     return entry

@@ -212,43 +212,46 @@ float gpgpu_unpack_half(vec4 texel) {
 }
 
 vec4 gpgpu_pack_half(float value) {
-    if (value == 0.0) {
-        return vec4(0.0, 0.0, 0.0, 1.0);
-    }
-    if (value != value) {
-        return vec4(0.0, 126.0, 0.0, 255.0) / 255.0;  // quiet NaN
-    }
+    // One exit, no early returns: a return under divergent control
+    // flow keeps a function off the JIT (see repro.glsl.jit).
+    vec4 texel;
     float sign_ = value < 0.0 ? 1.0 : 0.0;
     float a = abs(value);
-    if (a > 65504.0) {
-        return vec4(0.0, sign_ * 128.0 + 124.0, 0.0, 255.0) / 255.0;
-    }
-    float e = floor(log2(a));
-    float p = a * exp2(-e);
-    if (p >= 2.0) {
-        e += 1.0;
-        p *= 0.5;
-    }
-    if (p < 1.0) {
-        e -= 1.0;
-        p *= 2.0;
-    }
-    float mant = floor((p - 1.0) * 1024.0 + 0.5);
-    if (mant >= 1024.0) {
-        e += 1.0;
-        mant = 0.0;
-    }
-    float biased = e + 15.0;
-    if (e < -14.0) {
-        mant = floor(a * exp2(24.0) + 0.5);
-        biased = 0.0;
+    if (value == 0.0) {
+        texel = vec4(0.0, 0.0, 0.0, 1.0);
+    } else if (value != value) {
+        texel = vec4(0.0, 126.0, 0.0, 255.0) / 255.0;  // quiet NaN
+    } else if (a > 65504.0) {
+        texel = vec4(0.0, sign_ * 128.0 + 124.0, 0.0, 255.0) / 255.0;
+    } else {
+        float e = floor(log2(a));
+        float p = a * exp2(-e);
+        if (p >= 2.0) {
+            e += 1.0;
+            p *= 0.5;
+        }
+        if (p < 1.0) {
+            e -= 1.0;
+            p *= 2.0;
+        }
+        float mant = floor((p - 1.0) * 1024.0 + 0.5);
         if (mant >= 1024.0) {
-            biased = 1.0;
+            e += 1.0;
             mant = 0.0;
         }
+        float biased = e + 15.0;
+        if (e < -14.0) {
+            mant = floor(a * exp2(24.0) + 0.5);
+            biased = 0.0;
+            if (mant >= 1024.0) {
+                biased = 1.0;
+                mant = 0.0;
+            }
+        }
+        float high = sign_ * 128.0 + biased * 4.0 + floor(mant / 256.0);
+        texel = vec4(mod(mant, 256.0), high, 0.0, 255.0) / 255.0;
     }
-    float high = sign_ * 128.0 + biased * 4.0 + floor(mant / 256.0);
-    return vec4(mod(mant, 256.0), high, 0.0, 255.0) / 255.0;
+    return texel;
 }
 """
 

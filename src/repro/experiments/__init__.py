@@ -9,6 +9,7 @@ fig2     E3: Figure 2 (CPU vs GPU float byte layout)
 rtrip    E4: §IV round-trip correctness across all formats
 ablation E5: readback-ordering and packing-overhead ablations
 peak     E6: the 24 GFlops device peak sanity check
+half     E7: fp16 extension path vs the §IV fp32 transformations
 =======  ==========================================================
 
 Each module exposes a ``run_*`` function returning plain dataclasses,
@@ -26,6 +27,7 @@ from .prec import PrecisionRow, run_precision_experiment
 from .fig2 import Fig2Row, run_fig2_layout
 from .ablation import AblationResult, run_packing_ablation, run_readback_ablation
 from .peak import run_peak_check
+from .half import run_half_float_comparison
 from .sweep import SweepResult, format_sweep, run_size_sweep
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "run_readback_ablation",
     "run_packing_ablation",
     "run_peak_check",
+    "run_half_float_comparison",
     "SweepResult",
     "run_size_sweep",
     "format_sweep",

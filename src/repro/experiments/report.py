@@ -242,46 +242,9 @@ def _run_vertex_vs_fragment():
 
 
 def _run_half_float_comparison():
-    import importlib.util
-    import pathlib
-    import sys
+    from .half import run_half_float_comparison
 
-    bench_path = (
-        pathlib.Path(__file__).resolve().parents[3]
-        / "benchmarks" / "test_e7_half_float_insufficiency.py"
-    )
-    if bench_path.exists():
-        spec = importlib.util.spec_from_file_location("_e7", bench_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        table = {}
-        for bench, runner in (("sum", module.run_sum), ("sgemm", module.run_sgemm)):
-            for fmt in ("float16", "float32"):
-                table[(bench, fmt)] = runner(fmt)
-        return table
-    # Installed without the benchmarks tree: inline a minimal version.
-    import numpy as np
-
-    from ..core.api.device import GpgpuDevice
-    from ..kernels.elementwise import make_sum_kernel
-    from ..validation.compare import precision_report
-
-    rng = np.random.default_rng(13)
-    a32 = (rng.standard_normal(4096) * 100).astype(np.float32)
-    b32 = (rng.standard_normal(4096) * 100).astype(np.float32)
-    table = {}
-    for fmt in ("float16", "float32"):
-        device = GpgpuDevice(float_model="ieee32")
-        kernel = make_sum_kernel(device, fmt)
-        dtype = np.float16 if fmt == "float16" else np.float32
-        out = device.empty(4096, fmt)
-        kernel(out, {"a": device.array(a32.astype(dtype)),
-                     "b": device.array(b32.astype(dtype))})
-        table[("sum", fmt)] = precision_report(
-            a32 + b32, out.to_host().astype(np.float64)
-        )
-        table[("sgemm", fmt)] = table[("sum", fmt)]
-    return table
+    return run_half_float_comparison()
 
 
 def _run_rodinia():

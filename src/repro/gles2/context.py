@@ -32,7 +32,11 @@ from .buffer_objects import BufferObject
 from .errors import ErrorState, SimulatorLimitation
 from .framebuffer import DefaultFramebuffer, FramebufferObject
 from .limits import VIDEOCORE_IV_LIMITS, DeviceLimits
-from .pipeline import VertexAttribState, execute_draw
+from .pipeline import (
+    DEFAULT_EXECUTION_BACKEND,
+    VertexAttribState,
+    execute_draw,
+)
 from .precision import FloatModel, make_model
 from .shader import Program, Shader
 from .texture import Texture
@@ -56,7 +60,7 @@ class GLES2Context:
         limits: DeviceLimits = VIDEOCORE_IV_LIMITS,
         strict_errors: bool = True,
         max_loop_iterations: int = 65536,
-        execution_backend: str = "ast",
+        execution_backend: str = DEFAULT_EXECUTION_BACKEND,
         tile_size: Optional[int] = None,
         shade_workers: Optional[int] = None,
     ):
@@ -71,10 +75,10 @@ class GLES2Context:
         self.quantization = quantization
         self.limits = limits
         self.max_loop_iterations = max_loop_iterations
-        #: How shaders run: "ast" walks the typed AST (reference
-        #: semantics), "ir" executes the compiled linear IR, "jit"
-        #: runs generated straight-line numpy code (IR fallback for
-        #: constructs outside the JIT subset).
+        #: How shaders run: "jit" (default) runs generated
+        #: straight-line numpy code (IR fallback for constructs outside
+        #: the JIT subset), "ir" executes the compiled linear IR, "ast"
+        #: walks the typed AST (reference semantics).
         self.execution_backend = execution_backend
         # Tiled / multiprocess fragment shading knobs.  Constructor
         # arguments left unset fall back to the environment

@@ -70,6 +70,7 @@ worker payload so overrides reach forked workers).
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import pickle
 import time
@@ -149,6 +150,12 @@ def shutdown_pool() -> None:
     _POOL_WORKERS = 0
     _POOL_BROKEN = False
     _CONSECUTIVE_FAILURES = 0
+
+
+# Release a live pool before interpreter teardown clears module
+# globals; collecting it later makes its manager thread's weakref
+# callback fail noisily on the way out.
+atexit.register(shutdown_pool)
 
 
 def _get_pool(workers: int):
@@ -662,12 +669,13 @@ def _materialize(plan) -> Tuple[object, int]:
                 entry["source"],
                 artifact_cache.decode_captured(entry["captured"]),
                 plan["fmodel"],
+                entry["code"],
             )
             from_disk = 1
     except PlanCacheMiss:
         raise
     except (SyntaxError, KeyError, NameError, TypeError, ValueError,
-            AttributeError) as exc:
+            AttributeError, EOFError) as exc:
         raise PlanCacheMiss(f"plan not materialisable: {exc!r}")
     _WORKER_FNS[plan["uid"]] = fn
     return fn, from_disk

@@ -179,6 +179,12 @@ DEFAULT_TILE_SIZE = 64
 #: the per-draw numpy-call overhead.
 AUTO_TILE_MIN_FRAGMENTS = 2048
 
+#: The shader executor devices, contexts and draws use unless told
+#: otherwise: the NumPy JIT, with the IR executor as its per-draw
+#: fallback outside the JIT subset.  ``"ast"`` (the tree walker) and
+#: ``"ir"`` stay available as explicit choices.
+DEFAULT_EXECUTION_BACKEND = "jit"
+
 
 def execute_draw(
     program,
@@ -191,7 +197,7 @@ def execute_draw(
     resolve_sampler,
     quantization: str = "round",
     max_loop_iterations: int = 65536,
-    execution_backend: str = "ast",
+    execution_backend: str = DEFAULT_EXECUTION_BACKEND,
     scissor: Optional[Tuple[int, int, int, int]] = None,
     tile_size: Optional[int] = None,
     shade_workers: int = 0,
@@ -199,11 +205,11 @@ def execute_draw(
     """Run the full pipeline for one draw call, writing into
     ``color_buffer`` (an (H, W, 4) uint8 array) in place.
 
-    ``execution_backend`` selects how shaders run: ``"ast"`` walks the
-    typed AST (the reference vectorised semantics), ``"ir"`` executes
-    the compiled linear IR (bit-identical, cached per shader),
-    ``"jit"`` runs generated straight-line numpy code (bit-identical,
-    cached per shader; IR fallback outside the JIT subset).
+    ``execution_backend`` selects how shaders run: ``"jit"`` (the
+    default) runs generated straight-line numpy code (cached per
+    shader; IR fallback outside the JIT subset), ``"ir"`` executes the
+    compiled linear IR (bit-identical, cached per shader), ``"ast"``
+    walks the typed AST (the reference vectorised semantics).
 
     ``scissor`` is the (x, y, w, h) rectangle of an enabled
     GL_SCISSOR_TEST (None when disabled): fragments outside it are

@@ -908,6 +908,10 @@ class _CsePass:
         self.deps: Dict[int, Set[int]] = {}
         #: availability scopes: each is {key: reg}
         self.scopes: List[Dict[tuple, int]] = [{}]
+        #: per scope, variable root -> the (key, reg) entries made
+        #: available there whose value depends on that root, so a store
+        #: drops exactly its dependents without rescanning the scope.
+        self.by_root: List[Dict[int, List[tuple]]] = [{}]
         self.rename: Dict[int, int] = {}
         self.changed = False
 
@@ -927,11 +931,20 @@ class _CsePass:
             return d | {reg} if d else {reg}
         return d if d is not None else frozenset()
 
+    def push_scope(self) -> None:
+        self.scopes.append({})
+        self.by_root.append({})
+
+    def pop_scope(self) -> None:
+        self.scopes.pop()
+        self.by_root.pop()
+
     def invalidate(self, root: int) -> None:
-        for scope in self.scopes:
-            stale = [k for k, r in scope.items() if root in self._dep_of(r)]
-            for k in stale:
-                del scope[k]
+        for scope, index in zip(self.scopes, self.by_root):
+            for key, reg in index.pop(root, ()):
+                # The entry may already be gone through another root.
+                if scope.get(key) == reg:
+                    del scope[key]
 
     def lookup(self, key: tuple) -> Optional[int]:
         for scope in reversed(self.scopes):
@@ -992,33 +1005,36 @@ class _CsePass:
             self.changed = True
             return None
         self.scopes[-1][key] = ins.out
+        index = self.by_root[-1]
+        for root in self._dep_of(ins.out):
+            index.setdefault(root, []).append((key, ins.out))
         return ins
 
     def visit_region(self, item) -> None:
         if isinstance(item, IfRegion):
             item.cond = self.resolve(item.cond)
-            self.scopes.append({})
+            self.push_scope()
             self.run_block(item.then_block)
-            self.scopes.pop()
+            self.pop_scope()
             if item.else_block is not None:
-                self.scopes.append({})
+                self.push_scope()
                 self.run_block(item.else_block)
-                self.scopes.pop()
+                self.pop_scope()
         elif isinstance(item, CondRegion):
             item.cond = self.resolve(item.cond)
-            self.scopes.append({})
+            self.push_scope()
             self.run_block(item.true_block)
-            self.scopes.pop()
-            self.scopes.append({})
+            self.pop_scope()
+            self.push_scope()
             self.run_block(item.false_block)
-            self.scopes.pop()
+            self.pop_scope()
             item.true_reg = self.resolve(item.true_reg)
             item.false_reg = self.resolve(item.false_reg)
         elif isinstance(item, ScRegion):
             item.left = self.resolve(item.left)
-            self.scopes.append({})
+            self.push_scope()
             self.run_block(item.rhs_block)
-            self.scopes.pop()
+            self.pop_scope()
             item.right = self.resolve(item.right)
         elif isinstance(item, LoopRegion):
             # Anything the loop stores to can change between
@@ -1028,31 +1044,31 @@ class _CsePass:
                 self.invalidate(self.resolve(root))
             if item.pretest:
                 if item.cond_block is not None:
-                    self.scopes.append({})
+                    self.push_scope()
                     self.run_block(item.cond_block)
-                self.scopes.append({})
+                self.push_scope()
                 self.run_block(item.body_block)
                 if item.update_block is not None:
-                    self.scopes.append({})
+                    self.push_scope()
                     self.run_block(item.update_block)
-                    self.scopes.pop()
-                self.scopes.pop()
+                    self.pop_scope()
+                self.pop_scope()
                 if item.cond_block is not None:
-                    self.scopes.pop()
+                    self.pop_scope()
             else:
-                self.scopes.append({})
+                self.push_scope()
                 self.run_block(item.body_block)
                 if item.cond_block is not None:
-                    self.scopes.append({})
+                    self.push_scope()
                     self.run_block(item.cond_block)
-                    self.scopes.pop()
-                self.scopes.pop()
+                    self.pop_scope()
+                self.pop_scope()
             if item.cond is not None:
                 item.cond = self.resolve(item.cond)
         elif isinstance(item, FuncRegion):
-            self.scopes.append({})
+            self.push_scope()
             self.run_block(item.body_block)
-            self.scopes.pop()
+            self.pop_scope()
 
 
 def _stored_roots(item) -> Set[int]:

@@ -28,11 +28,11 @@ applied once per draw.
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 from typing import Dict, FrozenSet, Optional
 
 import numpy as np
-
-import contextlib
 
 from ..values import Value, zeros_for
 from ..ir import get_compiled, static_cost
@@ -66,7 +66,7 @@ jit_fallbacks = 0
 
 #: How generated functions were obtained this process: ``fresh``
 #: (codegen ran, disk entry written), ``disk`` (rematerialised from
-#: the persistent artifact store — exec of cached source only),
+#: the persistent artifact store — exec of the stored code object),
 #: ``uncached`` (no source digest or cache disabled).  The warm-CI leg
 #: asserts ``fresh`` stays zero on a second run against a shared
 #: ``REPRO_CACHE_DIR``.
@@ -101,21 +101,27 @@ def texture_gather(enabled: bool):
         set_gather_enabled(previous)
 
 
-def materialize(source: str, captured: Dict[str, object], fmodel):
-    """Rebuild a generated JIT function from its source text and
-    captured namespace — the warm-start path shared by the disk cache
-    and the :mod:`repro.gles2.parallel` workers.  The helper closures
-    are rebuilt from the float model; the returned function carries the
-    same ``_jit_source``/``_jit_captured``/``_jit_gather_stats``
-    attributes :func:`~.codegen.generate` attaches, so it is
-    indistinguishable from a freshly generated one."""
+def materialize(source: str, captured: Dict[str, object], fmodel,
+                code: bytes):
+    """Rebuild a generated JIT function from a disk entry: its source
+    text, captured namespace and marshalled code object — the
+    warm-start path shared by the disk cache and the
+    :mod:`repro.gles2.parallel` workers.  The code object is executed
+    as stored (no ``compile()``); the helper closures are rebuilt from
+    the float model.  The returned function carries the same
+    ``_jit_source``/``_jit_code``/``_jit_captured``/
+    ``_jit_gather_stats`` attributes :func:`~.codegen.generate`
+    attaches, so it is indistinguishable from a freshly generated
+    one."""
     from .codegen import make_helpers
 
     ns = make_helpers(fmodel)
     ns.update(captured)
-    exec(compile(source, "<jit:cache>", "exec"), ns)
+    module_code = marshal.loads(code)
+    exec(module_code, ns)
     fn = ns["_jit_main"]
     fn._jit_source = source
+    fn._jit_code = module_code
     fn._jit_captured = dict(captured)
     fn._jit_gather_stats = ns["_gst"]
     return fn
@@ -206,12 +212,13 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                                 entry["captured"]
                             ),
                             fmodel,
+                            entry["code"],
                         )
-                    except (SyntaxError, KeyError, NameError, TypeError,
-                            ValueError, AttributeError) as exc:
-                        # A stale artifact whose source no longer
-                        # compiles or whose captured namespace no
-                        # longer resolves: treat as corrupt data
+                    except (KeyError, NameError, TypeError, ValueError,
+                            AttributeError, EOFError) as exc:
+                        # A stale artifact whose code no longer loads
+                        # or whose captured namespace no longer
+                        # resolves: treat as corrupt data
                         # (invalidated below), never as a fatal error
                         # — the healthy path regenerates.
                         artifact_cache.stats.load_failures += 1
@@ -246,7 +253,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                 artifact_cache.put(
                     disk_key,
                     artifact_cache.dump_jit_entry(
-                        fn._jit_source, encoded
+                        fn._jit_source, encoded, fn._jit_code
                     ),
                     "jit",
                 )

@@ -1177,6 +1177,9 @@ def generate(program: CompiledProgram, fmodel, wide_globals: Set[str],
     exec(code, ns)
     fn = ns["_jit_main"]
     fn._jit_source = source
+    # The compiled module code, persisted beside the source so a warm
+    # start skips compile() (see repro.core.cache.dump_jit_entry).
+    fn._jit_code = code
     # Captured objects only (the `make_helpers` closures are rebuilt
     # from the float model at the destination): together with the
     # source this is everything a worker process needs to rematerialise

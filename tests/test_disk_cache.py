@@ -205,6 +205,116 @@ def test_unit_level_corruption_is_a_counted_miss():
 
 
 # ----------------------------------------------------------------------
+# Artifact (de)serialisation
+# ----------------------------------------------------------------------
+_BUILTIN_SHADER = """
+precision mediump float;
+varying vec2 v_uv;
+void main() {
+    float s = sin(v_uv.x) + mod(v_uv.y, 0.25);
+    gl_FragColor = vec4(clamp(s, 0.0, 1.0), floor(v_uv.y * 4.0), 0.0, 1.0);
+}
+"""
+
+
+def test_builtin_overloads_round_trip_by_registry_identity():
+    from repro.glsl.builtins import OVERLOADS_BY_KEY
+    from repro.glsl.interp import _ExactModel, compile_shader
+
+    keys = sorted(OVERLOADS_BY_KEY)[:5]
+    shipped = [OVERLOADS_BY_KEY[k] for k in keys]
+    loaded = store._loads(store._dumps({"overloads": shipped * 2}))
+    # Resolved back to the live registry objects (impls included),
+    # memoised so repeats stay one object.
+    assert all(a is b for a, b in zip(loaded["overloads"], shipped * 2))
+
+    checked = compile_shader(_BUILTIN_SHADER, "fragment")
+    blob = store.dump_checked(checked)
+    assert store.dump_checked(store.load_checked(blob)) == blob
+    program = ir_mod.compile_ir(checked)
+    restored = store.load_program(store.dump_program(program), checked)
+    assert ir_mod.dump_ir(restored) == ir_mod.dump_ir(program)
+    assert restored.checked is checked and restored.linear is None
+    fmodel = _ExactModel()
+    assert jit_mod.codegen.generate(restored, fmodel, set())._jit_source \
+        == jit_mod.codegen.generate(program, fmodel, set())._jit_source
+
+
+def test_unknown_builtin_key_is_a_counted_load_failure():
+    import dataclasses
+
+    from repro.glsl.builtins import OVERLOADS_BY_KEY
+    from repro.glsl.interp import compile_shader
+
+    retired = dataclasses.replace(
+        next(iter(OVERLOADS_BY_KEY.values())), key="retired/0"
+    )
+    before = store.stats.load_failures
+    assert store.load_checked(store._dumps(retired)) is None
+    assert store.load_program(store._dumps([retired]), None) is None
+    assert store.load_jit_entry(store._dumps({"o": retired})) is None
+    assert store.stats.load_failures == before + 3
+
+    # A stored IR program calling a builtin whose key has left the
+    # registry degrades the same way.
+    checked = compile_shader(_BUILTIN_SHADER, "fragment")
+    blob = store.dump_program(ir_mod.compile_ir(checked))
+    stale = blob.replace(b"sin/0", b"nil/0")
+    assert stale != blob
+    assert store.load_program(stale, checked) is None
+    assert store.stats.load_failures == before + 4
+
+
+def test_warm_jit_execs_the_stored_code_object(monkeypatch):
+    from repro.core import GpgpuDevice
+    from repro.gles2 import shader as shader_mod
+
+    x = np.linspace(-1, 1, 16).astype(np.float32)
+
+    def run_cold_process_view():
+        # A fresh in-memory front-end cache: every artifact comes from
+        # the store, as in a new process.
+        monkeypatch.setattr(shader_mod, "_FRONTEND_CACHE", {})
+        dev = GpgpuDevice(execution_backend="jit")
+        kernel = dev.kernel("marshal_probe", [("x", "float32")], "float32",
+                            "result = x * 2.0 + 1.0;")
+        out = dev.empty(16, "float32")
+        return kernel(out, {"x": dev.array(x, "float32")}).to_host()
+
+    expected = run_cold_process_view()
+    jit_keys = [
+        path.stem for path in store.iter_entries()
+        if store._unpack(path.read_bytes())[0]["kind"] == "jit"
+    ]
+    assert jit_keys
+
+    # Warm: the stored code object is executed; nothing is compiled.
+    def no_compile(*args, **kwargs):
+        raise AssertionError("warm JIT load recompiled its source")
+
+    monkeypatch.setattr(jit_mod, "compile", no_compile, raising=False)
+    events = dict(jit_mod.codegen_events)
+    assert np.array_equal(run_cold_process_view(), expected)
+    assert jit_mod.codegen_events["disk"] == events["disk"] + len(jit_keys)
+    assert jit_mod.codegen_events["fresh"] == events["fresh"]
+    monkeypatch.delattr(jit_mod, "compile")
+
+    # A code blob that no longer loads is a counted failure: the entry
+    # is invalidated and regenerated, and the draw is unaffected.
+    for key in jit_keys:
+        entry = store.load_jit_entry(store.get(key))
+        store.put(key, store._dumps(dict(entry, code=b"\x00junk")), "jit")
+    before = store.stats.snapshot()
+    events = dict(jit_mod.codegen_events)
+    assert np.array_equal(run_cold_process_view(), expected)
+    assert store.stats.load_failures == before["load_failures"] + len(jit_keys)
+    assert store.stats.corrupt == before["corrupt"] + len(jit_keys)
+    assert jit_mod.codegen_events["fresh"] == events["fresh"] + len(jit_keys)
+    for key in jit_keys:
+        assert store.load_jit_entry(store.get(key))["code"] != b"\x00junk"
+
+
+# ----------------------------------------------------------------------
 # Key-composition audit
 # ----------------------------------------------------------------------
 def test_every_codegen_knob_fragments_the_key():

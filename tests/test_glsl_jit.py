@@ -107,17 +107,73 @@ def test_jit_relaunch_compiles_nothing():
     assert np.array_equal(out.to_host(), a.to_host() + b.to_host())
 
 
+#: A return inside a loop is a return under divergence: outside the
+#: JIT subset.
+_LOOP_RETURN_SHADER = """
+precision mediump float;
+varying vec2 v_uv;
+float first_step(float x) {
+    for (int i = 0; i < 4; i++) {
+        if (x * float(i) > 1.0) {
+            return float(i) * 0.25;
+        }
+    }
+    return 1.0;
+}
+void main() {
+    gl_FragColor = vec4(first_step(v_uv.x * 2.0), v_uv.y, 0.0, 1.0);
+}
+"""
+
+
 def test_unsupported_program_falls_back_and_counts():
-    # identity_float16's shader uses constructs outside the JIT subset,
-    # so every draw runs on the IRExecutor and bumps the counter.
-    entry = ENTRIES["identity_float16"]
+    # Every draw of a shader outside the JIT subset runs on the
+    # IRExecutor and bumps the counter.
     glsl_jit.reset_fallbacks()
-    reference = _render(entry, "ast")
+    reference, __ = draw_for_capture(_LOOP_RETURN_SHADER,
+                                     execution_backend="ast")
     assert glsl_jit.jit_fallbacks == 0
-    framebuffer = _render(entry, "jit")
+    framebuffer, __ = draw_for_capture(_LOOP_RETURN_SHADER,
+                                       execution_backend="jit")
     assert glsl_jit.jit_fallbacks > 0
     assert np.array_equal(framebuffer, reference)
     glsl_jit.reset_fallbacks()
+
+
+def test_library_default_backend_is_the_jit():
+    import inspect
+
+    from repro.gles2 import GLES2Context
+    from repro.gles2.pipeline import DEFAULT_EXECUTION_BACKEND, execute_draw
+
+    assert DEFAULT_EXECUTION_BACKEND == "jit"
+    assert GpgpuDevice().ctx.execution_backend == "jit"
+    assert GLES2Context().execution_backend == "jit"
+    default = inspect.signature(execute_draw).parameters["execution_backend"]
+    assert default.default == "jit"
+
+
+def test_every_float16_pattern_round_trips_identically_on_all_backends():
+    # gpgpu_pack_half has a single exit, so fp16 kernels stay on the
+    # JIT; all 65536 bit patterns must come back bit-identical on every
+    # backend: unchanged, except -0 -> +0 and every NaN -> quiet NaN.
+    bits = np.arange(65536, dtype=np.uint16)
+    results = {}
+    glsl_jit.reset_fallbacks()
+    for backend in BACKENDS:
+        dev = GpgpuDevice(float_model="ieee32", execution_backend=backend)
+        kernel = dev.kernel("fp16_identity", [("a", "float16")], "float16",
+                            "result = a;")
+        out = dev.empty(bits.size, "float16")
+        kernel(out, {"a": dev.array(bits.view(np.float16))})
+        results[backend] = out.to_host().view(np.uint16)
+    assert glsl_jit.jit_fallbacks == 0
+    assert np.array_equal(results["ir"], results["ast"])
+    assert np.array_equal(results["jit"], results["ast"])
+    expected = bits.copy()
+    expected[np.isnan(bits.view(np.float16))] = 0x7E00
+    expected[bits == 0x8000] = 0
+    assert np.array_equal(results["jit"], expected)
 
 
 def test_supported_program_does_not_count_fallbacks():
@@ -174,3 +230,64 @@ def test_jit_counters_match_ir_dynamic_tally(which, fmt):
             == ir_draw.fragment_ops.snapshot())
     assert (jit_draw.vertex_ops.snapshot()
             == ir_draw.vertex_ops.snapshot())
+
+
+#: Report sections whose kernels branch per fragment (E7's fp16 packing,
+#: E8's Rodinia workloads).  Their op counts feed no modeled number;
+#: the JIT charges the static all-lanes projection there, an upper
+#: bound on the IR executor's masked tally.
+_DIVERGENT_SECTIONS = ("_run_half_float_comparison", "_run_rodinia")
+
+
+def test_report_draws_count_like_the_ir_executor(monkeypatch):
+    # Every draw EXPERIMENTS.md makes (on the default JIT backend) is
+    # replayed on the IR executor first.  Framebuffers must match; op
+    # counts must match exactly wherever they feed a modeled number.
+    import repro.gles2.context as context_module
+    from repro.experiments import report
+
+    real_draw = context_module.execute_draw
+    section = [None]
+    exact_draws = []
+    bounded_draws = []
+
+    def in_section(name):
+        run = getattr(report, name)
+
+        def wrapper(*args, **kwargs):
+            section[0] = name
+            try:
+                return run(*args, **kwargs)
+            finally:
+                section[0] = None
+        return wrapper
+
+    def draw_twice(*args, **kwargs):
+        assert kwargs["execution_backend"] == "jit"
+        shadow_buffer = args[5].copy()
+        ir_stats = real_draw(*args[:5], shadow_buffer, *args[6:],
+                             **dict(kwargs, execution_backend="ir"))
+        stats = real_draw(*args, **kwargs)
+        assert np.array_equal(args[5], shadow_buffer)
+        pairs = [
+            (stats.fragment_ops.snapshot(), ir_stats.fragment_ops.snapshot()),
+            (stats.vertex_ops.snapshot(), ir_stats.vertex_ops.snapshot()),
+        ]
+        if section[0] in _DIVERGENT_SECTIONS:
+            for jit_ops, ir_ops in pairs:
+                assert set(jit_ops) >= set(ir_ops)
+                assert all(jit_ops[c] >= ir_ops[c] for c in ir_ops)
+            bounded_draws.append(stats)
+        else:
+            for jit_ops, ir_ops in pairs:
+                assert jit_ops == ir_ops
+            exact_draws.append(stats)
+        return stats
+
+    for name in _DIVERGENT_SECTIONS:
+        monkeypatch.setattr(report, name, in_section(name))
+    monkeypatch.setattr(context_module, "execute_draw", draw_twice)
+    glsl_jit.reset_fallbacks()
+    report.build_report()
+    assert exact_draws and bounded_draws
+    assert glsl_jit.jit_fallbacks == 0
