@@ -1,15 +1,15 @@
-"""Wall-clock smoke benchmark: AST walker vs linear IR vs NumPy JIT.
+"""Wall-clock smoke benchmark: linear IR executor vs NumPy JIT.
 
 Times repeated kernel launches (the steady state the program cache is
 for) of the paper workloads that bracket the shader-complexity range —
 the int32 ``sum`` elementwise kernel and the loop-heavy ``sgemm`` at
-two sizes — under all three execution backends, and records the
-results in ``BENCH_glsl_exec.json`` at the repository root.
+two sizes — under both execution backends, and records the results in
+``BENCH_glsl_exec.json`` at the repository root.
 
 The sum microbenchmark runs in the dispatch-bound regime (small batch,
-many launches), which is where interpreter overhead — the thing the
-compiled backends remove — dominates; at very large batches all
-backends converge on the same numpy bulk work.  The script also
+many launches), which is where per-instruction dispatch overhead — the
+thing the JIT removes — dominates; at very large batches both backends
+converge on the same numpy bulk work.  The script also
 demonstrates the two cache layers: a second ``device.kernel()``
 request for the same source is served from the kernel cache (no
 recompile, no relink), and repeated launches never re-lower the shader
@@ -41,7 +41,7 @@ from repro.core.api.device import GpgpuDevice
 from repro.kernels.elementwise import make_sum_kernel
 from repro.kernels.sgemm import make_sgemm_kernel
 
-BACKENDS = ("ast", "ir", "jit")
+BACKENDS = ("ir", "jit")
 SUM_N = 512  # dispatch-bound: launch overhead, not numpy bulk work
 SGEMM_N = 8  # 8x8 matrices, 8-iteration dot-product loop per fragment
 SGEMM_N_LARGE = 16  # 16x16: more per-fragment loop work, same dispatch
@@ -98,7 +98,7 @@ def _cache_stats(stats, backend, dev, request_again, launch):
 def _gather_stats(stats, backend, dev):
     """Texture-gather engagement of the most recent draw: >0 gathers
     and 0 fallbacks on the JIT backend means every kernel fetch took
-    the direct texel-storage path (zero on AST/IR by definition)."""
+    the direct texel-storage path (zero on IR by definition)."""
     draw = dev.ctx.stats.draws[-1]
     stats[backend]["texture_gathers"] = draw.texture_gathers
     stats[backend]["gather_fallbacks"] = draw.gather_fallbacks
@@ -459,7 +459,7 @@ def main(argv=None):
 
     report = {
         "description": (
-            "repeated-launch wall clock, AST walker vs linear IR vs "
+            "repeated-launch wall clock, linear IR executor vs "
             "NumPy-source JIT; 'jit+workers' columns add tiled "
             "multiprocess fragment shading "
             f"(shade_workers={SHADE_WORKERS}); map_chain_float32 "
@@ -487,8 +487,8 @@ def main(argv=None):
          SGEMM_N_LARGE, BACKENDS + ("jit+workers",)),
         # sgemm-128 is the workload the worker pool targets: 16384
         # fragments with a 128-iteration loop each, where fragment
-        # shading is ~98% of the launch.  AST/IR are skipped (minutes
-        # per rep); tiling engages via the automatic policy.
+        # shading is ~98% of the launch.  IR is skipped (minutes per
+        # rep); tiling engages via the automatic policy.
         ("sgemm_float32_128",
          lambda: bench_sgemm(SGEMM_N_XL, backends=("jit",),
                              include_workers=True,
@@ -512,12 +512,11 @@ def main(argv=None):
                 f"{name} [{backend}] median {per_backend[backend]['median_ms']:.3f} ms"
                 f"  min {per_backend[backend]['min_ms']:.3f} ms"
             )
-        if "ast" in per_backend:
-            ast_median = per_backend["ast"]["median_ms"]
-            for compiled in ("ir", "jit"):
-                ratio = ast_median / per_backend[compiled]["median_ms"]
-                per_backend[f"speedup_{compiled}_over_ast"] = round(ratio, 3)
-                print(f"{name} speedup (ast/{compiled}): {ratio:.3f}x")
+        if "ir" in per_backend:
+            ratio = (per_backend["ir"]["median_ms"]
+                     / per_backend["jit"]["median_ms"])
+            per_backend["speedup_jit_over_ir"] = round(ratio, 3)
+            print(f"{name} speedup (ir/jit): {ratio:.3f}x")
         if "jit+workers" in per_backend:
             ratio = (per_backend["jit"]["median_ms"]
                      / per_backend["jit+workers"]["median_ms"])

@@ -9,7 +9,7 @@ CPU reference with the paper's mantissa-agreement metric.
 
 Run:  python examples/sgemm_pipeline.py [n] [backend]
 
-``backend`` is ast (default), ir, or jit.  Combine with the usual
+``backend`` is jit (the library default) or ir.  Combine with the usual
 knobs to exercise the full stack, e.g. a traced multiprocess run::
 
     REPRO_TRACE=out.json REPRO_SHADE_WORKERS=2 \
@@ -22,13 +22,14 @@ import sys
 import numpy as np
 
 from repro import GpgpuDevice
+from repro.gles2.pipeline import DEFAULT_EXECUTION_BACKEND
 from repro.baselines import cpu_sgemm
 from repro.baselines.cpu_kernels import random_matrices
 from repro.kernels import make_sgemm_kernel
 from repro.validation import precision_report
 
 
-def main(n: int = 32, backend: str = "ast"):
+def main(n: int = 32, backend: str = DEFAULT_EXECUTION_BACKEND):
     alpha, beta = 1.5, 0.5
     a, b, c0 = random_matrices(n, np.float32)
 
@@ -64,5 +65,5 @@ def main(n: int = 32, backend: str = "ast"):
 if __name__ == "__main__":
     main(
         int(sys.argv[1]) if len(sys.argv) > 1 else 32,
-        sys.argv[2] if len(sys.argv) > 2 else "ast",
+        sys.argv[2] if len(sys.argv) > 2 else DEFAULT_EXECUTION_BACKEND,
     )

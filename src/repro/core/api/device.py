@@ -47,9 +47,8 @@ class GpgpuDevice:
     execution_backend:
         ``"jit"`` (the default: generated straight-line numpy code
         per compiled program — fastest steady state; falls back to the
-        IR executor outside the JIT subset), ``"ir"`` (compiled
-        linear-IR executor, bit-identical) or ``"ast"`` (reference
-        tree-walking interpreter).
+        IR executor outside the JIT subset) or ``"ir"`` (compiled
+        linear-IR executor, bit-identical).
     tile_size:
         Fragment-tile edge in pixels; None selects the automatic
         policy (tile only when workers could use it and the draw is

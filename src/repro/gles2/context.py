@@ -34,6 +34,7 @@ from .framebuffer import DefaultFramebuffer, FramebufferObject
 from .limits import VIDEOCORE_IV_LIMITS, DeviceLimits
 from .pipeline import (
     DEFAULT_EXECUTION_BACKEND,
+    EXECUTORS,
     VertexAttribState,
     execute_draw,
 )
@@ -66,19 +67,16 @@ class GLES2Context:
     ):
         if isinstance(float_model, str):
             float_model = make_model(float_model)
-        if execution_backend not in ("ast", "ir", "jit"):
+        if execution_backend not in EXECUTORS:
             raise ValueError(
                 f"unknown execution backend '{execution_backend}' "
-                "(expected 'ast', 'ir' or 'jit')"
+                f"(expected one of {sorted(EXECUTORS)})"
             )
         self.float_model = float_model
         self.quantization = quantization
         self.limits = limits
         self.max_loop_iterations = max_loop_iterations
-        #: How shaders run: "jit" (default) runs generated
-        #: straight-line numpy code (IR fallback for constructs outside
-        #: the JIT subset), "ir" executes the compiled linear IR, "ast"
-        #: walks the typed AST (reference semantics).
+        #: How shaders run: a key of pipeline.EXECUTORS ("jit" or "ir").
         self.execution_backend = execution_backend
         # Tiled / multiprocess fragment shading knobs.  Constructor
         # arguments left unset fall back to the environment

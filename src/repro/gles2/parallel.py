@@ -303,8 +303,8 @@ def shade_draw(
     global parallel_draws
     from ..glsl.errors import GlslLimitError
     from ..glsl.ir import get_compiled
+    from ..glsl.interp import Interpreter
     from ..glsl.jit import JitExecutor, _jit_function
-    from ..glsl.values import Value, zeros_for
 
     if not isinstance(fs_interp, JitExecutor):
         return None
@@ -328,50 +328,31 @@ def shade_draw(
     captured, digest = encoding
 
     # ------------------------------------------------------------------
-    # Bind the width-1 registers exactly as JitExecutor.execute does,
-    # tallying global-initializer ops into a scratch sink that is only
-    # merged on success (see module docstring).
+    # Bind the registers with the executors' shared binding, tallying
+    # global-initializer ops into a scratch sink that is only merged on
+    # success (see module docstring), then split them into what every
+    # chunk shares and the per-fragment (wide) arrays to slice.
     # ------------------------------------------------------------------
     scratch = OpCounters()
     saved_counters = fs_interp.counters
     fs_interp.counters = scratch
-    fs_interp.n = n
-    fs_interp.globals_env = {}
-    fs_interp.consts = program.materialized_consts(fs_interp.fmodel)
-    fs_interp.regs = [None] * program.nregs
-    fs_interp.discarded = np.zeros(n, dtype=bool)
-    fs_interp.exec_mask = np.ones(n, dtype=bool)
-    fs_interp.frames = []
+    try:
+        Interpreter.execute(fs_interp, n, presets)
+    finally:
+        fs_interp.counters = saved_counters
     out_reg = None
     base_regs: Dict[int, Tuple[str, object]] = {}
     wide_regs: Dict[int, np.ndarray] = {}
-    try:
-        simple_inits = program.simple_inits()
-        for plan in program.globals_plan:
-            if plan.name in presets:
-                value = presets[plan.name]
-            elif plan.is_sampler:
-                value = Value(plan.type)
-            elif plan.init_block is not None:
-                idx = simple_inits.get(plan.name)
-                if idx is not None:
-                    gtype, data = fs_interp.consts[idx]
-                    value = Value(gtype, data)
-                else:
-                    value = fs_interp._run_global_init(program, plan)
-            else:
-                value = zeros_for(plan.type, 1, fs_interp.fmodel.dtype)
-            fs_interp.regs[plan.reg] = value
-            if plan.name == out_name:
-                out_reg = plan.reg
-            if plan.is_sampler:
-                base_regs[plan.reg] = ("sampler", value.sampler)
-            elif plan.name in wide:
-                wide_regs[plan.reg] = value.data
-            else:
-                base_regs[plan.reg] = ("data", value.data)
-    finally:
-        fs_interp.counters = saved_counters
+    for plan in program.globals_plan:
+        value = fs_interp.regs[plan.reg]
+        if plan.name == out_name:
+            out_reg = plan.reg
+        if plan.is_sampler:
+            base_regs[plan.reg] = ("sampler", value.sampler)
+        elif plan.name in wide:
+            wide_regs[plan.reg] = value.data
+        else:
+            base_regs[plan.reg] = ("data", value.data)
     if out_reg is None:
         return None
 

@@ -22,8 +22,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..glsl.interp import Interpreter
 from ..glsl.ir import IRExecutor
+from ..glsl.jit import JitExecutor
 from ..glsl.values import Value
 from ..perf import trace
 from ..perf.counters import DrawStats, OpCounters
@@ -179,10 +179,13 @@ DEFAULT_TILE_SIZE = 64
 #: the per-draw numpy-call overhead.
 AUTO_TILE_MIN_FRAGMENTS = 2048
 
-#: The shader executor devices, contexts and draws use unless told
-#: otherwise: the NumPy JIT, with the IR executor as its per-draw
-#: fallback outside the JIT subset.  ``"ast"`` (the tree walker) and
-#: ``"ir"`` stay available as explicit choices.
+#: The shader executors, by ``execution_backend`` name: ``"jit"`` runs
+#: generated straight-line numpy code (cached per shader; the IR
+#: executor is its per-draw fallback outside the JIT subset), ``"ir"``
+#: dispatches the compiled linear IR (bit-identical, cached per shader).
+EXECUTORS = {"ir": IRExecutor, "jit": JitExecutor}
+
+#: The backend devices, contexts and draws use unless told otherwise.
 DEFAULT_EXECUTION_BACKEND = "jit"
 
 
@@ -205,11 +208,8 @@ def execute_draw(
     """Run the full pipeline for one draw call, writing into
     ``color_buffer`` (an (H, W, 4) uint8 array) in place.
 
-    ``execution_backend`` selects how shaders run: ``"jit"`` (the
-    default) runs generated straight-line numpy code (cached per
-    shader; IR fallback outside the JIT subset), ``"ir"`` executes the
-    compiled linear IR (bit-identical, cached per shader), ``"ast"``
-    walks the typed AST (the reference vectorised semantics).
+    ``execution_backend`` names the shader executor (a key of
+    :data:`EXECUTORS`).
 
     ``scissor`` is the (x, y, w, h) rectangle of an enabled
     GL_SCISSOR_TEST (None when disabled): fragments outside it are
@@ -219,18 +219,7 @@ def execute_draw(
     results are bit-identical to the monolithic path.  ``shade_workers``
     > 0 fans independent tiles across a process pool for the JIT
     backend (in-process tiled shading otherwise)."""
-    if execution_backend == "ir":
-        shader_executor = IRExecutor
-    elif execution_backend == "jit":
-        from ..glsl.jit import JitExecutor
-        shader_executor = JitExecutor
-    elif execution_backend == "ast":
-        shader_executor = Interpreter
-    else:
-        raise ValueError(
-            f"unknown execution backend '{execution_backend}' "
-            "(expected 'ast', 'ir' or 'jit')"
-        )
+    shader_executor = EXECUTORS[execution_backend]
     stats = DrawStats()
     if index_stream.size == 0:
         return stats
@@ -388,7 +377,7 @@ def execute_draw(
         else:
             color, discarded = _shade_tiled(
                 fs_interp, fs_presets, tile_indices, batch.count,
-                out_name, execution_backend, shade_workers,
+                out_name, shade_workers,
             )
 
     keep = ~discarded
@@ -462,7 +451,6 @@ def _shade_tiled(
     tile_indices,
     count: int,
     out_name: str,
-    execution_backend: str,
     shade_workers: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shade a partitioned fragment batch tile by tile, reassembling
@@ -484,7 +472,7 @@ def _shade_tiled(
     color = np.empty((count, 4), dtype=np.float64)
     discarded = np.empty(count, dtype=bool)
 
-    if shade_workers > 0 and execution_backend == "jit":
+    if shade_workers > 0:
         from . import parallel
 
         results = parallel.shade_draw(

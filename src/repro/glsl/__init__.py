@@ -1,17 +1,20 @@
-"""GLSL ES 1.00 front end and vectorised interpreter.
+"""GLSL ES 1.00 front end and vectorised executors.
 
 The shading-language substrate of the reproduction: a lexer,
 preprocessor, recursive-descent parser, type checker enforcing the
 GLSL ES 1.00 rules (no implicit conversions, reserved operators, no
-recursion) and a SIMT-style interpreter that executes shaders over
-whole vertex/fragment batches using numpy.
+recursion), and SIMT-style executors that run compiled shaders over
+whole vertex/fragment batches using numpy: the linear-IR executor
+(:mod:`repro.glsl.ir`) and the NumPy JIT (:mod:`repro.glsl.jit`), both
+on the runtime base :mod:`repro.glsl.interp`.
 
 Quick use::
 
-    from repro.glsl import compile_shader, Interpreter
+    from repro.glsl import compile_shader
+    from repro.glsl.ir import IRExecutor
     checked = compile_shader(source, stage="fragment")
-    interp = Interpreter(checked)
-    env = interp.execute(n, presets)
+    executor = IRExecutor(checked)
+    env = executor.execute(n, presets)
 """
 
 from .errors import (

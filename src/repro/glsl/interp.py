@@ -1,16 +1,25 @@
-"""Vectorised (SIMT) interpreter for type-checked GLSL ES 1.00 shaders.
+"""Shared runtime base of the vectorised (SIMT) shader executors.
 
-The interpreter executes a shader for all vertices/fragments of a draw
-call at once, mirroring the lock-step warp execution of the VideoCore
-IV's QPUs: each GLSL variable holds a batched numpy array (see
-:mod:`repro.glsl.values`) and divergent control flow is handled with
-per-lane execution masks.
+Both executors — :class:`~repro.glsl.ir.executor.IRExecutor` (the flat
+IR instruction loop) and :class:`~repro.glsl.jit.JitExecutor` (the
+generated straight-line numpy function) — run a compiled shader for
+all vertices/fragments of a draw call at once, mirroring the lock-step
+warp execution of the VideoCore IV's QPUs: each GLSL variable holds a
+batched numpy array (see :mod:`repro.glsl.values`) and divergent
+control flow is handled with per-lane execution masks.
+
+:class:`Interpreter` holds what the two share: the per-batch reset and
+global binding (:meth:`Interpreter.execute`), masks and op counting,
+and the value-level semantics (arithmetic, equality, builtins,
+texturing, constructors, indexing, blends, l-value references).  It
+runs no shader code itself.  The independent one-fragment-at-a-time
+reference is :mod:`repro.glsl.scalar_ref`, which shares none of this.
 
 Divergence model
 ----------------
-``self.exec_mask`` is the set of lanes executing the current statement.
-Lanes leave it through four "kill" channels and rejoin at well-defined
-points:
+``self.exec_mask`` is the set of lanes executing the current
+instruction.  Lanes leave it through four "kill" channels and rejoin
+at well-defined points:
 
 * ``return``   — recorded per function frame; lanes rejoin at the call
   site,
@@ -19,10 +28,6 @@ points:
   iteration,
 * ``discard``  — recorded globally; lanes never rejoin (the fragment
   is dropped).
-
-``&&``/``||`` short-circuit per lane: the right operand only executes
-on lanes the left operand did not decide, matching the spec's
-sequencing guarantees.
 
 Precision and cost accounting
 -----------------------------
@@ -34,15 +39,14 @@ be simulated, and every operation reports to an optional counter sink
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import ast_nodes as ast
 from . import builtins as bi
-from .errors import GlslLimitError, GlslRuntimeError
-from .typecheck import CheckedShader, mangle
-from .types import BOOL, FLOAT, INT, BaseType, GlslType, TypeKind
+from .errors import GlslRuntimeError
+from .typecheck import CheckedShader
+from .types import INT, BaseType, GlslType
 from .values import (
     INT_DTYPE,
     Value,
@@ -90,7 +94,6 @@ class _FunctionFrame:
     """Activation record for one (inlined) function invocation."""
 
     def __init__(self, n: int, return_type: GlslType, float_dtype):
-        self.scopes: List[Dict[str, Value]] = [{}]
         self.returned = np.zeros(n, dtype=bool)
         self.loops: List[_LoopFrame] = []
         if return_type.is_void():
@@ -100,7 +103,7 @@ class _FunctionFrame:
 
 
 class Interpreter:
-    """Executes one compiled shader stage.
+    """Runtime base for executing one compiled shader stage.
 
     Parameters
     ----------
@@ -113,6 +116,10 @@ class Interpreter:
         Optional op-counter sink with ``add(category, count)``.
     max_loop_iterations:
         Safety cap for loop execution.
+
+    Subclasses run the shader body after :meth:`execute` has bound the
+    globals, and supply ``_run_global_init`` for initialisers the IR
+    fold pass could not reduce to a constant.
     """
 
     def __init__(
@@ -126,78 +133,96 @@ class Interpreter:
         self.fmodel = float_model or _ExactModel()
         self.counters = counters
         self.max_loop_iterations = max_loop_iterations
+        #: The compiled IR program (resolved on first execute).
+        self.program = None
         # Runtime state (reset per execution).
         self.n = 0
         self.exec_mask: np.ndarray = np.ones(1, dtype=bool)
         self.discarded: np.ndarray = np.zeros(1, dtype=bool)
         self.globals_env: Dict[str, Value] = {}
         self.frames: List[_FunctionFrame] = []
+        self.regs: List[Optional[Value]] = []
+        self.consts = []
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry point: per-batch reset and global binding
     # ------------------------------------------------------------------
     def execute(self, n: int, presets: Dict[str, Value],
                 count_globals: bool = True) -> Dict[str, Value]:
-        """Run ``main()`` over a batch of ``n`` lanes.
+        """Reset the per-batch state for ``n`` lanes and bind every
+        global of the compiled program to its register.
 
         ``presets`` seeds global variables (attributes, uniforms,
-        varyings, gl_FragCoord, ...).  Returns the final global
-        environment; the caller extracts outputs (gl_Position,
-        varyings, gl_FragColor) and the discard mask is available as
-        :attr:`discarded`.
+        varyings, gl_FragCoord, ...); samplers without a preset bind
+        texture object 0, initialised globals take their initialiser,
+        the rest start at zero.  Returns the global environment, which
+        the subclass's body run then updates in place; callers extract
+        outputs (gl_Position, varyings, gl_FragColor) from it and the
+        discard mask from :attr:`discarded`.
 
-        Global initializers run once per ``execute`` call at batch
+        Global initialisers run once per ``execute`` call at batch
         width 1, so a caller splitting one draw into several batches
         (fragment tiling) would tally them once per tile instead of
         once per draw; such callers pass ``count_globals=False`` on
         every batch but the first to keep the merged counters equal to
         a monolithic run.
         """
+        program = self.program
+        if program is None or program.checked is not self.checked:
+            from .ir import get_compiled
+
+            program = self.program = get_compiled(self.checked, self.fmodel)
         self.n = n
         self.exec_mask = np.ones(n, dtype=bool)
         self.discarded = np.zeros(n, dtype=bool)
         self.globals_env = {}
         self.frames = []
+        self.consts = program.materialized_consts(self.fmodel)
+        self.regs = [None] * program.nregs
 
         saved_counters = self.counters
         if not count_globals:
             self.counters = None
         try:
-            for name, symbol in self.checked.globals.items():
-                if name in presets:
-                    self.globals_env[name] = presets[name]
-                elif symbol.type.is_sampler():
-                    self.globals_env[name] = Value(symbol.type)
-                elif symbol.initializer is not None:
-                    self.globals_env[name] = self._materialize_global_init(symbol)
+            simple_inits = program.simple_inits()
+            for plan in program.globals_plan:
+                if plan.name in presets:
+                    value = presets[plan.name]
+                elif plan.is_sampler:
+                    value = Value(plan.type)
+                elif plan.init_block is not None:
+                    idx = simple_inits.get(plan.name)
+                    if idx is not None:
+                        # Folded-to-constant initialiser: no frame needed.
+                        gtype, data = self.consts[idx]
+                        value = Value(gtype, data)
+                    else:
+                        value = self._run_global_init(program, plan)
                 else:
-                    self.globals_env[name] = zeros_for(symbol.type, 1, self.fmodel.dtype)
+                    value = zeros_for(plan.type, 1, self.fmodel.dtype)
+                self.regs[plan.reg] = value
+                self.globals_env[plan.name] = value
         finally:
             self.counters = saved_counters
         for name, value in presets.items():
             self.globals_env.setdefault(name, value)
-
-        main = self.checked.functions.get("main()")
-        if main is None or main.body is None:
-            raise GlslRuntimeError("shader has no main() body")
-        self._call(main, [])
         return self.globals_env
 
-    def _materialize_global_init(self, symbol) -> Value:
-        saved_mask = self.exec_mask
-        self.exec_mask = np.ones(1, dtype=bool)
-        frame = _FunctionFrame(1, symbol.type, self.fmodel.dtype)
-        self.frames.append(frame)
-        try:
-            value = self.eval(symbol.initializer)
-        finally:
-            self.frames.pop()
-            self.exec_mask = saved_mask
-        return value
+    # ------------------------------------------------------------------
+    # Masks and counting.  The lane popcount is cached: straight-line
+    # code (the common case after frame elision) never changes the
+    # mask, so ``_count`` reuses one popcount instead of summing the
+    # mask per counted op.
+    # ------------------------------------------------------------------
+    @property
+    def exec_mask(self) -> np.ndarray:
+        return self._exec_mask
 
-    # ------------------------------------------------------------------
-    # Mask plumbing
-    # ------------------------------------------------------------------
+    @exec_mask.setter
+    def exec_mask(self, mask: np.ndarray) -> None:
+        self._exec_mask = mask
+        self._nactive = -1
+
     def _live(self) -> np.ndarray:
         mask = ~self.discarded
         if self.frames:
@@ -208,10 +233,14 @@ class Interpreter:
         return mask
 
     def _count(self, category: str, per_lane_ops: int = 1) -> None:
-        if self.counters is not None and per_lane_ops:
-            lanes = int(self.exec_mask.sum())
-            if lanes:
-                self.counters.add(category, lanes * per_lane_ops)
+        counters = self.counters
+        if counters is None or not per_lane_ops:
+            return
+        lanes = self._nactive
+        if lanes < 0:
+            lanes = self._nactive = int(self._exec_mask.sum())
+        if lanes:
+            counters.add(category, lanes * per_lane_ops)
 
     def _broadcast_mask(self, data: np.ndarray) -> np.ndarray:
         """A bool (N,) lane mask from possibly batch-1 bool data."""
@@ -219,297 +248,9 @@ class Interpreter:
             return data.astype(bool, copy=False)
         return np.broadcast_to(data, (self.n,)).astype(bool, copy=False)
 
-    # ------------------------------------------------------------------
-    # Variable lookup
-    # ------------------------------------------------------------------
-    def _lookup(self, name: str) -> Value:
-        if self.frames:
-            for scope in reversed(self.frames[-1].scopes):
-                if name in scope:
-                    return scope[name]
-        value = self.globals_env.get(name)
-        if value is None:
-            raise GlslRuntimeError(f"unbound variable '{name}'")
-        return value
-
-    def _declare(self, name: str, value: Value) -> None:
-        self.frames[-1].scopes[-1][name] = value
-
-    # ------------------------------------------------------------------
-    # Function invocation
-    # ------------------------------------------------------------------
-    def _call(self, func: ast.FunctionDef, args: List[Value],
-              arg_exprs: Optional[List[ast.Expr]] = None) -> Optional[Value]:
-        if len(self.frames) > 64:
-            raise GlslLimitError("function call nesting too deep")
-        frame = _FunctionFrame(self.n, func.resolved_return_type, self.fmodel.dtype)
-        outgoing = []  # (param index, lvalue ref) for out/inout copy-back
-        caller_mask = self.exec_mask.copy()
-
-        # Resolve out/inout references in the caller's context first.
-        refs: Dict[int, "_LValueRef"] = {}
-        for i, param in enumerate(func.params):
-            if param.direction in ("out", "inout") and arg_exprs is not None:
-                refs[i] = self._resolve_lvalue(arg_exprs[i])
-                outgoing.append(i)
-
-        self.frames.append(frame)
-        try:
-            for param, arg in zip(func.params, args):
-                if not param.name:
-                    continue
-                if param.direction == "out":
-                    local = zeros_for(param.resolved_type, 1, self.fmodel.dtype)
-                else:
-                    local = arg.clone()
-                self._declare(param.name, local)
-            for stmt in func.body.statements:
-                self.exec_stmt(stmt)
-                if not self.exec_mask.any():
-                    break
-            result = frame.return_value
-        finally:
-            self.frames.pop()
-            self.exec_mask = caller_mask & self._live()
-
-        # Copy out/inout parameters back under the caller's mask.
-        for i in outgoing:
-            local = frame.scopes[0][func.params[i].name]
-            refs[i].write(local, self.exec_mask)
-        return result
-
-    # ------------------------------------------------------------------
-    # Statements
-    # ------------------------------------------------------------------
-    def exec_stmt(self, stmt: ast.Stmt) -> None:
-        if not self.exec_mask.any():
-            return
-        if isinstance(stmt, ast.CompoundStmt):
-            if self.frames:
-                self.frames[-1].scopes.append({})
-            try:
-                for inner in stmt.statements:
-                    self.exec_stmt(inner)
-                    if not self.exec_mask.any():
-                        break
-            finally:
-                if self.frames:
-                    self.frames[-1].scopes.pop()
-        elif isinstance(stmt, ast.DeclStmt):
-            self._exec_decl(stmt)
-        elif isinstance(stmt, ast.ExprStmt):
-            self.eval(stmt.expr)
-        elif isinstance(stmt, ast.IfStmt):
-            self._exec_if(stmt)
-        elif isinstance(stmt, ast.ForStmt):
-            self._exec_for(stmt)
-        elif isinstance(stmt, ast.WhileStmt):
-            self._exec_loop(None, stmt.condition, None, stmt.body, pretest=True)
-        elif isinstance(stmt, ast.DoWhileStmt):
-            self._exec_loop(None, stmt.condition, None, stmt.body, pretest=False)
-        elif isinstance(stmt, ast.ReturnStmt):
-            frame = self.frames[-1]
-            if stmt.value is not None:
-                value = self.eval(stmt.value)
-                assign_masked(frame.return_value, value, self.exec_mask)
-            frame.returned |= self.exec_mask
-            self.exec_mask = self.exec_mask & ~frame.returned
-        elif isinstance(stmt, ast.BreakStmt):
-            loop = self.frames[-1].loops[-1]
-            loop.broken |= self.exec_mask
-            self.exec_mask = self.exec_mask & ~loop.broken
-        elif isinstance(stmt, ast.ContinueStmt):
-            loop = self.frames[-1].loops[-1]
-            loop.continued |= self.exec_mask
-            self.exec_mask = self.exec_mask & ~loop.continued
-        elif isinstance(stmt, ast.DiscardStmt):
-            self.discarded |= self.exec_mask
-            self.exec_mask = self.exec_mask & ~self.discarded
-        else:
-            raise GlslRuntimeError(f"unhandled statement {type(stmt).__name__}")
-
-    def _exec_decl(self, stmt: ast.DeclStmt) -> None:
-        for declarator in stmt.declarators:
-            storage = zeros_for(declarator.resolved_type, 1, self.fmodel.dtype)
-            if declarator.initializer is not None:
-                value = self.eval(declarator.initializer)
-                assign_masked(storage, value, self.exec_mask)
-            self._declare(declarator.name, storage)
-
-    def _exec_if(self, stmt: ast.IfStmt) -> None:
-        region = self.exec_mask
-        cond = self._broadcast_mask(self.eval(stmt.condition).data)
-        then_mask = region & cond & self._live()
-        if then_mask.any():
-            self.exec_mask = then_mask
-            self.exec_stmt(stmt.then_branch)
-        if stmt.else_branch is not None:
-            else_mask = region & ~cond & self._live()
-            if else_mask.any():
-                self.exec_mask = else_mask
-                self.exec_stmt(stmt.else_branch)
-        self.exec_mask = region & self._live()
-
-    def _exec_for(self, stmt: ast.ForStmt) -> None:
-        if self.frames:
-            self.frames[-1].scopes.append({})
-        try:
-            if stmt.init is not None:
-                self.exec_stmt(stmt.init)
-            self._exec_loop(None, stmt.condition, stmt.update, stmt.body, pretest=True)
-        finally:
-            if self.frames:
-                self.frames[-1].scopes.pop()
-
-    def _exec_loop(
-        self,
-        init,
-        condition: Optional[ast.Expr],
-        update: Optional[ast.Expr],
-        body: ast.Stmt,
-        pretest: bool,
-    ) -> None:
-        region = self.exec_mask.copy()
-        frame = self.frames[-1]
-        loop = _LoopFrame(self.n)
-        frame.loops.append(loop)
-        iterations = 0
-        try:
-            while True:
-                self.exec_mask = region & self._live()
-                if not self.exec_mask.any():
-                    break
-                if condition is not None and (pretest or iterations > 0):
-                    cond = self._broadcast_mask(self.eval(condition).data)
-                    loop.exited |= self.exec_mask & ~cond
-                    self.exec_mask = self.exec_mask & cond
-                    if not self.exec_mask.any():
-                        break
-                self.exec_stmt(body)
-                # continue-lanes rejoin for the update expression.
-                loop.continued[:] = False
-                self.exec_mask = region & self._live()
-                if update is not None and self.exec_mask.any():
-                    self.eval(update)
-                iterations += 1
-                if iterations > self.max_loop_iterations:
-                    raise GlslLimitError(
-                        f"loop exceeded {self.max_loop_iterations} iterations"
-                    )
-        finally:
-            frame.loops.pop()
-        self.exec_mask = region & self._live()
-
     # ==================================================================
-    # Expressions
+    # Value-level semantics
     # ==================================================================
-    def eval(self, expr: ast.Expr) -> Value:
-        method = self._DISPATCH.get(type(expr))
-        if method is None:
-            raise GlslRuntimeError(f"unhandled expression {type(expr).__name__}")
-        return method(self, expr)
-
-    # -- literals -------------------------------------------------------
-    def _eval_int(self, expr: ast.IntLiteral) -> Value:
-        return Value(INT, np.array([expr.value], dtype=INT_DTYPE))
-
-    def _eval_float(self, expr: ast.FloatLiteral) -> Value:
-        return Value(FLOAT, np.array([expr.value], dtype=self.fmodel.dtype))
-
-    def _eval_bool(self, expr: ast.BoolLiteral) -> Value:
-        return Value(BOOL, np.array([expr.value], dtype=bool))
-
-    def _eval_ident(self, expr: ast.Identifier) -> Value:
-        return self._lookup(expr.name)
-
-    # -- unary ----------------------------------------------------------
-    def _eval_unary(self, expr: ast.UnaryOp) -> Value:
-        operand = self.eval(expr.operand)
-        if expr.op == "+":
-            return operand
-        if expr.op == "-":
-            data = -operand.data
-            if operand.type.is_float_based():
-                data = self.fmodel.quantize(data)
-            self._count("alu", operand.type.component_count())
-            return Value(operand.type, data)
-        if expr.op == "!":
-            self._count("alu")
-            return Value(BOOL, ~operand.data)
-        raise GlslRuntimeError(f"unhandled unary operator '{expr.op}'")
-
-    def _eval_incdec(self, expr) -> Value:
-        ref = self._resolve_lvalue(expr.operand)
-        old = ref.read()
-        # Capture the array before the write: for a plain variable,
-        # `old` IS the storage object and the write replaces its
-        # `.data` — the old array itself stays intact.
-        old_data = old.data
-        one = np.asarray(1, dtype=old_data.dtype)
-        delta = one if expr.op == "++" else -one
-        new_data = old_data + delta
-        if old.type.is_float_based():
-            new_data = self.fmodel.quantize(new_data)
-        self._count("alu", old.type.component_count())
-        new = Value(old.type, new_data)
-        ref.write(new, self.exec_mask)
-        if isinstance(expr, ast.PrefixIncDec):
-            return new
-        return Value(old.type, old_data.copy())
-
-    # -- binary ---------------------------------------------------------
-    def _eval_binary(self, expr: ast.BinaryOp) -> Value:
-        op = expr.op
-        if op in ("&&", "||"):
-            return self._eval_shortcircuit(expr)
-        left = self.eval(expr.left)
-        if op == "^^":
-            right = self.eval(expr.right)
-            self._count("alu")
-            return Value(BOOL, left.data ^ right.data)
-        right = self.eval(expr.right)
-        if op in ("==", "!="):
-            return self._eval_equality(op, left, right)
-        if op in ("<", ">", "<=", ">="):
-            func = {
-                "<": np.less,
-                ">": np.greater,
-                "<=": np.less_equal,
-                ">=": np.greater_equal,
-            }[op]
-            self._count("alu")
-            return Value(BOOL, func(left.data, right.data))
-        return self._eval_arith(op, left, right, expr.resolved_type)
-
-    def _eval_shortcircuit(self, expr: ast.BinaryOp) -> Value:
-        left = self.eval(expr.left)
-        left_mask = self._broadcast_mask(left.data)
-        saved = self.exec_mask
-        rhs_mask = saved & (left_mask if expr.op == "&&" else ~left_mask)
-        result = left_mask.copy()
-        if rhs_mask.any():
-            self.exec_mask = rhs_mask
-            try:
-                right = self.eval(expr.right)
-            finally:
-                self.exec_mask = saved
-            right_mask = self._broadcast_mask(right.data)
-            if expr.op == "&&":
-                # Lanes that evaluated the rhs take left&&right; the
-                # rest keep the left value (false, or don't-care).
-                result = left_mask & (right_mask | ~rhs_mask)
-            else:
-                result = left_mask | (right_mask & rhs_mask)
-        self._count("alu")
-        return Value(BOOL, result)
-
-    def _eval_equality(self, op: str, left: Value, right: Value) -> Value:
-        data = self._equal_data(left, right)
-        if op == "!=":
-            data = ~data
-        self._count("alu", left.type.component_count() if left.data is not None else 1)
-        return Value(BOOL, data)
-
     def _equal_data(self, left: Value, right: Value) -> np.ndarray:
         if left.fields is not None:
             n = batch_of(left, right)
@@ -598,42 +339,6 @@ class Interpreter:
         with np.errstate(divide="ignore", invalid="ignore"):
             return a / b
 
-    # -- assignment -----------------------------------------------------
-    def _eval_assignment(self, expr: ast.Assignment) -> Value:
-        ref = self._resolve_lvalue(expr.target)
-        value = self.eval(expr.value)
-        if expr.op != "=":
-            old = ref.read()
-            value = self._eval_arith(expr.op[0], old, value, expr.resolved_type)
-        ref.write(value, self.exec_mask)
-        return value
-
-    # -- conditional ----------------------------------------------------
-    def _eval_conditional(self, expr: ast.Conditional) -> Value:
-        cond = self._broadcast_mask(self.eval(expr.condition).data)
-        saved = self.exec_mask
-        true_mask = saved & cond
-        false_mask = saved & ~cond
-
-        # Uniform fast path.
-        if not false_mask.any():
-            return self.eval(expr.if_true)
-        if not true_mask.any():
-            return self.eval(expr.if_false)
-
-        self.exec_mask = true_mask
-        try:
-            v_true = self.eval(expr.if_true)
-        finally:
-            self.exec_mask = saved
-        self.exec_mask = false_mask
-        try:
-            v_false = self.eval(expr.if_false)
-        finally:
-            self.exec_mask = saved
-
-        return self._blend(v_true, v_false, cond)
-
     def _blend(self, v_true: Value, v_false: Value, cond: np.ndarray) -> Value:
         if v_true.fields is not None:
             return Value(
@@ -646,36 +351,9 @@ class Interpreter:
         data = masked_blend(v_false.data, v_true.data, cond)
         return Value(v_true.type, data)
 
-    # -- comma ----------------------------------------------------------
-    def _eval_comma(self, expr: ast.CommaExpr) -> Value:
-        self.eval(expr.left)
-        return self.eval(expr.right)
-
-    # -- calls ----------------------------------------------------------
-    def _eval_call(self, expr: ast.Call) -> Value:
-        if expr.is_constructor:
-            return self._eval_constructor(expr)
-        if expr.is_builtin:
-            return self._eval_builtin(expr)
-        func = self.checked.functions.get(expr.resolved_signature)
-        if func is None or func.body is None:
-            raise GlslRuntimeError(
-                f"call to undefined function '{expr.resolved_signature}'"
-            )
-        args = [self.eval(a) for a in expr.args]
-        result = self._call(func, args, arg_exprs=expr.args)
-        if result is None:
-            return Value(expr.resolved_type)
-        return result
-
-    def _eval_builtin(self, expr: ast.Call) -> Value:
-        overload = bi.OVERLOADS_BY_KEY[expr.resolved_signature]
-        args = [self.eval(a) for a in expr.args]
-        return self._apply_builtin(overload, args, expr.resolved_type)
-
     def _apply_builtin(self, overload, args: List[Value], out_type: GlslType) -> Value:
         """Apply one builtin overload to already-evaluated argument
-        Values (shared with the IR executor)."""
+        Values."""
         if overload.name in bi.TEXTURE_BUILTINS:
             return self._eval_texture(overload, args, out_type)
 
@@ -723,15 +401,8 @@ class Interpreter:
         return Value(out_type, self.fmodel.quantize(
             texels.astype(self.fmodel.dtype), "tex"))
 
-    # -- constructors ----------------------------------------------------
-    def _eval_constructor(self, expr: ast.Call) -> Value:
-        target = expr.constructed_type
-        args = [self.eval(a) for a in expr.args]
-        return self._construct(target, args)
-
     def _construct(self, target: GlslType, args: List[Value]) -> Value:
-        """Apply a constructor to already-evaluated argument Values
-        (shared with the IR executor)."""
+        """Apply a constructor to already-evaluated argument Values."""
         if target.is_struct():
             fields = {}
             for (fname, __), arg in zip(target.fields, args):
@@ -746,7 +417,6 @@ class Interpreter:
             ))
         if target.is_vector():
             if len(args) == 1 and args[0].type.is_scalar():
-                n = args[0].batch
                 splat = np.repeat(
                     self._convert_base(args[0].data, target.base)[:, None],
                     target.size,
@@ -771,8 +441,6 @@ class Interpreter:
 
     def _convert_base(self, data: np.ndarray, base: str) -> np.ndarray:
         if base == BaseType.FLOAT:
-            if data.dtype == bool:
-                return data.astype(self.fmodel.dtype)
             return data.astype(self.fmodel.dtype)
         if base == BaseType.INT:
             if data.dtype == bool:
@@ -783,21 +451,6 @@ class Interpreter:
             ) else data.astype(INT_DTYPE)
         # bool: zero -> false, nonzero -> true.
         return data != 0
-
-    # -- field access / swizzle / index -----------------------------------
-    def _eval_field(self, expr: ast.FieldAccess) -> Value:
-        base = self.eval(expr.base)
-        if base.fields is not None:
-            return base.fields[expr.field_name]
-        indices = expr.swizzle
-        if len(indices) == 1:
-            return Value(expr.resolved_type, base.data[:, indices[0]])
-        return Value(expr.resolved_type, base.data[:, list(indices)])
-
-    def _eval_index(self, expr: ast.IndexAccess) -> Value:
-        base = self.eval(expr.base)
-        index = self.eval(expr.index)
-        return self._index_value(base, index, expr.resolved_type)
 
     def _index_value(self, base: Value, index: Value, out_type: GlslType) -> Value:
         idx = index.data
@@ -822,43 +475,6 @@ class Interpreter:
         expand = np.broadcast_to(expand, (n, 1) + data.shape[2:])
         gathered = np.take_along_axis(data, expand, axis=1)[:, 0]
         return Value(out_type, gathered)
-
-    # ==================================================================
-    # L-values
-    # ==================================================================
-    def _resolve_lvalue(self, expr: ast.Expr) -> "_LValueRef":
-        if isinstance(expr, ast.Identifier):
-            return _VarRef(self, self._lookup(expr.name))
-        if isinstance(expr, ast.FieldAccess):
-            parent = self._resolve_lvalue(expr.base)
-            if expr.swizzle is not None:
-                return _SwizzleRef(self, parent, expr.swizzle, expr.resolved_type)
-            return _FieldRef(self, parent, expr.field_name)
-        if isinstance(expr, ast.IndexAccess):
-            parent = self._resolve_lvalue(expr.base)
-            index = self.eval(expr.index)
-            return _IndexRef(self, parent, index.data, expr.resolved_type)
-        raise GlslRuntimeError("expression is not an l-value")
-
-    _DISPATCH: Dict[type, Callable] = {}
-
-
-Interpreter._DISPATCH = {
-    ast.IntLiteral: Interpreter._eval_int,
-    ast.FloatLiteral: Interpreter._eval_float,
-    ast.BoolLiteral: Interpreter._eval_bool,
-    ast.Identifier: Interpreter._eval_ident,
-    ast.UnaryOp: Interpreter._eval_unary,
-    ast.PrefixIncDec: Interpreter._eval_incdec,
-    ast.PostfixIncDec: Interpreter._eval_incdec,
-    ast.BinaryOp: Interpreter._eval_binary,
-    ast.Assignment: Interpreter._eval_assignment,
-    ast.Conditional: Interpreter._eval_conditional,
-    ast.Call: Interpreter._eval_call,
-    ast.FieldAccess: Interpreter._eval_field,
-    ast.IndexAccess: Interpreter._eval_index,
-    ast.CommaExpr: Interpreter._eval_comma,
-}
 
 
 # ======================================================================

@@ -4,8 +4,8 @@ Pipeline: :func:`~repro.glsl.ir.lower.lower_shader` turns a
 :class:`~repro.glsl.typecheck.CheckedShader` into a structured
 :class:`~repro.glsl.ir.nodes.CompiledProgram`;
 :func:`~repro.glsl.ir.passes.run_passes` folds/prunes/CSEs/DCEs it;
-:class:`~repro.glsl.ir.executor.IRExecutor` flattens and runs it as a
-drop-in, bit-identical replacement for the AST tree walker.
+:class:`~repro.glsl.ir.executor.IRExecutor` flattens and runs it on
+the shared runtime base :class:`~repro.glsl.interp.Interpreter`.
 
 :func:`get_compiled` is the cached front door: compiled artifacts are
 memoised per (float model, dtype) on the CheckedShader itself, so

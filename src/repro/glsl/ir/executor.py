@@ -5,16 +5,17 @@ explicit jump targets; execution is then a single ``while pc < n`` loop
 over pre-bound ``(handler, instr)`` pairs — no per-node recursion, no
 dispatch dict lookups on the hot path.
 
-:class:`IRExecutor` subclasses the AST :class:`~repro.glsl.interp.Interpreter`
-and reuses all of its *value-level* machinery (`_eval_arith`,
-`_apply_builtin`, `_construct`, `_index_value`, `_blend`, the l-value
-reference classes, masks, counting, frames) so the two backends are
-bit-identical by construction; only the control dispatch differs.
+:class:`IRExecutor` subclasses the runtime base
+:class:`~repro.glsl.interp.Interpreter`, which binds the globals and
+supplies all *value-level* machinery (`_eval_arith`, `_apply_builtin`,
+`_construct`, `_index_value`, `_blend`, the l-value reference classes,
+masks, counting, frames).  The JIT backend shares the same base, so
+the two backends are bit-identical by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -152,111 +153,33 @@ class _LoopCtrl:
 # Executor
 # ======================================================================
 class IRExecutor(Interpreter):
-    """Drop-in replacement for :class:`Interpreter` that runs compiled
-    IR instead of walking the AST.  Same constructor, same
-    ``execute(n, presets)`` contract, bit-identical results."""
+    """Runs compiled IR on the :class:`Interpreter` runtime base: the
+    base binds the globals, this class dispatches the flat instruction
+    list."""
 
     def __init__(self, checked, float_model=None, counters=None,
                  max_loop_iterations: int = DEFAULT_MAX_LOOP_ITERATIONS):
-        self._nactive = -1
         super().__init__(checked, float_model, counters, max_loop_iterations)
-        self.program: Optional[CompiledProgram] = None
-        self.regs: List[Optional[Value]] = []
-        self.consts = []
         self.call_stack: List[np.ndarray] = []
         self.if_ctrl: list = []
         self.loop_ctrl: List[_LoopCtrl] = []
         self.cond_ctrl: list = []
         self.sc_ctrl: list = []
 
-    # ------------------------------------------------------------------
-    # Cached lane popcount: straight-line code (the common case after
-    # frame elision) never changes the mask, so ``_count`` can reuse
-    # one popcount instead of summing the mask per counted op.
-    # ------------------------------------------------------------------
-    @property
-    def exec_mask(self) -> np.ndarray:
-        return self._exec_mask
-
-    @exec_mask.setter
-    def exec_mask(self, mask: np.ndarray) -> None:
-        self._exec_mask = mask
-        self._nactive = -1
-
-    def _active_lanes(self) -> int:
-        lanes = self._nactive
-        if lanes < 0:
-            lanes = self._nactive = int(self._exec_mask.sum())
-        return lanes
-
-    def _count(self, category: str, per_lane_ops: int = 1) -> None:
-        counters = self.counters
-        if counters is None or not per_lane_ops:
-            return
-        lanes = self._nactive
-        if lanes < 0:
-            lanes = self._nactive = int(self._exec_mask.sum())
-        if lanes:
-            counters.add(category, lanes * per_lane_ops)
-
-    # ------------------------------------------------------------------
     def execute(self, n: int, presets: Dict[str, Value],
                 count_globals: bool = True) -> Dict[str, Value]:
-        from . import get_compiled
-
-        program = self.program
-        if program is None or program.checked is not self.checked:
-            program = get_compiled(self.checked, self.fmodel)
-            self.program = program
-        self.n = n
-        self.exec_mask = np.ones(n, dtype=bool)
-        self.discarded = np.zeros(n, dtype=bool)
-        self.globals_env = {}
-        self.frames = []
         self.call_stack = []
         self.if_ctrl = []
         self.loop_ctrl = []
         self.cond_ctrl = []
         self.sc_ctrl = []
-        self.consts = program.materialized_consts(self.fmodel)
-        self.regs = [None] * program.nregs
-
-        # Per-draw (not per-lane) init work: see Interpreter.execute on
-        # why tiled callers mute it for all tiles but the first.
-        saved_counters = self.counters
-        if not count_globals:
-            self.counters = None
-        try:
-            simple_inits = program.simple_inits()
-            for plan in program.globals_plan:
-                if plan.name in presets:
-                    value = presets[plan.name]
-                elif plan.is_sampler:
-                    value = Value(plan.type)
-                elif plan.init_block is not None:
-                    idx = simple_inits.get(plan.name)
-                    if idx is not None:
-                        # Folded-to-constant initialiser: no frame needed.
-                        gtype, data = self.consts[idx]
-                        value = Value(gtype, data)
-                    else:
-                        value = self._run_global_init(program, plan)
-                else:
-                    value = zeros_for(plan.type, 1, self.fmodel.dtype)
-                self.regs[plan.reg] = value
-                self.globals_env[plan.name] = value
-        finally:
-            self.counters = saved_counters
-        for name, value in presets.items():
-            self.globals_env.setdefault(name, value)
-
-        self._run(program.pairs())
+        super().execute(n, presets, count_globals)
+        self._run(self.program.pairs())
         return self.globals_env
 
     def _run_global_init(self, program: CompiledProgram, plan) -> Value:
-        # Mirrors Interpreter._materialize_global_init, including the
-        # quirk that self.n keeps the full batch size while the frame
-        # is batch-1.
+        # A batch-1 frame and mask while self.n keeps the full batch
+        # size: the initialiser is per-draw work, evaluated once.
         saved_mask = self.exec_mask
         self.exec_mask = np.ones(1, dtype=bool)
         frame = _FunctionFrame(1, plan.type, self.fmodel.dtype)
@@ -516,8 +439,7 @@ class IRExecutor(Interpreter):
         entry = self.loop_ctrl[-1]
         entry.loop.continued[:] = False
         self.exec_mask = entry.region & self._live()
-        # Skip the update block when no lane needs it (mirrors the
-        # tree walker's `if update and exec_mask.any()`).
+        # Skip the update block when no lane needs it.
         if ins.imm is not None and not self.exec_mask.any():
             return ins.imm
 

@@ -1,14 +1,15 @@
 """Lowering: type-checked GLSL ASTs -> structured register IR.
 
-The lowering mirrors the AST interpreter's evaluation orders *exactly*
-(assignment targets resolve their index expressions before the rhs,
-compound assignments read the old value after the rhs, declarations
-allocate storage before evaluating their initializer, out/inout
-argument l-values re-evaluate their indices after the argument values,
-...) so that the IR executor is bit-identical to the tree walker.
+The lowering fixes the evaluation orders *exactly* (assignment targets
+resolve their index expressions before the rhs, compound assignments
+read the old value after the rhs, declarations allocate storage before
+evaluating their initializer, out/inout argument l-values re-evaluate
+their indices after the argument values, ...) so that the IR and JIT
+executors are bit-identical to the AST-level scalar reference
+(:mod:`repro.glsl.scalar_ref`).
 
-User functions are inlined (GLSL ES 1.00 forbids recursion; the
-interpreter's 64-frame depth cap becomes a lower-time inline cap) and
+User functions are inlined (GLSL ES 1.00 forbids recursion; a 64-frame
+call-depth cap becomes a lower-time inline cap) and
 ``for`` loops matching the Appendix-A shape get a static trip count
 attached for the static cost model.
 """
@@ -153,14 +154,13 @@ class Lowerer:
     # ==================================================================
     def lower_call(self, func: ast.FunctionDef, arg_regs: List[int],
                    arg_exprs: Optional[List[ast.Expr]]) -> int:
-        # Mirrors the interpreter's 64-frame cap: recursion is illegal,
-        # so lexical inline depth bounds runtime depth.
+        # The 64-frame call-depth cap: recursion is illegal, so lexical
+        # inline depth bounds runtime depth.
         if self.inline_depth > 64:
             raise GlslLimitError("function call nesting too deep")
 
         # out/inout l-values resolve in the caller's context, after the
-        # argument values — including re-evaluating index expressions,
-        # exactly like the tree walker.
+        # argument values — including re-evaluating index expressions.
         refs: Dict[int, tuple] = {}
         for i, param in enumerate(func.params):
             if param.direction in ("out", "inout") and arg_exprs is not None:

@@ -34,8 +34,8 @@ import numpy as np
 # ----------------------------------------------------------------------
 #: Pure value ops: produce a register from argument registers with no
 #: side effects.  Safe to fold / CSE / speculate (texture excluded from
-#: CSE and DCE only to keep ``tex`` counter semantics close to the AST
-#: walker).
+#: CSE and DCE only to keep ``tex`` counter semantics close to the
+#: source: one count per texture call executed).
 PURE_OPS = frozenset({
     "const", "move", "unary", "arith", "compare", "equal", "xor",
     "construct", "field", "swizzle", "index", "builtin", "load",
@@ -138,7 +138,7 @@ class LoopRegion:
 
 
 class CondRegion:
-    """Ternary ``?:`` with the AST interpreter's uniform fast paths."""
+    """Ternary ``?:`` with the executors' uniform fast paths."""
 
     __slots__ = ("cond", "true_block", "true_reg", "false_block",
                  "false_reg", "out", "type")

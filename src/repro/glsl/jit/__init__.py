@@ -1,7 +1,7 @@
 """``repro.glsl.jit`` — NumPy-source JIT backend for compiled shaders.
 
-The third execution backend (after the AST tree walker and the linear
-IR executor): :mod:`.codegen` walks the optimised IR once per
+The default execution backend (the linear IR executor is the other):
+:mod:`.codegen` walks the optimised IR once per
 (program, wide-global set) and emits a single straight-line vectorised
 Python function, materialised with ``compile()``/``exec``.  Steady-state
 kernel relaunches then run **zero interpreter instructions** — one
@@ -12,8 +12,9 @@ registers depending only on uniforms/constants at batch width 1, so
 per-draw quantities are computed once instead of once per fragment.
 
 :class:`JitExecutor` is the drop-in `execute(n, presets)` engine.  It
-shares the IR executor's whole setup path (program cache, global
-plans, preset binding) and differs only in how the body runs.
+shares the IR executor's whole setup path (program cache, and the
+global binding of :meth:`repro.glsl.interp.Interpreter.execute`) and
+differs only in how the body runs.
 Programs using constructs outside the JIT subset (divergent returns,
 structs, multi-step l-values — see :class:`~.codegen.JitUnsupported`)
 fall back to the :class:`~repro.glsl.ir.executor.IRExecutor` at whole-
@@ -30,11 +31,10 @@ from __future__ import annotations
 
 import contextlib
 import marshal
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
-import numpy as np
-
-from ..values import Value, zeros_for
+from ..interp import Interpreter
+from ..values import Value
 from ..ir import get_compiled, static_cost
 from ..ir.executor import IRExecutor
 from .codegen import (
@@ -297,40 +297,9 @@ class JitExecutor(IRExecutor):
             _bump_fallbacks()
             return super().execute(n, presets, count_globals)
 
-        # Same preset/global binding as IRExecutor.execute.  The IR
-        # dispatch state (exec_mask, control stacks, frames) is not
-        # allocated: the generated function threads masks through
-        # locals, and the fallback path re-initialises everything.
-        self.n = n
-        self.globals_env = {}
-        self.consts = program.materialized_consts(self.fmodel)
-        self.regs = [None] * program.nregs
-
-        saved_counters = self.counters
-        if not count_globals:
-            self.counters = None
-        try:
-            simple_inits = program.simple_inits()
-            for plan in program.globals_plan:
-                if plan.name in presets:
-                    value = presets[plan.name]
-                elif plan.is_sampler:
-                    value = Value(plan.type)
-                elif plan.init_block is not None:
-                    idx = simple_inits.get(plan.name)
-                    if idx is not None:
-                        gtype, data = self.consts[idx]
-                        value = Value(gtype, data)
-                    else:
-                        value = self._run_global_init(program, plan)
-                else:
-                    value = zeros_for(plan.type, 1, self.fmodel.dtype)
-                self.regs[plan.reg] = value
-                self.globals_env[plan.name] = value
-        finally:
-            self.counters = saved_counters
-        for name, value in presets.items():
-            self.globals_env.setdefault(name, value)
+        # The shared binding only: the generated function threads masks
+        # through locals, so no IR dispatch state is allocated.
+        Interpreter.execute(self, n, presets, count_globals)
 
         gst = getattr(fn, "_jit_gather_stats", None)
         gst_before = tuple(gst) if gst is not None else None
@@ -350,8 +319,6 @@ class JitExecutor(IRExecutor):
             self.gather_fallbacks += gst[1] - gst_before[1]
         if discarded is not None:
             self.discarded = self._broadcast_mask(discarded)
-        else:
-            self.discarded = np.zeros(n, dtype=bool)
 
         if self.counters is not None:
             self._charge_static(program, n, count_globals)

@@ -55,7 +55,6 @@ values, multi-step or struct-field l-value paths — raises
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -91,14 +90,13 @@ _COMPARE_SYMBOL = {"<": "<", ">": ">", "<=": "<=", ">=": ">="}
 #: texture dispatch codes for the _tex helper
 _TEX_KIND = {"texture2DProj3": 1, "texture2DProj4": 2, "textureCube": 3}
 
-#: Texture-gather fast path master switch.  On by default; the
-#: REPRO_TEXTURE_GATHER env var ("0" disables) sets the process
-#: default and set_gather_enabled flips it at runtime (tests, A/B
-#: benchmarking).  The flag is read at *generation* time: flipping it
+#: Texture-gather fast path master switch.  On; set_gather_enabled
+#: (or the jit.texture_gather scope) flips it at runtime for tests and
+#: A/B benchmarking.  The flag is read at *generation* time: flipping it
 #: produces a distinct cached function (see _jit_function's cache
 #: key), and worker processes inherit whatever the leader generated
 #: because they receive the already-emitted source.
-_GATHER_ENABLED = os.environ.get("REPRO_TEXTURE_GATHER", "1") != "0"
+_GATHER_ENABLED = True
 
 
 def gather_enabled() -> bool:

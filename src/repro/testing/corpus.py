@@ -8,11 +8,11 @@ scaling), and a texture-sampling matrix covering the filter/wrap/
 completeness legs of ``Texture.sample`` (NEAREST vs LINEAR
 magnification, REPEAT/MIRRORED_REPEAT/CLAMP_TO_EDGE wrap, NPOT- and
 mipmap-incomplete samplers, the LINEAR weight-0.5 texel-boundary
-tie).  Each entry is rendered through the full three-way
+tie).  Each entry is rendered through the full four-way
 differential oracle and, additionally, compared bit-exactly against a
 framebuffer stored in ``tests/corpus/``; a change in any of the
-lexer, parser, interpreter, rasteriser or quantiser that alters the
-output of a known-good program is caught even when the three paths
+lexer, parser, executors, rasteriser or quantiser that alters the
+output of a known-good program is caught even when the four paths
 drift together.
 
 Golden files::
@@ -370,7 +370,7 @@ def ir_dump_text(entry: CorpusEntry) -> str:
 
 
 def check_entry(entry: CorpusEntry):
-    """Run one entry through the three-way differential oracle."""
+    """Run one entry through the four-way differential oracle."""
     return run_differential(
         entry.fragment,
         size=entry.size,

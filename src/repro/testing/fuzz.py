@@ -1,22 +1,19 @@
 """Differential fuzz runner (CLI).
 
 Generates random GLSL ES 1.00 fragment shaders and pushes each one
-through the differential oracle (raster pipeline / vectorised AST
-interpreter / compiled IR executor / scalar reference interpreter),
-comparing outputs bit-exactly.  On divergence the failing program is
-shrunk to a minimal reproducer.
+through the four-way differential oracle (raster pipeline / compiled
+IR replay / JIT replay / scalar reference interpreter), comparing
+outputs bit-exactly.  On divergence the failing program is shrunk to a
+minimal reproducer.
 
-``--backend`` picks the execution backends under test: ``ast`` is the
-legacy three-way oracle, ``ir`` drives the raster pipeline with the
-compiled-IR executor, ``jit`` drives it with the NumPy-source JIT
-backend, ``both`` (default) cross-checks paths A-D, and ``all``
-cross-checks all five paths (AST pipeline + AST/IR/JIT replays +
-scalar reference).
+``--backend`` picks the executor the raster pipeline shades with:
+``jit`` (default) or ``ir``.  The IR and JIT replays and the scalar
+reference run either way.
 
 Usage::
 
-    python -m repro.testing.fuzz --n 500 --seed 0 --backend all
-    python -m repro.testing.fuzz --n 200 --seed 0 --backend jit
+    python -m repro.testing.fuzz --n 500 --seed 0
+    python -m repro.testing.fuzz --n 200 --seed 0 --backend ir
     python -m repro.testing.fuzz --n 50 --seed 3 --inject eq2   # must fail
 
 Exit status 0 means zero divergences (or, with ``--inject``, that the
@@ -30,6 +27,7 @@ import random
 import sys
 from typing import Optional
 
+from ..gles2.pipeline import DEFAULT_EXECUTION_BACKEND, EXECUTORS
 from ..glsl.errors import GlslError
 from .generator import GeneratorConfig, generate_program
 from .oracle import DifferentialResult, inject_eq2_off_by_one, run_differential
@@ -44,14 +42,15 @@ def program_rng(seed: int, index: int) -> random.Random:
 
 def run_one(
     source: str, *, size: int = 4, quantization: str = "round",
-    backend: str = "both",
+    backend: str = DEFAULT_EXECUTION_BACKEND,
 ) -> DifferentialResult:
     return run_differential(
         source, size=size, quantization=quantization, backend=backend
     )
 
 
-def _still_fails(size: int, quantization: str, backend: str = "both"):
+def _still_fails(size: int, quantization: str,
+                 backend: str = DEFAULT_EXECUTION_BACKEND):
     """Shrink predicate: a candidate 'still fails' when it compiles
     and its differential run diverges."""
 
@@ -68,7 +67,7 @@ def _still_fails(size: int, quantization: str, backend: str = "both"):
 
 def shrink_failure(
     source: str, *, size: int = 4, quantization: str = "round",
-    backend: str = "both",
+    backend: str = DEFAULT_EXECUTION_BACKEND,
 ) -> str:
     return shrink_source(source, _still_fails(size, quantization, backend))
 
@@ -79,7 +78,7 @@ def fuzz(
     *,
     size: int = 4,
     quantization: str = "round",
-    backend: str = "both",
+    backend: str = DEFAULT_EXECUTION_BACKEND,
     keep_going: bool = False,
     do_shrink: bool = True,
     progress_every: int = 50,
@@ -145,15 +144,11 @@ def main(argv: Optional[list] = None) -> int:
                         help="framebuffer side length in pixels")
     parser.add_argument("--quantization", choices=("round", "floor"),
                         default="round", help="eq. (2) quantisation mode")
-    parser.add_argument("--backend",
-                        choices=("ast", "ir", "jit", "both", "all"),
-                        default="both",
-                        help="execution backends under test: 'ast' = "
-                             "legacy three-way oracle, 'ir' = pipeline "
-                             "driven by the compiled-IR executor, "
-                             "'jit' = pipeline driven by the NumPy-source "
-                             "JIT backend, 'both' = paths A-D, "
-                             "'all' = all five paths cross-checked")
+    parser.add_argument("--backend", choices=sorted(EXECUTORS),
+                        default=DEFAULT_EXECUTION_BACKEND,
+                        help="executor the raster pipeline shades with "
+                             "(the IR/JIT replays and the scalar "
+                             "reference always run)")
     parser.add_argument("--p-texture", type=float, default=None,
                         help="probability that a vec4 expression node "
                              "becomes a texture2D sample of a standard "

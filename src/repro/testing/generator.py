@@ -4,8 +4,8 @@ Emits programs that are guaranteed to compile under the repo's own
 front end (no implicit conversions, relational operators on scalars
 only, Appendix-A style constant-bound ``for`` loops) and — by
 construction — to stay away from NaN/Inf-producing operations, so
-that a bit-exact three-way differential comparison (vectorised
-interpreter vs scalar reference vs raster pipeline) is meaningful.
+that a bit-exact four-way differential comparison (raster pipeline
+vs IR replay vs JIT replay vs scalar reference) is meaningful.
 
 The generator is driven by a caller-supplied ``random.Random``; the
 same seed always yields the same program.

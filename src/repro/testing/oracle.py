@@ -1,37 +1,35 @@
-"""The differential oracle: five independent ways to render a shader.
+"""The differential oracle: four independent ways to render a shader.
 
-For one fragment shader the oracle produces up to five results and
-demands they agree bit-for-bit:
+For one fragment shader the oracle produces four results and demands
+they agree bit-for-bit:
 
 A. **pipeline** — the full ``gles2`` raster path: vertex shading,
-   rasterisation, varying interpolation, the vectorised fragment
-   interpreter, and the pipeline's own eq. (2) quantiser.
-B. **vectorised replay** — the captured per-fragment presets replayed
-   through a *fresh* vectorised AST interpreter, quantised by this
-   module's independent :func:`reference_quantize`.
+   rasterisation, varying interpolation, fragment shading on the
+   selected execution backend, and the pipeline's own eq. (2)
+   quantiser.
 C. **scalar reference** — every fragment individually evaluated by
    :class:`repro.glsl.scalar_ref.ScalarInterpreter` (plain Python
-   recursion, no numpy vectorisation), quantised by
-   :func:`reference_quantize`.
-D. **compiled IR replay** — the same captured presets replayed through
-   :class:`repro.glsl.ir.IRExecutor`: lower → fold → select-convert →
-   CSE → DCE → flat instruction loop.  Selected with
-   ``backend="ir"`` / ``"both"`` / ``"all"`` on
-   :func:`run_differential`.
-E. **JIT replay** — the presets replayed through
+   recursion over the AST, no numpy vectorisation, no IR), quantised
+   by this module's independent :func:`reference_quantize`.
+D. **compiled IR replay** — the captured per-fragment presets replayed
+   through a fresh :class:`repro.glsl.ir.IRExecutor`: lower → fold →
+   select-convert → CSE → DCE → flat instruction loop.  The pivot the
+   other replays are compared against.
+E. **JIT replay** — the same presets replayed through
    :class:`repro.glsl.jit.JitExecutor`: the generated straight-line
    numpy function (or its IRExecutor fallback for programs outside the
-   JIT subset).  Selected with ``backend="jit"`` / ``"all"``.
+   JIT subset).
 
-A≠B catches framebuffer plumbing and quantisation bugs (this is what
-flags the deliberately injected eq. (2) off-by-one); B≠C catches
-divergence between the two interpreter implementations — masking,
-broadcasting, l-value or builtin semantics; D≠B catches any place the
-IR compile pipeline (lowering or an optimisation pass) changes
-observable semantics; E≠B catches JIT codegen bugs — mask-blend
-lowering, uniform-lane width inference, quantisation elision.  The
-rasteriser itself is checked by asserting the fullscreen quad covers
-every pixel exactly once (top-left fill rule conformance).
+A≠C catches framebuffer plumbing and quantisation bugs (this is what
+flags the deliberately injected eq. (2) off-by-one); C≠D catches any
+place the IR compile pipeline (lowering or an optimisation pass) or
+the vectorised runtime (masking, broadcasting, l-value or builtin
+semantics) departs from the AST semantics; E≠D catches JIT codegen
+bugs — mask-blend lowering, uniform-lane width inference,
+quantisation elision.  The rasteriser itself is checked by asserting
+the fullscreen quad covers every pixel exactly once (top-left fill
+rule conformance).  The letters match ``docs/testing.md``; there is
+no path B.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ import numpy as np
 
 from ..gles2 import GLES2Context, enums as gl
 from ..gles2 import pipeline as gles2_pipeline
-from ..glsl.interp import Interpreter
+from ..glsl.ir import IRExecutor
+from ..glsl.jit import JitExecutor
 from ..glsl.scalar_ref import ScalarInterpreter, python_value
 from ..glsl.values import Value
 
@@ -153,8 +152,8 @@ class DifferentialResult:
     ok: bool
     source: str
     #: "" when ok; otherwise which comparison failed
-    #: ("coverage", "discard", "color", "ir-discard", "ir-color",
-    #: "jit-discard", "jit-color", "pipeline-vs-reference").
+    #: ("coverage", "discard", "color", "jit-discard", "jit-color",
+    #: "pipeline-vs-reference").
     stage: str = ""
     message: str = ""
     framebuffer: Optional[np.ndarray] = None
@@ -228,7 +227,7 @@ def draw_for_capture(
     uniforms: Optional[Dict[str, object]] = None,
     textures: Optional[Dict[str, np.ndarray]] = None,
     vertex_source: str = STANDARD_VERTEX_SHADER,
-    execution_backend: str = "ast",
+    execution_backend: str = gles2_pipeline.DEFAULT_EXECUTION_BACKEND,
     tile_size: Optional[int] = None,
     shade_workers: Optional[int] = None,
 ):
@@ -245,7 +244,7 @@ def draw_for_capture(
     ``vertex_source`` may replace the standard quad shader (e.g. the
     codegen pass-through shader, whose varying is ``v_coord``).
     ``execution_backend`` selects how the pipeline itself runs the
-    shaders ("ast", "ir" or "jit"); ``tile_size`` / ``shade_workers``
+    shaders ("ir" or "jit"); ``tile_size`` / ``shade_workers``
     select tiled and multiprocess fragment shading (the tiled-vs-
     monolithic bit-identity tests drive these).
     """
@@ -329,6 +328,20 @@ def draw_for_capture(
     return framebuffer, captures[0]
 
 
+def _replay(executor_cls, capture, n: int):
+    """Replay the captured fragment presets on a fresh executor;
+    returns ``(colors, discarded)`` with colors as (n, 4) float64."""
+    checked = capture.fragment_shader
+    replay = executor_cls(checked)
+    env = replay.execute(n, _clone_presets(capture.fs_presets))
+    if "gl_FragData" in checked.written_builtins:
+        value = env["gl_FragData"].fields["0"]
+    else:
+        value = env["gl_FragColor"]
+    return np.broadcast_to(value.data.astype(np.float64), (n, 4)), \
+        replay.discarded
+
+
 def run_differential(
     fragment_source: str,
     *,
@@ -337,20 +350,14 @@ def run_differential(
     uniforms: Optional[Dict[str, object]] = None,
     textures: Optional[Dict[str, np.ndarray]] = None,
     vertex_source: str = STANDARD_VERTEX_SHADER,
-    backend: str = "both",
+    backend: str = gles2_pipeline.DEFAULT_EXECUTION_BACKEND,
 ) -> DifferentialResult:
-    """Render ``fragment_source`` through the independent paths and
-    compare the results bit-exactly.
+    """Render ``fragment_source`` through the four independent paths
+    and compare the results bit-exactly.
 
-    ``backend`` selects the execution backends under test: ``"ast"``
-    runs the legacy three-way oracle (paths A/B/C), ``"ir"`` drives the
-    raster pipeline itself with the IR executor and adds the path-D
-    replay, ``"jit"`` drives the pipeline with the JIT backend and adds
-    the path-E replay, ``"both"`` (default) keeps the pipeline on the
-    reference AST backend and cross-checks paths A/B/C/D, and ``"all"``
-    cross-checks all five paths."""
-    if backend not in ("ast", "ir", "jit", "both", "all"):
-        raise ValueError(f"unknown backend '{backend}'")
+    ``backend`` ("jit" or "ir") selects the executor the raster
+    pipeline (path A) shades with; the replays D and E and the scalar
+    reference C run on every call."""
     framebuffer, capture = draw_for_capture(
         fragment_source,
         size=size,
@@ -358,7 +365,7 @@ def run_differential(
         uniforms=uniforms,
         textures=textures,
         vertex_source=vertex_source,
-        execution_backend=backend if backend in ("ir", "jit") else "ast",
+        execution_backend=backend,
     )
 
     def fail(stage: str, message: str, mismatches=()) -> DifferentialResult:
@@ -385,103 +392,15 @@ def run_differential(
         return fail("coverage", "a pixel was covered more than once")
 
     # ------------------------------------------------------------------
-    # Path B: vectorised replay on the captured presets.
+    # Paths D and E: IR and JIT replays on the captured presets.
     # ------------------------------------------------------------------
-    checked = capture.fragment_shader
-    replay = Interpreter(checked)
-    env = replay.execute(n, _clone_presets(capture.fs_presets))
-    if "gl_FragData" in checked.written_builtins:
-        frag_value = env["gl_FragData"].fields["0"]
-    else:
-        frag_value = env["gl_FragColor"]
-    colors_b = np.broadcast_to(
-        frag_value.data.astype(np.float64), (n, 4)
-    )
-    discard_b = replay.discarded
-
-    # ------------------------------------------------------------------
-    # Path D: compiled-IR replay on the same captured presets.
-    # ------------------------------------------------------------------
-    if backend in ("ir", "both", "all"):
-        from ..glsl.ir import IRExecutor
-
-        ir_replay = IRExecutor(checked)
-        ir_env = ir_replay.execute(n, _clone_presets(capture.fs_presets))
-        if "gl_FragData" in checked.written_builtins:
-            ir_value = ir_env["gl_FragData"].fields["0"]
-        else:
-            ir_value = ir_env["gl_FragColor"]
-        colors_d = np.broadcast_to(ir_value.data.astype(np.float64), (n, 4))
-        discard_d = ir_replay.discarded
-        if not np.array_equal(discard_b, discard_d):
-            lanes = np.nonzero(discard_b != discard_d)[0][:4]
-            return fail(
-                "ir-discard",
-                "AST interpreter and IR executor disagree on discard",
-                [
-                    f"  fragment ({capture.px[i]},{capture.py[i]}): "
-                    f"ast={bool(discard_b[i])} ir={bool(discard_d[i])}"
-                    for i in lanes
-                ],
-            )
-        live_d = ~discard_b
-        if not np.array_equal(colors_d[live_d], colors_b[live_d]):
-            diff = np.any(colors_d != colors_b, axis=1) & live_d
-            lanes = np.nonzero(diff)[0][:4]
-            return fail(
-                "ir-color",
-                "AST interpreter and IR executor disagree on gl_FragColor",
-                [
-                    f"  fragment ({capture.px[i]},{capture.py[i]}): "
-                    f"ast={colors_b[i].tolist()} ir={colors_d[i].tolist()}"
-                    for i in lanes
-                ],
-            )
-
-    # ------------------------------------------------------------------
-    # Path E: JIT replay on the same captured presets.  The JitExecutor
-    # itself falls back to the IRExecutor for programs outside the JIT
-    # subset, so this path always yields a comparable result.
-    # ------------------------------------------------------------------
-    if backend in ("jit", "all"):
-        from ..glsl.jit import JitExecutor
-
-        jit_replay = JitExecutor(checked)
-        jit_env = jit_replay.execute(n, _clone_presets(capture.fs_presets))
-        if "gl_FragData" in checked.written_builtins:
-            jit_value = jit_env["gl_FragData"].fields["0"]
-        else:
-            jit_value = jit_env["gl_FragColor"]
-        colors_e = np.broadcast_to(jit_value.data.astype(np.float64), (n, 4))
-        discard_e = jit_replay.discarded
-        if not np.array_equal(discard_b, discard_e):
-            lanes = np.nonzero(discard_b != discard_e)[0][:4]
-            return fail(
-                "jit-discard",
-                "AST interpreter and JIT backend disagree on discard",
-                [
-                    f"  fragment ({capture.px[i]},{capture.py[i]}): "
-                    f"ast={bool(discard_b[i])} jit={bool(discard_e[i])}"
-                    for i in lanes
-                ],
-            )
-        live_e = ~discard_b
-        if not np.array_equal(colors_e[live_e], colors_b[live_e]):
-            diff = np.any(colors_e != colors_b, axis=1) & live_e
-            lanes = np.nonzero(diff)[0][:4]
-            return fail(
-                "jit-color",
-                "AST interpreter and JIT backend disagree on gl_FragColor",
-                [
-                    f"  fragment ({capture.px[i]},{capture.py[i]}): "
-                    f"ast={colors_b[i].tolist()} jit={colors_e[i].tolist()}"
-                    for i in lanes
-                ],
-            )
+    colors_d, discard_d = _replay(IRExecutor, capture, n)
+    colors_e, discard_e = _replay(JitExecutor, capture, n)
 
     # ------------------------------------------------------------------
     # Path C: scalar reference, one fragment at a time.
     # ------------------------------------------------------------------
+    checked = capture.fragment_shader
     colors_c = np.zeros((n, 4), dtype=np.float64)
     discard_c = np.zeros(n, dtype=bool)
     preset_names = list(capture.fs_presets)
@@ -502,33 +421,37 @@ def run_differential(
         colors_c[lane] = rgba
 
     # ------------------------------------------------------------------
-    # Compare interpreter outputs (pre-quantisation, bit-exact floats).
+    # Compare the replays against the IR pivot (pre-quantisation,
+    # bit-exact floats; colours only where the pivot keeps the lane).
     # ------------------------------------------------------------------
-    if not np.array_equal(discard_b, discard_c):
-        lanes = np.nonzero(discard_b != discard_c)[0][:4]
-        return fail(
-            "discard",
-            "vectorised and scalar interpreters disagree on discard",
-            [
-                f"  fragment ({capture.px[i]},{capture.py[i]}): "
-                f"vectorised={bool(discard_b[i])} scalar={bool(discard_c[i])}"
-                for i in lanes
-            ],
-        )
-    live = ~discard_b
-    if not np.array_equal(colors_b[live], colors_c[live]):
-        diff = np.any(colors_b != colors_c, axis=1) & live
-        lanes = np.nonzero(diff)[0][:4]
-        return fail(
-            "color",
-            "vectorised and scalar interpreters disagree on gl_FragColor",
-            [
-                f"  fragment ({capture.px[i]},{capture.py[i]}): "
-                f"vectorised={colors_b[i].tolist()} "
-                f"scalar={colors_c[i].tolist()}"
-                for i in lanes
-            ],
-        )
+    live = ~discard_d
+    for prefix, name, colors, discard in (
+        ("jit-", "jit", colors_e, discard_e),
+        ("", "scalar", colors_c, discard_c),
+    ):
+        if not np.array_equal(discard_d, discard):
+            lanes = np.nonzero(discard_d != discard)[0][:4]
+            return fail(
+                prefix + "discard",
+                f"IR executor and {name} path disagree on discard",
+                [
+                    f"  fragment ({capture.px[i]},{capture.py[i]}): "
+                    f"ir={bool(discard_d[i])} {name}={bool(discard[i])}"
+                    for i in lanes
+                ],
+            )
+        if not np.array_equal(colors_d[live], colors[live]):
+            diff = np.any(colors_d != colors, axis=1) & live
+            lanes = np.nonzero(diff)[0][:4]
+            return fail(
+                prefix + "color",
+                f"IR executor and {name} path disagree on gl_FragColor",
+                [
+                    f"  fragment ({capture.px[i]},{capture.py[i]}): "
+                    f"ir={colors_d[i].tolist()} {name}={colors[i].tolist()}"
+                    for i in lanes
+                ],
+            )
 
     # ------------------------------------------------------------------
     # Compose the reference framebuffer with the independent quantiser

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.glsl import Interpreter, compile_shader
+from repro.glsl import compile_shader
+from repro.glsl.ir import IRExecutor
 from repro.glsl.values import Value
 
 
@@ -22,7 +23,7 @@ def run_fragment_expr(expr_source: str, n: int = 1, presets=None, decls: str = "
     }}
     """
     checked = compile_shader(source, "fragment")
-    interp = Interpreter(checked)
+    interp = IRExecutor(checked)
     env = interp.execute(n, presets or {})
     return env["gl_FragColor"].data[:, 0]
 
@@ -38,7 +39,7 @@ def run_fragment_main(body: str, n: int = 1, presets=None, decls: str = ""):
     }}
     """
     checked = compile_shader(source, "fragment")
-    interp = Interpreter(checked)
+    interp = IRExecutor(checked)
     env = interp.execute(n, presets or {})
     return env, interp
 

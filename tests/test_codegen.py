@@ -15,7 +15,7 @@ from repro.core.codegen import (
 )
 from repro.core.numerics import FORMATS, texel_to_float
 from repro.glsl import ShaderStage, compile_shader
-from repro.glsl.interp import Interpreter
+from repro.glsl.ir import IRExecutor
 from repro.glsl.types import FLOAT, VEC4
 from repro.glsl.values import Value
 
@@ -69,7 +69,7 @@ def run_format_function(glsl_name, texels_or_values, direction, fmt_name):
         """
         preset_type, preset = FLOAT, np.asarray(texels_or_values, dtype=np.float64)
     checked = compile_shader(source, ShaderStage.FRAGMENT)
-    interp = Interpreter(checked)
+    interp = IRExecutor(checked)
     env = interp.execute(
         preset.shape[0], {"v_in": Value(preset_type, preset)}
     )
@@ -156,7 +156,7 @@ class TestAddressingGlsl:
         }}
         """
         checked = compile_shader(source, ShaderStage.FRAGMENT)
-        interp = Interpreter(checked)
+        interp = IRExecutor(checked)
         indices = np.arange(128, dtype=np.float64)
         env = interp.execute(128, {"v_index": Value(FLOAT, indices)})
         back = env["gl_FragColor"].data[:, 0]
@@ -173,7 +173,7 @@ class TestAddressingGlsl:
         }}
         """
         checked = compile_shader(source, ShaderStage.FRAGMENT)
-        env = Interpreter(checked).execute(1, {})
+        env = IRExecutor(checked).execute(1, {})
         # index 5 in a 4-wide texture -> texel (1, 1) -> center (1.5/4, 1.5/4)
         assert env["gl_FragColor"].data[0, 0] == pytest.approx(1.5 / 4)
         assert env["gl_FragColor"].data[0, 1] == pytest.approx(1.5 / 4)

@@ -431,12 +431,12 @@ def test_cache_corrupt_entry_reads_as_counted_miss(monkeypatch, tmp_path):
         assert cache.get(key) is None
 
 
-@pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+@pytest.mark.parametrize("backend", ["ir", "jit"])
 def test_cache_corrupt_render_recompiles_bit_identical(
     backend, monkeypatch, tmp_path
 ):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    source = _shader({"ast": "0.125", "ir": "0.1875", "jit": "0.21875"}[backend])
+    source = _shader({"ir": "0.1875", "jit": "0.21875"}[backend])
     with faults.suppress():
         fb_healthy, __ = _render(source, backend=backend)
     # Drop the in-process front-end memo so the second render actually
@@ -511,7 +511,7 @@ def test_orphaned_tmp_files_are_swept(monkeypatch, tmp_path):
 # ======================================================================
 # Fusion and JIT faults
 # ======================================================================
-@pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+@pytest.mark.parametrize("backend", ["ir", "jit"])
 def test_fuse_failure_replays_eagerly_bit_identical(backend):
     host = np.linspace(0.25, 16.0, 64, dtype=np.float32)
     with faults.suppress():

@@ -1,9 +1,11 @@
-"""Interpreter tests: expressions, control flow, divergence, functions."""
+"""Vectorised executor tests (run on the IR executor): expressions,
+control flow, divergence, functions."""
 
 import numpy as np
 import pytest
 
-from repro.glsl import Interpreter, compile_shader
+from repro.glsl import compile_shader
+from repro.glsl.ir import IRExecutor
 from repro.glsl.errors import GlslLimitError
 from repro.glsl.types import FLOAT, VEC2
 from repro.glsl.values import Value
@@ -252,7 +254,7 @@ class TestControlFlowUniform:
         }
         """
         checked = compile_shader(source, "fragment")
-        interp = Interpreter(checked, max_loop_iterations=100)
+        interp = IRExecutor(checked, max_loop_iterations=100)
         with pytest.raises(GlslLimitError):
             interp.execute(1, {})
 

@@ -1,8 +1,7 @@
 """Unit tests for the linear IR: lowering, the individual optimisation
-passes, executor equivalence with the AST walker, and the compile
-caches."""
+passes, executor equivalence with the AST-level scalar reference, and
+the compile caches."""
 
-import numpy as np
 import pytest
 
 from repro.glsl.interp import compile_shader, _ExactModel
@@ -14,7 +13,7 @@ from repro.glsl.ir import (
     static_cost,
 )
 from repro.glsl.ir import nodes, passes
-from repro.testing.oracle import draw_for_capture
+from repro.testing.oracle import run_differential
 
 
 def _compile(source):
@@ -135,9 +134,8 @@ void main() {
         if ins.op == "construct" and str(ins.type) == "float"
     ]
     assert len(constructs) == 2, dump_ir(program)
-    fb_ast, __ = draw_for_capture(source, size=4, execution_backend="ast")
-    fb_ir, __ = draw_for_capture(source, size=4, execution_backend="ir")
-    assert np.array_equal(fb_ast, fb_ir)
+    result = run_differential(source, size=4, backend="ir")
+    assert result.ok, result.describe()
 
 
 def test_dce_removes_dead_declarations():
@@ -166,7 +164,7 @@ void main() {
 
 
 # ----------------------------------------------------------------------
-# Executor equivalence (bit-exact against the AST walker)
+# Executor equivalence (bit-exact against the scalar reference)
 # ----------------------------------------------------------------------
 DIVERGENT_SHADERS = [
     pytest.param(_frag("""
@@ -214,9 +212,8 @@ void main() {
 
 @pytest.mark.parametrize("source", DIVERGENT_SHADERS)
 def test_ir_backend_bit_equal_on_control_flow(source):
-    fb_ast, __ = draw_for_capture(source, size=8, execution_backend="ast")
-    fb_ir, __ = draw_for_capture(source, size=8, execution_backend="ir")
-    assert np.array_equal(fb_ast, fb_ir)
+    result = run_differential(source, size=8, backend="ir")
+    assert result.ok, result.describe()
 
 
 # ----------------------------------------------------------------------

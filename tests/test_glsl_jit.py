@@ -4,9 +4,9 @@ Three properties pin the backend down:
 
 1. **Bit-identical results.**  Every corpus shader rendered with
    ``execution_backend="jit"`` must produce the same RGBA8 framebuffer
-   as the AST and IR backends — the JIT is an optimisation, never an
-   observable behaviour change.  The five-way differential oracle
-   (``backend="all"``) checks the same property pre-quantisation.
+   as the IR backend — the JIT is an optimisation, never an
+   observable behaviour change.  The four-way differential oracle
+   checks the same property pre-quantisation.
 2. **Caching and fallback accounting.**  Kernel memoisation works the
    same on a JIT device; programs outside the JIT subset fall back to
    the IR executor at whole-draw granularity and each such draw bumps
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.api.device import GpgpuDevice
+from repro.gles2 import GLES2Context
 from repro.glsl import jit as glsl_jit
 from repro.kernels.elementwise import make_sum_kernel
 from repro.kernels.sgemm import make_sgemm_kernel
@@ -28,7 +29,7 @@ from repro.testing.corpus import build_entries
 from repro.testing.oracle import draw_for_capture, run_differential
 
 ENTRIES = {entry.name: entry for entry in build_entries()}
-BACKENDS = ("ast", "ir", "jit")
+BACKENDS = ("ir", "jit")
 
 
 def _render(entry, backend):
@@ -45,21 +46,19 @@ def _render(entry, backend):
 
 
 # ----------------------------------------------------------------------
-# 1. Bit-identical rendering across all three backends.
+# 1. Bit-identical rendering across both backends.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_corpus_framebuffers_identical_across_backends(name):
     entry = ENTRIES[name]
-    reference = _render(entry, "ast")
-    for backend in ("ir", "jit"):
-        assert np.array_equal(_render(entry, backend), reference), (
-            f"{name}: backend '{backend}' framebuffer differs from AST"
-        )
+    assert np.array_equal(_render(entry, "jit"), _render(entry, "ir")), (
+        f"{name}: backend 'jit' framebuffer differs from 'ir'"
+    )
 
 
-def test_five_way_oracle_on_divergent_shader():
+def test_four_way_oracle_on_divergent_shader():
     # Per-fragment control flow forces the JIT's mask-blend lowering;
-    # the five-way oracle must still agree bit-for-bit.
+    # the four-way oracle must still agree bit-for-bit.
     source = """
     precision mediump float;
     varying vec2 v_uv;
@@ -73,7 +72,7 @@ def test_five_way_oracle_on_divergent_shader():
         gl_FragColor = vec4(acc, v_uv.x, v_uv.y, 1.0);
     }
     """
-    result = run_differential(source, backend="all")
+    result = run_differential(source)
     assert result.ok, result.describe()
 
 
@@ -131,7 +130,7 @@ def test_unsupported_program_falls_back_and_counts():
     # IRExecutor and bumps the counter.
     glsl_jit.reset_fallbacks()
     reference, __ = draw_for_capture(_LOOP_RETURN_SHADER,
-                                     execution_backend="ast")
+                                     execution_backend="ir")
     assert glsl_jit.jit_fallbacks == 0
     framebuffer, __ = draw_for_capture(_LOOP_RETURN_SHADER,
                                        execution_backend="jit")
@@ -143,7 +142,6 @@ def test_unsupported_program_falls_back_and_counts():
 def test_library_default_backend_is_the_jit():
     import inspect
 
-    from repro.gles2 import GLES2Context
     from repro.gles2.pipeline import DEFAULT_EXECUTION_BACKEND, execute_draw
 
     assert DEFAULT_EXECUTION_BACKEND == "jit"
@@ -151,6 +149,14 @@ def test_library_default_backend_is_the_jit():
     assert GLES2Context().execution_backend == "jit"
     default = inspect.signature(execute_draw).parameters["execution_backend"]
     assert default.default == "jit"
+
+
+@pytest.mark.parametrize("make", [GpgpuDevice, GLES2Context],
+                         ids=["device", "context"])
+def test_unknown_backend_is_rejected_naming_the_valid_ones(make):
+    # The retired tree walker's name is no longer a backend.
+    with pytest.raises(ValueError, match=r"'ast'.*'ir'.*'jit'"):
+        make(execution_backend="ast")
 
 
 def test_every_float16_pattern_round_trips_identically_on_all_backends():
@@ -168,8 +174,7 @@ def test_every_float16_pattern_round_trips_identically_on_all_backends():
         kernel(out, {"a": dev.array(bits.view(np.float16))})
         results[backend] = out.to_host().view(np.uint16)
     assert glsl_jit.jit_fallbacks == 0
-    assert np.array_equal(results["ir"], results["ast"])
-    assert np.array_equal(results["jit"], results["ast"])
+    assert np.array_equal(results["jit"], results["ir"])
     expected = bits.copy()
     expected[np.isnan(bits.view(np.float16))] = 0x7E00
     expected[bits == 0x8000] = 0

@@ -138,7 +138,7 @@ class TestBranchPruning:
 
 class TestEndToEnd:
     def test_folded_shader_runs_correctly(self):
-        from repro.glsl.interp import Interpreter
+        from repro.glsl.ir import IRExecutor
         from repro.glsl.typecheck import ShaderStage, check
 
         unit = optimize(parse(
@@ -150,13 +150,15 @@ class TestEndToEnd:
             "}"
         ))
         checked = check(unit, ShaderStage.FRAGMENT)
-        env = Interpreter(checked).execute(1, {})
+        env = IRExecutor(checked).execute(1, {})
         assert env["gl_FragColor"].data[0, 0] == 10.0 / 255.0
 
     def test_folding_reduces_op_count(self):
-        """The optimiser saves dynamic ops: the folded shader executes
-        fewer ALU operations."""
-        from repro.glsl.interp import Interpreter
+        """The optimiser saves dynamic ops: lowered to IR without the
+        IR passes, the folded shader executes fewer ALU operations.
+        The IR fold pass then reaches the same fully folded program
+        from either source."""
+        from repro.glsl.ir import IRExecutor, lower_shader
         from repro.glsl.typecheck import ShaderStage, check
         from repro.perf.counters import OpCounters
 
@@ -167,13 +169,18 @@ class TestEndToEnd:
             "}"
         )
 
-        def ops_with(optimise):
+        def ops_with(optimise, ir_passes):
             unit = parse(source)
             if optimise:
                 unit = optimize(unit)
             checked = check(unit, ShaderStage.FRAGMENT)
             counters = OpCounters()
-            Interpreter(checked, counters=counters).execute(64, {})
+            executor = IRExecutor(checked, counters=counters)
+            if not ir_passes:
+                executor.program = lower_shader(checked)
+            executor.execute(64, {})
             return counters.alu
 
-        assert ops_with(True) < ops_with(False)
+        assert ops_with(True, False) < ops_with(False, False)
+        assert ops_with(True, True) == ops_with(False, True) \
+            < ops_with(True, False)

@@ -21,7 +21,6 @@ from repro.workloads.kmeans import kmeans_assign_cpu, kmeans_assign_gpu
 from repro.workloads.pathfinder import pathfinder_cpu, pathfinder_gpu
 
 CONFIGS = [
-    pytest.param("ast", {}, id="ast"),
     pytest.param("ir", {}, id="ir"),
     pytest.param("jit", {}, id="jit"),
     pytest.param("jit", {"tile_size": 8}, id="jit-tiled"),

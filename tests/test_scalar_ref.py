@@ -3,13 +3,14 @@
 The scalar interpreter is the *oracle* of the differential harness, so
 it gets its own unit tests: plain behaviours checked against
 hand-computed values, plus bit-exact agreement with the vectorised
-interpreter on shaders exercising divergent control flow.
+IR executor on shaders exercising divergent control flow.
 """
 
 import numpy as np
 import pytest
 
-from repro.glsl import Interpreter, ScalarInterpreter, compile_shader
+from repro.glsl import ScalarInterpreter, compile_shader
+from repro.glsl.ir import IRExecutor
 from repro.glsl.values import Value
 from repro.glsl.types import VEC2
 
@@ -180,7 +181,7 @@ class TestAgreementWithVectorised:
         uv = np.stack(
             [np.linspace(0.0, 1.0, n), np.linspace(1.0, 0.0, n)], axis=1
         )
-        vec = Interpreter(checked)
+        vec = IRExecutor(checked)
         env = vec.execute(n, {"v_uv": Value(VEC2, uv.astype(np.float64))})
         expected = env["gl_FragColor"].data
 

@@ -93,7 +93,7 @@ def _render(
     fragment_source,
     *,
     size=8,
-    backend="ast",
+    backend="ir",
     tile_size=None,
     shade_workers=None,
     quad=QUAD_CCW,
@@ -195,7 +195,7 @@ def test_partition_tiles_degenerate_cases():
 # Tiled vs monolithic bit-identity (golden corpus)
 # ======================================================================
 @pytest.mark.parametrize("backend,workers", [
-    ("ast", None), ("ir", None), ("jit", None), ("jit", 2),
+    ("ir", None), ("jit", None), ("jit", 2),
 ])
 @pytest.mark.parametrize(
     "entry", ENTRIES, ids=[entry.name for entry in ENTRIES]
@@ -224,7 +224,7 @@ def test_corpus_tiled_matches_golden(entry, backend, workers):
 # ======================================================================
 # Tiled vs monolithic: framebuffer AND merged DrawStats
 # ======================================================================
-@pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+@pytest.mark.parametrize("backend", ["ir", "jit"])
 @pytest.mark.parametrize("shader", [UV_SHADER, DISCARD_SHADER],
                          ids=["plain", "discard"])
 def test_tiled_matches_monolithic(backend, shader):
@@ -307,12 +307,12 @@ def test_worker_pool_discard_bit_identical():
     assert _stats_tuple(mono_draw) == _stats_tuple(par_draw)
 
 
-def test_workers_ignored_for_ast_backend():
-    """Non-JIT backends silently shade in-process — same results."""
+def test_workers_ignored_for_ir_backend():
+    """The IR backend silently shades in-process — same results."""
     parallel.reset_stats()
-    mono_fb, __ = _render(UV_SHADER, backend="ast")
+    mono_fb, __ = _render(UV_SHADER, backend="ir")
     tiled_fb, __ = _render(
-        UV_SHADER, backend="ast", tile_size=3, shade_workers=2
+        UV_SHADER, backend="ir", tile_size=3, shade_workers=2
     )
     assert np.array_equal(mono_fb, tiled_fb)
     assert parallel.parallel_draws == 0
@@ -355,7 +355,7 @@ def test_front_facing_tiled_identical():
         dtype=np.float32,
     )
     mono_fb, __ = _render(FRONT_SHADER, quad=mixed)
-    for backend in ("ast", "ir", "jit"):
+    for backend in ("ir", "jit"):
         tiled_fb, __ = _render(
             FRONT_SHADER, quad=mixed, backend=backend, tile_size=3
         )
@@ -466,7 +466,7 @@ def test_scissor_negative_extent_is_error():
 
 
 def test_scissored_draw_tiled_identical():
-    for backend in ("ast", "ir", "jit"):
+    for backend in ("ir", "jit"):
         mono_fb, __ = _render(
             UV_SHADER, size=8, backend=backend, scissor=(1, 2, 5, 4)
         )

@@ -143,7 +143,7 @@ REQUIRED_DRAW_PHASES = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+@pytest.mark.parametrize("backend", ["ir", "jit"])
 def test_every_draw_phase_spans_all_backends(clean_recorder, backend):
     recorder = trace.start()
     _run_draw(backend)
@@ -159,8 +159,7 @@ def test_every_draw_phase_spans_all_backends(clean_recorder, backend):
     assert draw["args"]["backend"] == backend
     assert draw["args"]["fragment_invocations"] > 0
     assert draw["args"]["modeled_seconds"] > 0
-    if backend in ("ir", "jit"):
-        assert _spans(recorder, name=f"compile.{backend}")
+    assert _spans(recorder, name=f"compile.{backend}")
     assert _spans(recorder, cat="compile")
     assert _spans(recorder, cat="upload")
     assert _spans(recorder, name="readback.pixels")
@@ -316,7 +315,7 @@ def test_export_round_trips_with_monotonic_timestamps(clean_recorder,
 def test_cli_view_and_export(clean_recorder, tmp_path, capsys):
     path = tmp_path / "t.json"
     trace.start(str(path))
-    _run_draw("ast")
+    _run_draw("ir")
     trace.stop(write=True)
 
     assert trace_cli.main(["view", str(path)]) == 0
