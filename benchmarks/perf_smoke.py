@@ -181,9 +181,9 @@ def bench_sgemm(n=SGEMM_N, backends=BACKENDS, include_workers=False,
         )
         _gather_stats(stats, backend, dev)
     if include_workers:
-        from repro.gles2 import parallel
+        from repro.perf.counters import values
 
-        stats["jit+workers"]["parallel_draws"] = parallel.parallel_draws
+        stats["jit+workers"]["parallel_draws"] = values["pool.draws"]
     return stats
 
 
@@ -316,14 +316,16 @@ kernel(out, {"a": a, "b": b, "c0": c0},
 res = out.to_host()
 elapsed = time.perf_counter() - t0
 
-from repro.core import cache as store
-from repro.glsl import ir, jit
+from repro.perf.counters import values
+def group(prefix):
+    return {name[len(prefix):]: count for name, count in values.items()
+            if name.startswith(prefix)}
 print(json.dumps({
     "first_launch_ms": elapsed * 1e3,
     "digest": hashlib.sha256(res.tobytes()).hexdigest(),
-    "disk": store.stats.snapshot(),
-    "ir": ir.compile_events,
-    "jit": jit.codegen_events,
+    "disk": group("cache.disk."),
+    "ir": group("compile.ir."),
+    "jit": group("compile.jit."),
 }))
 """
 

@@ -91,9 +91,6 @@ class GpgpuDevice:
         self.machine = machine
         #: Kernel objects memoised on their program-cache key.
         self._kernel_cache: Dict[Tuple[str, str], Kernel] = {}
-        #: How many kernel() calls were served from the cache (full
-        #: compile + link skipped) — asserted by tests.
-        self.kernel_cache_hits = 0
         #: The array whose texture is attached to the currently bound
         #: FBO with freshly rendered contents (challenge 7 tracking).
         self.fb_resident: Optional[GpuArray] = None
@@ -110,6 +107,12 @@ class GpgpuDevice:
         #: The currently recording LaunchGraph, if any.
         self._active_graph = None
         self._scratch_pool = None  # lazily built ScratchPool
+
+    @property
+    def kernel_cache_hits(self) -> int:
+        """How many kernel() calls were served from the cache (full
+        compile + link skipped): the ``kernel.cache_hits`` counter."""
+        return self.ctx.stats.counts["kernel.cache_hits"]
 
     # ------------------------------------------------------------------
     # Deferred launch graphs
@@ -284,7 +287,7 @@ class GpgpuDevice:
         key = program_cache_key(source.vertex, source.fragment)
         cached = self._kernel_cache.get(key)
         if cached is not None:
-            self.kernel_cache_hits += 1
+            self.ctx.stats.counts["kernel.cache_hits"] += 1
             return cached
         spec = KernelSpec(
             name=name,

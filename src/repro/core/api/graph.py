@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from ...perf import trace
+from ...perf import counters, trace
 from ..codegen.fuse import (
     FusedStage,
     compose_chain_cached,
@@ -67,14 +67,14 @@ class ScratchPool:
 
     def acquire(self, length: int, fmt) -> GpuArray:
         fmt = get_format(fmt)
-        stats = self.device.ctx.stats
+        counts = self.device.ctx.stats.counts
         free = self._free.get(fmt.name)
         if free:
             backing = free.pop()
             backing.respecify(length)
-            stats.scratch_reuses += 1
+            counts["graph.scratch_reuses"] += 1
             return backing
-        stats.scratch_allocs += 1
+        counts["graph.scratch_allocs"] += 1
         return GpuArray(self.device, length, fmt)
 
     def release(self, backing: GpuArray) -> None:
@@ -183,19 +183,18 @@ class LaunchNode:
     input_versions: Dict[str, int] = field(default_factory=dict)
 
 
+@counters.expose("graph.")
 @dataclass
 class ReplayStats:
-    """What one replay did — deltas, also accumulated into the
-    context's lifetime :class:`~repro.perf.counters.ContextStats`."""
+    """What one replay did.  ``counts`` is the change it made to the
+    context's :class:`~repro.perf.counters.ContextStats` tally; the
+    ``graph.*`` scheduling counters read as ``fused_draws``,
+    ``elided_draws``, ``dead_launches``, ``scratch_allocs``,
+    ``scratch_reuses`` and ``elided_intermediate_bytes``."""
 
     recorded: int = 0
     executed_draws: int = 0
-    fused_draws: int = 0
-    elided_draws: int = 0
-    dead_launches: int = 0
-    scratch_allocs: int = 0
-    scratch_reuses: int = 0
-    elided_intermediate_bytes: int = 0
+    counts: Dict[str, int] = field(default_factory=dict)
 
 
 class LaunchGraph:
@@ -284,18 +283,39 @@ class LaunchGraph:
         self.closed = True
         if self.device._active_graph is self:
             self.device._active_graph = None
-        ctx_stats = self.device.ctx.stats
-        allocs_before = ctx_stats.scratch_allocs
-        reuses_before = ctx_stats.scratch_reuses
-
-        # Manual span (rather than ``with``) so the replay body keeps
-        # its indentation; the recorder check keeps the disabled path
+        ctx = self.device.ctx
+        before = dict(ctx.stats.counts)
+        # Manual span (rather than ``with``) keeps the disabled path
         # down to one attribute load.
         recorder = trace.active()
         span_t0 = perf_counter() if recorder is not None else 0.0
 
         stats = ReplayStats(recorded=len(self.nodes))
-        live = self._eliminate_dead(stats)
+        with ctx.attributed():
+            self._schedule(stats, ctx.stats.counts)
+        stats.counts = counters.delta(before, ctx.stats.counts)
+        if recorder is not None:
+            recorder.complete(
+                "graph.replay", "graph", span_t0, perf_counter(), {
+                    "recorded": stats.recorded,
+                    "executed_draws": stats.executed_draws,
+                    "fused_draws": stats.fused_draws,
+                    "elided_draws": stats.elided_draws,
+                    "dead_launches": stats.dead_launches,
+                    "scratch_allocs": stats.scratch_allocs,
+                    "scratch_reuses": stats.scratch_reuses,
+                    "elided_intermediate_bytes": (
+                        stats.elided_intermediate_bytes
+                    ),
+                },
+            )
+        self.stats = stats
+        return stats
+
+    def _schedule(self, stats: ReplayStats, counts: Dict[str, int]) -> None:
+        """The replay body: ``stats`` takes the draw tallies, ``counts``
+        (the context's tally) the ``graph.*`` counters."""
+        live = self._eliminate_dead(counts)
         chains, fused_member = self._plan_chains(live)
         steps = self._plan_steps(live, chains, fused_member)
         release_at = self._plan_lifetimes(steps, chains)
@@ -308,8 +328,8 @@ class LaunchGraph:
                 chain = payload
                 if self._execute_chain(chain):
                     stats.executed_draws += 1
-                    stats.fused_draws += 1
-                    stats.elided_draws += len(chain) - 1
+                    counts["graph.fused_draws"] += 1
+                    counts["graph.elided_draws"] += len(chain) - 1
                     chain_bytes = 0
                     for node in chain[:-1]:
                         inter = node.out
@@ -319,7 +339,7 @@ class LaunchGraph:
                             inter.width * inter.height * 4 * 2
                         )
                         inter.recycled = True
-                    stats.elided_intermediate_bytes += chain_bytes
+                    counts["graph.elided_intermediate_bytes"] += chain_bytes
                     trace.instant("graph.fuse", "graph", {
                         "stages": len(chain),
                         "elided_bytes": chain_bytes,
@@ -348,34 +368,8 @@ class LaunchGraph:
             ):
                 self._materialise(arr)
 
-        stats.scratch_allocs = ctx_stats.scratch_allocs - allocs_before
-        stats.scratch_reuses = ctx_stats.scratch_reuses - reuses_before
-        ctx_stats.fused_draws += stats.fused_draws
-        ctx_stats.elided_draws += stats.elided_draws
-        ctx_stats.dead_launches += stats.dead_launches
-        ctx_stats.elided_intermediate_bytes += (
-            stats.elided_intermediate_bytes
-        )
-        if recorder is not None:
-            recorder.complete(
-                "graph.replay", "graph", span_t0, perf_counter(), {
-                    "recorded": stats.recorded,
-                    "executed_draws": stats.executed_draws,
-                    "fused_draws": stats.fused_draws,
-                    "elided_draws": stats.elided_draws,
-                    "dead_launches": stats.dead_launches,
-                    "scratch_allocs": stats.scratch_allocs,
-                    "scratch_reuses": stats.scratch_reuses,
-                    "elided_intermediate_bytes": (
-                        stats.elided_intermediate_bytes
-                    ),
-                },
-            )
-        self.stats = stats
-        return stats
-
     # ------------------------------------------------------------------
-    def _eliminate_dead(self, stats: ReplayStats) -> List[LaunchNode]:
+    def _eliminate_dead(self, counts: Dict[str, int]) -> List[LaunchNode]:
         """Backward liveness over (array, version) pairs: a launch is
         live iff its written version is observable — read by a live
         later launch, or the final version of a real / kept array."""
@@ -393,7 +387,7 @@ class LaunchGraph:
                 for name, arr in node.inputs.items():
                     required.add((id(arr), node.input_versions[name]))
             else:
-                stats.dead_launches += 1
+                counts["graph.dead_launches"] += 1
         live.reverse()
         return live
 
@@ -589,10 +583,9 @@ class LaunchGraph:
             # count the degraded path and replay the chain eagerly —
             # fusion is an optimisation, the eager ladder is always
             # semantically complete.
-            from ...perf.counters import fault_path_stats
             from ...testing import faults
 
-            fault_path_stats.fault_fallbacks += 1
+            counters.values["fault.fallbacks"] += 1
             faults.note_swallowed("fuse_compose", exc)
             trace.instant("graph.fallback", "graph", {
                 "stages": len(chain), "reason": type(exc).__name__,

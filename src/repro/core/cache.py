@@ -50,10 +50,11 @@ Knobs (environment, read lazily so tests can flip them):
     LRU size bound (default 256 MiB); the store is trimmed to 80 % of
     the bound, oldest-access first, when a write overflows it.
 
-Observability: every lookup/eviction/corruption tallies into
-:data:`repro.perf.counters.disk_cache_stats`; GL contexts mirror the
-deltas into ``ContextStats`` and ``python -m repro.cache`` reports the
-store's contents (see that module for the maintenance CLI).
+Observability: every lookup/eviction/corruption tallies into the
+``cache.disk.*`` counters of :mod:`repro.perf.counters`; GL contexts
+attribute the part accrued during their own compiles and draws, and
+``python -m repro.cache`` reports the store's contents (see that
+module for the maintenance CLI).
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..perf import trace
-from ..perf.counters import disk_cache_stats
+from ..perf import counters, trace
 
 #: Bump to invalidate every existing store (key *and* entry header).
 SCHEMA_VERSION = 2
@@ -83,7 +83,9 @@ _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: Trim target once the size bound is hit (fraction of the bound).
 _EVICT_TO = 0.8
 
-stats = disk_cache_stats
+#: The ``cache.disk.*`` counters under their short names, read-only,
+#: for the benchmark ledger.
+stats = counters.View("cache.disk.")
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +213,7 @@ def get(key: str) -> Optional[bytes]:
     try:
         blob = path.read_bytes()
     except OSError:
-        stats.misses += 1
+        counters.values["cache.disk.misses"] += 1
         trace.instant("cache.miss", "cache", {"key": key[:16]})
         return None
     from ..testing import faults
@@ -223,15 +225,15 @@ def get(key: str) -> Optional[bytes]:
         blob = blob[: len(_MAGIC)] + b"\x00" + blob[len(_MAGIC) + 1:]
     unpacked = _unpack(blob)
     if unpacked is None:
-        stats.corrupt += 1
-        stats.misses += 1
+        counters.values["cache.disk.corrupt"] += 1
+        counters.values["cache.disk.misses"] += 1
         trace.instant("cache.corrupt", "cache", {"key": key[:16]})
         try:
             path.unlink()
         except OSError:
             pass
         return None
-    stats.hits += 1
+    counters.values["cache.disk.hits"] += 1
     trace.instant("cache.hit", "cache", {
         "key": key[:16], "kind": unpacked[0].get("kind", "unknown"),
     })
@@ -278,7 +280,7 @@ def put(key: str, payload: bytes, kind: str) -> bool:
             "key": key[:16], "kind": kind, "bytes": len(payload),
         })
     except OSError as exc:
-        stats.write_failures += 1
+        counters.values["cache.disk.write_failures"] += 1
         faults.note_swallowed("cache_write", exc)
         if tmp is not None:
             try:
@@ -293,7 +295,7 @@ def put(key: str, payload: bytes, kind: str) -> bool:
 def invalidate(key: str) -> None:
     """Drop one entry (deserialisation-level corruption: the envelope
     checksum passed but the payload would not load)."""
-    stats.corrupt += 1
+    counters.values["cache.disk.corrupt"] += 1
     try:
         _entry_path(key).unlink()
     except OSError:
@@ -358,7 +360,7 @@ def verify() -> Dict[str, int]:
             kept += 1
         else:
             dropped += 1
-            stats.corrupt += 1
+            counters.values["cache.disk.corrupt"] += 1
             try:
                 path.unlink()
             except OSError:
@@ -389,7 +391,7 @@ def _sweep_orphans(root: Path) -> None:
         try:
             if path.stat().st_mtime < cutoff:
                 path.unlink()
-                stats.orphans_removed += 1
+                counters.values["cache.disk.orphans_removed"] += 1
         except OSError:
             continue
 
@@ -419,7 +421,7 @@ def _maybe_evict() -> None:
         if total <= bound:
             return
         if faults.fire("cache_lock"):
-            stats.lock_skips += 1
+            counters.values["cache.disk.lock_skips"] += 1
             return  # injected contention: someone else is trimming
         try:
             import fcntl
@@ -429,7 +431,7 @@ def _maybe_evict() -> None:
         except ImportError:
             lock_handle = None
         except OSError:
-            stats.lock_skips += 1
+            counters.values["cache.disk.lock_skips"] += 1
             if lock_handle is not None:
                 lock_handle.close()
             return  # someone else is trimming
@@ -441,7 +443,7 @@ def _maybe_evict() -> None:
             try:
                 path.unlink()
                 total -= size
-                stats.evictions += 1
+                counters.values["cache.disk.evictions"] += 1
             except OSError:
                 continue
     except OSError:
@@ -449,10 +451,6 @@ def _maybe_evict() -> None:
     finally:
         if lock_handle is not None:
             lock_handle.close()
-
-
-def reset_stats() -> None:
-    stats.reset()
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +569,7 @@ def load_checked(data: bytes):
     try:
         checked = _loads(data)
     except _DESERIALISE_ERRORS as exc:
-        stats.load_failures += 1
+        counters.values["cache.disk.load_failures"] += 1
         _note_load_failure("frontend", exc)
         return None
     return checked if isinstance(checked, CheckedShader) else None
@@ -589,7 +587,7 @@ def load_program(data: bytes, checked):
     try:
         program = _loads(data)
     except _DESERIALISE_ERRORS as exc:
-        stats.load_failures += 1
+        counters.values["cache.disk.load_failures"] += 1
         _note_load_failure("ir", exc)
         return None
     if not isinstance(program, CompiledProgram):
@@ -653,7 +651,7 @@ def load_jit_entry(data: bytes) -> Optional[Dict]:
     try:
         entry = _loads(data)
     except _DESERIALISE_ERRORS as exc:
-        stats.load_failures += 1
+        counters.values["cache.disk.load_failures"] += 1
         _note_load_failure("jit", exc)
         return None
     if not isinstance(entry, dict):

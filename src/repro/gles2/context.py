@@ -20,12 +20,13 @@ framebuffer quantisation mode (spec ``round`` vs paper-eq.(2)
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..perf import trace
+from ..perf import counters, trace
 from ..perf.counters import ContextStats
 from . import enums
 from .buffer_objects import BufferObject
@@ -98,13 +99,7 @@ class GLES2Context:
         self.shade_workers = shade_workers
         self.error_state = ErrorState(strict=strict_errors)
         self.stats = ContextStats()
-        # Baseline snapshots of the process-wide disk-cache and
-        # fault-path counters: per-context stats report the deltas
-        # accrued while this context was doing the compiling/drawing.
-        from ..perf.counters import disk_cache_stats, fault_path_stats
-
-        self._disk_stats_last = disk_cache_stats.snapshot()
-        self._fault_stats_last = fault_path_stats.snapshot()
+        self._attributing = False
         trace.instant("device.context", "device", {
             "float_model": getattr(float_model, "name",
                                    type(float_model).__name__),
@@ -403,7 +398,7 @@ class GLES2Context:
             if pixels is not None:
                 array = np.asarray(pixels, dtype=np.uint8)
             tex.set_image(width, height, fmt, array)
-        self.stats.texture_upload_bytes += nbytes
+        self.stats.counts["transfer.texture_upload_bytes"] += nbytes
 
     def glCopyTexImage2D(self, target: int, level: int, internalformat: int,
                          x: int, y: int, width: int, height: int,
@@ -454,7 +449,7 @@ class GLES2Context:
             tex.set_sub_image(xoffset, yoffset, array, fmt)
             if sp is not None:
                 sp.args["bytes"] = array.nbytes
-        self.stats.texture_upload_bytes += array.nbytes
+        self.stats.counts["transfer.texture_upload_bytes"] += array.nbytes
 
     # ==================================================================
     # Buffers
@@ -516,7 +511,7 @@ class GLES2Context:
             ) else len(data)
         with trace.span("upload.buffer", "upload", {"bytes": size}):
             buf.set_data(data, size, usage)
-        self.stats.buffer_upload_bytes += size
+        self.stats.counts["transfer.buffer_upload_bytes"] += size
 
     def glGetBufferParameteriv(self, target: int, pname: int) -> int:
         buf = self._bound_buffer(target)
@@ -567,7 +562,8 @@ class GLES2Context:
             self._error(enums.GL_INVALID_VALUE, "glCompileShader")
             return
         with trace.span("compile.shader", "compile") as sp:
-            obj.compile()
+            with self.attributed():
+                obj.compile()
             if sp is not None:
                 sp.args["shader"] = shader
                 sp.args["stage"] = (
@@ -577,10 +573,7 @@ class GLES2Context:
                 sp.args["from_disk"] = bool(
                     getattr(obj, "loaded_from_disk", False)
                 )
-        self.stats.shader_compiles += 1
-        if getattr(obj, "loaded_from_disk", False):
-            self.stats.disk_warm_compiles += 1
-        self._sync_disk_cache_stats()
+        self.stats.counts["compile.shaders"] += 1
 
     def glGetShaderiv(self, shader: int, pname: int) -> int:
         obj = self._shaders.get(shader)
@@ -645,7 +638,7 @@ class GLES2Context:
             self._error(enums.GL_INVALID_VALUE, "glLinkProgram")
             return
         prog.link(max_vertex_attribs=self.limits.max_vertex_attribs)
-        self.stats.program_links += 1
+        self.stats.counts["compile.links"] += 1
 
     def glGetProgramiv(self, program: int, pname: int) -> int:
         prog = self._programs.get(program)
@@ -765,7 +758,7 @@ class GLES2Context:
         if message:
             self._error(enums.GL_INVALID_OPERATION, message)
         else:
-            self.stats.uniform_updates += 1
+            self.stats.counts["gl.uniform_updates"] += 1
 
     def _set_uniform_i(self, location: int, components: int, values, count: int) -> None:
         prog = self._uniform_program()
@@ -779,7 +772,7 @@ class GLES2Context:
         if message:
             self._error(enums.GL_INVALID_OPERATION, message)
         else:
-            self.stats.uniform_updates += 1
+            self.stats.counts["gl.uniform_updates"] += 1
 
     def glUniform1f(self, location, x):
         self._set_uniform_f(location, 1, [x], 1)
@@ -840,7 +833,7 @@ class GLES2Context:
         if message:
             self._error(enums.GL_INVALID_OPERATION, message)
         else:
-            self.stats.uniform_updates += 1
+            self.stats.counts["gl.uniform_updates"] += 1
 
     def glUniformMatrix2fv(self, location, count, transpose, values):
         self._set_uniform_matrix(location, 2, count, transpose, values)
@@ -1057,7 +1050,7 @@ class GLES2Context:
             result = out[:, :, :components]
             if sp is not None:
                 sp.args["bytes"] = result.nbytes
-        self.stats.readback_bytes += result.nbytes
+        self.stats.counts["transfer.readback_bytes"] += result.nbytes
         return result
 
     # ==================================================================
@@ -1103,32 +1096,28 @@ class GLES2Context:
             return self._texture_at_unit(unit)
 
         with trace.span("draw", "draw") as sp:
-            if sp is not None:
-                from ..perf.counters import disk_cache_stats, fault_path_stats
-
-                disk_before = disk_cache_stats.snapshot()
-                fault_before = fault_path_stats.snapshot()
-            stats = execute_draw(
-                prog,
-                self._attribs,
-                index_stream,
-                mode,
-                self._viewport,
-                color_buffer,
-                self.float_model,
-                resolve_sampler,
-                quantization=self.quantization,
-                max_loop_iterations=self.max_loop_iterations,
-                execution_backend=self.execution_backend,
-                scissor=self._active_scissor(),
-                tile_size=self.tile_size,
-                shade_workers=self.shade_workers,
-            )
+            # IR/JIT artifacts load lazily at first draw, so the draw's
+            # counters include compile and artifact-store traffic.
+            with self.attributed() as changed:
+                stats = execute_draw(
+                    prog,
+                    self._attribs,
+                    index_stream,
+                    mode,
+                    self._viewport,
+                    color_buffer,
+                    self.float_model,
+                    resolve_sampler,
+                    quantization=self.quantization,
+                    max_loop_iterations=self.max_loop_iterations,
+                    execution_backend=self.execution_backend,
+                    scissor=self._active_scissor(),
+                    tile_size=self.tile_size,
+                    shade_workers=self.shade_workers,
+                )
             if sp is not None:
                 from ..perf.gpu_model import GpuModel
 
-                disk_after = disk_cache_stats.snapshot()
-                fault_after = fault_path_stats.snapshot()
                 sp.args.update({
                     "draw_index": len(self.stats.draws),
                     "backend": self.execution_backend,
@@ -1136,71 +1125,34 @@ class GLES2Context:
                     "fragment_invocations": stats.fragment_invocations,
                     "framebuffer_writes": stats.framebuffer_writes,
                     "discarded_fragments": stats.discarded_fragments,
-                    "texture_gathers": stats.texture_gathers,
-                    "gather_fallbacks": stats.gather_fallbacks,
                     # Modeled VideoCore-IV cost next to the span's real
                     # elapsed time, so measured and predicted compare
                     # on the same event.
                     "modeled_seconds": GpuModel().draw_time(
                         stats
                     ).total_seconds,
-                    "disk_cache_delta": {
-                        key: disk_after[key] - disk_before[key]
-                        for key in disk_after
-                        if disk_after[key] != disk_before[key]
-                    },
-                    "fault_path_delta": {
-                        key: fault_after[key] - fault_before[key]
-                        for key in fault_after
-                        if fault_after[key] != fault_before[key]
-                    },
+                    "counters": dict(changed),
                 })
         self.stats.draws.append(stats)
-        # IR/JIT artifacts are pulled from the persistent store lazily
-        # at first-draw time (not at glCompileShader), so fold the
-        # counter deltas in here too.
-        self._sync_disk_cache_stats()
 
-    def _sync_disk_cache_stats(self) -> None:
-        """Accumulate process-wide artifact-store and fault-path
-        counter deltas since the last sync into this context's stats.
-        Keeps per-context numbers meaningful when several contexts (or
-        none — e.g. the maintenance CLI) touch the shared store in one
-        process."""
-        from ..perf.counters import disk_cache_stats, fault_path_stats
-
-        current = disk_cache_stats.snapshot()
-        last = self._disk_stats_last
-        self.stats.disk_cache_hits += current["hits"] - last["hits"]
-        self.stats.disk_cache_misses += (
-            current["misses"] - last["misses"]
-        )
-        self.stats.disk_cache_evictions += (
-            current["evictions"] - last["evictions"]
-        )
-        self.stats.disk_cache_corrupt += (
-            current["corrupt"] - last["corrupt"]
-        )
-        self.stats.cache_write_failures += (
-            current["write_failures"] - last["write_failures"]
-        )
-        self.stats.cache_orphans_removed += (
-            current["orphans_removed"] - last["orphans_removed"]
-        )
-        self._disk_stats_last = current
-
-        fcurrent = fault_path_stats.snapshot()
-        flast = self._fault_stats_last
-        self.stats.worker_retries += (
-            fcurrent["worker_retries"] - flast["worker_retries"]
-        )
-        self.stats.pool_restarts += (
-            fcurrent["pool_restarts"] - flast["pool_restarts"]
-        )
-        self.stats.fault_fallbacks += (
-            fcurrent["fault_fallbacks"] - flast["fault_fallbacks"]
-        )
-        self._fault_stats_last = fcurrent
+    @contextlib.contextmanager
+    def attributed(self) -> Iterator[Dict[str, int]]:
+        """Attribute to this context the process counters that change
+        inside the block (its compiles, draws and graph replays), so a
+        context counts only its own work.  Yields a dict that receives
+        the block's counter delta on exit.  Nested blocks fold into
+        ``stats.counts`` once, at the outermost."""
+        before = counters.snapshot()
+        outer = not self._attributing
+        self._attributing = True
+        changed: Dict[str, int] = {}
+        try:
+            yield changed
+        finally:
+            changed.update(counters.delta(before))
+            if outer:
+                self._attributing = False
+                counters.merge(changed, self.stats.counts)
 
 
 def _gl_type_of(gtype) -> int:

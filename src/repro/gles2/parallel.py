@@ -51,19 +51,20 @@ every pool failure mode has a typed, counted, bounded response — see
   failures), and per-draw timeouts (``REPRO_POOL_TIMEOUT`` seconds per
   draw, 0 disables).  Nothing is caught bare.
 * **Bounded retry.**  A transport death or timeout tears the pool down
-  and rebuilds it (``pool_restarts``); the draw is re-dispatched at
-  most once (``worker_retries``).  A draw that exhausts its attempts
-  falls back to in-process tiled shading (``fault_fallbacks``) with
+  and rebuilds it (``pool.restarts``); the draw is re-dispatched at
+  most once (``pool.retries``).  A draw that exhausts its attempts
+  falls back to in-process tiled shading (``fault.fallbacks``) with
   untouched counters — bit-identical by construction.
 * **Circuit breaker.**  ``_MAX_CONSECUTIVE_FAILURES`` failed draws in
   a row mark the pool broken for the process (every later draw shades
   in-process without paying restart latency); any successful dispatch
   resets the streak.
 
-The counters live in :data:`repro.perf.counters.fault_path_stats` and
-are folded per-context like the disk-cache tallies.  Deterministic
-fault injection for every one of these paths is provided by
-:mod:`repro.testing.faults` (``worker_crash`` / ``worker_hang`` /
+The counters live in :mod:`repro.perf.counters`; each worker chunk
+returns the ``draw``-scope counters it changed (texture gathers, disk
+plan loads) and the leader merges them only once the whole draw has
+succeeded.  Deterministic fault injection for every one of these paths
+is provided by :mod:`repro.testing.faults` (``worker_crash`` / ``worker_hang`` /
 ``worker_garble`` sites; the leader ships the active plan inside each
 worker payload so overrides reach forked workers).
 """
@@ -80,21 +81,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..perf import trace
-from ..perf.counters import OpCounters, fault_path_stats
-
-#: Draws actually shaded out-of-process (observability for tests and
-#: benchmarks — asserting the pool was exercised, not silently skipped).
-parallel_draws = 0
-
-#: Draws whose plan shipped only a disk-cache key — the generated
-#: source and captured arrays stayed out of the pickle stream because
-#: the shared artifact store (:mod:`repro.core.cache`) holds them.
-plan_cache_refs = 0
-
-#: Worker-side plan materialisations served by the disk cache (each
-#: worker loads a given plan at most once; summed from chunk results).
-worker_disk_loads = 0
+from ..perf import counters, trace
+from ..perf.counters import OpCounters
 
 _POOL = None
 _POOL_WORKERS = 0
@@ -127,18 +115,18 @@ class PlanCacheMiss(Exception):
 
 class ChunkFormatError(Exception):
     """A worker returned a structurally invalid chunk result (wrong
-    tuple arity, non-broadcastable colour array, bogus discard mask).
-    The draw is retried once, then falls back in-process — garbage
-    never reaches the framebuffer."""
+    tuple arity, non-broadcastable colour array, bogus discard mask,
+    counters that are not ``draw``-scope integers).  The draw is
+    retried once, then falls back in-process — garbage never reaches
+    the framebuffer."""
 
 
-def reset_stats() -> None:
-    global parallel_draws, plan_cache_refs, worker_disk_loads
-    global _CONSECUTIVE_FAILURES
-    parallel_draws = 0
-    plan_cache_refs = 0
-    worker_disk_loads = 0
-    _CONSECUTIVE_FAILURES = 0
+def __getattr__(name):
+    # ``parallel_draws``: the ``pool.draws`` counter, read-only, for
+    # the benchmark ledger.
+    if name == "parallel_draws":
+        return counters.values["pool.draws"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def shutdown_pool() -> None:
@@ -196,7 +184,7 @@ def _get_pool(workers: int):
 def _restart_pool() -> None:
     """Tear the pool down after a transport failure or timeout so the
     next ``_get_pool`` builds a fresh one (counted by the caller in
-    ``fault_path_stats.pool_restarts``).  Unlike pool-creation
+    ``pool.restarts``).  Unlike pool-creation
     failure, this is *not* permanent — a crashed worker says nothing
     about the next pool.
 
@@ -300,7 +288,6 @@ def shade_draw(
     :class:`~repro.glsl.errors.GlslLimitError` raised inside a worker
     (loop-cap overflow) propagates, matching in-process semantics.
     """
-    global parallel_draws
     from ..glsl.errors import GlslLimitError
     from ..glsl.ir import get_compiled
     from ..glsl.interp import Interpreter
@@ -372,7 +359,6 @@ def shade_draw(
     # unsupported for storage, entry evicted).
     from ..core import cache as artifact_cache
 
-    global plan_cache_refs
     cache_key = getattr(fn, "_jit_disk_key", None)
     shipped_by_ref = cache_key is not None and artifact_cache.contains(cache_key)
     if shipped_by_ref:
@@ -410,7 +396,7 @@ def shade_draw(
     dispatched = None
     for attempt in range(_MAX_ATTEMPTS):
         if attempt:
-            fault_path_stats.worker_retries += 1
+            counters.values["pool.retries"] += 1
             pool = _get_pool(workers)
             if pool is None:
                 break
@@ -440,7 +426,7 @@ def shade_draw(
             # CSE'd local on this draw's control-flow shape — the same
             # condition JitExecutor.execute handles in-process.  The
             # pool is healthy; this draw just needs the IR executor.
-            fault_path_stats.fault_fallbacks += 1
+            counters.values["fault.fallbacks"] += 1
             return None
         except ChunkFormatError as exc:
             # Garbage result from one worker.  The pool transport is
@@ -454,18 +440,18 @@ def shade_draw(
             # down and retry once on a fresh one.
             faults.note_swallowed("pool_dispatch", exc)
             _restart_pool()
-            fault_path_stats.pool_restarts += 1
+            counters.values["pool.restarts"] += 1
             trace.instant("pool.restart", "pool",
                           {"reason": type(exc).__name__})
     if dispatched is None:
         # Retry budget exhausted (or the pool could not be rebuilt):
         # degrade to in-process tiled shading with untouched counters.
-        fault_path_stats.fault_fallbacks += 1
+        counters.values["fault.fallbacks"] += 1
         _note_draw_outcome(success=False)
         trace.instant("pool.fallback", "pool", {"reason": "exhausted"})
         return None
     _note_draw_outcome(success=True)
-    results, gathers, fallbacks, disk_loads, worker_spans = dispatched
+    results, worker_counts, worker_spans = dispatched
     recorder = trace.active()
     if recorder is not None and worker_spans:
         recorder.ingest(worker_spans)
@@ -475,15 +461,12 @@ def shade_draw(
         fs_interp.counters = saved_counters
         fs_interp._charge_static(program, n, count_globals=True)
     # Workers ran the same generated function the leader would have:
-    # fold their gather tallies back onto the draw's executor so
-    # DrawStats is identical to an in-process tiled run.
-    fs_interp.texture_gathers += gathers
-    fs_interp.gather_fallbacks += fallbacks
-    parallel_draws += 1
+    # their gather tallies make the draw's counters identical to an
+    # in-process tiled run.
+    counters.merge(worker_counts)
+    counters.values["pool.draws"] += 1
     if shipped_by_ref:
-        plan_cache_refs += 1
-    global worker_disk_loads
-    worker_disk_loads += disk_loads
+        counters.values["pool.plan_cache_refs"] += 1
     return results
 
 
@@ -492,10 +475,10 @@ def _dispatch_chunks(
 ):
     """Submit every chunk and gather validated results.
 
-    Returns ``(results, gathers, fallbacks, disk_loads, spans)`` —
-    ``spans`` the worker-recorded trace events of every chunk (empty
-    while tracing is off); raises the typed failure taxonomy the
-    caller's retry loop dispatches on.  The per-draw timeout is a
+    Returns ``(results, counts, spans)`` — ``counts`` the summed
+    ``draw``-scope counter changes of every chunk, ``spans`` their
+    worker-recorded trace events (empty while tracing is off); raises
+    the typed failure taxonomy the caller's retry loop dispatches on.  The per-draw timeout is a
     shared deadline across the chunk futures — the draw as a whole
     gets ``timeout`` seconds, not each chunk.
     """
@@ -509,8 +492,7 @@ def _dispatch_chunks(
             ))
     deadline = (time.monotonic() + timeout) if timeout else None
     results: List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = []
-    gathers = fallbacks = 0
-    disk_loads = 0
+    counts: Dict[str, int] = {}
     spans: List[dict] = []
     try:
         for chunk_no, (idx, future) in enumerate(
@@ -529,12 +511,10 @@ def _dispatch_chunks(
                             "per-draw pool timeout exhausted"
                         )
                     raw = future.result(timeout=remaining)
-                color, discarded, delta, from_disk, chunk_spans = (
+                color, discarded, chunk_counts, chunk_spans = (
                     _validate_chunk(raw, idx.shape[0], out_name)
                 )
-            gathers += delta[0]
-            fallbacks += delta[1]
-            disk_loads += from_disk
+            counters.merge(chunk_counts, counts)
             spans.extend(chunk_spans)
             results.append((idx, color, discarded))
     finally:
@@ -543,7 +523,7 @@ def _dispatch_chunks(
         # shading a framebuffer nobody will assemble.
         for future in futures:
             future.cancel()
-    return results, gathers, fallbacks, disk_loads, spans
+    return results, counts, spans
 
 
 def _validate_chunk(raw, count: int, out_name: str):
@@ -551,8 +531,7 @@ def _validate_chunk(raw, count: int, out_name: str):
     defence against a sick worker returning garbage.  Raises
     :class:`ChunkFormatError`; returns the normalised tuple."""
     try:
-        (color, discarded, (chunk_gathers, chunk_fallbacks), from_disk,
-         chunk_spans) = raw
+        color, discarded, chunk_counts, chunk_spans = raw
     except (TypeError, ValueError) as exc:
         raise ChunkFormatError(f"malformed chunk tuple: {exc}") from None
     if not isinstance(color, np.ndarray) or not np.issubdtype(
@@ -577,18 +556,17 @@ def _validate_chunk(raw, count: int, out_name: str):
             or discarded.shape[0] not in (1, count)
         ):
             raise ChunkFormatError("chunk discard mask is malformed")
-    try:
-        chunk_gathers = int(chunk_gathers)
-        chunk_fallbacks = int(chunk_fallbacks)
-        from_disk = int(from_disk)
-    except (TypeError, ValueError) as exc:
-        raise ChunkFormatError(f"malformed chunk counters: {exc}") from None
+    if not isinstance(chunk_counts, dict) or not all(
+        counters.SCOPES.get(name) == counters.DRAW
+        and type(count) is int and count >= 0
+        for name, count in chunk_counts.items()
+    ):
+        raise ChunkFormatError(f"malformed chunk counters: {chunk_counts!r}")
     if not isinstance(chunk_spans, (list, tuple)):
         raise ChunkFormatError("chunk trace spans are not a sequence")
     # Individual span dicts are validated (and bad ones dropped) by
     # TraceRecorder.ingest — observability must never fail the draw.
-    return (color, discarded, (chunk_gathers, chunk_fallbacks), from_disk,
-            chunk_spans)
+    return color, discarded, chunk_counts, chunk_spans
 
 
 # ----------------------------------------------------------------------
@@ -608,14 +586,12 @@ class _Reg:
 _WORKER_FNS: Dict[str, object] = {}
 
 
-def _materialize(plan) -> Tuple[object, int]:
-    """Build (or reuse) the worker-side function for one plan; returns
-    ``(fn, from_disk)`` where ``from_disk`` is 1 when this call loaded
-    the artifact from the shared disk cache."""
+def _materialize(plan):
+    """Build (or reuse) the worker-side function for one plan; a load
+    from the shared disk cache counts in ``pool.worker_disk_loads``."""
     fn = _WORKER_FNS.get(plan["uid"])
     if fn is not None:
-        return fn, 0
-    from_disk = 0
+        return fn
     # Any failure to turn the plan into a callable — a stale builtin
     # key, a source that no longer execs against this worker's helper
     # registry — is reported as the typed PlanCacheMiss so the leader
@@ -652,23 +628,22 @@ def _materialize(plan) -> Tuple[object, int]:
                 plan["fmodel"],
                 entry["code"],
             )
-            from_disk = 1
+            counters.values["pool.worker_disk_loads"] += 1
     except PlanCacheMiss:
         raise
     except (SyntaxError, KeyError, NameError, TypeError, ValueError,
             AttributeError, EOFError) as exc:
         raise PlanCacheMiss(f"plan not materialisable: {exc!r}")
     _WORKER_FNS[plan["uid"]] = fn
-    return fn, from_disk
+    return fn
 
 
 def _shade_chunk(plan, wide_regs, count):
     """Shade one worker's merged tile chunk in a single invocation;
-    returns ``(color_data, discarded, (gathers, fallbacks), from_disk,
-    spans)`` — the gather element is the chunk's texture-gather delta,
-    ``from_disk`` flags a plan materialised from the shared disk
-    cache (the leader folds both back into its counters), and
-    ``spans`` carries this worker's trace events (empty unless the
+    returns ``(color_data, discarded, counts, spans)`` — ``counts`` the
+    ``draw``-scope counters this chunk changed (texture gathers, a plan
+    materialised from the shared disk cache; the leader merges them),
+    and ``spans`` carries this worker's trace events (empty unless the
     leader shipped ``plan["trace"]``; the leader ingests them so a
     multiprocess draw renders as one timeline).
 
@@ -689,8 +664,9 @@ def _shade_chunk(plan, wide_regs, count):
         time.sleep(faults.hang_seconds())
     garble = faults.fire("worker_garble")
     traced = bool(plan.get("trace"))
+    before = counters.snapshot(counters.DRAW)
     t0 = time.perf_counter() if traced else 0.0
-    fn, from_disk = _materialize(plan)
+    fn = _materialize(plan)
     t1 = time.perf_counter() if traced else 0.0
     regs: List[Optional[_Reg]] = [None] * plan["nregs"]
     for reg, (kind, payload) in plan["base"].items():
@@ -700,21 +676,19 @@ def _shade_chunk(plan, wide_regs, count):
             regs[reg] = _Reg(data=payload)
     for reg, data in wide_regs.items():
         regs[reg] = _Reg(data=data)
-    gst = fn.__globals__.get("_gst")
-    before = tuple(gst) if gst is not None else (0, 0)
     t2 = time.perf_counter() if traced else 0.0
     discarded = fn(regs, count, plan["maxit"])
-    delta = ((gst[0] - before[0], gst[1] - before[1])
-             if gst is not None else (0, 0))
+    changed = counters.delta(before)
     spans = ()
     if traced:
         t3 = time.perf_counter()
         spans = [
-            trace.raw_event("worker.materialize", "pool", t0, t1,
-                            {"from_disk": from_disk}),
+            trace.raw_event("worker.materialize", "pool", t0, t1, {
+                "from_disk": changed.get("pool.worker_disk_loads", 0),
+            }),
             trace.raw_event("worker.shade", "pool", t2, t3,
                             {"fragments": int(count)}),
         ]
     if garble:
-        return np.full(3, np.nan), discarded, delta, from_disk, spans
-    return regs[plan["out_reg"]].data, discarded, delta, from_disk, spans
+        return np.full(3, np.nan), discarded, changed, spans
+    return regs[plan["out_reg"]].data, discarded, changed, spans

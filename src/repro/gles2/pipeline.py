@@ -25,7 +25,7 @@ import numpy as np
 from ..glsl.ir import IRExecutor
 from ..glsl.jit import JitExecutor
 from ..glsl.values import Value
-from ..perf import trace
+from ..perf import counters, trace
 from ..perf.counters import DrawStats, OpCounters
 from . import enums, raster
 from .errors import SimulatorLimitation
@@ -223,6 +223,7 @@ def execute_draw(
     stats = DrawStats()
     if index_stream.size == 0:
         return stats
+    draw_counts = counters.snapshot(counters.DRAW)
 
     fb_height, fb_width = color_buffer.shape[0], color_buffer.shape[1]
 
@@ -382,18 +383,6 @@ def execute_draw(
 
     keep = ~discarded
     stats.discarded_fragments = int((~keep).sum())
-    # Texture-gather tallies (JIT fast path; zero elsewhere).  Both
-    # executors are draw-scoped, so their accumulated counts — across
-    # tiles, and including worker contributions merged back by
-    # parallel.shade_draw — are exactly this draw's totals.
-    stats.texture_gathers = (
-        getattr(vs_interp, "texture_gathers", 0)
-        + getattr(fs_interp, "texture_gathers", 0)
-    )
-    stats.gather_fallbacks = (
-        getattr(vs_interp, "gather_fallbacks", 0)
-        + getattr(fs_interp, "gather_fallbacks", 0)
-    )
 
     # ------------------------------------------------------------------
     # 4. Output selection and framebuffer write (paper eq. (2)).
@@ -420,6 +409,9 @@ def execute_draw(
         if sp is not None:
             sp.args["writes"] = int(keep.sum())
     stats.framebuffer_writes = int(keep.sum())
+    # The draw-scope counters shading changed (texture gathers, from
+    # this process and from pool workers alike).
+    stats.counts = counters.delta(draw_counts)
     return stats
 
 

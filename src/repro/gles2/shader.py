@@ -31,6 +31,7 @@ from ..glsl.preprocessor import preprocess
 from ..glsl.typecheck import CheckedShader, ShaderStage, check
 from ..glsl.types import BaseType, GlslType, TypeKind
 from ..glsl.values import INT_DTYPE, Value
+from ..perf import counters
 from . import enums
 
 
@@ -39,12 +40,16 @@ from . import enums
 _FRONTEND_CACHE: Dict[Tuple[str, str], CheckedShader] = {}
 _FRONTEND_CACHE_MAX = 256
 
-#: Mutable hit/miss tally for the front-end cache, exposed for tests
-#: and the perf harness.  ``disk_hits`` counts the in-memory misses
-#: that the persistent artifact store (:mod:`repro.core.cache`) served
-#: instead of a fresh parse/typecheck; they also count as ``misses``
-#: (of this in-process cache), preserving the historical meaning.
-frontend_cache_stats = {"hits": 0, "misses": 0, "disk_hits": 0}
+#: The front-end cache counters under their short names, read-only,
+#: for the benchmark ledger.
+#: ``compile.frontend.disk`` counts the in-memory misses that the
+#: persistent artifact store (:mod:`repro.core.cache`) served instead
+#: of a fresh parse/typecheck; they also count as memo misses.
+frontend_cache_stats = counters.View({
+    "hits": "compile.frontend.memo_hits",
+    "misses": "compile.frontend.memo_misses",
+    "disk_hits": "compile.frontend.disk",
+})
 
 #: Fusion-signature marker the map-chain composer embeds in fused
 #: kernel sources (see repro.core.codegen.fuse.compose_chain); the
@@ -72,11 +77,8 @@ def frontend_cache_key(stage: str, source: str) -> Tuple[str, str]:
 
 
 def clear_frontend_cache() -> None:
-    """Drop all cached front-end artifacts and reset the tally."""
+    """Drop all cached front-end artifacts."""
     _FRONTEND_CACHE.clear()
-    frontend_cache_stats["hits"] = 0
-    frontend_cache_stats["misses"] = 0
-    frontend_cache_stats["disk_hits"] = 0
 
 
 class Shader:
@@ -115,11 +117,11 @@ class Shader:
         key = frontend_cache_key(self.stage, self.source)
         cached = _FRONTEND_CACHE.get(key)
         if cached is not None:
-            frontend_cache_stats["hits"] += 1
+            counters.values["compile.frontend.memo_hits"] += 1
             self.checked = cached
             self.compiled = True
             return
-        frontend_cache_stats["misses"] += 1
+        counters.values["compile.frontend.memo_misses"] += 1
         disk_key = None
         if artifact_cache.enabled():
             disk_key = artifact_cache.artifact_key(
@@ -130,7 +132,7 @@ class Shader:
                 checked = artifact_cache.load_checked(data)
                 if checked is not None and checked.stage == self.stage:
                     _attach_artifact_attrs(checked, key[1], self.source)
-                    frontend_cache_stats["disk_hits"] += 1
+                    counters.values["compile.frontend.disk"] += 1
                     self.checked = checked
                     self.compiled = True
                     self.loaded_from_disk = True

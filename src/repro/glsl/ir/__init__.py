@@ -15,16 +15,18 @@ memo sits the persistent artifact store (:mod:`repro.core.cache`):
 shaders carrying a source digest (everything compiled through the
 gles2 front end) load their optimised ``CompiledProgram`` from disk on
 a memory miss and only run the pass pipeline when no process has ever
-compiled this (source, float model) before.  ``compile_events`` counts
-how each program was obtained — ``fresh`` (pipeline ran, disk entry
-written), ``disk`` (warm start), ``uncached`` (no digest or cache
-disabled) — which the warm-CI leg asserts over.
+compiled this (source, float model) before.  The ``compile.ir.*``
+counters (:mod:`repro.perf.counters`) record how each program was
+obtained — ``fresh`` (pipeline ran, disk entry written), ``disk``
+(warm start), ``uncached`` (no digest or cache disabled) — which the
+warm-CI leg asserts over.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...perf import counters
 from .cost import StaticCost, static_cost
 from .executor import IRExecutor, flatten_program
 from .gather import annotate_gathers
@@ -39,13 +41,11 @@ __all__ = [
     "Lowerer",
     "StaticCost",
     "annotate_gathers",
-    "compile_events",
     "compile_ir",
     "dump_ir",
     "flatten_program",
     "get_compiled",
     "lower_shader",
-    "reset_compile_events",
     "run_passes",
     "static_cost",
 ]
@@ -56,14 +56,9 @@ def _model_key(fmodel) -> tuple:
             np.dtype(fmodel.dtype).str)
 
 
-#: How compiled programs were obtained this process (see module
-#: docstring).  reset via :func:`reset_compile_events`.
-compile_events = {"fresh": 0, "disk": 0, "uncached": 0}
-
-
-def reset_compile_events() -> None:
-    for key in compile_events:
-        compile_events[key] = 0
+#: The ``compile.ir.*`` counters under their short names, read-only,
+#: for the benchmark ledger.
+compile_events = counters.View("compile.ir.")
 
 
 def _load_or_compile(checked, fmodel, mkey) -> CompiledProgram:
@@ -87,19 +82,19 @@ def _load_or_compile(checked, fmodel, mkey) -> CompiledProgram:
             if data is not None:
                 program = artifact_cache.load_program(data, checked)
                 if program is not None:
-                    compile_events["disk"] += 1
+                    counters.values["compile.ir.disk"] += 1
                     if sp is not None:
                         sp.args["event"] = "disk"
                     return program
                 artifact_cache.invalidate(disk_key)
         program = compile_ir(checked, fmodel)
         if disk_key is not None:
-            compile_events["fresh"] += 1
+            counters.values["compile.ir.fresh"] += 1
             artifact_cache.put(
                 disk_key, artifact_cache.dump_program(program), "ir"
             )
         else:
-            compile_events["uncached"] += 1
+            counters.values["compile.ir.uncached"] += 1
         if sp is not None:
             sp.args["event"] = (
                 "fresh" if disk_key is not None else "uncached"

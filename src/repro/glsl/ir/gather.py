@@ -37,7 +37,7 @@ dimensions equal the ``size`` uniform, and the ``x``/``y`` values are
 integral and in-range (``size`` is a runtime uniform, so integrality
 and range cannot be proved statically; the JIT's ``_gather`` helper
 checks them per call and falls back to the ordinary sampler
-otherwise, counted in ``gather_fallbacks``).
+otherwise, counted in ``draw.gather_fallbacks``).
 
 Lane-freshness soundness
 ------------------------

@@ -18,8 +18,8 @@ differs only in how the body runs.
 Programs using constructs outside the JIT subset (divergent returns,
 structs, multi-step l-values — see :class:`~.codegen.JitUnsupported`)
 fall back to the :class:`~repro.glsl.ir.executor.IRExecutor` at whole-
-program granularity; each fallback *draw* increments the module-level
-``jit_fallbacks`` counter.
+program granularity; each fallback *draw* increments the
+``jit.fallbacks`` counter (:mod:`repro.perf.counters`).
 
 Because the generated code does not tally ops dynamically, callers
 that need :class:`~repro.perf.counters.OpCounters` totals get the
@@ -33,6 +33,7 @@ import contextlib
 import marshal
 from typing import Dict, FrozenSet
 
+from ...perf import counters
 from ..interp import Interpreter
 from ..values import Value
 from ..ir import get_compiled, static_cost
@@ -49,43 +50,27 @@ __all__ = [
     "JitExecutor",
     "JitUnsupported",
     "UniformInfo",
-    "codegen_events",
     "gather_enabled",
     "infer_uniform",
-    "jit_fallbacks",
     "materialize",
-    "reset_codegen_events",
-    "reset_fallbacks",
     "set_gather_enabled",
     "texture_gather",
 ]
 
-#: Number of draws that fell back to the IRExecutor because the
-#: program (or this draw's runtime shape) is outside the JIT subset.
-jit_fallbacks = 0
-
-#: How generated functions were obtained this process: ``fresh``
+#: The ``compile.jit.*`` counters under their short names, read-only,
+#: for the benchmark ledger: how generated functions were obtained this process — ``fresh``
 #: (codegen ran, disk entry written), ``disk`` (rematerialised from
 #: the persistent artifact store — exec of the stored code object),
-#: ``uncached`` (no source digest or cache disabled).  The warm-CI leg
-#: asserts ``fresh`` stays zero on a second run against a shared
-#: ``REPRO_CACHE_DIR``.
-codegen_events = {"fresh": 0, "disk": 0, "uncached": 0}
+#: ``uncached`` (no source digest or cache disabled).
+codegen_events = counters.View("compile.jit.")
 
 
-def reset_codegen_events() -> None:
-    for key in codegen_events:
-        codegen_events[key] = 0
-
-
-def reset_fallbacks() -> None:
-    global jit_fallbacks
-    jit_fallbacks = 0
-
-
-def _bump_fallbacks() -> None:
-    global jit_fallbacks
-    jit_fallbacks += 1
+def __getattr__(name):
+    # ``jit_fallbacks``: the ``jit.fallbacks`` counter, read-only, for
+    # the benchmark ledger.
+    if name == "jit_fallbacks":
+        return counters.values["jit.fallbacks"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @contextlib.contextmanager
@@ -109,10 +94,9 @@ def materialize(source: str, captured: Dict[str, object], fmodel,
     :mod:`repro.gles2.parallel` workers.  The code object is executed
     as stored (no ``compile()``); the helper closures are rebuilt from
     the float model.  The returned function carries the same
-    ``_jit_source``/``_jit_code``/``_jit_captured``/
-    ``_jit_gather_stats`` attributes :func:`~.codegen.generate`
-    attaches, so it is indistinguishable from a freshly generated
-    one."""
+    ``_jit_source``/``_jit_code``/``_jit_captured`` attributes
+    :func:`~.codegen.generate` attaches, so it is indistinguishable
+    from a freshly generated one."""
     from .codegen import make_helpers
 
     ns = make_helpers(fmodel)
@@ -123,7 +107,6 @@ def materialize(source: str, captured: Dict[str, object], fmodel,
     fn._jit_source = source
     fn._jit_code = module_code
     fn._jit_captured = dict(captured)
-    fn._jit_gather_stats = ns["_gst"]
     return fn
 
 
@@ -171,9 +154,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
         # executor (bit-identical by the backend contract) without
         # poisoning the in-memory memo or the persistent store — the
         # next draw may JIT normally.
-        from ...perf.counters import fault_path_stats
-
-        fault_path_stats.fault_fallbacks += 1
+        counters.values["fault.fallbacks"] += 1
         return None
 
     cache = getattr(program, "_jit_cache", None)
@@ -200,7 +181,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                 fn = None
                 if entry is not None and "unsupported" in entry:
                     rejected[key] = entry["unsupported"]
-                    codegen_events["disk"] += 1
+                    counters.values["compile.jit.disk"] += 1
                     if sp is not None:
                         sp.args.update(event="disk", unsupported=True)
                     return None
@@ -221,12 +202,12 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                         # resolves: treat as corrupt data
                         # (invalidated below), never as a fatal error
                         # — the healthy path regenerates.
-                        artifact_cache.stats.load_failures += 1
+                        counters.values["cache.disk.load_failures"] += 1
                         faults.note_swallowed("jit_materialize", exc)
                         fn = None
                 if fn is not None:
                     fn._jit_disk_key = disk_key
-                    codegen_events["disk"] += 1
+                    counters.values["compile.jit.disk"] += 1
                     cache[key] = fn
                     if sp is not None:
                         sp.args["event"] = "disk"
@@ -247,7 +228,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
             return None
         fn._jit_disk_key = disk_key
         if disk_key is not None:
-            codegen_events["fresh"] += 1
+            counters.values["compile.jit.fresh"] += 1
             encoded = artifact_cache.encode_captured(fn._jit_captured)
             if encoded is not None:
                 artifact_cache.put(
@@ -258,7 +239,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                     "jit",
                 )
         else:
-            codegen_events["uncached"] += 1
+            counters.values["compile.jit.uncached"] += 1
         cache[key] = fn
         if sp is not None:
             sp.args["event"] = (
@@ -271,15 +252,12 @@ class JitExecutor(IRExecutor):
     """Drop-in replacement for :class:`IRExecutor` that calls the
     generated straight-line numpy function instead of dispatching IR
     instructions.  Same constructor, same ``execute(n, presets)``
-    contract, bit-identical observable results."""
+    contract, bit-identical observable results.
 
-    #: Texture-gather tallies, accumulated across this executor's
-    #: ``execute`` calls (one executor serves one draw, so tiled draws
-    #: sum naturally).  One count per gather-site execution: a site
-    #: inside a loop counts once per iteration, matching how often the
-    #: wrap/scale/filter pipeline it replaces would have run.
-    texture_gathers = 0
-    gather_fallbacks = 0
+    The generated gather sites bump ``draw.texture_gathers`` /
+    ``draw.gather_fallbacks`` once per site execution: a site inside a
+    loop counts once per iteration, matching how often the
+    wrap/scale/filter pipeline it replaces would have run."""
 
     def execute(self, n: int, presets: Dict[str, Value],
                 count_globals: bool = True) -> Dict[str, Value]:
@@ -294,15 +272,14 @@ class JitExecutor(IRExecutor):
         )
         fn = _jit_function(program, self.fmodel, wide)
         if fn is None:
-            _bump_fallbacks()
+            counters.values["jit.fallbacks"] += 1
             return super().execute(n, presets, count_globals)
 
         # The shared binding only: the generated function threads masks
         # through locals, so no IR dispatch state is allocated.
         Interpreter.execute(self, n, presets, count_globals)
 
-        gst = getattr(fn, "_jit_gather_stats", None)
-        gst_before = tuple(gst) if gst is not None else None
+        before = counters.snapshot(counters.DRAW)
         try:
             discarded = fn(self.regs, n, self.max_loop_iterations)
         except (NameError, UnboundLocalError):
@@ -310,13 +287,11 @@ class JitExecutor(IRExecutor):
             # execute on this draw left a Python local unbound.  The
             # generated function only publishes results in its final
             # writeback, so nothing is half-written: run the draw on
-            # the IR executor instead (full re-setup included).  Any
-            # partial gather tally is dropped with the partial run.
-            _bump_fallbacks()
+            # the IR executor instead (full re-setup included).  The
+            # partial run's gather tally is dropped with it.
+            counters.restore(before)
+            counters.values["jit.fallbacks"] += 1
             return super().execute(n, presets, count_globals)
-        if gst_before is not None:
-            self.texture_gathers += gst[0] - gst_before[0]
-            self.gather_fallbacks += gst[1] - gst_before[1]
         if discarded is not None:
             self.discarded = self._broadcast_mask(discarded)
 

@@ -50,7 +50,7 @@ Anything outside this subset — user functions with ``return``, struct
 values, multi-step or struct-field l-value paths — raises
 :class:`JitUnsupported`; the executor then falls back to the
 :class:`~repro.glsl.ir.executor.IRExecutor` and counts the event in
-``repro.glsl.jit.jit_fallbacks``.
+the ``jit.fallbacks`` counter.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+from ...perf import counters
 from ..errors import GlslLimitError
 from ..types import BaseType, GlslType, TypeKind
 from ..values import INT_DTYPE, masked_blend, zeros_for
@@ -295,10 +296,9 @@ def make_helpers(fmodel) -> Dict[str, object]:
             return np.asarray(texels, DT)
         return quantize(texels.astype(DT), "tex")
 
-    # Per-function gather tally: [direct gathers, runtime fallbacks],
-    # counted per _gather call site execution.  The executor snapshots
-    # it around each run and accumulates the delta into DrawStats.
-    _gst = [0, 0]
+    # Gather tallies, counted per _gather call site execution into
+    # the process counters; execute_draw captures them per draw.
+    counts = counters.values
 
     def _gather(sampler, x, y, coords, size):
         # Direct texel gather for IR-annotated fetch-pattern samples
@@ -321,7 +321,7 @@ def make_helpers(fmodel) -> Dict[str, object]:
                     and ix.max() < data.shape[1]
                     and iy.max() < data.shape[0]
                     and np.array_equal(ix, x) and np.array_equal(iy, y)):
-                _gst[0] += 1
+                counts["draw.texture_gathers"] += 1
                 # Same arithmetic as Texture.sample's NEAREST path:
                 # uint8 storage divided to [0, 1] in float64, then the
                 # model's "tex" quantize (or its cast elision).
@@ -329,7 +329,7 @@ def make_helpers(fmodel) -> Dict[str, object]:
                 if tex_cast_only:
                     return np.asarray(texels, DT)
                 return quantize(texels.astype(DT), "tex")
-        _gst[1] += 1
+        counts["draw.gather_fallbacks"] += 1
         return _tex(sampler, coords, 0)
 
     return {
@@ -347,7 +347,6 @@ def make_helpers(fmodel) -> Dict[str, object]:
         "_mdiag": _mdiag,
         "_tex": _tex,
         "_gather": _gather,
-        "_gst": _gst,
     }
 
 
@@ -1183,7 +1182,4 @@ def generate(program: CompiledProgram, fmodel, wide_globals: Set[str],
     # source this is everything a worker process needs to rematerialise
     # the function — see repro.gles2.parallel.
     fn._jit_captured = dict(gen.ns)
-    # The live gather tally for this function's helper namespace —
-    # [gathers, fallbacks]; executors snapshot/delta it per run.
-    fn._jit_gather_stats = ns["_gst"]
     return fn

@@ -1,4 +1,12 @@
-"""Dynamic operation counters — and their static IR projection.
+"""Event counters — one registry — and dynamic operation counters.
+
+Every event tally in the runtime (artifact-store traffic, compile
+provenance, pool retries, degraded paths, texture gathers, transfer
+bytes, graph scheduling) is declared once in :data:`DECLARATIONS` by
+dotted name and scope, and read through one generic
+:func:`snapshot`/:func:`delta`/:func:`merge`/:func:`reset`.  The GLES2
+context takes its scoped delta around its own compiles, draws and
+graph replays, so a context counts only its own work.
 
 The GLSL interpreter reports every executed operation (per active
 lane) to an :class:`OpCounters` sink; the GLES2 context aggregates
@@ -17,109 +25,173 @@ flow degrades it to an estimate and clears the ``exact`` flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
-@dataclass
-class DiskCacheStats:
-    """Process-lifetime tallies of the on-disk compile-artifact cache
-    (:mod:`repro.core.cache`).
+#: Counter scopes.  ``process`` and ``draw`` counters are bumped in
+#: :data:`values`, the process totals; a context attributes to itself
+#: the part that accrued during its own compiles, draws and graph
+#: replays.  ``draw`` counters are also captured per draw
+#: (``DrawStats.counts``) and shipped back from pool workers, which
+#: bump them in their own process.  ``context`` counters are bumped by
+#: a context directly on its own ``ContextStats.counts``.
+PROCESS, CONTEXT, DRAW = "process", "context", "draw"
 
-    ``hits``/``misses`` count entry lookups; ``evictions`` counts
-    entries removed by the LRU size bound; ``corrupt`` counts entries
-    that failed validation (bad magic/header/checksum or an
-    undeserialisable payload) and were dropped — each corrupt entry
-    also registers as a miss, because the caller recompiles.
+#: Every event counter, declared once: dotted name, scope, and the
+#: attribute that reads it on ``ContextStats`` (and on ``DrawStats``
+#: for ``draw.*``, ``ReplayStats`` for ``graph.*``), if any.
+DECLARATIONS = (
+    ("cache.disk.hits", PROCESS, "disk_cache_hits"),
+    ("cache.disk.misses", PROCESS, "disk_cache_misses"),
+    ("cache.disk.evictions", PROCESS, "disk_cache_evictions"),
+    ("cache.disk.corrupt", PROCESS, "disk_cache_corrupt"),
+    ("cache.disk.write_failures", PROCESS, "cache_write_failures"),
+    ("cache.disk.orphans_removed", PROCESS, "cache_orphans_removed"),
+    ("cache.disk.load_failures", PROCESS, None),
+    ("cache.disk.lock_skips", PROCESS, None),
+    ("compile.frontend.memo_hits", PROCESS, None),
+    ("compile.frontend.memo_misses", PROCESS, None),
+    ("compile.frontend.disk", PROCESS, "disk_warm_compiles"),
+    ("compile.ir.fresh", PROCESS, None),
+    ("compile.ir.disk", PROCESS, None),
+    ("compile.ir.uncached", PROCESS, None),
+    ("compile.jit.fresh", PROCESS, None),
+    ("compile.jit.disk", PROCESS, None),
+    ("compile.jit.uncached", PROCESS, None),
+    ("jit.fallbacks", PROCESS, None),
+    ("pool.draws", PROCESS, None),
+    ("pool.plan_cache_refs", PROCESS, None),
+    ("pool.retries", PROCESS, "worker_retries"),
+    ("pool.restarts", PROCESS, "pool_restarts"),
+    ("fault.fallbacks", PROCESS, "fault_fallbacks"),
+    ("draw.texture_gathers", DRAW, "texture_gathers"),
+    ("draw.gather_fallbacks", DRAW, "gather_fallbacks"),
+    ("pool.worker_disk_loads", DRAW, None),
+    ("compile.shaders", CONTEXT, "shader_compiles"),
+    ("compile.links", CONTEXT, "program_links"),
+    ("gl.uniform_updates", CONTEXT, "uniform_updates"),
+    ("transfer.texture_upload_bytes", CONTEXT, "texture_upload_bytes"),
+    ("transfer.buffer_upload_bytes", CONTEXT, "buffer_upload_bytes"),
+    ("transfer.readback_bytes", CONTEXT, "readback_bytes"),
+    ("kernel.cache_hits", CONTEXT, None),
+    ("graph.fused_draws", CONTEXT, "fused_draws"),
+    ("graph.elided_draws", CONTEXT, "elided_draws"),
+    ("graph.dead_launches", CONTEXT, "dead_launches"),
+    ("graph.scratch_allocs", CONTEXT, "scratch_allocs"),
+    ("graph.scratch_reuses", CONTEXT, "scratch_reuses"),
+    ("graph.elided_intermediate_bytes", CONTEXT, "elided_intermediate_bytes"),
+)
 
-    The failure-path tallies: ``write_failures`` counts publishes that
-    failed (``ENOSPC``, permissions, a vanished directory — the
-    compile proceeds uncached), ``orphans_removed`` counts stale
-    ``.tmp-*`` files left by writers killed mid-publish and swept by
-    the LRU trim, ``load_failures`` counts payloads whose envelope
-    checksum passed but whose deserialisation raised (also counted
-    under ``corrupt`` when the entry is invalidated), and
-    ``lock_skips`` counts trims abandoned because another process held
-    the eviction lock.
-    """
+SCOPES: Dict[str, str] = {name: scope for name, scope, __ in DECLARATIONS}
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    corrupt: int = 0
-    write_failures: int = 0
-    orphans_removed: int = 0
-    load_failures: int = 0
-    lock_skips: int = 0
+#: Process totals of every ``process`` and ``draw`` counter.  Always
+#: mutated in place: hot paths (the JIT gather sites) hold a reference.
+values: Dict[str, int] = {
+    name: 0 for name, scope in SCOPES.items() if scope != CONTEXT
+}
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.corrupt = 0
-        self.write_failures = 0
-        self.orphans_removed = 0
-        self.load_failures = 0
-        self.lock_skips = 0
+_NAMES = {
+    scope: tuple(name for name in values if SCOPES[name] == scope)
+    for scope in (PROCESS, DRAW)
+}
+
+
+def zeros() -> Dict[str, int]:
+    """A fresh all-zero tally of every declared counter."""
+    return dict.fromkeys(SCOPES, 0)
+
+
+def snapshot(scope: Optional[str] = None) -> Dict[str, int]:
+    """A copy of the process totals, optionally of one scope only."""
+    if scope is None:
+        return values.copy()
+    return {name: values[name] for name in _NAMES[scope]}
+
+
+def delta(before: Dict[str, int],
+          after: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+    """The non-zero changes from ``before`` to ``after`` (default: the
+    process totals now), over the names in ``before``."""
+    if after is None:
+        after = values
+    return {
+        name: after[name] - old
+        for name, old in before.items() if after[name] != old
+    }
+
+
+def merge(changes: Dict[str, int],
+          into: Optional[Dict[str, int]] = None) -> None:
+    """Add ``changes`` into a tally (default: the process totals)."""
+    if into is None:
+        into = values
+    for name, count in changes.items():
+        into[name] = into.get(name, 0) + count
+
+
+def restore(saved: Dict[str, int]) -> None:
+    """Put the process totals back to an earlier :func:`snapshot`."""
+    values.update(saved)
+
+
+def reset() -> None:
+    """Zero the process totals."""
+    values.update(dict.fromkeys(values, 0))
+
+
+def _counter_property(name: str) -> property:
+    def get(self):
+        return self.counts.get(name, 0)
+
+    def set_(self, count):
+        self.counts[name] = count
+
+    return property(get, set_, doc=f"The ``{name}`` counter.")
+
+
+def expose(prefix: str = ""):
+    """Class decorator: one read/write attribute per declared alias
+    whose counter name starts with ``prefix``, backed by the
+    instance's ``counts`` tally."""
+
+    def decorate(cls):
+        for name, __, alias in DECLARATIONS:
+            if alias is not None and name.startswith(prefix):
+                setattr(cls, alias, _counter_property(name))
+        return cls
+
+    return decorate
+
+
+class View:
+    """Read-only view of registry counters under short keys, for the
+    callers that read the older per-module tallies (the benchmark
+    ledger): ``View("compile.ir.")`` maps ``fresh`` to
+    ``compile.ir.fresh``; an explicit ``{short: name}`` dict renames."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names):
+        if isinstance(names, str):
+            names = {
+                name[len(names):]: name
+                for name in SCOPES if name.startswith(names)
+            }
+        self.names: Dict[str, str] = names
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "write_failures": self.write_failures,
-            "orphans_removed": self.orphans_removed,
-            "load_failures": self.load_failures,
-            "lock_skips": self.lock_skips,
-        }
+        return {short: values[name] for short, name in self.names.items()}
+
+    def items(self):
+        return self.snapshot().items()
 
 
-#: The process-global sink :mod:`repro.core.cache` reports into.  GL
-#: contexts mirror deltas of these into their own
-#: :class:`ContextStats` fields (see ``disk_cache_hits`` & friends).
-disk_cache_stats = DiskCacheStats()
-
-
-@dataclass
-class FaultPathStats:
-    """Process-lifetime tallies of the runtime's degraded paths — how
-    often a fallback actually ran, injected or organic.
-
-    ``worker_retries`` counts pool draw dispatches re-attempted after
-    a recoverable pool failure (broken pool, timeout, malformed chunk
-    result); ``pool_restarts`` counts worker pools torn down and
-    rebuilt after such a failure; ``fault_fallbacks`` counts
-    degraded-path activations — a pool draw abandoned to in-process
-    shading after its retry budget, a fused chain replayed eagerly
-    because composition/build raised, a JIT compile failure falling
-    back to the IR executor.  Every one of these paths is
-    bit-identical to the healthy one by construction (asserted in
-    ``tests/test_faults.py``); the counters exist so degradation is
-    *visible*, never silent.
-    """
-
-    worker_retries: int = 0
-    pool_restarts: int = 0
-    fault_fallbacks: int = 0
-
-    def reset(self) -> None:
-        self.worker_retries = 0
-        self.pool_restarts = 0
-        self.fault_fallbacks = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "worker_retries": self.worker_retries,
-            "pool_restarts": self.pool_restarts,
-            "fault_fallbacks": self.fault_fallbacks,
-        }
-
-
-#: The process-global sink the hardened fallback paths report into
-#: (:mod:`repro.gles2.parallel`, :mod:`repro.core.api.graph`,
-#: :mod:`repro.glsl.jit`).  GL contexts mirror deltas into
-#: :class:`ContextStats` like the disk-cache tallies.
-fault_path_stats = FaultPathStats()
+#: The degraded-path counters under their older names, for the ledger.
+fault_path_stats = View({
+    "worker_retries": "pool.retries",
+    "pool_restarts": "pool.restarts",
+    "fault_fallbacks": "fault.fallbacks",
+})
 
 
 class OpCounters:
@@ -185,9 +257,18 @@ def static_shader_ops(checked, float_model=None, invocations=1):
     return counters, cost.exact
 
 
+@expose("draw.")
 @dataclass
 class DrawStats:
-    """Everything one draw call did."""
+    """Everything one draw call did.
+
+    The invocation and op fields are per-lane model inputs.  ``counts``
+    holds the ``draw`` counters that changed during the draw;
+    ``texture_gathers``/``gather_fallbacks`` read the JIT texture-gather
+    tallies (see repro.glsl.ir.gather): annotated site executions that
+    gathered texel storage directly, and those that failed the runtime
+    qualification and sampled instead.
+    """
 
     vertex_invocations: int = 0
     fragment_invocations: int = 0
@@ -195,72 +276,24 @@ class DrawStats:
     vertex_ops: OpCounters = field(default_factory=OpCounters)
     fragment_ops: OpCounters = field(default_factory=OpCounters)
     framebuffer_writes: int = 0  # pixels written
-    #: JIT texture-gather fast path (see repro.glsl.ir.gather): how
-    #: many annotated texture2D site executions gathered texel storage
-    #: directly, and how many reached an annotated site but failed the
-    #: runtime qualification (sampler state, non-integral or
-    #: out-of-range indices) and took the ordinary sampler instead.
-    #: Both stay 0 on non-JIT backends and on unannotated programs;
-    #: they tally site *executions*, a subset of the ``tex`` op count.
-    texture_gathers: int = 0
-    gather_fallbacks: int = 0
+    counts: Dict[str, int] = field(default_factory=dict)
 
 
+@expose()
 @dataclass
 class ContextStats:
     """Lifetime counters for one GL context — the raw material for the
-    wall-time model."""
+    wall-time model.
+
+    ``counts`` tallies every declared counter for this context: the
+    ``context`` counters the context bumps itself, plus the process
+    counters that accrued during its own compiles, draws and graph
+    replays.  The declared aliases (``shader_compiles``,
+    ``disk_cache_misses``, ...) read and write it.
+    """
 
     draws: List[DrawStats] = field(default_factory=list)
-    shader_compiles: int = 0
-    program_links: int = 0
-    texture_upload_bytes: int = 0
-    buffer_upload_bytes: int = 0
-    readback_bytes: int = 0
-    uniform_updates: int = 0
-    #: Launch-graph scheduler accounting (repro.core.api.graph).
-    #: ``fused_draws`` counts draws that executed a fused map chain;
-    #: ``elided_draws`` counts recorded launches folded into another
-    #: stage's fused draw (each fused draw of an n-stage chain elides
-    #: n-1 draws); ``dead_launches`` counts recorded launches dropped
-    #: because nothing observed their output.  ``scratch_allocs`` /
-    #: ``scratch_reuses`` tally the scratch pool's backing-array
-    #: allocations vs. recycles.  ``elided_intermediate_bytes`` is the
-    #: texel traffic fusion kept on-chip — the written-then-re-read
-    #: bytes of every elided intermediate — priced by perf.wallclock
-    #: as the transfer time the graph path avoided.
-    fused_draws: int = 0
-    elided_draws: int = 0
-    dead_launches: int = 0
-    scratch_allocs: int = 0
-    scratch_reuses: int = 0
-    elided_intermediate_bytes: int = 0
-    #: On-disk compile-artifact cache activity attributed to this
-    #: context (deltas of :data:`disk_cache_stats` folded in by the
-    #: context around compiles and draws).  ``disk_warm_compiles``
-    #: counts glCompileShader calls whose front-end artifact came from
-    #: the disk cache instead of a fresh parse/typecheck — the
-    #: wall-time model can price those at the warm compile cost
-    #: (see :class:`repro.perf.machines.GpuParameters`).
-    disk_cache_hits: int = 0
-    disk_cache_misses: int = 0
-    disk_cache_evictions: int = 0
-    disk_cache_corrupt: int = 0
-    disk_warm_compiles: int = 0
-    #: Failure-path activity attributed to this context (deltas of
-    #: :data:`fault_path_stats` and the disk store's failure tallies,
-    #: folded in alongside the disk-cache counters).  Non-zero values
-    #: mean a degraded-but-bit-identical path ran: a pool dispatch was
-    #: retried (``worker_retries``) over a rebuilt pool
-    #: (``pool_restarts``), a draw/fusion/JIT fell back to its slower
-    #: twin (``fault_fallbacks``), a cache publish failed
-    #: (``cache_write_failures``), or the trim swept stale temp files
-    #: (``cache_orphans_removed``).
-    worker_retries: int = 0
-    pool_restarts: int = 0
-    fault_fallbacks: int = 0
-    cache_write_failures: int = 0
-    cache_orphans_removed: int = 0
+    counts: Dict[str, int] = field(default_factory=zeros)
 
     def total_fragments(self) -> int:
         return sum(d.fragment_invocations for d in self.draws)
@@ -277,25 +310,4 @@ class ContextStats:
 
     def reset(self) -> None:
         self.draws.clear()
-        self.shader_compiles = 0
-        self.program_links = 0
-        self.texture_upload_bytes = 0
-        self.buffer_upload_bytes = 0
-        self.readback_bytes = 0
-        self.uniform_updates = 0
-        self.fused_draws = 0
-        self.elided_draws = 0
-        self.dead_launches = 0
-        self.scratch_allocs = 0
-        self.scratch_reuses = 0
-        self.elided_intermediate_bytes = 0
-        self.disk_cache_hits = 0
-        self.disk_cache_misses = 0
-        self.disk_cache_evictions = 0
-        self.disk_cache_corrupt = 0
-        self.disk_warm_compiles = 0
-        self.worker_retries = 0
-        self.pool_restarts = 0
-        self.fault_fallbacks = 0
-        self.cache_write_failures = 0
-        self.cache_orphans_removed = 0
+        self.counts = zeros()

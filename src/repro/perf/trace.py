@@ -54,10 +54,11 @@ graph      graph.replay; instants graph.fuse, graph.fallback
 =========  =====================================================
 
 The ``draw`` span carries the draw's :class:`DrawStats` numbers, the
-process-global ``DiskCacheStats``/``FaultPathStats`` deltas accrued
-during the draw, and the modeled :class:`~repro.perf.gpu_model.GpuModel`
-cost next to the real elapsed time, so one span shows measured wall
-time and the VideoCore-IV prediction side by side.
+registry counters (:mod:`repro.perf.counters`) that changed during the
+draw under ``counters``, and the modeled
+:class:`~repro.perf.gpu_model.GpuModel` cost next to the real elapsed
+time, so one span shows measured wall time and the VideoCore-IV
+prediction side by side.
 """
 
 from __future__ import annotations

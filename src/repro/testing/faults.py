@@ -70,8 +70,6 @@ __all__ = [
     "install_encoded",
     "note_swallowed",
     "parse_spec",
-    "reset_stats",
-    "snapshot",
     "suppress",
 ]
 
@@ -93,25 +91,6 @@ SITES = frozenset({
 #: active plan in every worker plan payload so overrides made after the
 #: pool forked (and :func:`suppress` blocks) still govern the workers.
 WORKER_SITES = frozenset({"worker_crash", "worker_hang", "worker_garble"})
-
-#: Process-lifetime tally of fires per site (queries that returned
-#: True).  CI's fault leg asserts these are non-zero; tests read them
-#: through :func:`snapshot`.
-fault_fires: Dict[str, int] = {}
-
-#: Process-lifetime tally of queries per site (fired or not) — proves
-#: a site is actually wired into the runtime.
-fault_queries: Dict[str, int] = {}
-
-
-def reset_stats() -> None:
-    fault_fires.clear()
-    fault_queries.clear()
-
-
-def snapshot() -> Dict[str, Dict[str, int]]:
-    return {"fires": dict(fault_fires), "queries": dict(fault_queries)}
-
 
 def _u01(seed: int, site: str, n: int) -> float:
     """The deterministic uniform variate for one site query."""
@@ -139,7 +118,6 @@ class FaultPlan:
         self.fired: Dict[str, int] = {}
 
     def should_fire(self, site: str) -> bool:
-        fault_queries[site] = fault_queries.get(site, 0) + 1
         spec = self.specs.get(site)
         if spec is None:
             return False
@@ -153,7 +131,6 @@ class FaultPlan:
         if _u01(self.seed, site, n) >= rate:
             return False
         self.fired[site] = self.fired.get(site, 0) + 1
-        fault_fires[site] = fault_fires.get(site, 0) + 1
         if os.environ.get("REPRO_DEBUG_FAULTS") == "1":
             print(
                 f"[repro.faults] injecting {site} "

@@ -47,10 +47,10 @@ def pytest_sessionfinish(session, exitstatus):
     """End-of-run CI assertions.
 
     With REPRO_CACHE_EXPECT_WARM=1 the run must have served every
-    cacheable IR/JIT compile from the persistent store — zero fresh
-    compiles.  (Tests that deliberately cold-compile point at their own
-    private cache dirs and restore the counters, so they don't trip
-    this.)
+    cacheable IR/JIT compile from the persistent store — zero
+    ``compile.*.fresh``.  (Tests that deliberately cold-compile point at
+    their own private cache dirs and use the ``isolated_counters``
+    fixture, so they don't trip this.)
 
     With REPRO_FAULTS_EXPECT_FIRED=1 (the fault-injection CI leg,
     which also sets REPRO_FAULTS) the configured sites must actually
@@ -58,19 +58,22 @@ def pytest_sessionfinish(session, exitstatus):
     passing.  Leader-evaluated sites are checked by their fire tally;
     worker-evaluated sites fire inside pool processes, so their
     evidence is the leader-side degraded-path counters
-    (:data:`repro.perf.counters.fault_path_stats`)."""
-    if os.environ.get("REPRO_CACHE_EXPECT_WARM") == "1":
-        from repro.glsl import ir, jit
+    (``pool.retries + pool.restarts + fault.fallbacks``)."""
+    from repro.perf.counters import values
 
-        fresh = ir.compile_events["fresh"] + jit.codegen_events["fresh"]
-        if fresh:
+    if os.environ.get("REPRO_CACHE_EXPECT_WARM") == "1":
+        fresh = {
+            name: count for name, count in values.items()
+            if name.startswith("compile.") and name.endswith(".fresh")
+        }
+        total = sum(fresh.values())
+        if total:
             _fail_session(session, (
-                f"REPRO_CACHE_EXPECT_WARM=1 but {fresh} compile(s) ran "
+                f"REPRO_CACHE_EXPECT_WARM=1 but {total} compile(s) ran "
                 f"fresh instead of loading from the artifact store "
-                f"(ir={ir.compile_events}, jit={jit.codegen_events})"
+                f"({fresh})"
             ))
     if os.environ.get("REPRO_FAULTS_EXPECT_FIRED") == "1":
-        from repro.perf.counters import fault_path_stats
         from repro.testing import faults
 
         plan = faults.active_plan()
@@ -92,9 +95,8 @@ def pytest_sessionfinish(session, exitstatus):
                     )
             if set(plan.specs) & faults.WORKER_SITES:
                 degraded = (
-                    fault_path_stats.worker_retries
-                    + fault_path_stats.pool_restarts
-                    + fault_path_stats.fault_fallbacks
+                    values["pool.retries"] + values["pool.restarts"]
+                    + values["fault.fallbacks"]
                 )
                 if degraded == 0:
                     problems.append(
@@ -103,6 +105,21 @@ def pytest_sessionfinish(session, exitstatus):
                     )
         for problem in problems:
             _fail_session(session, problem)
+
+
+@pytest.fixture
+def isolated_counters():
+    """Isolate the counter registry (:mod:`repro.perf.counters`): the
+    test starts from all-zero process totals, and the earlier totals
+    come back afterwards, so a test's deliberate cold compiles and
+    injected faults never reach the session-end checks above.  Yields
+    the registry module."""
+    from repro.perf import counters
+
+    saved = counters.snapshot()
+    counters.reset()
+    yield counters
+    counters.restore(saved)
 
 
 @pytest.fixture

@@ -8,9 +8,9 @@ bound, the maintenance CLI, and the multiprocess shading workers'
 load-by-reference path.
 
 Every test that compiles points REPRO_CACHE_DIR at a private tmp dir,
-and the module-level fixture snapshots/restores the process-wide
-compile-event and disk-stat counters — so the deliberate cold compiles
-here never trip the warm-CI ``REPRO_CACHE_EXPECT_WARM`` assertion.
+and every test runs under the ``isolated_counters`` fixture — so the
+deliberate cold compiles here never trip the warm-CI
+``REPRO_CACHE_EXPECT_WARM`` assertion.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ import pytest
 from repro.core import cache as store
 from repro.glsl import ir as ir_mod
 from repro.glsl import jit as jit_mod
+from repro.perf import counters
 from repro.testing import faults
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 @pytest.fixture(autouse=True)
-def _counter_guard(monkeypatch, tmp_path):
-    """Private cache dir per test + restore the process-wide counters
-    this module deliberately perturbs.  Fault injection is masked:
+def _counter_guard(monkeypatch, tmp_path, isolated_counters):
+    """Private cache dir and isolated counters per test.  Fault
+    injection is masked:
     these tests pin exact healthy-path hit/miss accounting, which a
     fault-injected CI run (REPRO_FAULTS=cache_corrupt:...) would
     legitimately perturb."""
@@ -42,15 +43,8 @@ def _counter_guard(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    ir_before = dict(ir_mod.compile_events)
-    jit_before = dict(jit_mod.codegen_events)
-    disk_before = store.stats.snapshot()
     with faults.suppress():
         yield
-    ir_mod.compile_events.update(ir_before)
-    jit_mod.codegen_events.update(jit_before)
-    for field, value in disk_before.items():
-        setattr(store.stats, field, value)
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +56,7 @@ import hashlib, json, os, sys
 import numpy as np
 from repro.core import GpgpuDevice
 from repro.core import cache as store
-from repro.glsl import ir, jit
+from repro.perf import counters
 
 backend = sys.argv[1]
 tile = int(sys.argv[2]) if len(sys.argv) > 2 and sys.argv[2] != "-" else None
@@ -89,11 +83,15 @@ res = k(
 if workers:
     from repro.gles2 import parallel
     parallel.shutdown_pool()
+def group(prefix):
+    return {name[len(prefix):]: count
+            for name, count in counters.values.items()
+            if name.startswith(prefix)}
 print(json.dumps({
     "digest": hashlib.sha256(res.tobytes()).hexdigest(),
-    "ir": ir.compile_events,
-    "jit": jit.codegen_events,
-    "disk": store.stats.snapshot(),
+    "ir": group("compile.ir."),
+    "jit": group("compile.jit."),
+    "disk": group("cache.disk."),
     "entries": sorted(p.name for p in store.iter_entries()),
 }))
 """
@@ -196,10 +194,11 @@ def test_unit_level_corruption_is_a_counted_miss():
     for mode in ("truncate", "garbage", "schema"):
         assert store.put(key, b"payload", "jit")
         _mangle(path, mode)
-        before = store.stats.snapshot()
+        before = counters.snapshot()
         assert store.get(key) is None, mode
-        assert store.stats.corrupt == before["corrupt"] + 1, mode
-        assert store.stats.misses == before["misses"] + 1, mode
+        changed = counters.delta(before)
+        assert changed["cache.disk.corrupt"] == 1, mode
+        assert changed["cache.disk.misses"] == 1, mode
         assert not path.exists(), mode  # dropped, next put rewrites
 
 
@@ -248,11 +247,11 @@ def test_unknown_builtin_key_is_a_counted_load_failure():
     retired = dataclasses.replace(
         next(iter(OVERLOADS_BY_KEY.values())), key="retired/0"
     )
-    before = store.stats.load_failures
+    before = counters.values["cache.disk.load_failures"]
     assert store.load_checked(store._dumps(retired)) is None
     assert store.load_program(store._dumps([retired]), None) is None
     assert store.load_jit_entry(store._dumps({"o": retired})) is None
-    assert store.stats.load_failures == before + 3
+    assert counters.values["cache.disk.load_failures"] == before + 3
 
     # A stored IR program calling a builtin whose key has left the
     # registry degrades the same way.
@@ -261,7 +260,7 @@ def test_unknown_builtin_key_is_a_counted_load_failure():
     stale = blob.replace(b"sin/0", b"nil/0")
     assert stale != blob
     assert store.load_program(stale, checked) is None
-    assert store.stats.load_failures == before + 4
+    assert counters.values["cache.disk.load_failures"] == before + 4
 
 
 def test_warm_jit_execs_the_stored_code_object(monkeypatch):
@@ -292,10 +291,11 @@ def test_warm_jit_execs_the_stored_code_object(monkeypatch):
         raise AssertionError("warm JIT load recompiled its source")
 
     monkeypatch.setattr(jit_mod, "compile", no_compile, raising=False)
-    events = dict(jit_mod.codegen_events)
+    before = counters.snapshot()
     assert np.array_equal(run_cold_process_view(), expected)
-    assert jit_mod.codegen_events["disk"] == events["disk"] + len(jit_keys)
-    assert jit_mod.codegen_events["fresh"] == events["fresh"]
+    changed = counters.delta(before)
+    assert changed.get("compile.jit.disk") == len(jit_keys)
+    assert "compile.jit.fresh" not in changed
     monkeypatch.delattr(jit_mod, "compile")
 
     # A code blob that no longer loads is a counted failure: the entry
@@ -303,12 +303,12 @@ def test_warm_jit_execs_the_stored_code_object(monkeypatch):
     for key in jit_keys:
         entry = store.load_jit_entry(store.get(key))
         store.put(key, store._dumps(dict(entry, code=b"\x00junk")), "jit")
-    before = store.stats.snapshot()
-    events = dict(jit_mod.codegen_events)
+    before = counters.snapshot()
     assert np.array_equal(run_cold_process_view(), expected)
-    assert store.stats.load_failures == before["load_failures"] + len(jit_keys)
-    assert store.stats.corrupt == before["corrupt"] + len(jit_keys)
-    assert jit_mod.codegen_events["fresh"] == events["fresh"] + len(jit_keys)
+    changed = counters.delta(before)
+    assert changed.get("cache.disk.load_failures") == len(jit_keys)
+    assert changed.get("cache.disk.corrupt") == len(jit_keys)
+    assert changed.get("compile.jit.fresh") == len(jit_keys)
     for key in jit_keys:
         assert store.load_jit_entry(store.get(key))["code"] != b"\x00junk"
 
@@ -490,7 +490,7 @@ def test_lru_eviction_trims_oldest(monkeypatch):
         os.utime(store._entry_path(key), (1_000_000 + i, 1_000_000 + i))
     __, total = store.usage()
     assert total <= 4096
-    assert store.stats.evictions > 0
+    assert counters.values["cache.disk.evictions"] > 0
     # The newest entry survived; the oldest was evicted.
     assert store.contains(keys[-1])
     assert not store.contains(keys[0])
@@ -557,7 +557,6 @@ def test_worker_disk_load_counters(monkeypatch, tmp_path):
     from repro.gles2 import parallel
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "wcache"))
-    parallel.reset_stats()
     try:
         from repro.core import GpgpuDevice
 
@@ -574,11 +573,11 @@ def test_worker_disk_load_counters(monkeypatch, tmp_path):
         out = dev.empty(256, "float32")
         res = k(out, inputs={"x": dev.array(x, "float32")}).to_host()
         assert res.shape == (256,)
-        if parallel.parallel_draws:
+        if counters.values["pool.draws"]:
             # The plan went out by cache reference and every worker
             # rebuilt the function from the shared store — the pickle
             # stream carried no generated source.
-            assert parallel.plan_cache_refs >= 1
-            assert parallel.worker_disk_loads >= 1
+            assert counters.values["pool.plan_cache_refs"] >= 1
+            assert counters.values["pool.worker_disk_loads"] >= 1
     finally:
         parallel.shutdown_pool()

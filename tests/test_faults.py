@@ -33,7 +33,7 @@ from repro.core import cache, knobs
 from repro.gles2 import GLES2Context, enums as gl, parallel
 from repro.gles2 import shader as shader_mod
 from repro.kernels.scan import exclusive_scan
-from repro.perf.counters import fault_path_stats
+from repro.perf import counters
 from repro.testing import faults
 
 VS = """
@@ -70,20 +70,14 @@ POOL_SHADER = _shader("0.5")
 
 
 @pytest.fixture(autouse=True)
-def _fault_guard(monkeypatch):
+def _fault_guard(monkeypatch, isolated_counters):
     """Per-test isolation: tests here drive their own injection plans
-    (never the environment's), cold compiles are invisible to the
-    warm-CI assertion, and the worker pool (with its circuit-breaker
-    state) is torn down after every test."""
-    from repro.glsl import ir, jit
-
+    (never the environment's), counters are isolated so cold compiles
+    are invisible to the warm-CI assertion, and the worker pool (with
+    its circuit-breaker state) is torn down after every test."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
-    ir_events = dict(ir.compile_events)
-    jit_events = dict(jit.codegen_events)
     yield
-    ir.compile_events.update(ir_events)
-    jit.codegen_events.update(jit_events)
     parallel.shutdown_pool()
 
 
@@ -140,10 +134,10 @@ def _pool_render(**kwargs):
 def _healthy_pool_baseline():
     """Healthy parallel render, or skip when this platform has no
     usable process pools (the paths under test would never run)."""
-    before = parallel.parallel_draws
+    before = counters.values["pool.draws"]
     with faults.suppress():
         fb, ctx = _pool_render()
-    if parallel.parallel_draws == before:
+    if counters.values["pool.draws"] == before:
         pytest.skip("process pools unavailable on this platform")
     return fb, ctx
 
@@ -292,7 +286,7 @@ def test_worker_crash_falls_back_bit_identical():
         fb_inproc, ctx_inproc = _render(
             POOL_SHADER, size=8, backend="jit", tile_size=4,
         )
-    draws_before = parallel.parallel_draws
+    draws_before = counters.values["pool.draws"]
     with faults.inject_faults(worker_crash=1.0, seed=101):
         fb_fault, ctx_fault = _pool_render()
     # Every dispatch attempt lost its workers, so the draw degraded to
@@ -303,7 +297,7 @@ def test_worker_crash_falls_back_bit_identical():
         _stats_tuple(ctx_healthy.stats.draws[-1])
     assert _stats_tuple(ctx_fault.stats.draws[-1]) == \
         _stats_tuple(ctx_inproc.stats.draws[-1])
-    assert parallel.parallel_draws == draws_before
+    assert counters.values["pool.draws"] == draws_before
     assert ctx_fault.stats.worker_retries >= 1
     assert ctx_fault.stats.pool_restarts >= 1
     assert ctx_fault.stats.fault_fallbacks >= 1
@@ -316,22 +310,22 @@ def test_worker_garble_retries_then_succeeds():
     # retry on the same — healthy — pool must succeed.  (With several
     # workers, chunk scheduling decides which worker still has its
     # garble budget unspent at retry time.)
-    before = parallel.parallel_draws
+    before = counters.values["pool.draws"]
     with faults.suppress():
         fb_healthy, __ = _render(
             POOL_SHADER, size=8, backend="jit", tile_size=4,
             shade_workers=1,
         )
-    if parallel.parallel_draws == before:
+    if counters.values["pool.draws"] == before:
         pytest.skip("process pools unavailable on this platform")
-    draws_before = parallel.parallel_draws
+    draws_before = counters.values["pool.draws"]
     with faults.inject_faults(worker_garble=(1.0, 1), seed=202):
         fb_fault, ctx_fault = _render(
             POOL_SHADER, size=8, backend="jit", tile_size=4,
             shade_workers=1,
         )
     assert fb_fault.tobytes() == fb_healthy.tobytes()
-    assert parallel.parallel_draws == draws_before + 1
+    assert counters.values["pool.draws"] == draws_before + 1
     assert ctx_fault.stats.worker_retries >= 1
     assert ctx_fault.stats.pool_restarts == 0
     assert ctx_fault.stats.fault_fallbacks == 0
@@ -369,44 +363,49 @@ def test_circuit_breaker_opens_after_repeated_failures():
     assert parallel._POOL_BROKEN
     # With the breaker open the pool is never consulted again: the
     # draw shades in-process immediately (and still correctly).
-    draws_before = parallel.parallel_draws
+    draws_before = counters.values["pool.draws"]
     with faults.suppress():
         fb_after, __ = _pool_render()
     assert fb_after.tobytes() == fb_healthy.tobytes()
-    assert parallel.parallel_draws == draws_before
+    assert counters.values["pool.draws"] == draws_before
 
 
 def test_validate_chunk_rejects_garbage():
     good_color = np.zeros((4, 4))
-    good = (good_color, None, (0, 0), 0, [])
+    gathers = {"draw.texture_gathers": 3}
+    good = (good_color, None, gathers, [])
     assert parallel._validate_chunk(good, 4, "gl_FragColor")[0] is good_color
     with pytest.raises(parallel.ChunkFormatError, match="tuple"):
         parallel._validate_chunk((good_color, None), 4, "gl_FragColor")
     with pytest.raises(parallel.ChunkFormatError, match="tuple"):
-        # Old 4-tuple protocol (no trace-span slot) is rejected too.
+        # A tuple of the wrong arity, even with plausible fields.
         parallel._validate_chunk(
-            (good_color, None, (0, 0), 0), 4, "gl_FragColor"
+            (good_color, None, (0, 0), 0, []), 4, "gl_FragColor"
         )
     with pytest.raises(parallel.ChunkFormatError, match="float array"):
         parallel._validate_chunk(
-            ("nope", None, (0, 0), 0, []), 4, "gl_FragColor"
+            ("nope", None, gathers, []), 4, "gl_FragColor"
         )
     with pytest.raises(parallel.ChunkFormatError, match="broadcast"):
         parallel._validate_chunk(
-            (np.full(3, np.nan), None, (0, 0), 0, []), 4, "gl_FragColor"
+            (np.full(3, np.nan), None, gathers, []), 4, "gl_FragColor"
         )
     with pytest.raises(parallel.ChunkFormatError, match="discard"):
         parallel._validate_chunk(
-            (good_color, np.zeros(2, dtype=bool), (0, 0), 0, []),
+            (good_color, np.zeros(2, dtype=bool), gathers, []),
             4, "gl_FragColor",
         )
-    with pytest.raises(parallel.ChunkFormatError, match="counters"):
-        parallel._validate_chunk(
-            (good_color, None, (None, 0), 0, []), 4, "gl_FragColor"
-        )
+    for bad in ((0, 0), {"draw.texture_gathers": None},
+                {"draw.texture_gathers": -1}, {"pool.retries": 1}):
+        # Not a dict, not an integer count, negative, or a counter a
+        # worker has no business changing.
+        with pytest.raises(parallel.ChunkFormatError, match="counters"):
+            parallel._validate_chunk(
+                (good_color, None, bad, []), 4, "gl_FragColor"
+            )
     with pytest.raises(parallel.ChunkFormatError, match="spans"):
         parallel._validate_chunk(
-            (good_color, None, (0, 0), 0, 42), 4, "gl_FragColor"
+            (good_color, None, gathers, 42), 4, "gl_FragColor"
         )
 
 
@@ -420,12 +419,12 @@ def test_cache_corrupt_entry_reads_as_counted_miss(monkeypatch, tmp_path):
     with faults.suppress():
         assert cache.put(key, payload, "test")
         assert cache.get(key) == payload
-    corrupt_before = cache.stats.corrupt
-    misses_before = cache.stats.misses
+    corrupt_before = counters.values["cache.disk.corrupt"]
+    misses_before = counters.values["cache.disk.misses"]
     with faults.inject_faults(cache_corrupt=1.0, seed=11):
         assert cache.get(key) is None
-    assert cache.stats.corrupt == corrupt_before + 1
-    assert cache.stats.misses == misses_before + 1
+    assert counters.values["cache.disk.corrupt"] == corrupt_before + 1
+    assert counters.values["cache.disk.misses"] == misses_before + 1
     # The corrupt entry was dropped, not left to fail forever.
     with faults.suppress():
         assert cache.get(key) is None
@@ -442,21 +441,21 @@ def test_cache_corrupt_render_recompiles_bit_identical(
     # Drop the in-process front-end memo so the second render actually
     # consults the store (where every read now comes back corrupted).
     shader_mod.clear_frontend_cache()
-    corrupt_before = cache.stats.corrupt
+    corrupt_before = counters.values["cache.disk.corrupt"]
     with faults.inject_faults(cache_corrupt=1.0, seed=12):
         fb_fault, ctx = _render(source, backend=backend)
     assert fb_fault.tobytes() == fb_healthy.tobytes()
-    assert cache.stats.corrupt > corrupt_before
+    assert counters.values["cache.disk.corrupt"] > corrupt_before
     assert ctx.stats.disk_cache_corrupt >= 1
 
 
 def test_cache_enospc_write_is_counted(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     key = "cd" + "0" * 62
-    failures_before = cache.stats.write_failures
+    failures_before = counters.values["cache.disk.write_failures"]
     with faults.inject_faults(cache_enospc=1.0, seed=13):
         assert cache.put(key, b"data", "test") is False
-    assert cache.stats.write_failures == failures_before + 1
+    assert counters.values["cache.disk.write_failures"] == failures_before + 1
     with faults.suppress():
         assert cache.get(key) is None
     assert list(cache.iter_entries()) == []
@@ -481,10 +480,10 @@ def test_cache_lock_contention_skips_trim(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "1")
     key = "ef" + "0" * 62
-    skips_before = cache.stats.lock_skips
+    skips_before = counters.values["cache.disk.lock_skips"]
     with faults.inject_faults(cache_lock=1.0, seed=15):
         assert cache.put(key, b"over the one-byte bound", "test")
-    assert cache.stats.lock_skips == skips_before + 1
+    assert counters.values["cache.disk.lock_skips"] == skips_before + 1
     # The trim was skipped, so the entry survived despite the bound.
     with faults.suppress():
         assert cache.get(key) is not None
@@ -500,12 +499,12 @@ def test_orphaned_tmp_files_are_swept(monkeypatch, tmp_path):
     os.utime(orphan, (stale, stale))
     live = shard / ".tmp-inflight-writer"
     live.write_bytes(b"y")
-    removed_before = cache.stats.orphans_removed
+    removed_before = counters.values["cache.disk.orphans_removed"]
     with faults.suppress():
         cache._maybe_evict()
     assert not orphan.exists()
     assert live.exists()
-    assert cache.stats.orphans_removed == removed_before + 1
+    assert counters.values["cache.disk.orphans_removed"] == removed_before + 1
 
 
 # ======================================================================
@@ -543,14 +542,12 @@ def test_jit_error_falls_back_to_ir_bit_identical():
     with faults.suppress():
         fb_jit, __ = _render(source, backend="jit")
         fb_ir, __ = _render(source, backend="ir")
-    from repro.glsl import jit as jit_mod
-
-    fallbacks_before = jit_mod.jit_fallbacks
+    fallbacks_before = counters.values["jit.fallbacks"]
     with faults.inject_faults(jit_error=1.0, seed=22):
         fb_fault, ctx = _render(source, backend="jit")
     assert fb_fault.tobytes() == fb_jit.tobytes()
     assert fb_fault.tobytes() == fb_ir.tobytes()
-    assert jit_mod.jit_fallbacks > fallbacks_before
+    assert counters.values["jit.fallbacks"] > fallbacks_before
     assert ctx.stats.fault_fallbacks >= 1
 
 

@@ -10,7 +10,7 @@ Three properties pin the backend down:
 2. **Caching and fallback accounting.**  Kernel memoisation works the
    same on a JIT device; programs outside the JIT subset fall back to
    the IR executor at whole-draw granularity and each such draw bumps
-   the module-level ``jit_fallbacks`` counter.
+   the ``jit.fallbacks`` counter.
 3. **Static-counter parity.**  The generated function tallies no ops
    dynamically, so JIT draws report the static IR-cost projection.  On
    the straight-line E1 kernels that projection is exact: the JIT
@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.api.device import GpgpuDevice
 from repro.gles2 import GLES2Context
-from repro.glsl import jit as glsl_jit
 from repro.kernels.elementwise import make_sum_kernel
 from repro.kernels.sgemm import make_sgemm_kernel
 from repro.testing.corpus import build_entries
@@ -125,18 +124,16 @@ void main() {
 """
 
 
-def test_unsupported_program_falls_back_and_counts():
+def test_unsupported_program_falls_back_and_counts(isolated_counters):
     # Every draw of a shader outside the JIT subset runs on the
     # IRExecutor and bumps the counter.
-    glsl_jit.reset_fallbacks()
     reference, __ = draw_for_capture(_LOOP_RETURN_SHADER,
                                      execution_backend="ir")
-    assert glsl_jit.jit_fallbacks == 0
+    assert isolated_counters.values["jit.fallbacks"] == 0
     framebuffer, __ = draw_for_capture(_LOOP_RETURN_SHADER,
                                        execution_backend="jit")
-    assert glsl_jit.jit_fallbacks > 0
+    assert isolated_counters.values["jit.fallbacks"] > 0
     assert np.array_equal(framebuffer, reference)
-    glsl_jit.reset_fallbacks()
 
 
 def test_library_default_backend_is_the_jit():
@@ -159,13 +156,14 @@ def test_unknown_backend_is_rejected_naming_the_valid_ones(make):
         make(execution_backend="ast")
 
 
-def test_every_float16_pattern_round_trips_identically_on_all_backends():
+def test_every_float16_pattern_round_trips_identically_on_all_backends(
+    isolated_counters,
+):
     # gpgpu_pack_half has a single exit, so fp16 kernels stay on the
     # JIT; all 65536 bit patterns must come back bit-identical on every
     # backend: unchanged, except -0 -> +0 and every NaN -> quiet NaN.
     bits = np.arange(65536, dtype=np.uint16)
     results = {}
-    glsl_jit.reset_fallbacks()
     for backend in BACKENDS:
         dev = GpgpuDevice(float_model="ieee32", execution_backend=backend)
         kernel = dev.kernel("fp16_identity", [("a", "float16")], "float16",
@@ -173,7 +171,7 @@ def test_every_float16_pattern_round_trips_identically_on_all_backends():
         out = dev.empty(bits.size, "float16")
         kernel(out, {"a": dev.array(bits.view(np.float16))})
         results[backend] = out.to_host().view(np.uint16)
-    assert glsl_jit.jit_fallbacks == 0
+    assert isolated_counters.values["jit.fallbacks"] == 0
     assert np.array_equal(results["jit"], results["ir"])
     expected = bits.copy()
     expected[np.isnan(bits.view(np.float16))] = 0x7E00
@@ -181,11 +179,10 @@ def test_every_float16_pattern_round_trips_identically_on_all_backends():
     assert np.array_equal(results["jit"], expected)
 
 
-def test_supported_program_does_not_count_fallbacks():
+def test_supported_program_does_not_count_fallbacks(isolated_counters):
     entry = ENTRIES["saxpy"]
-    glsl_jit.reset_fallbacks()
     _render(entry, "jit")
-    assert glsl_jit.jit_fallbacks == 0
+    assert isolated_counters.values["jit.fallbacks"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +241,8 @@ def test_jit_counters_match_ir_dynamic_tally(which, fmt):
 _DIVERGENT_SECTIONS = ("_run_half_float_comparison", "_run_rodinia")
 
 
-def test_report_draws_count_like_the_ir_executor(monkeypatch):
+def test_report_draws_count_like_the_ir_executor(monkeypatch,
+                                                isolated_counters):
     # Every draw EXPERIMENTS.md makes (on the default JIT backend) is
     # replayed on the IR executor first.  Framebuffers must match; op
     # counts must match exactly wherever they feed a modeled number.
@@ -292,7 +290,6 @@ def test_report_draws_count_like_the_ir_executor(monkeypatch):
     for name in _DIVERGENT_SECTIONS:
         monkeypatch.setattr(report, name, in_section(name))
     monkeypatch.setattr(context_module, "execute_draw", draw_twice)
-    glsl_jit.reset_fallbacks()
     report.build_report()
     assert exact_draws and bounded_draws
-    assert glsl_jit.jit_fallbacks == 0
+    assert isolated_counters.values["jit.fallbacks"] == 0

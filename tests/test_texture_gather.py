@@ -40,6 +40,8 @@ from repro.kernels import (
     make_sgemm_kernel,
     make_sum_kernel,
 )
+from repro.perf import counters
+from repro.perf.counters import DrawStats
 from repro.testing.oracle import draw_for_capture
 
 
@@ -213,9 +215,10 @@ class TestFallbackAccounting:
             name: value.clone() for name, value in capture.fs_presets.items()
         }
         n = capture.px.shape[0]
+        before = counters.snapshot(counters.DRAW)
         env = executor.execute(n, presets)
         color = env["gl_FragColor"].data.copy()
-        return color, executor
+        return color, DrawStats(counts=counters.delta(before))
 
     def test_wrap_disqualification_counts_fallback(self):
         capture = self._capture_identity()

@@ -277,8 +277,7 @@ def test_one_capture_per_tiled_draw():
 # ======================================================================
 # Worker-pool shading
 # ======================================================================
-def test_worker_pool_bit_identical_and_exercised():
-    parallel.reset_stats()
+def test_worker_pool_bit_identical_and_exercised(isolated_counters):
     mono_fb, mono_ctx = _render(UV_SHADER, backend="jit")
     par_fb, par_ctx = _render(
         UV_SHADER, backend="jit", tile_size=3, shade_workers=2
@@ -286,36 +285,34 @@ def test_worker_pool_bit_identical_and_exercised():
     assert np.array_equal(mono_fb, par_fb)
     # The pool really ran (not a silent in-process fallback) unless
     # process pools are unavailable on this platform.
-    if parallel.parallel_draws == 0:
+    if isolated_counters.values["pool.draws"] == 0:
         pytest.skip("process pool unavailable on this platform")
     (mono_draw,) = mono_ctx.stats.draws
     (par_draw,) = par_ctx.stats.draws
     assert _stats_tuple(mono_draw) == _stats_tuple(par_draw)
 
 
-def test_worker_pool_discard_bit_identical():
-    parallel.reset_stats()
+def test_worker_pool_discard_bit_identical(isolated_counters):
     mono_fb, mono_ctx = _render(DISCARD_SHADER, backend="jit")
     par_fb, par_ctx = _render(
         DISCARD_SHADER, backend="jit", tile_size=3, shade_workers=2
     )
     assert np.array_equal(mono_fb, par_fb)
-    if parallel.parallel_draws == 0:
+    if isolated_counters.values["pool.draws"] == 0:
         pytest.skip("process pool unavailable on this platform")
     (mono_draw,) = mono_ctx.stats.draws
     (par_draw,) = par_ctx.stats.draws
     assert _stats_tuple(mono_draw) == _stats_tuple(par_draw)
 
 
-def test_workers_ignored_for_ir_backend():
+def test_workers_ignored_for_ir_backend(isolated_counters):
     """The IR backend silently shades in-process — same results."""
-    parallel.reset_stats()
     mono_fb, __ = _render(UV_SHADER, backend="ir")
     tiled_fb, __ = _render(
         UV_SHADER, backend="ir", tile_size=3, shade_workers=2
     )
     assert np.array_equal(mono_fb, tiled_fb)
-    assert parallel.parallel_draws == 0
+    assert isolated_counters.values["pool.draws"] == 0
 
 
 # ======================================================================

@@ -199,15 +199,14 @@ def quiet_pool():
 
 
 def test_worker_draw_ships_spans_back(clean_recorder, quiet_pool,
-                                      monkeypatch):
+                                      monkeypatch, isolated_counters):
     monkeypatch.setenv("REPRO_SHADE_WORKERS", "2")
     monkeypatch.setenv("REPRO_TILE_SIZE", "8")
     recorder = trace.start()
     device = _run_draw("jit", n=256)
     trace.stop(write=False)
-    from repro.gles2 import parallel
-
-    if device.ctx.shade_workers == 0 or parallel.parallel_draws == 0:
+    if (device.ctx.shade_workers == 0
+            or isolated_counters.values["pool.draws"] == 0):
         pytest.skip("process pool unavailable in this environment")
     assert _spans(recorder, name="pool.submit")
     assert _spans(recorder, name="pool.chunk")
@@ -241,17 +240,97 @@ def test_graph_replay_emits_replay_span_and_fuse_instant(clean_recorder):
         assert fuses and fuses[0]["args"]["elided_bytes"] > 0
 
 
-def test_cache_traffic_emits_instants(clean_recorder, monkeypatch,
-                                      tmp_path):
-    # A private, empty store: the compile must miss, then publish.
-    # The deliberate cold compile is invisible to the warm-CI
-    # sessionfinish check because the counters are restored below.
-    from repro.glsl import ir as ir_mod, jit as jit_mod
+_QUAD = np.array([-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1],
+                 dtype=np.float32)
+_QUAD_VS = """
+attribute vec2 a_position;
+varying vec2 v_uv;
+void main() {
+    v_uv = a_position * 0.5 + 0.5;
+    gl_Position = vec4(a_position, 0.0, 1.0);
+}
+"""
+_QUAD_FS = """
+precision mediump float;
+varying vec2 v_uv;
+void main() { gl_FragColor = vec4(v_uv, 0.4375, 1.0); }
+"""
+
+
+def _quad_context():
+    """A context with a linked program and a bound quad, ready for
+    ``glDrawArrays(GL_TRIANGLES, 0, 6)``."""
+    from repro.gles2 import GLES2Context, enums as gl
+
+    ctx = GLES2Context(width=8, height=8, float_model="exact",
+                       shade_workers=0)
+    prog = ctx.glCreateProgram()
+    for stage, source in ((gl.GL_VERTEX_SHADER, _QUAD_VS),
+                          (gl.GL_FRAGMENT_SHADER, _QUAD_FS)):
+        shader = ctx.glCreateShader(stage)
+        ctx.glShaderSource(shader, source)
+        ctx.glCompileShader(shader)
+        ctx.glAttachShader(prog, shader)
+    ctx.glLinkProgram(prog)
+    ctx.glUseProgram(prog)
+    loc = ctx.glGetAttribLocation(prog, "a_position")
+    ctx.glEnableVertexAttribArray(loc)
+    ctx.glVertexAttribPointer(loc, 2, gl.GL_FLOAT, False, 0, _QUAD)
+    ctx.glViewport(0, 0, 8, 8)
+    return ctx
+
+
+def test_draw_span_registry_and_context_stats_agree(
+    clean_recorder, monkeypatch, tmp_path, isolated_counters
+):
+    # One number, three readers: the draw span's counter args, the
+    # registry delta around the draw, and the ContextStats delta must
+    # agree key for key — on a draw whose lazy IR/JIT loads hit a
+    # corrupt entry, undeserialisable payloads and a contended trim.
+    from repro.core import cache
+    from repro.gles2 import enums as gl, shader as shader_mod
+    from repro.perf import counters
+    from repro.testing import faults
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    ir_before = dict(ir_mod.compile_events)
-    jit_before = dict(jit_mod.codegen_events)
+    with faults.suppress():
+        _quad_context().glDrawArrays(gl.GL_TRIANGLES, 0, 6)
+        # Valid envelopes around IR/JIT payloads that will not unpickle.
+        for path in list(cache.iter_entries()):
+            kind = cache._unpack(path.read_bytes())[0]["kind"]
+            if kind in ("ir", "jit"):
+                cache.put(path.stem, b"not a pickle", kind)
+        shader_mod.clear_frontend_cache()
+        ctx = _quad_context()
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "1")
+    recorder = trace.start()
+    registry_before = counters.snapshot()
+    context_before = dict(ctx.stats.counts)
+    with faults.inject_faults(cache_corrupt=(1.0, 1), cache_lock=1.0,
+                              seed=41):
+        ctx.glDrawArrays(gl.GL_TRIANGLES, 0, 6)
+    trace.stop(write=False)
+    registry = counters.delta(registry_before)
+    context = counters.delta(context_before, ctx.stats.counts)
+    (draw,) = _spans(recorder, name="draw")
+    assert draw["args"]["counters"] == registry
+    assert context == registry
+    assert ctx.stats.draws[-1].counts == {
+        name: count for name, count in registry.items()
+        if counters.SCOPES[name] == counters.DRAW
+    }
+    for name in ("cache.disk.corrupt", "cache.disk.load_failures",
+                 "cache.disk.lock_skips", "compile.ir.fresh",
+                 "compile.jit.fresh"):
+        assert registry.get(name, 0) > 0, name
 
+
+def test_cache_traffic_emits_instants(clean_recorder, monkeypatch,
+                                      tmp_path, isolated_counters):
+    # A private, empty store: the compile must miss, then publish.
+    # The deliberate cold compile is invisible to the warm-CI
+    # sessionfinish check because the counters are isolated.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     recorder = trace.start()
     device = GpgpuDevice(float_model="exact", execution_backend="jit")
     a = device.array(np.arange(8, dtype=np.int32))
@@ -261,8 +340,6 @@ def test_cache_traffic_emits_instants(clean_recorder, monkeypatch,
     )
     kernel(out, {"a": a})
     trace.stop(write=False)
-    ir_mod.compile_events.update(ir_before)
-    jit_mod.codegen_events.update(jit_before)
     names = {
         e["name"] for e in recorder.events if e.get("cat") == "cache"
     }
