@@ -28,6 +28,7 @@ import numpy as np
 
 from ..perf import counters, trace
 from ..perf.counters import ContextStats
+from ..perf.gpu_model import GpuModel
 from . import enums
 from .buffer_objects import BufferObject
 from .errors import ErrorState, SimulatorLimitation
@@ -38,6 +39,7 @@ from .pipeline import (
     EXECUTORS,
     VertexAttribState,
     execute_draw,
+    quantize_color,
 )
 from .precision import FloatModel, make_model
 from .shader import Program, Shader
@@ -1002,8 +1004,6 @@ class GLES2Context:
             if buffer is None:
                 self._error(enums.GL_INVALID_FRAMEBUFFER_OPERATION, "glClear")
                 return
-            from .pipeline import quantize_color
-
             rgba = quantize_color(
                 np.array([self._clear_color]), self.quantization
             )[0]
@@ -1027,6 +1027,9 @@ class GLES2Context:
         Returns an (height, width, components) uint8 array, bottom row
         first (GL convention).
         """
+        if width < 0 or height < 0:
+            self._error(enums.GL_INVALID_VALUE, "glReadPixels")
+            return np.zeros((0,), dtype=np.uint8)
         if type_ != enums.GL_UNSIGNED_BYTE:
             self._error(enums.GL_INVALID_ENUM,
                         "glReadPixels supports GL_UNSIGNED_BYTE only")
@@ -1116,8 +1119,6 @@ class GLES2Context:
                     shade_workers=self.shade_workers,
                 )
             if sp is not None:
-                from ..perf.gpu_model import GpuModel
-
                 sp.args.update({
                     "draw_index": len(self.stats.draws),
                     "backend": self.execution_backend,

@@ -17,6 +17,7 @@ because they quantise *in the shader* and emit exact multiples of
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -24,9 +25,10 @@ import numpy as np
 
 from ..glsl.ir import IRExecutor
 from ..glsl.jit import JitExecutor
+from ..glsl.types import BOOL, VEC2, VEC4
 from ..glsl.values import Value
 from ..perf import counters, trace
-from ..perf.counters import DrawStats, OpCounters
+from ..perf.counters import DrawStats
 from . import enums, raster
 from .errors import SimulatorLimitation
 
@@ -206,7 +208,7 @@ def execute_draw(
     shade_workers: int = 0,
 ) -> DrawStats:
     """Run the full pipeline for one draw call, writing into
-    ``color_buffer`` (an (H, W, 4) uint8 array) in place.
+    ``color_buffer`` (a C-contiguous (H, W, 4) uint8 array) in place.
 
     ``execution_backend`` names the shader executor (a key of
     :data:`EXECUTORS`).
@@ -225,55 +227,62 @@ def execute_draw(
         return stats
     draw_counts = counters.snapshot(counters.DRAW)
 
+    if not color_buffer.flags.c_contiguous:
+        raise ValueError("execute_draw needs a C-contiguous color buffer")
     fb_height, fb_width = color_buffer.shape[0], color_buffer.shape[1]
 
     # ------------------------------------------------------------------
     # 1. Attribute fetch + vertex shading.  We shade the full range of
     # referenced vertices once (real hardware caches post-transform
-    # vertices similarly).
+    # vertices similarly), or replay the program's vertex plan when
+    # every vertex-stage input matches an earlier draw.
     # ------------------------------------------------------------------
     max_index = int(index_stream.max())
+    vertex_count = max_index + 1
     uniforms = program.build_uniform_values(resolve_sampler)
     _cast_uniform_floats(uniforms, float_model.dtype)
-
-    vs_presets: Dict[str, Value] = dict(uniforms)
-    from ..glsl.types import FLOAT, VEC2, VEC3, VEC4
-
-    vec_types = {1: FLOAT, 2: VEC2, 3: VEC3, 4: VEC4}
-    for symbol in program.vertex.active_attributes():
-        location = program.attribute_locations[symbol.name]
-        state = attribs.get(location, VertexAttribState())
-        fetched = fetch_attribute(state, max_index)
-        gtype = symbol.type
-        comps = gtype.component_count()
-        data = fetched[:, :comps].astype(float_model.dtype)
-        if gtype.is_scalar():
-            data = data[:, 0]
-        vs_presets[symbol.name] = Value(gtype, data)
-
-    vertex_count = max_index + 1
-    vs_interp = shader_executor(
-        program.vertex,
-        float_model=float_model,
-        counters=stats.vertex_ops,
-        max_loop_iterations=max_loop_iterations,
+    attributes = [
+        (symbol, fetch_attribute(
+            attribs.get(program.attribute_locations[symbol.name],
+                        VertexAttribState()),
+            max_index,
+        ))
+        for symbol in program.vertex.active_attributes()
+    ]
+    key = _vertex_plan_key(
+        program, uniforms, attributes, execution_backend, float_model,
+        max_index, max_loop_iterations,
     )
-    with trace.span("draw.vertex", "draw", {"vertices": vertex_count}):
-        vs_env = vs_interp.execute(vertex_count, vs_presets)
+    plans = program.vertex_plans
+    plan = plans.get(key) if key is not None else None
+    with trace.span("draw.vertex", "draw", {
+        "vertices": vertex_count, "plan": "miss" if plan is None else "hit",
+    }):
+        if plan is None:
+            plan = _shade_vertices(
+                program, uniforms, attributes, vertex_count, float_model,
+                shader_executor(
+                    program.vertex,
+                    float_model=float_model,
+                    counters=stats.vertex_ops,
+                    max_loop_iterations=max_loop_iterations,
+                ),
+                copy=key is not None,
+            )
+            if key is not None:
+                plans[key] = plan
+                while len(plans) > _VERTEX_PLAN_CAPACITY:
+                    plans.popitem(last=False)
+        else:
+            plans.move_to_end(key)
+            stats.vertex_ops.counts.update(plan.ops)
     stats.vertex_invocations = vertex_count
-
-    position = vs_env.get("gl_Position")
-    if position is None:
-        raise SimulatorLimitation("vertex shader did not produce gl_Position")
-    positions_clip = np.broadcast_to(
-        position.data.astype(np.float64), (vertex_count, 4)
-    )
 
     # ------------------------------------------------------------------
     # 2. Primitive assembly + rasterisation.
     # ------------------------------------------------------------------
     with trace.span("draw.raster", "draw") as sp:
-        window, w_clip = raster.viewport_transform(positions_clip, viewport)
+        window, w_clip = plan.window(viewport)
         if mode == enums.GL_POINTS:
             batch = raster.rasterize_points(
                 window, w_clip, index_stream, fb_width, fb_height
@@ -295,47 +304,28 @@ def execute_draw(
             )
         if sp is not None:
             sp.args["fragments"] = batch.count
+            # A batch that already carries a fragment plan came from
+            # the raster memo, built by an earlier draw.
+            sp.args["plan"] = "hit" if batch.plan else "miss"
     if batch.count == 0:
         return stats
 
     # ------------------------------------------------------------------
     # 3. Varying interpolation + fragment shading.
     # ------------------------------------------------------------------
+    dtype = float_model.dtype
     fs_presets: Dict[str, Value] = dict(uniforms)
     with trace.span(
         "draw.varyings", "draw",
         {"varyings": len(program.varying_types), "fragments": batch.count},
     ):
         for name, gtype in program.varying_types.items():
-            per_vertex = vs_env[name].data
-            if (per_vertex.shape[0] != vertex_count
-                    or per_vertex.dtype != np.float64):
-                # Uniform-width or reduced-precision vertex outputs
-                # need a widen + float64 upcast; outputs already at
-                # full vertex width in float64 (the exact-model GPGPU
-                # case) are used as-is — the broadcast + astype copy
-                # is pure per-launch overhead.
-                per_vertex = np.broadcast_to(
-                    per_vertex.astype(np.float64),
-                    (vertex_count,) + per_vertex.shape[1:],
-                )
-            interpolated = raster.interpolate_varying(batch, per_vertex)
-            fs_presets[name] = Value(
-                gtype, interpolated.astype(float_model.dtype)
-            )
-
-    frag_coord = np.empty((batch.count, 4), dtype=float_model.dtype)
-    frag_coord[:, 0] = batch.px + 0.5
-    frag_coord[:, 1] = batch.py + 0.5
-    frag_coord[:, 2] = batch.frag_z
-    frag_coord[:, 3] = batch.frag_w
-    from ..glsl.types import BOOL as _BOOL, VEC4 as _VEC4, VEC2 as _VEC2
-
-    fs_presets["gl_FragCoord"] = Value(_VEC4, frag_coord)
-    fs_presets["gl_FrontFacing"] = Value(_BOOL, batch.front)
-    fs_presets["gl_PointCoord"] = Value(
-        _VEC2, np.zeros((batch.count, 2), dtype=float_model.dtype)
-    )
+            fs_presets[name] = Value(gtype, raster.interpolate_varying(
+                batch, plan.varyings[name], dtype
+            ))
+    fs_presets["gl_FragCoord"] = Value(VEC4, batch.frag_coord(dtype))
+    fs_presets["gl_FrontFacing"] = Value(BOOL, batch.front)
+    fs_presets["gl_PointCoord"] = Value(VEC2, batch.point_coord(dtype))
 
     fs_interp = shader_executor(
         program.fragment,
@@ -381,8 +371,8 @@ def execute_draw(
                 out_name, shade_workers,
             )
 
-    keep = ~discarded
-    stats.discarded_fragments = int((~keep).sum())
+    discards = int(np.count_nonzero(discarded))
+    stats.discarded_fragments = discards
 
     # ------------------------------------------------------------------
     # 4. Output selection and framebuffer write (paper eq. (2)).
@@ -402,17 +392,121 @@ def execute_draw(
                 quantization=quantization,
             )
         )
+    writes = batch.count - discards
     with trace.span("draw.write", "draw") as sp:
-        px = batch.px[keep]
-        py = batch.py[keep]
-        color_buffer[py, px] = quantised[keep]
+        # One scatter through the batch's planned flat index; only a
+        # draw that discards fragments pays for a mask.
+        flat = batch.flat_index(fb_width)
+        if discards:
+            keep = ~discarded
+            flat, quantised = flat[keep], quantised[keep]
+        color_buffer.reshape(-1, 4)[flat] = quantised
         if sp is not None:
-            sp.args["writes"] = int(keep.sum())
-    stats.framebuffer_writes = int(keep.sum())
+            sp.args["writes"] = writes
+    stats.framebuffer_writes = writes
     # The draw-scope counters shading changed (texture gathers, from
     # this process and from pool workers alike).
     stats.counts = counters.delta(draw_counts)
     return stats
+
+
+#: Vertex plans one linked program keeps (LRU).
+_VERTEX_PLAN_CAPACITY = 8
+
+#: Largest draw (in referenced vertices) that gets a vertex plan.  A
+#: GPGPU quad has six vertices; a point-per-element vertex kernel has
+#: one per element and is never planned, so a plan's memory (about
+#: 200 bytes per vertex) and its per-draw key hashing stay small.
+_VERTEX_PLAN_MAX_VERTICES = 64
+
+#: Viewport transforms one vertex plan keeps (LRU).
+_WINDOW_CAPACITY = 4
+
+
+class VertexPlan:
+    """Everything a draw's vertex stage produced, for replay by later
+    draws whose vertex-stage inputs are byte-identical: clip-space
+    positions, per-vertex varyings (float64, full vertex width), the
+    stage's op counts, and the window transform per viewport.  Every
+    array is read-only."""
+
+    __slots__ = ("position", "varyings", "ops", "windows")
+
+    def __init__(self, position: np.ndarray, varyings: Dict[str, np.ndarray],
+                 ops: Dict[str, int]):
+        self.position = position
+        self.varyings = varyings
+        self.ops = ops
+        self.windows: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" = (
+            OrderedDict()
+        )
+
+    def window(self, viewport) -> Tuple[np.ndarray, np.ndarray]:
+        """``raster.viewport_transform`` of the positions, memoised."""
+        hit = self.windows.get(viewport)
+        if hit is not None:
+            self.windows.move_to_end(viewport)
+            return hit
+        window, w_clip = raster.viewport_transform(self.position, viewport)
+        hit = self.windows[viewport] = (raster.freeze(window), w_clip)
+        while len(self.windows) > _WINDOW_CAPACITY:
+            self.windows.popitem(last=False)
+        return hit
+
+
+def _vertex_plan_key(program, uniforms, attributes, backend, float_model,
+                     max_index, max_loop_iterations):
+    """Everything the vertex stage reads, by value — or None when the
+    draw references more than :data:`_VERTEX_PLAN_MAX_VERTICES`
+    vertices, or the stage has a sampler, struct or array-of-struct
+    uniform (a Value without flat data), whose content is not captured
+    by bytes."""
+    if max_index >= _VERTEX_PLAN_MAX_VERTICES:
+        return None
+    key = [backend, float_model, max_index, max_loop_iterations]
+    for symbol in program.vertex.active_uniforms():
+        data = uniforms[symbol.name].data
+        if data is None:
+            return None
+        key.append((symbol.name, data.dtype.str, data.shape, data.tobytes()))
+    for symbol, fetched in attributes:
+        key.append((symbol.name, fetched.tobytes()))
+    return tuple(key)
+
+
+def _shade_vertices(program, uniforms, attributes, vertex_count,
+                    float_model, vs_interp, copy: bool) -> VertexPlan:
+    """Run the vertex shader over every referenced vertex and keep its
+    outputs as a (read-only) :class:`VertexPlan`.  ``copy`` (set for a
+    plan that will be kept) makes every output a fresh float64 copy,
+    so a kept plan never aliases an executor register, constant or
+    uniform that may change later."""
+    vs_presets: Dict[str, Value] = dict(uniforms)
+    for symbol, fetched in attributes:
+        gtype = symbol.type
+        data = fetched[:, :gtype.component_count()].astype(float_model.dtype)
+        if gtype.is_scalar():
+            data = data[:, 0]
+        vs_presets[symbol.name] = Value(gtype, data)
+    vs_env = vs_interp.execute(vertex_count, vs_presets)
+
+    position = vs_env.get("gl_Position")
+    if position is None:
+        raise SimulatorLimitation("vertex shader did not produce gl_Position")
+    # Widened float64 data behind read-only broadcast views.
+    varyings = {
+        name: np.broadcast_to(
+            vs_env[name].data.astype(np.float64, copy=copy),
+            (vertex_count,) + vs_env[name].data.shape[1:],
+        )
+        for name in program.varying_types
+    }
+    return VertexPlan(
+        np.broadcast_to(position.data.astype(np.float64, copy=copy),
+                        (vertex_count, 4)),
+        varyings,
+        dict(vs_interp.counters.counts),
+    )
 
 
 def _extract_color(fs_env, out_name: str, n: int) -> np.ndarray:

@@ -15,13 +15,14 @@ left, pixel centers at half-integer coordinates.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import enums
 from .errors import SimulatorLimitation
+from .limits import VIDEOCORE_IV_LIMITS
 
 
 def assemble_triangles(mode: int, indices: np.ndarray) -> np.ndarray:
@@ -69,6 +70,13 @@ class FragmentBatch:
     triangle, ``bary[f]`` the window-space barycentric weights, and
     ``persp[f]`` the perspective-corrected weights (equal to ``bary``
     when all w == 1, the GPGPU case).
+
+    A batch also carries its *fragment plan*: the per-fragment inputs
+    every draw of this batch needs besides shading — ``gl_FragCoord``
+    and ``gl_PointCoord`` per float dtype, the flat framebuffer index,
+    and (in :func:`interpolate_varying`) the interpolated varyings.
+    Each is built on first use and kept read-only, so a draw that gets
+    a memoised batch from :func:`rasterize_triangles` replays them.
     """
 
     px: np.ndarray  # (F,) int64 pixel x
@@ -82,6 +90,14 @@ class FragmentBatch:
     #: from the sign of the window-space area (GL_CCW front faces);
     #: points and lines are always front-facing (GL ES 2 §3.5.1).
     front: np.ndarray = None
+    #: The fragment plan: ``(kind, parameter)`` -> read-only array.
+    plan: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Interpolated varyings by per-vertex content and dtype (LRU);
+    #: None on a batch the raster memo does not keep, which no later
+    #: draw can reuse.
+    varyings: "Optional[OrderedDict[tuple, np.ndarray]]" = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.front is None:
@@ -104,6 +120,48 @@ class FragmentBatch:
             frag_w=self.frag_w[indices],
             front=self.front[indices],
         )
+
+    def planned(self, key: tuple, build) -> np.ndarray:
+        """The plan entry ``key``, built by ``build()`` on first use
+        and frozen read-only, so an executor that writes into a preset
+        in place raises instead of corrupting later draws."""
+        array = self.plan.get(key)
+        if array is None:
+            array = freeze(build())
+            self.plan[key] = array
+        return array
+
+    def frag_coord(self, dtype) -> np.ndarray:
+        """``gl_FragCoord`` per fragment: pixel centre, depth, 1/w."""
+        def build():
+            coord = np.empty((self.count, 4), dtype=dtype)
+            coord[:, 0] = self.px + 0.5
+            coord[:, 1] = self.py + 0.5
+            coord[:, 2] = self.frag_z
+            coord[:, 3] = self.frag_w
+            return coord
+
+        return self.planned(("frag_coord", np.dtype(dtype).str), build)
+
+    def point_coord(self, dtype) -> np.ndarray:
+        """``gl_PointCoord`` per fragment (always zero: size-1 points)."""
+        return self.planned(
+            ("point_coord", np.dtype(dtype).str),
+            lambda: np.zeros((self.count, 2), dtype=dtype),
+        )
+
+    def flat_index(self, fb_width: int) -> np.ndarray:
+        """Each fragment's row in an (H * W, 4) view of a C-contiguous
+        (H, W, 4) framebuffer of width ``fb_width``."""
+        return self.planned(
+            ("flat", fb_width), lambda: self.py * fb_width + self.px
+        )
+
+
+def freeze(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only and return it."""
+    array.flags.writeable = False
+    return array
 
 
 def partition_tiles(batch: FragmentBatch, tile_size: int) -> List[np.ndarray]:
@@ -173,12 +231,20 @@ def viewport_transform(
 # redraw a byte-identical quad into the same framebuffer, so the
 # fixed-function rasterisation work repeats verbatim every launch.
 # The key is the exact byte content of every input, which makes a hit
-# bit-identical by construction; consumers never mutate a
-# FragmentBatch (fancy indexing copies), so sharing the arrays is
-# safe.  Oversized batches are not memoised to bound memory.
+# bit-identical by construction.  A memoised batch is shared between
+# draws, so its arrays (and its fragment plan) are frozen read-only.
+# Oversized batches are not memoised to bound memory: at most 16
+# batches of at most 65536 fragments each.  With its plan a batch
+# holds under 0.5 KB per fragment (about 105 B of its own, then
+# gl_FragCoord and gl_PointCoord per float dtype, one flat index, and
+# at most eight interpolated float64 vec4 varyings).
 _RASTER_MEMO: "OrderedDict[tuple, FragmentBatch]" = OrderedDict()
 _RASTER_MEMO_CAPACITY = 16
 _RASTER_MEMO_MAX_FRAGMENTS = 1 << 16
+#: Interpolated-varying entries one batch keeps (LRU): every varying
+#: of a program within GL_MAX_VARYING_VECTORS, so a relaunch of such a
+#: program never evicts its own entries.
+_VARYING_MEMO_CAPACITY = VIDEOCORE_IV_LIMITS.max_varying_vectors
 
 
 def raster_memo_clear() -> None:
@@ -219,6 +285,11 @@ def rasterize_triangles(
         window, w_clip, triangles, fb_width, fb_height, scissor
     )
     if batch.count <= _RASTER_MEMO_MAX_FRAGMENTS:
+        for array in (batch.px, batch.py, batch.vertex_ids, batch.bary,
+                      batch.persp, batch.frag_z, batch.frag_w,
+                      batch.front):
+            freeze(array)
+        batch.varyings = OrderedDict()
         _RASTER_MEMO[key] = batch
         while len(_RASTER_MEMO) > _RASTER_MEMO_CAPACITY:
             _RASTER_MEMO.popitem(last=False)
@@ -464,13 +535,33 @@ def rasterize_points(
     )
 
 
-def interpolate_varying(batch: FragmentBatch, per_vertex: np.ndarray) -> np.ndarray:
+def interpolate_varying(batch: FragmentBatch, per_vertex: np.ndarray,
+                        dtype=None) -> np.ndarray:
     """Perspective-correct interpolation of per-vertex data.
 
     ``per_vertex`` has shape (num_vertices, ...); the result has shape
-    (F, ...).
+    (F, ...), cast to ``dtype`` when given.  On a batch from the raster
+    memo the result is memoised, keyed by the per-vertex bytes and the
+    target dtype, and returned read-only: a relaunch that hands the
+    batch the same vertex outputs gets the same array back.
     """
+    memo = batch.varyings
+    if memo is not None:
+        key = (per_vertex.tobytes(), per_vertex.shape, per_vertex.dtype.str,
+               None if dtype is None else np.dtype(dtype).str)
+        hit = memo.get(key)
+        if hit is not None:
+            memo.move_to_end(key)
+            return hit
     v = per_vertex[batch.vertex_ids]  # (F, 3, ...)
     weights = batch.persp
     weights = weights.reshape(weights.shape + (1,) * (v.ndim - 2))
-    return (v * weights).sum(axis=1)
+    result = (v * weights).sum(axis=1)
+    if dtype is not None:
+        result = result.astype(dtype, copy=False)
+    if memo is None:
+        return result
+    memo[key] = freeze(result)
+    while len(memo) > _VARYING_MEMO_CAPACITY:
+        memo.popitem(last=False)
+    return result

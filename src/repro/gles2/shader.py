@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -216,6 +217,9 @@ class Program:
         self.bound_attributes: Dict[str, int] = {}
         #: varying name -> GlslType (the linked interface)
         self.varying_types: Dict[str, GlslType] = {}
+        #: Vertex plans of draws with this linked program (LRU, owned
+        #: by :func:`repro.gles2.pipeline.execute_draw`).
+        self.vertex_plans: "OrderedDict[tuple, object]" = OrderedDict()
 
     # ------------------------------------------------------------------
     def attach(self, shader: Shader) -> bool:
@@ -240,6 +244,7 @@ class Program:
         self.uniform_types.clear()
         self.attribute_locations.clear()
         self.varying_types.clear()
+        self.vertex_plans.clear()
 
         vertex = next((s for s in self.shaders if s.type == enums.GL_VERTEX_SHADER), None)
         fragment = next((s for s in self.shaders if s.type == enums.GL_FRAGMENT_SHADER), None)

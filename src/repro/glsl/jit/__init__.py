@@ -33,7 +33,9 @@ import contextlib
 import marshal
 from typing import Dict, FrozenSet
 
-from ...perf import counters
+from ...core import cache as artifact_cache
+from ...perf import counters, trace
+from ...testing import faults
 from ..interp import Interpreter
 from ..values import Value
 from ..ir import get_compiled, static_cost
@@ -42,6 +44,7 @@ from .codegen import (
     JitUnsupported,
     gather_enabled,
     generate,
+    make_helpers,
     set_gather_enabled,
 )
 from .uniform import UniformInfo, infer_uniform
@@ -97,8 +100,6 @@ def materialize(source: str, captured: Dict[str, object], fmodel,
     ``_jit_source``/``_jit_code``/``_jit_captured`` attributes
     :func:`~.codegen.generate` attaches, so it is indistinguishable
     from a freshly generated one."""
-    from .codegen import make_helpers
-
     ns = make_helpers(fmodel)
     ns.update(captured)
     module_code = marshal.loads(code)
@@ -113,8 +114,6 @@ def materialize(source: str, captured: Dict[str, object], fmodel,
 def _disk_key(program, fmodel, wide: FrozenSet[str]):
     """The artifact-store key for one generated function, or None when
     the program has no source digest / the store is disabled."""
-    from ...core import cache as artifact_cache
-
     digest = getattr(program.checked, "source_digest", None)
     if digest is None or not artifact_cache.enabled():
         return None
@@ -146,9 +145,6 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
     disk key is kept on ``fn._jit_disk_key`` so the multiprocess
     shading layer can ship a reference instead of the source text.
     """
-    from ...core import cache as artifact_cache
-    from ...testing import faults
-
     if faults.fire("jit_error"):
         # Injected codegen failure: this *draw* degrades to the IR
         # executor (bit-identical by the backend contract) without
@@ -168,8 +164,6 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
         rejected = program._jit_unsupported = {}
     if key in rejected:
         return None
-    from ...perf import trace
-
     with trace.span("compile.jit", "compile") as sp:
         if sp is not None:
             sp.args["stage"] = getattr(program.checked, "stage", "")

@@ -45,10 +45,11 @@ exactly.  Two front ends share the machinery:
 inside a fault-injected CI run.
 
 The module is dependency-free (stdlib only) and safe to import from
-any layer; runtime call sites import it lazily so the engine stays out
-of cold-start paths.  ``REPRO_DEBUG_FAULTS=1`` additionally makes the
-hardened ``except`` blocks report (to stderr) every exception they
-swallow, via :func:`note_swallowed`.
+any layer, at module scope too: ``repro.testing`` resolves its other
+submodules lazily, so importing this leaf loads nothing else.
+``REPRO_DEBUG_FAULTS=1`` additionally makes the hardened ``except``
+blocks report (to stderr) every exception they swallow, via
+:func:`note_swallowed`.
 """
 
 from __future__ import annotations

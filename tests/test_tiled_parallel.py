@@ -22,7 +22,7 @@ Also covered here:
 import numpy as np
 import pytest
 
-from repro.gles2 import GLES2Context, enums as gl, parallel, raster
+from repro.gles2 import GLES2Context, GLError, enums as gl, parallel, raster
 from repro.gles2.pipeline import VertexAttribState, _normalize_attribute
 from repro.gles2.raster import FragmentBatch, partition_tiles
 from repro.testing.corpus import (
@@ -460,6 +460,19 @@ def test_scissor_negative_extent_is_error():
     assert ctx.glGetError() == gl.GL_INVALID_VALUE
     # The stored box is unchanged by the failed call.
     assert ctx._scissor == (0, 0, 4, 4)
+
+
+@pytest.mark.parametrize("width, height", [(-1, 4), (4, -1)])
+def test_read_pixels_negative_extent_is_error(width, height):
+    ctx = GLES2Context(width=4, height=4, strict_errors=False)
+    out = ctx.glReadPixels(0, 0, width, height, gl.GL_RGBA,
+                           gl.GL_UNSIGNED_BYTE)
+    assert ctx.glGetError() == gl.GL_INVALID_VALUE
+    assert out.size == 0
+    assert ctx.stats.readback_bytes == 0
+    with pytest.raises(GLError):
+        GLES2Context(width=4, height=4).glReadPixels(
+            0, 0, width, height, gl.GL_RGBA, gl.GL_UNSIGNED_BYTE)
 
 
 def test_scissored_draw_tiled_identical():
