@@ -75,7 +75,9 @@ import numpy as np
 from ..perf import counters, trace
 
 #: Bump to invalidate every existing store (key *and* entry header).
-SCHEMA_VERSION = 2
+#: 3: generated JIT code calls ``_fetch``; schema-2 entries call the
+#: removed ``_gather`` and would fail at run time into the IR executor.
+SCHEMA_VERSION = 3
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"

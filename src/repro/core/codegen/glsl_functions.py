@@ -23,11 +23,15 @@ from __future__ import annotations
 #: ``+ 0.5``, divide by ``size`` — is load-bearing beyond correctness.
 #: The IR-level gather annotation (:mod:`repro.glsl.ir.gather`)
 #: pattern-matches this chain to prove sample coordinates address
-#: texel centres, which lets the JIT replace the whole wrap/scale/
-#: filter pipeline on kernel fetches with direct texel gathers.
-#: Rephrasing the arithmetic (e.g. hoisting the divide, fusing the
-#: +0.5) keeps kernels correct but silently loses that fast path —
-#: ``tests/test_texture_gather.py`` pins the match on every kernel.
+#: texel centres.  So is the shape of the byte decode in
+#: ``COMMON_GLSL`` — ``floor(texel * 255.0 + vec4(0.5))`` and
+#: ``floor(channel * 255.0 + 0.5)`` applied to ``texel.r``, reading the
+#: sample directly: the same pass matches it, and the JIT then turns
+#: coordinates, sample and decode into one read of the stored bytes.
+#: Rephrasing either (hoisting the divide, fusing the +0.5, scaling by
+#: 1/255, decoding a copy of the texel) keeps kernels correct but
+#: silently loses that fast path — ``tests/test_texture_gather.py``
+#: pins the fused read on every kernel family and format.
 ADDRESSING_GLSL = """
 vec2 gpgpu_index_to_coord(float index, vec2 size) {
     float x = mod(index, size.x);

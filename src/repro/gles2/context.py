@@ -437,12 +437,34 @@ class GLES2Context:
 
     def glTexSubImage2D(self, target, level, xoffset, yoffset, width, height,
                         fmt, type_, pixels) -> None:
+        """Overwrite a region of the bound texture's storage in place.
+
+        ES 2 §3.7.2 errors: GL_INVALID_ENUM for a bad target, format
+        or type; GL_INVALID_VALUE for a region outside the image;
+        GL_INVALID_OPERATION without storage or when ``fmt`` differs
+        from the image's format."""
+        if target != enums.GL_TEXTURE_2D:
+            self._error(enums.GL_INVALID_ENUM, "glTexSubImage2D target")
+            return
         if type_ != enums.GL_UNSIGNED_BYTE:
             self._error(enums.GL_INVALID_ENUM, "GL_UNSIGNED_BYTE only")
+            return
+        if fmt not in enums.FORMAT_COMPONENTS:
+            self._error(enums.GL_INVALID_ENUM, "glTexSubImage2D format")
             return
         tex = self._current_texture()
         if tex is None or tex.data is None:
             self._error(enums.GL_INVALID_OPERATION, "no texture storage")
+            return
+        if (xoffset < 0 or yoffset < 0 or width < 0 or height < 0
+                or xoffset + width > tex.width
+                or yoffset + height > tex.height):
+            self._error(enums.GL_INVALID_VALUE,
+                        "glTexSubImage2D region outside the image")
+            return
+        if fmt != tex.format:
+            self._error(enums.GL_INVALID_OPERATION,
+                        "glTexSubImage2D format must match the image")
             return
         with trace.span("upload.texture", "upload") as sp:
             array = np.asarray(pixels, dtype=np.uint8).reshape(

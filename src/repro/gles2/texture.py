@@ -92,20 +92,23 @@ class Texture:
         self.format = fmt
 
     def set_sub_image(self, x: int, y: int, pixels: np.ndarray, fmt: int) -> None:
-        """glTexSubImage2D body (same format as the existing image)."""
-        components = enums.FORMAT_COMPONENTS[fmt]
+        """glTexSubImage2D body: ``pixels`` is a (height, width,
+        components) array in the image's own format, already checked
+        to lie inside the image.  Writes the storage in place."""
         pixels = np.asarray(pixels, dtype=np.uint8)
         h, w = pixels.shape[0], pixels.shape[1]
         region = self.data[y : y + h, x : x + w]
         if fmt == enums.GL_RGBA:
-            region[:] = pixels.reshape(h, w, components)
+            region[:] = pixels
         elif fmt == enums.GL_RGB:
-            region[:, :, :3] = pixels.reshape(h, w, components)
-        elif fmt == enums.GL_LUMINANCE:
-            lum = pixels.reshape(h, w)
+            region[:, :, :3] = pixels
+        elif fmt in (enums.GL_LUMINANCE, enums.GL_LUMINANCE_ALPHA):
+            lum = pixels[:, :, 0]
             region[:, :, 0] = region[:, :, 1] = region[:, :, 2] = lum
+            if fmt == enums.GL_LUMINANCE_ALPHA:
+                region[:, :, 3] = pixels[:, :, 1]
         elif fmt == enums.GL_ALPHA:
-            region[:, :, 3] = pixels.reshape(h, w)
+            region[:, :, 3] = pixels[:, :, 0]
 
     # ------------------------------------------------------------------
     def is_complete(self) -> bool:
@@ -129,9 +132,9 @@ class Texture:
 
     # ------------------------------------------------------------------
     def gather_info(self, width: float, height: float) -> Optional[np.ndarray]:
-        """Texel storage for the JIT's direct-gather fast path, or None.
+        """Texel storage for the JIT's fused texel fetch, or None.
 
-        The gather replaces the whole :meth:`sample` pipeline with
+        The fetch replaces the whole :meth:`sample` pipeline with
         ``data[y, x]``, which is only equivalent to nearest sampling
         of texel-centre coordinates when every stage it skips is the
         identity: the texture must be complete (else samples are

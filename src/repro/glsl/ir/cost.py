@@ -28,6 +28,7 @@ from .nodes import (
     LoopRegion,
     ScRegion,
 )
+from .gather import texture_instrs
 
 
 @dataclass
@@ -146,10 +147,10 @@ class StaticCost:
     exact: bool
     #: texture sites carrying the gather annotation (see
     #: :mod:`repro.glsl.ir.gather`) — the sites the JIT turns into
-    #: direct texel gathers.  Informational: gathers still count as
-    #: ``tex`` ops in :meth:`totals` (the fetch happens either way, it
-    #: just skips wrap/scale/filter dispatch), so the dynamic-parity
-    #: guarantee of the projection is unchanged.
+    #: fused stored-byte reads.  Informational: they still count as
+    #: ``tex`` ops (and their decode as ALU ops) in :meth:`totals` —
+    #: the modeled GPU runs the shader as written — so the
+    #: dynamic-parity guarantee of the projection is unchanged.
     gather_sites: int = 0
 
     def totals(self, invocations: int) -> Dict[str, int]:
@@ -163,22 +164,6 @@ class StaticCost:
         }
 
 
-def _count_gather_sites(block: Optional[Block]) -> int:
-    if block is None:
-        return 0
-    sites = 0
-    for item in block.items:
-        if isinstance(item, Instr):
-            if item.op == "texture" and getattr(item, "gather", None):
-                sites += 1
-        else:
-            for slot in item.__slots__:
-                value = getattr(item, slot)
-                if isinstance(value, Block):
-                    sites += _count_gather_sites(value)
-    return sites
-
-
 def static_cost(program: CompiledProgram) -> StaticCost:
     """Compute the static cost of a compiled program."""
     draw = _BlockCost()
@@ -190,5 +175,6 @@ def static_cost(program: CompiledProgram) -> StaticCost:
         per_invocation=dict(body.counts),
         per_draw=dict(draw.counts),
         exact=body.exact and draw.exact,
-        gather_sites=_count_gather_sites(program.body),
+        gather_sites=sum(1 for tex in texture_instrs(program.body)
+                         if tex.gather is not None),
     )

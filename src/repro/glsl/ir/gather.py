@@ -1,43 +1,71 @@
-"""Texture-gather annotation pass.
+"""Texture-gather annotation pass: proven fetch sites and fused reads.
 
-The kernel codegen (:mod:`repro.core.codegen.templates`) addresses
-every input texture through the same two helpers: ``index_1d`` turns
-the fragment position into a flat element index, and ``fetch_<input>``
-maps that index back to a normalised sample coordinate as::
+The kernel codegen (:mod:`repro.core.codegen.templates`) reads every
+input through the same helpers: ``index_1d`` turns the fragment
+position into a flat element index, ``fetch_<input>`` maps that index
+back to a normalised sample coordinate, samples, and the format's
+unpack rebuilds the stored bytes (§IV, eqs. (1) and (4))::
 
     float x = mod(idx, size.x);
     float y = floor(idx / size.x);
     vec2 coord = (vec2(x, y) + 0.5) / size;
-    ... texture2D(sampler, coord) ...
+    vec4 b = floor(texture2D(sampler, coord) * 255.0 + vec4(0.5));
+    // or, one-byte formats: floor(texture2D(sampler, coord).r * 255.0 + 0.5)
 
-After the optimisation pipeline this survives as one rigid instruction
-chain (mod / floor / construct / +0.5 / divide-by-size), either fully
-forwarded into pure value ops (straight-line kernels) or still routed
-through the helper's single-store locals (loop bodies, where store
-forwarding does not cross iterations).  This pass recognises both
-forms and annotates the ``texture`` instruction with
-``gather = (size_reg, x_reg, y_reg)``: a machine-checked proof that
-the sample coordinate is the texel-centre form of the integer indices
-held in ``x_reg``/``y_reg`` under the dimensions in ``size_reg``.
+After the optimisation pipeline the coordinate part survives as one
+rigid instruction chain (mod / floor / construct / +0.5 /
+divide-by-size), either fully forwarded into pure value ops
+(straight-line kernels) or still routed through the helper's
+single-store locals (loop bodies, where store forwarding does not
+cross iterations).  This pass recognises both forms and records two
+annotations on the ``texture`` instruction.
 
-What the annotation licenses
-----------------------------
-For a *nearest*-filtered sampler the pipeline computes
-``i = floor(s * W)`` (GLES2 §3.7.7); for ``s = (x + 0.5) / W`` with
-integer ``0 <= x < W`` this round-trips exactly — in float32
-(precision ``p = 24``) the combined relative error of the divide and
-multiply roundings is below ``2^-24 + 2^-53``, so
-``|s*W - (x+0.5)| < 0.5`` whenever ``W <= 2^21`` and the floor
-recovers ``x`` — and CLAMP_TO_EDGE wrap is the identity on in-range
-indices.  A backend may therefore replace the whole wrap/scale/filter
-pipeline with a direct texel-storage gather ``texels[y, x]`` once the
-*runtime* half of the proof holds: the sampler is complete with
-NEAREST mag filter and CLAMP_TO_EDGE wrap on both axes, its
-dimensions equal the ``size`` uniform, and the ``x``/``y`` values are
-integral and in-range (``size`` is a runtime uniform, so integrality
-and range cannot be proved statically; the JIT's ``_gather`` helper
-checks them per call and falls back to the ordinary sampler
-otherwise, counted in ``draw.gather_fallbacks``).
+``gather = (size_reg, x_reg, y_reg)``
+-------------------------------------
+A machine-checked proof that the sample coordinate is the texel-centre
+form of the integer indices held in ``x_reg``/``y_reg`` under the
+dimensions in ``size_reg``.  For a *nearest*-filtered sampler the
+pipeline computes ``i = floor(s * W)`` (GLES2 §3.7.7); for
+``s = (x + 0.5) / W`` with integer ``0 <= x < W`` this round-trips
+exactly — in float32 (precision ``p = 24``) the combined relative
+error of the divide and multiply roundings is below
+``2^-24 + 2^-53``, so ``|s*W - (x+0.5)| < 0.5`` whenever ``W <= 2^21``
+and the floor recovers ``x`` — and CLAMP_TO_EDGE wrap is the identity
+on in-range indices.  A backend may therefore read texel storage
+``texels[y, x]`` directly once the *runtime* half of the proof holds:
+the sampler is complete with NEAREST mag filter and CLAMP_TO_EDGE wrap
+on both axes, its dimensions equal the ``size`` uniform, and the
+``x``/``y`` values are integral and in-range (``size`` is a runtime
+uniform, so integrality and range cannot be proved statically).
+
+``fetch = FetchSite``
+---------------------
+Set when the texel also feeds the byte decode ``floor(t * 255.0 +
+0.5)`` — the vec4 ``gpgpu_bytes(texel)`` or the scalar
+``gpgpu_byte(texel.r)`` — with constants exactly 255.0 and 0.5.  The
+site lists the instructions *private* to the fetch (nothing outside
+it reads their results: the coordinate construct/+0.5/divide, the
+coordinate local's store, the texture, the decode) and the
+*fallback* sequence in original order.  The JIT turns the whole site
+into one call that returns the stored bytes (when the decode is exact
+for the float model, see :func:`repro.glsl.jit.codegen.decode_exact`)
+and runs the fallback — coordinates, ``texture2D``, decode — only
+when the runtime check misses.
+
+Moving the private instructions to the texture's position is sound
+because the pass only defers an instruction that (a) sits in the
+texture's own block with no region boundary or kill op in between,
+(b) is the single definition of what it writes, (c) has no reader
+outside the site (a local that is only declared elsewhere counts as
+unread), (d) whose operands nothing else rewrites between its
+original position and the texture, and (e) that reads no value a
+deferred instruction carried over from an earlier pass through the
+block — a pass whose read hit and skipped it.  (The masked store of
+the coordinate local reads the local's old value; the helper's
+``decl`` earlier in the same block resets it on every pass, so even
+inactive lanes match.)  A constant the decode reads that is defined
+between the texture and its use is re-run inside the fallback (and
+stays in place when others read it).
 
 Lane-freshness soundness
 ------------------------
@@ -51,25 +79,63 @@ or kill ops in between, so per lane the three registers always hold
 values from the same (possibly earlier) iteration and the coordinate
 relation holds lane-wise.  Mixed pure/stored chains are rejected —
 a fresh full-width index paired with a stale masked coordinate could
-disagree on inactive lanes.
+disagree on inactive lanes.  When a fused site's coordinate store is
+deferred into the fallback it still runs under the texture's mask,
+so active lanes see exactly the original values; inactive lanes of a
+private register are never observed.
 
 The pass runs after :func:`~repro.glsl.ir.passes.compact_pool` so
 constant-pool indices are final, and is purely additive: it never
-reorders, rewrites or removes instructions, so the AST/IR/scalar-ref
-backends are untouched and remain bit-identical oracles.
+reorders, rewrites or removes instructions, so the IR executor, the
+scalar reference and the static cost model are untouched and remain
+bit-identical oracles.  It runs in time linear in the program: one
+indexing pass, then constant work per texture site plus logarithmic
+window queries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional, Set, Tuple
 
-from .nodes import Block, CompiledProgram, Instr, KILL_OPS, Region
+from .nodes import (
+    Block,
+    CompiledProgram,
+    CondRegion,
+    IfRegion,
+    Instr,
+    KILL_OPS,
+    LoopRegion,
+    Region,
+    ScRegion,
+)
 
 #: texture overload keys eligible for gather (plain 2-D texture2D).
 _GATHER_TEX_KEYS = frozenset({"texture2D/0"})
 
 #: ops a matched coordinate chain may consist of — all pure value ops.
 _CHAIN_OPS = frozenset({"const", "swizzle", "builtin", "arith", "construct"})
+
+
+class FetchSite:
+    """One fused kernel-input read (the ``fetch`` annotation).
+
+    ``out`` is the register the decoded bytes land in (the ``floor``
+    result); ``channel`` is None for the vec4 decode and 0 for the
+    ``.r`` form.  ``private`` holds the instructions a backend may skip
+    at their own positions; ``fallback`` is what it must run at the
+    texture's position when the direct read misses, in original order
+    (the texture instruction included).
+    """
+
+    __slots__ = ("out", "channel", "private", "fallback")
+
+    def __init__(self, out: int, channel: Optional[int],
+                 private: Tuple[Instr, ...], fallback: Tuple[Instr, ...]):
+        self.out = out
+        self.channel = channel
+        self.private = private
+        self.fallback = fallback
 
 
 def _sub_blocks(region):
@@ -79,8 +145,27 @@ def _sub_blocks(region):
             yield value
 
 
+def _region_reads(region) -> Tuple[int, ...]:
+    """Registers a region node itself reads (conditions, arm results)."""
+    if isinstance(region, (IfRegion, LoopRegion)):
+        return () if region.cond is None else (region.cond,)
+    if isinstance(region, CondRegion):
+        return (region.cond, region.true_reg, region.false_reg)
+    if isinstance(region, ScRegion):
+        return (region.left, region.right)
+    return ()
+
+
+def _written(ins: Instr) -> Tuple[int, ...]:
+    """Registers an instruction writes (its result and store root)."""
+    out = () if ins.out is None else (ins.out,)
+    if ins.op in ("store", "incdec") and ins.args:
+        return (ins.args[0],) + out
+    return out
+
+
 class _DefInfo:
-    """Program-wide single-definition / single-store index."""
+    """Program-wide definition / store / reader index."""
 
     def __init__(self, program: CompiledProgram):
         #: reg -> unique defining Instr, or None when multiply defined
@@ -89,6 +174,10 @@ class _DefInfo:
         self.stores: Dict[int, List[Tuple[Block, int, Instr]]] = {}
         #: id(Instr) -> (block, index within block.items)
         self.positions: Dict[int, Tuple[Block, int]] = {}
+        #: reg -> instructions reading it (once per operand slot)
+        self.readers: Dict[int, List[Instr]] = {}
+        #: registers read by region nodes, or published as globals
+        self.pinned: Set[int] = {plan.reg for plan in program.globals_plan}
         for plan in program.globals_plan:
             if plan.init_block is not None:
                 self._scan(plan.init_block)
@@ -98,6 +187,8 @@ class _DefInfo:
         for idx, item in enumerate(block.items):
             if isinstance(item, Instr):
                 self.positions[id(item)] = (block, idx)
+                for reg in item.args:
+                    self.readers.setdefault(reg, []).append(item)
                 if item.op in ("store", "incdec") and item.args:
                     self.stores.setdefault(item.args[0], []).append(
                         (block, idx, item)
@@ -108,6 +199,7 @@ class _DefInfo:
                     else:
                         self.defs[item.out] = item
             elif isinstance(item, Region):
+                self.pinned.update(_region_reads(item))
                 for sub in _sub_blocks(item):
                     self._scan(sub)
 
@@ -137,39 +229,99 @@ class _DefInfo:
             return None
         return src, (block, idx, st)
 
+    def sole_reader(self, reg: int) -> Optional[Instr]:
+        """The one instruction reading ``reg``, if exactly one does."""
+        readers = self.readers.get(reg, ())
+        if len(readers) != 1 or reg in self.pinned:
+            return None
+        return readers[0]
 
-def _is_half_const(program: CompiledProgram, imm) -> bool:
-    """True when ``imm`` indexes a scalar float 0.5 in the pool."""
-    if not isinstance(imm, int) or not 0 <= imm < len(program.consts):
+    def private_to(self, ins: Instr, inside: Set[int]) -> bool:
+        """True when every reader of what ``ins`` writes is in
+        ``inside`` (a set of instruction ids)."""
+        for reg in _written(ins):
+            readers = self.readers.get(reg, ())
+            if reg in self.pinned or len(readers) > len(inside):
+                return False
+            if any(id(reader) not in inside for reader in readers):
+                return False
+        return True
+
+
+class _BlockIndex:
+    """Write positions and mask barriers (regions, kill ops) of one
+    block, for logarithmic window queries."""
+
+    def __init__(self, block: Block):
+        self.items = block.items
+        self.writes: Dict[int, List[int]] = {}
+        #: barriers[k] = number of barrier items among items[:k]
+        self.barriers = [0]
+        for pos, item in enumerate(block.items):
+            is_instr = isinstance(item, Instr)
+            barrier = not is_instr or item.op in KILL_OPS
+            self.barriers.append(self.barriers[-1] + barrier)
+            if is_instr:
+                for reg in _written(item):
+                    self.writes.setdefault(reg, []).append(pos)
+
+    def open(self, lo: int, hi: int) -> bool:
+        """No region or kill op strictly between positions lo < hi."""
+        return self.barriers[hi] == self.barriers[lo + 1]
+
+    def rewritten(self, reg: int, lo: int, hi: int, moved: Set[int]) -> bool:
+        """True when an instruction strictly between lo and hi, other
+        than the ``moved`` ones (ids), writes ``reg``."""
+        positions = self.writes.get(reg, ())
+        i = bisect_right(positions, lo)
+        while i < len(positions) and positions[i] < hi:
+            if id(self.items[positions[i]]) not in moved:
+                return True
+            i += 1
         return False
+
+    def carried(self, reg: int, pos: int, moved: Set[int]) -> bool:
+        """True when ``reg`` reaches ``pos`` from an earlier pass through
+        the block (nothing writes it before ``pos``) and one of the
+        ``moved`` instructions (ids) writes it."""
+        positions = self.writes.get(reg, ())
+        return bisect_left(positions, pos) == 0 and any(
+            id(self.items[q]) in moved for q in positions)
+
+
+def _splat_const(program: CompiledProgram, info: _DefInfo, reg: int):
+    """``(type name, value)`` when ``reg`` is a single-definition
+    float constant whose components all equal ``value``, else None."""
+    ins = info.defs.get(reg)
+    if ins is None or ins.op != "const" or reg in info.stores:
+        return None
+    imm = ins.imm
+    if not isinstance(imm, int) or not 0 <= imm < len(program.consts):
+        return None
     gtype, master = program.consts[imm]
     flat = master.reshape(-1)
-    return str(gtype) == "float" and flat.size == 1 and float(flat[0]) == 0.5
+    name = str(gtype)
+    if name not in ("float", "vec4") or flat.size == 0 \
+            or not (flat == flat[0]).all():
+        return None
+    return name, float(flat[0])
 
 
-def _same_mask_window(info: _DefInfo, tex: Instr, stores) -> bool:
+def _same_mask_window(info: _DefInfo, tex: Instr, stores, index_of) -> bool:
     """True when every store in ``stores`` shares the texture's block
     and the span from the earliest store to the texture is free of
     region boundaries and kill ops — i.e. one execution mask covers
     all of them and the stored triple is lane-consistent."""
-    tex_pos = info.positions.get(id(tex))
-    if tex_pos is None:
-        return False
-    tex_block, tex_idx = tex_pos
+    tex_block, tex_idx = info.positions[id(tex)]
     first = tex_idx
     for block, idx, __ in stores:
         if block is not tex_block or idx >= tex_idx:
             return False
         first = min(first, idx)
-    for item in tex_block.items[first:tex_idx]:
-        if isinstance(item, Region):
-            return False
-        if isinstance(item, Instr) and item.op in KILL_OPS:
-            return False
-    return True
+    return index_of(tex_block).open(first, tex_idx)
 
 
-def _match_fetch_chain(program, tex: Instr, info: _DefInfo):
+def _match_fetch_chain(program, tex: Instr, info: _DefInfo, index_of):
     """Match the fetch-helper coordinate chain rooted at ``tex``.
 
     Expected value structure (each endpoint either a pure register or
@@ -185,7 +337,10 @@ def _match_fetch_chain(program, tex: Instr, info: _DefInfo):
         arith     coord <- sum size ('/', 2)
         texture   out   <- sampler coord texture2D/0
 
-    Returns ``(size_reg, x_reg, y_reg)`` or None.
+    Returns ``((size_reg, x_reg, y_reg), coord_instrs)`` or None;
+    ``coord_instrs`` are the instructions that only turn ``x``/``y``
+    into the sample coordinate (construct, 0.5, +, divide, and the
+    coordinate local's store), the candidates for deferral.
     """
 
     def pure(reg, op):
@@ -208,7 +363,8 @@ def _match_fetch_chain(program, tex: Instr, info: _DefInfo):
         return None
     for xy_reg, half_reg in (add.args, add.args[::-1]):
         half = pure(half_reg, "const")
-        if half is not None and _is_half_const(program, half.imm):
+        if half is not None and \
+                _splat_const(program, info, half_reg) == ("float", 0.5):
             break
     else:
         return None
@@ -242,38 +398,162 @@ def _match_fetch_chain(program, tex: Instr, info: _DefInfo):
     if endpoint_stores:
         if len(endpoint_stores) != 3:
             return None  # mixed pure/stored: inactive lanes may skew
-        if not _same_mask_window(info, tex, endpoint_stores):
+        if not _same_mask_window(info, tex, endpoint_stores, index_of):
             return None
-    return (size_reg, x_reg, y_reg)
+    coord_instrs = [xy, half, add, coord]
+    if coord_store is not None:
+        coord_instrs.append(coord_store[2])
+    return (size_reg, x_reg, y_reg), coord_instrs
+
+
+def _match_decode(program, tex: Instr, info: _DefInfo):
+    """Match the byte decode that is the texel's only consumer:
+    ``floor(t * 255.0 + 0.5)`` on the vec4 or on ``t.r``.  Returns
+    ``(channel, [swizzle,] mul, add, floor)`` or None."""
+    chain: List[Instr] = []
+    channel = None
+    reg = tex.out
+    ins = info.sole_reader(reg)
+    if ins is not None and ins.op == "swizzle" and ins.imm == (0,):
+        channel = 0
+        chain.append(ins)
+        reg = ins.out
+        ins = info.sole_reader(reg)
+    width = "vec4" if channel is None else "float"
+    for op, value in (("*", 255.0), ("+", 0.5)):
+        if (ins is None or ins.op != "arith" or ins.imm[0] != op
+                or len(ins.args) != 2 or reg not in ins.args
+                or str(ins.type) != width):
+            return None
+        other = ins.args[1] if ins.args[0] == reg else ins.args[0]
+        const = _splat_const(program, info, other)
+        if const is None or const[1] != value \
+                or const[0] not in ("float", width):
+            return None
+        chain.append(ins)
+        reg = ins.out
+        ins = info.sole_reader(reg)
+    if (ins is None or ins.op != "builtin" or ins.imm[0] != "floor/0"
+            or ins.args != (reg,)):
+        return None
+    chain.append(ins)
+    return channel, chain
+
+
+def _fetch_site(program, tex: Instr, coord_instrs, info: _DefInfo,
+                index_of) -> Optional[FetchSite]:
+    """Build the fused-read record for an annotated texture, or None
+    when the decode does not match or cannot move to the texture."""
+    decode = _match_decode(program, tex, info)
+    if decode is None:
+        return None
+    channel, chain = decode
+    block, t = info.positions[id(tex)]
+    index = index_of(block)
+    pos: Dict[int, int] = {id(tex): t}
+    for ins in chain:
+        where = info.positions.get(id(ins))
+        if where is None or where[0] is not block or where[1] <= t \
+                or info.defs.get(ins.out) is not ins:
+            return None
+        pos[id(ins)] = where[1]
+    end = pos[id(chain[-1])]
+    if not index.open(t, end):
+        return None
+    # The bytes now land at the texture's position: nothing between
+    # there and the floor may read the register's previous value.
+    for reader in info.readers.get(chain[-1].out, ()):
+        where = info.positions[id(reader)]
+        if where[0] is block and t < where[1] < end:
+            return None
+    # The decode moves up to the texture.  Its constant operands
+    # defined in between are re-run in the fallback; nothing else in
+    # between may write an operand.
+    moved = set(pos)
+    consts: Dict[int, Instr] = {}
+    for ins in chain:
+        for reg in ins.args:
+            d = info.defs.get(reg)
+            if d is not None and id(d) in moved:
+                continue
+            where = None if d is None else info.positions.get(id(d))
+            if (d is not None and d.op == "const" and where is not None
+                    and where[0] is block and t < where[1] < pos[id(ins)]):
+                consts[id(d)] = d
+                pos[id(d)] = where[1]
+            elif index.rewritten(reg, t, pos[id(ins)], moved):
+                return None
+    # The coordinate instructions move down to the texture: keep those
+    # that are private and whose operands stay put (a fixpoint, since
+    # dropping one makes its operands' producers non-private).
+    deferred = []
+    for ins in coord_instrs:
+        where = info.positions.get(id(ins))
+        if where is not None and where[0] is block and where[1] < t \
+                and index.open(where[1], t):
+            deferred.append(ins)
+            pos[id(ins)] = where[1]
+    inside = moved | {id(ins) for ins in deferred}
+    changed = True
+    while changed:
+        changed = False
+        for ins in list(deferred):
+            p = pos[id(ins)]
+            if (not info.private_to(ins, inside)
+                    or any(index.rewritten(reg, p, t, inside)
+                           or index.carried(reg, p, inside)
+                           for reg in ins.args)):
+                deferred.remove(ins)
+                inside.discard(id(ins))
+                changed = True
+    inside |= {key for key, d in consts.items()
+               if info.private_to(d, inside | {key})}
+    fallback = sorted([tex, *deferred, *consts.values(), *chain],
+                      key=lambda ins: pos[id(ins)])
+    private = tuple(ins for ins in fallback
+                    if ins is not tex and id(ins) in inside)
+    return FetchSite(chain[-1].out, channel, private, tuple(fallback))
+
+
+def texture_instrs(block: Block):
+    """Yield every ``texture`` instruction under ``block``, in program
+    order (nested regions included)."""
+    for item in block.items:
+        if isinstance(item, Instr):
+            if item.op == "texture":
+                yield item
+        else:
+            for sub in _sub_blocks(item):
+                yield from texture_instrs(sub)
 
 
 def annotate_gathers(program: CompiledProgram) -> int:
-    """Annotate every provable fetch-pattern texture instruction.
+    """Annotate every provable fetch-pattern texture instruction with
+    ``gather`` and, where the byte decode follows, ``fetch``.
 
-    Returns the number of sites annotated (for tests/diagnostics).
+    Returns the number of ``gather`` sites (for tests/diagnostics).
     Idempotent; stale annotations from a previous run are cleared.
     """
     info = _DefInfo(program)
+    indexes: Dict[int, _BlockIndex] = {}
 
-    def visit(block: Block) -> int:
-        sites = 0
-        for item in block.items:
-            if isinstance(item, Instr):
-                if item.op != "texture":
-                    continue
-                item.gather = None
-                imm = item.imm
-                if (not isinstance(imm, tuple) or len(imm) != 2
-                        or imm[0] not in _GATHER_TEX_KEYS
-                        or len(item.args) != 2):
-                    continue
-                match = _match_fetch_chain(program, item, info)
-                if match is not None:
-                    item.gather = match
-                    sites += 1
-            elif isinstance(item, Region):
-                for sub in _sub_blocks(item):
-                    sites += visit(sub)
-        return sites
+    def index_of(block: Block) -> _BlockIndex:
+        index = indexes.get(id(block))
+        if index is None:
+            index = indexes[id(block)] = _BlockIndex(block)
+        return index
 
-    return visit(program.body)
+    sites = 0
+    for tex in texture_instrs(program.body):
+        tex.gather = tex.fetch = None
+        imm = tex.imm
+        if (not isinstance(imm, tuple) or len(imm) != 2
+                or imm[0] not in _GATHER_TEX_KEYS or len(tex.args) != 2):
+            continue
+        match = _match_fetch_chain(program, tex, info, index_of)
+        if match is not None:
+            tex.gather, coord_instrs = match
+            tex.fetch = _fetch_site(program, tex, coord_instrs, info,
+                                    index_of)
+            sites += 1
+    return sites

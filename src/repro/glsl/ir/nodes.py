@@ -75,9 +75,14 @@ class Instr:
         may then gather texel storage directly once the runtime
         qualification (sampler complete, NEAREST + CLAMP_TO_EDGE,
         indices in-range) holds; None everywhere else.
+    fetch:
+        Texture instructions only: a :class:`~repro.glsl.ir.gather.FetchSite`
+        when a ``gather`` site's texel feeds the byte decode
+        ``floor(t * 255.0 + 0.5)`` and the whole read can be fused into
+        one stored-byte fetch; None everywhere else.
     """
 
-    __slots__ = ("op", "out", "args", "imm", "type", "gather")
+    __slots__ = ("op", "out", "args", "imm", "type", "gather", "fetch")
 
     def __init__(self, op, out=None, args=(), imm=None, type=None,
                  gather=None):
@@ -87,6 +92,7 @@ class Instr:
         self.imm = imm
         self.type = type
         self.gather = gather
+        self.fetch = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Instr({format_instr(self)})"

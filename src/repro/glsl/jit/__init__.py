@@ -248,10 +248,10 @@ class JitExecutor(IRExecutor):
     instructions.  Same constructor, same ``execute(n, presets)``
     contract, bit-identical observable results.
 
-    The generated gather sites bump ``draw.texture_gathers`` /
+    The generated fused-read sites bump ``draw.texture_gathers`` /
     ``draw.gather_fallbacks`` once per site execution: a site inside a
-    loop counts once per iteration, matching how often the
-    wrap/scale/filter pipeline it replaces would have run."""
+    loop counts once per iteration, matching how often the sample and
+    decode it replaces would have run."""
 
     def execute(self, n: int, presets: Dict[str, Value],
                 count_globals: bool = True) -> Dict[str, Value]:

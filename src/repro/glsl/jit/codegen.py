@@ -44,6 +44,8 @@ loop, divergent   masked ``while`` with per-lane break/continue/exit
 ?: / && / ||      mask-blended straight-line ``np.where`` / boolean
                   algebra (the interpreter's exact combine formulas)
 function region   inlined (only when it contains no ``return``)
+kernel input      one ``_fetch`` of the stored bytes; coordinates,
+read + decode     sample and decode run only on a miss (ir.gather)
 ===============  ====================================================
 
 Anything outside this subset — user functions with ``return``, struct
@@ -55,11 +57,13 @@ the ``jit.fallbacks`` counter.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from ...perf import counters
+from ...testing import faults
 from ..errors import GlslLimitError
 from ..types import BaseType, GlslType, TypeKind
 from ..values import INT_DTYPE, masked_blend, zeros_for
@@ -73,6 +77,7 @@ from ..ir.nodes import (
     LoopRegion,
     ScRegion,
 )
+from ..ir.gather import FetchSite, texture_instrs
 from .uniform import (
     UniformInfo,
     _block_has_op,
@@ -110,6 +115,33 @@ def set_gather_enabled(enabled: bool) -> bool:
     previous = _GATHER_ENABLED
     _GATHER_ENABLED = bool(enabled)
     return previous
+
+
+def decode_exact(fmodel) -> bool:
+    """True when, under ``fmodel``, the shader's byte decode returns
+    every stored byte unchanged: ``floor(t * 255.0 + 0.5) == c`` for
+    the texel ``t`` that ``texture2D`` hands out for each byte ``c``.
+
+    Needs the "alu" and "tex" quantize to be casts (the decode and
+    the sample then run in plain model-dtype numpy); the identity
+    itself is checked, not assumed (Daumas et al.: a byte round trip
+    through graphics arithmetic is exact only under stated rounding).
+    Fused reads are emitted only when this holds."""
+    return (fmodel.quantize_is_cast("alu")
+            and fmodel.quantize_is_cast("tex")
+            and _decode_identity(np.dtype(fmodel.dtype).str))
+
+
+@functools.lru_cache(maxsize=None)
+def _decode_identity(dtype: str) -> bool:
+    """The decode identity for all 256 bytes, once per float dtype,
+    with the generated code's own numpy ops: ``_tex``'s ``uint8 /
+    255.0`` and cast, then the decode's multiply, add and floor."""
+    stored = np.arange(256, dtype=np.uint8)
+    texel = np.asarray(stored / 255.0, dtype)
+    decoded = np.asarray(np.floor(texel * np.asarray([255.0], dtype)
+                                  + np.asarray([0.5], dtype)), dtype)
+    return bool(np.array_equal(decoded, stored))
 
 
 def _ndim(gtype: GlslType) -> int:
@@ -296,41 +328,41 @@ def make_helpers(fmodel) -> Dict[str, object]:
             return np.asarray(texels, DT)
         return quantize(texels.astype(DT), "tex")
 
-    # Gather tallies, counted per _gather call site execution into
-    # the process counters; execute_draw captures them per draw.
+    # Fused-read tallies, counted per site execution into the process
+    # counters; execute_draw captures them per draw.
     counts = counters.values
+    fire = faults.fire
 
-    def _gather(sampler, x, y, coords, size):
-        # Direct texel gather for IR-annotated fetch-pattern samples
-        # (see glsl.ir.gather).  The static half of the proof — the
-        # coordinate is (vec2(x, y) + 0.5) / size — is established by
-        # the annotation; everything checked here is the runtime half:
-        # the sampler qualifies (complete, NEAREST, CLAMP_TO_EDGE,
-        # storage matching `size`) and the indices are integral and
-        # in-range.  Any miss falls back to the ordinary sampler,
-        # which is bit-identical by construction.
+    def _fetch(sampler, x, y, size, rgba):
+        # One fused kernel-input read (see glsl.ir.gather): the stored
+        # bytes of texels (x, y), in the model dtype — what the decode
+        # floor(texture2D(..) * 255.0 + 0.5) returns, by the identity
+        # decode_exact proved for this dtype.  The static half of the
+        # proof (the coordinate is (vec2(x, y) + 0.5) / size) comes
+        # from the annotation; everything checked here is the runtime
+        # half: the sampler qualifies (complete, NEAREST,
+        # CLAMP_TO_EDGE, storage matching `size`) and the indices are
+        # integral and in-range.  A miss returns None and the caller
+        # runs the original coordinates, sample and decode.
         gi = getattr(sampler, "gather_info", None)
-        data = None
         if gi is not None and size.shape[0] == 1:
             data = gi(float(size[0, 0]), float(size[0, 1]))
-        if data is not None:
-            ix = x.astype(np.int64)
-            iy = y.astype(np.int64)
-            if (ix.size > 0 and iy.size > 0
-                    and ix.min() >= 0 and iy.min() >= 0
-                    and ix.max() < data.shape[1]
-                    and iy.max() < data.shape[0]
-                    and np.array_equal(ix, x) and np.array_equal(iy, y)):
-                counts["draw.texture_gathers"] += 1
-                # Same arithmetic as Texture.sample's NEAREST path:
-                # uint8 storage divided to [0, 1] in float64, then the
-                # model's "tex" quantize (or its cast elision).
-                texels = data[iy, ix] / 255.0
-                if tex_cast_only:
-                    return np.asarray(texels, DT)
-                return quantize(texels.astype(DT), "tex")
+            if data is not None:
+                height, width = data.shape[0], data.shape[1]
+                # In range (a NaN minimum compares False), then
+                # integral; only then are the int casts exact.
+                if (x.size > 0 and y.size > 0
+                        and x.min() >= 0 and y.min() >= 0
+                        and x.max() < width and y.max() < height
+                        and (np.floor(x) == x).all()
+                        and (np.floor(y) == y).all()
+                        and not fire("gather_miss")):
+                    counts["draw.texture_gathers"] += 1
+                    texel = y.astype(np.intp) * width + x.astype(np.intp)
+                    rows = data.reshape(-1, 4).take(texel, axis=0)
+                    return (rows if rgba else rows[:, 0]).astype(DT)
         counts["draw.gather_fallbacks"] += 1
-        return _tex(sampler, coords, 0)
+        return None
 
     return {
         "np": np,
@@ -346,7 +378,7 @@ def make_helpers(fmodel) -> Dict[str, object]:
         "_flat": _flat,
         "_mdiag": _mdiag,
         "_tex": _tex,
-        "_gather": _gather,
+        "_fetch": _fetch,
     }
 
 
@@ -378,6 +410,23 @@ class CodeGen:
         #: gen_instr) — eligible for in-place component stores.
         self.owned: Set[int] = set()
         self._own_root: Optional[int] = None
+        #: id(texture Instr) -> its fused read; ids of the instructions
+        #: those reads skip in place (they run only in the fallback)
+        self.fused: Dict[int, FetchSite] = {}
+        self.deferred: Set[int] = set()
+        if self.gather and decode_exact(fmodel):
+            samplers = {plan.reg for plan in program.globals_plan
+                        if plan.is_sampler}
+            for tex in texture_instrs(program.body):
+                site = tex.fetch
+                if site is None:
+                    continue
+                floor = site.fallback[-1].imm[1]
+                if (tex.args[0] in samplers
+                        and self.uinfo.is_uniform(tex.gather[0])
+                        and fmodel.quantize_is_cast(floor.category)):
+                    self.fused[id(tex)] = site
+                    self.deferred.update(id(ins) for ins in site.private)
 
     # -- plumbing -------------------------------------------------------
     def w(self, line: str) -> None:
@@ -499,7 +548,8 @@ class CodeGen:
             return m
         for item in items:
             if isinstance(item, Instr):
-                m = self.gen_instr(item, m)
+                if id(item) not in self.deferred:
+                    m = self.gen_instr(item, m)
                 continue
             # Regions introduce conditional control flow and recursive
             # bodies — conservatively forget array ownership on both
@@ -966,22 +1016,29 @@ class CodeGen:
             raise JitUnsupported("sampler register not traceable")
         kind = _TEX_KIND.get(overload.impl, 0)
         self.types[ins.out] = ins.type
-        gather = getattr(ins, "gather", None)
-        # Gather fast path: only for plain texture2D sites the IR
-        # annotation proved to be fetch-pattern samples, only when the
-        # float model's ALU quantize is a pure cast (the texel-centre
-        # round-trip proof assumes IEEE arithmetic on the stored
-        # dtype), and only for width-1 size registers (the helper
-        # reads scalar dimensions out of them).
-        if (gather is not None and kind == 0 and self.gather
-                and sampler != "None"
-                and (self.exact or self.fmodel.quantize_is_cast("alu"))
-                and self.uinfo.is_uniform(gather[0])):
-            size_reg, x_reg, y_reg = gather
-            self.w(f"r{ins.out} = _gather({sampler}, r{x_reg}, r{y_reg}, "
-                   f"r{ins.args[1]}, r{size_reg})")
+        site = self.fused.get(id(ins))
+        if site is None:
+            self.w(f"r{ins.out} = _tex({sampler}, r{ins.args[1]}, {kind})")
             return m
-        self.w(f"r{ins.out} = _tex({sampler}, r{ins.args[1]}, {kind})")
+        # Fused read (glsl.ir.gather): one call returns the stored
+        # bytes; only a miss runs the private coordinate instructions,
+        # the sample and the decode, in their original order.  Only
+        # plain texture2D sites of a global sampler with a width-1 size
+        # register (the helper reads scalar dimensions out of it) fuse.
+        size_reg, x_reg, y_reg = ins.gather
+        out = f"r{site.out}"
+        self.w(f"{out} = _fetch({sampler}, r{x_reg}, r{y_reg}, "
+               f"r{size_reg}, {site.channel is None})")
+        self.w(f"if {out} is None:")
+        self.level += 1
+        for item in site.fallback:
+            if item is ins:
+                self.w(f"r{ins.out} = _tex({sampler}, r{ins.args[1]}, 0)")
+            else:
+                m = self.gen_instr(item, m)
+        self.level -= 1
+        # Conditional code: forget array ownership, as around regions.
+        self.owned.clear()
         return m
 
     # -- constructors ----------------------------------------------------

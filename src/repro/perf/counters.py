@@ -264,10 +264,10 @@ class DrawStats:
 
     The invocation and op fields are per-lane model inputs.  ``counts``
     holds the ``draw`` counters that changed during the draw;
-    ``texture_gathers``/``gather_fallbacks`` read the JIT texture-gather
-    tallies (see repro.glsl.ir.gather): annotated site executions that
-    gathered texel storage directly, and those that failed the runtime
-    qualification and sampled instead.
+    ``texture_gathers``/``gather_fallbacks`` read the JIT fused-read
+    tallies (see repro.glsl.ir.gather): site executions that read the
+    stored bytes directly, and those that failed the runtime check
+    and ran the original coordinates, sample and decode instead.
     """
 
     vertex_invocations: int = 0

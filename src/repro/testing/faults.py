@@ -25,6 +25,10 @@ A **fault site** is a named point in the runtime that asks
                      raises (graph replay falls back to eager)
 ``jit_error``        JIT codegen fails (draw falls back to the IR
                      executor)
+``gather_miss``      a JIT fused texel fetch's runtime check misses
+                     (the generated code runs the original coordinates,
+                     ``texture2D`` and byte decode; counted in
+                     ``draw.gather_fallbacks``)
 ===================  ==================================================
 
 Firing is **deterministic**: site *i*'s *n*-th query fires iff
@@ -86,6 +90,7 @@ SITES = frozenset({
     "cache_lock",
     "fuse_fail",
     "jit_error",
+    "gather_miss",
 })
 
 #: Sites evaluated inside pool worker processes.  The leader ships the

@@ -13,6 +13,7 @@ from repro.gles2 import GLES2Context, enums as gl, parallel, pipeline, raster
 from repro.gles2.precision import make_model
 from repro.perf import trace
 from repro.perf.gpu_model import GpuModel
+from repro.testing import faults
 
 N = 256  # a 16 x 16 output: several 4-pixel tiles for the pool
 
@@ -120,10 +121,13 @@ def _launch_twice(backend, workers, body, a_host, replay):
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_plan_hit_matches_full_run(backend, workers, kernel):
     body, a_host = KERNELS[kernel]
-    planned, planned_time = _launch_twice(backend, workers, body, a_host,
-                                          replay=True)
-    full, full_time = _launch_twice(backend, workers, body, a_host,
-                                    replay=False)
+    # The draw stats compared below include the fused-read gather
+    # counts, which an injected gather miss would skew per launch.
+    with faults.suppress():
+        planned, planned_time = _launch_twice(backend, workers, body,
+                                              a_host, replay=True)
+        full, full_time = _launch_twice(backend, workers, body, a_host,
+                                        replay=False)
 
     assert _plan_args(planned[0][2]) == {"draw.vertex": "miss",
                                          "draw.raster": "miss"}

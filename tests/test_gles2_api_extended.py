@@ -275,6 +275,59 @@ class TestMoreGetters:
         assert list(value) == [1.0, 2.0, 3.0, 1.0]
 
 
+class TestTexSubImage2D:
+    """glTexSubImage2D validation (ES 2 §3.7.2) and in-place writes."""
+
+    def _texture(self, ctx, fmt=gl.GL_RGBA, components=4):
+        (tex,) = ctx.glGenTextures(1)
+        ctx.glBindTexture(gl.GL_TEXTURE_2D, tex)
+        ctx.glTexImage2D(gl.GL_TEXTURE_2D, 0, fmt, 4, 4, 0, fmt,
+                         gl.GL_UNSIGNED_BYTE,
+                         np.zeros((4, 4, components), dtype=np.uint8))
+        return ctx._textures[tex]
+
+    def _sub(self, ctx, x, y, w, h, fmt, components):
+        ctx.glTexSubImage2D(gl.GL_TEXTURE_2D, 0, x, y, w, h, fmt,
+                            gl.GL_UNSIGNED_BYTE,
+                            np.full((h, w, components), 9, dtype=np.uint8))
+
+    def test_luminance_alpha_sub_image_is_written(self, ctx):
+        texture = self._texture(ctx, gl.GL_LUMINANCE_ALPHA, 2)
+        ctx.glTexSubImage2D(gl.GL_TEXTURE_2D, 0, 1, 2, 1, 1,
+                            gl.GL_LUMINANCE_ALPHA, gl.GL_UNSIGNED_BYTE,
+                            np.array([[[7, 200]]], dtype=np.uint8))
+        assert list(texture.data[2, 1]) == [7, 7, 7, 200]
+        assert list(texture.data[0, 0]) == [0, 0, 0, 0]
+
+    def test_negative_offset_is_invalid_value(self, ctx):
+        texture = self._texture(ctx)
+        with pytest.raises(GLError) as exc:
+            self._sub(ctx, -1, 0, 2, 2, gl.GL_RGBA, 4)
+        assert exc.value.code == gl.GL_INVALID_VALUE
+        assert not texture.data.any()
+
+    def test_region_past_the_edge_is_invalid_value(self, ctx):
+        texture = self._texture(ctx)
+        with pytest.raises(GLError) as exc:
+            self._sub(ctx, 3, 0, 2, 1, gl.GL_RGBA, 4)
+        assert exc.value.code == gl.GL_INVALID_VALUE
+        assert not texture.data.any()
+
+    def test_mismatched_format_is_invalid_operation(self, ctx):
+        texture = self._texture(ctx)
+        with pytest.raises(GLError) as exc:
+            self._sub(ctx, 0, 0, 2, 2, gl.GL_LUMINANCE, 1)
+        assert exc.value.code == gl.GL_INVALID_OPERATION
+        assert not texture.data.any()
+
+    def test_unknown_format_is_invalid_enum(self, ctx):
+        texture = self._texture(ctx)
+        with pytest.raises(GLError) as exc:
+            self._sub(ctx, 0, 0, 2, 2, 0x1234, 4)
+        assert exc.value.code == gl.GL_INVALID_ENUM
+        assert not texture.data.any()
+
+
 class TestGenerateMipmap:
     def test_mipmap_completes_texture(self, ctx):
         (tex,) = ctx.glGenTextures(1)
