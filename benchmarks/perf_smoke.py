@@ -132,10 +132,10 @@ def bench_sum():
     return stats
 
 
-def _sgemm_launch(backend, n, shade_workers=None, tile_size=None):
+def _sgemm_launch(backend, n, shade_workers=None):
     dev = GpgpuDevice(
         float_model="videocore", execution_backend=backend,
-        shade_workers=shade_workers, tile_size=tile_size,
+        shade_workers=shade_workers,
     )
     rng = np.random.default_rng(1)
     a_host = rng.uniform(-1, 1, size=n * n).astype(np.float32)
@@ -152,15 +152,15 @@ def _sgemm_launch(backend, n, shade_workers=None, tile_size=None):
 
 
 def bench_sgemm(n=SGEMM_N, backends=BACKENDS, include_workers=False,
-                worker_tile=None, reps=REPS, warmup=WARMUP):
+                reps=REPS, warmup=WARMUP):
     """Time sgemm under ``backends``; ``include_workers`` adds a
     ``jit+workers`` column (JIT backend with ``SHADE_WORKERS``
-    fragment-shading worker processes and ``worker_tile``-pixel tiles;
-    None = the automatic tiling policy)."""
+    fragment-shading worker processes under the default pool policy:
+    only a draw above the pool floor splits across the workers)."""
     rigs = {backend: _sgemm_launch(backend, n) for backend in backends}
     if include_workers:
         rigs["jit+workers"] = _sgemm_launch(
-            "jit", n, shade_workers=SHADE_WORKERS, tile_size=worker_tile
+            "jit", n, shade_workers=SHADE_WORKERS
         )
     stats = _time_interleaved(
         {backend: rig[3] for backend, rig in rigs.items()},
@@ -415,36 +415,6 @@ def bench_cold_warm(reps=COLD_WARM_REPS):
     return stats
 
 
-def sweep_tile(n=SGEMM_N_XL, workers=SHADE_WORKERS,
-               tiles=(16, 32, 64, 128, 0), reps=XL_REPS, warmup=XL_WARMUP):
-    """Tile-size sweep behind DEFAULT_TILE_SIZE: times sgemm-``n``
-    under the JIT + worker pool at several tile sizes (0 = tiling off,
-    the monolithic baseline)."""
-    results = {}
-    for tile in tiles:
-        label = f"tile{tile}" if tile else "monolithic"
-        shade_workers = workers if tile else None
-        dev, out, __, launch = _sgemm_launch(
-            "jit", n, shade_workers=shade_workers,
-            tile_size=tile if tile else None,
-        )
-        for _ in range(warmup):
-            launch()
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            launch()
-            samples.append(time.perf_counter() - t0)
-        results[label] = {
-            "median_ms": statistics.median(samples) * 1e3,
-            "min_ms": min(samples) * 1e3,
-            "reps": reps,
-        }
-        print(f"sweep sgemm-{n} [{label}] "
-              f"median {results[label]['median_ms']:.3f} ms")
-    return results
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -452,19 +422,14 @@ def main(argv=None):
         default=str(Path(__file__).resolve().parent.parent / "BENCH_glsl_exec.json"),
         help="where to write the JSON report",
     )
-    parser.add_argument(
-        "--sweep-tile", action="store_true",
-        help="additionally sweep fragment tile sizes on sgemm-128 "
-             "under the worker pool (justifies DEFAULT_TILE_SIZE)",
-    )
     args = parser.parse_args(argv)
 
     report = {
         "description": (
             "repeated-launch wall clock, linear IR executor vs "
-            "NumPy-source JIT; 'jit+workers' columns add tiled "
-            "multiprocess fragment shading "
-            f"(shade_workers={SHADE_WORKERS}); map_chain_float32 "
+            "NumPy-source JIT; 'jit+workers' columns add multiprocess "
+            f"fragment shading (shade_workers={SHADE_WORKERS}, default "
+            "pool floor); map_chain_float32 "
             "times the deferred launch graph (record + fused replay) "
             "against eager multi-pass dispatch; "
             "first_launch_sgemm_float32 times kernel build + first "
@@ -481,16 +446,16 @@ def main(argv=None):
     for name, fn, size, timed in (
         ("sum_int32", bench_sum, SUM_N, BACKENDS),
         ("sgemm_float32", bench_sgemm, SGEMM_N, BACKENDS),
-        # sgemm-16 carries the jit+workers column (explicit 8-pixel
-        # tiles: 256 fragments is far below the auto-tiling floor).
+        # sgemm-16 carries a jit+workers column too: its 256 fragments
+        # are below the pool floor, so the column shows what workers
+        # cost a draw that stays in-process.
         ("sgemm_float32_16",
-         lambda: bench_sgemm(SGEMM_N_LARGE, include_workers=True,
-                             worker_tile=8),
+         lambda: bench_sgemm(SGEMM_N_LARGE, include_workers=True),
          SGEMM_N_LARGE, BACKENDS + ("jit+workers",)),
         # sgemm-128 is the workload the worker pool targets: 16384
         # fragments with a 128-iteration loop each, where fragment
         # shading is ~98% of the launch.  IR is skipped (minutes per
-        # rep); tiling engages via the automatic policy.
+        # rep); the draw splits across the workers by default.
         ("sgemm_float32_128",
          lambda: bench_sgemm(SGEMM_N_XL, backends=("jit",),
                              include_workers=True,
@@ -552,9 +517,6 @@ def main(argv=None):
                 f"{wname}: JIT draw hit gather fallbacks on a kernel "
                 "whose fetches must all qualify"
             )
-
-    if args.sweep_tile:
-        report["tile_sweep_sgemm_128"] = sweep_tile()
 
     from repro.gles2 import parallel
 

@@ -10,7 +10,9 @@ CPU reference with the paper's mantissa-agreement metric.
 Run:  python examples/sgemm_pipeline.py [n] [backend]
 
 ``backend`` is jit (the library default) or ir.  Combine with the usual
-knobs to exercise the full stack, e.g. a traced multiprocess run::
+knobs to exercise the full stack, e.g. a traced multiprocess run (the
+workers take a draw only above 4096 fragments, so n must exceed 64;
+the ``draw.shade`` span's ``chunks`` says how many ranges it shipped)::
 
     REPRO_TRACE=out.json REPRO_SHADE_WORKERS=2 \
         python examples/sgemm_pipeline.py 128 jit

@@ -49,13 +49,12 @@ class GpgpuDevice:
         per compiled program — fastest steady state; falls back to the
         IR executor outside the JIT subset) or ``"ir"`` (compiled
         linear-IR executor, bit-identical).
-    tile_size:
-        Fragment-tile edge in pixels; None selects the automatic
-        policy (tile only when workers could use it and the draw is
-        large).  Env default: ``REPRO_TILE_SIZE``.
     shade_workers:
         Worker processes for fragment shading (JIT backend only; 0 =
-        in-process).  Env default: ``REPRO_SHADE_WORKERS``.
+        in-process).  A draw above
+        :data:`~repro.gles2.pipeline.POOL_MIN_FRAGMENTS` fragments is
+        split into one contiguous range per worker.  Env default:
+        ``REPRO_SHADE_WORKERS``.
     graph_mode:
         When true, the multi-pass kernel drivers (``repro.kernels``)
         and graph-aware workloads record their launches into a
@@ -73,7 +72,6 @@ class GpgpuDevice:
         strict_errors: bool = True,
         max_loop_iterations: int = 65536,
         execution_backend: str = DEFAULT_EXECUTION_BACKEND,
-        tile_size: Optional[int] = None,
         shade_workers: Optional[int] = None,
         graph_mode: Optional[bool] = None,
     ):
@@ -85,7 +83,6 @@ class GpgpuDevice:
             strict_errors=strict_errors,
             max_loop_iterations=max_loop_iterations,
             execution_backend=execution_backend,
-            tile_size=tile_size,
             shade_workers=shade_workers,
         )
         self.machine = machine

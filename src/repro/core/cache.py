@@ -77,7 +77,9 @@ from ..perf import counters, trace
 #: Bump to invalidate every existing store (key *and* entry header).
 #: 3: generated JIT code calls ``_fetch``; schema-2 entries call the
 #: removed ``_gather`` and would fail at run time into the IR executor.
-SCHEMA_VERSION = 3
+#: 4: ``_fetch`` takes the site number first; schema-3 code would call
+#: it with the old arguments.
+SCHEMA_VERSION = 4
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"
@@ -149,8 +151,8 @@ def artifact_key(
     the GLSL source digest, the shader stage, the float model, the
     texture-gather flag, the wide-global set (JIT only), the fusion
     signature of composed map chains, the schema version, and the
-    Python/NumPy versions.  Execution-irrelevant knobs (``tile_size``,
-    ``shade_workers``, ``graph_mode``) deliberately have no component:
+    Python/NumPy versions.  Execution-irrelevant knobs
+    (``shade_workers``, ``graph_mode``) deliberately have no component:
     they change scheduling, never generated code.
     """
     parts = (

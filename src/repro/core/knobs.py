@@ -3,7 +3,7 @@
 Every deployment-facing knob used to be parsed at its point of use
 with a bare ``int(os.environ[...])`` — so ``REPRO_SHADE_WORKERS=abc``
 detonated as a raw ``ValueError`` in the middle of a draw, and
-``REPRO_TILE_SIZE=-1`` silently produced nonsense scheduling.  This
+``REPRO_SHADE_WORKERS=-1`` silently produced nonsense scheduling.  This
 module is the one place knob strings become values: a malformed or
 out-of-range knob falls back to its default and warns **once** per
 (knob, raw value) pair, naming both, instead of crashing the call

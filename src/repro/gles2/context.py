@@ -65,7 +65,6 @@ class GLES2Context:
         strict_errors: bool = True,
         max_loop_iterations: int = 65536,
         execution_backend: str = DEFAULT_EXECUTION_BACKEND,
-        tile_size: Optional[int] = None,
         shade_workers: Optional[int] = None,
     ):
         if isinstance(float_model, str):
@@ -75,28 +74,29 @@ class GLES2Context:
                 f"unknown execution backend '{execution_backend}' "
                 f"(expected one of {sorted(EXECUTORS)})"
             )
+        if shade_workers is not None and (
+            type(shade_workers) is not int or shade_workers < 0
+        ):
+            raise ValueError(
+                f"shade_workers must be a non-negative int, "
+                f"not {shade_workers!r}"
+            )
         self.float_model = float_model
         self.quantization = quantization
         self.limits = limits
         self.max_loop_iterations = max_loop_iterations
         #: How shaders run: a key of pipeline.EXECUTORS ("jit" or "ir").
         self.execution_backend = execution_backend
-        # Tiled / multiprocess fragment shading knobs.  Constructor
-        # arguments left unset fall back to the environment
-        # (REPRO_TILE_SIZE / REPRO_SHADE_WORKERS), so deployments can
-        # turn on worker shading without touching call sites.
-        # Validated centrally (repro.core.knobs): a malformed or
-        # out-of-range knob falls back to its default with a single
-        # warning instead of raising ValueError mid-draw.
+        # Multiprocess fragment shading.  Left unset, the worker count
+        # falls back to the environment (REPRO_SHADE_WORKERS), so
+        # deployments can turn on worker shading without touching call
+        # sites.  Validated centrally (repro.core.knobs): a malformed
+        # or out-of-range value falls back to its default with a
+        # single warning instead of raising ValueError mid-draw.
         from ..core.knobs import int_knob
 
-        if tile_size is None:
-            tile_size = int_knob("REPRO_TILE_SIZE", None, minimum=1)
         if shade_workers is None:
             shade_workers = int_knob("REPRO_SHADE_WORKERS", 0, minimum=0)
-        #: Fragment-tile edge in pixels (None = automatic policy, see
-        #: pipeline.execute_draw).
-        self.tile_size = tile_size
         #: Worker processes for fragment shading (0 = in-process).
         self.shade_workers = shade_workers
         self.error_state = ErrorState(strict=strict_errors)
@@ -106,7 +106,6 @@ class GLES2Context:
             "float_model": getattr(float_model, "name",
                                    type(float_model).__name__),
             "backend": execution_backend,
-            "tile_size": tile_size,
             "shade_workers": shade_workers,
         })
 
@@ -1137,7 +1136,6 @@ class GLES2Context:
                     max_loop_iterations=self.max_loop_iterations,
                     execution_backend=self.execution_backend,
                     scissor=self._active_scissor(),
-                    tile_size=self.tile_size,
                     shade_workers=self.shade_workers,
                 )
             if sp is not None:

@@ -1,10 +1,11 @@
 """Optional multiprocess fragment shading for the JIT backend.
 
-Tiled fragment shading (``raster.partition_tiles``) makes the tiles of
-one draw independent: every fragment-stage quantity is per-lane, so
-each tile can shade anywhere as long as its results scatter back into
-the original fragment order.  This module fans those tiles across a
-lazily-created :class:`~concurrent.futures.ProcessPoolExecutor`.
+Every fragment-stage quantity is per-lane, so any split of a draw's
+fragment batch shades to the same values.  The pipeline splits a large
+draw into one contiguous range per worker
+(``raster.partition_tiles``), and this module shades the ranges on a
+lazily-created :class:`~concurrent.futures.ProcessPoolExecutor` and
+writes each result back into its range of the full batch.
 
 Only the JIT backend parallelises: its generated function is *numpy
 source by construction*, so a draw ships as
@@ -14,30 +15,26 @@ source by construction*, so a draw ships as
   implementations by their registry key, since the lambdas themselves
   do not pickle), the float model, and the width-1 register bindings
   (uniforms, global-initializer results, sampler Textures), and
-* per-tile **jobs** — just the wide (per-fragment) register arrays,
-  sliced for that tile.
+* per-chunk **jobs** — just the wide (per-fragment) register arrays,
+  sliced to the chunk's range.
 
 A worker rebuilds the function once per plan (cached by content
 digest) and then runs ``fn(regs, n, maxit)`` exactly as the in-process
 :class:`~repro.glsl.jit.JitExecutor` would, returning the
-output-colour register and the discard mask.  Tiles assigned to one
-worker are *merged into a single invocation*: fragment-stage math is
-per-lane, so concatenating tile slices and shading them in one batch
-is bit-identical to shading each tile alone, while paying the
-generated function's fixed per-invocation numpy-dispatch cost once
-per worker instead of once per tile (on loop-heavy kernels that fixed
-cost rivals the scaling work, and per-tile invocation erases the
-entire parallel win).  Anything that cannot be shipped (program
-outside the JIT subset, unknown captured object) or any pool failure
-makes :func:`shade_draw` return ``None`` and the pipeline falls back
-to in-process tiled shading — the AST/IR backends always take that
-path.
+output-colour register, the discard mask and the outcome of each
+fused-read site.  One chunk per worker pays the generated function's
+fixed per-invocation numpy-dispatch cost once per worker.  Anything
+that cannot be shipped (program outside the JIT subset, unknown
+captured object) or any pool failure makes :func:`shade_draw` return
+``None`` and the pipeline shades the draw in-process — the IR backend
+always takes that path.
 
-Counter semantics: the leader charges the draw's op counters exactly
-as a monolithic ``JitExecutor.execute`` would (dynamic global-init
-tally plus the static per-invocation projection), but only after the
-workers succeed; a failed dispatch leaves the counters untouched so
-the in-process fallback can do its own accounting.
+Counter semantics: the leader charges the draw's op counters and its
+fused-read sites exactly as one in-process ``JitExecutor.execute``
+would (dynamic global-init tally plus the static per-invocation
+projection; each site once, a fallback if it missed in any chunk), but
+only after the workers succeed; a failed dispatch leaves the counters
+untouched so the in-process fallback can do its own accounting.
 
 Failure policy (the paper's platform assumes flaky infrastructure, so
 every pool failure mode has a typed, counted, bounded response — see
@@ -53,7 +50,7 @@ every pool failure mode has a typed, counted, bounded response — see
 * **Bounded retry.**  A transport death or timeout tears the pool down
   and rebuilds it (``pool.restarts``); the draw is re-dispatched at
   most once (``pool.retries``).  A draw that exhausts its attempts
-  falls back to in-process tiled shading (``fault.fallbacks``) with
+  falls back to in-process shading (``fault.fallbacks``) with
   untouched counters — bit-identical by construction.
 * **Circuit breaker.**  ``_MAX_CONSECUTIVE_FAILURES`` failed draws in
   a row mark the pool broken for the process (every later draw shades
@@ -61,12 +58,13 @@ every pool failure mode has a typed, counted, bounded response — see
   resets the streak.
 
 The counters live in :mod:`repro.perf.counters`; each worker chunk
-returns the ``draw``-scope counters it changed (texture gathers, disk
-plan loads) and the leader merges them only once the whole draw has
-succeeded.  Deterministic fault injection for every one of these paths
-is provided by :mod:`repro.testing.faults` (``worker_crash`` / ``worker_hang`` /
-``worker_garble`` sites; the leader ships the active plan inside each
-worker payload so overrides reach forked workers).
+returns its fused-read site outcomes and the ``draw``-scope counters it
+changed (disk plan loads), and the leader merges them only once the
+whole draw has succeeded.  Deterministic fault injection for every one
+of these paths is provided by :mod:`repro.testing.faults`
+(``worker_crash`` / ``worker_hang`` / ``worker_garble`` sites; the
+leader ships the active plan inside each worker payload so overrides
+reach forked workers).
 """
 
 from __future__ import annotations
@@ -268,22 +266,22 @@ def _encode_captured(fn) -> Optional[Tuple[Dict, str]]:
 
 def shade_draw(
     fs_interp,
-    n: int,
     presets: Dict[str, "object"],
-    tile_indices: List[np.ndarray],
+    chunks: List[slice],
     workers: int,
     out_name: str,
-) -> Optional[List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]]:
-    """Shade one tiled draw on the worker pool.
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Shade one draw on the worker pool, one job per chunk.
 
     ``fs_interp`` must be a :class:`~repro.glsl.jit.JitExecutor` for
     the fragment shader; ``presets`` the full-batch fragment presets;
-    ``out_name`` the written colour builtin (``gl_FragColor`` or
-    ``gl_FragData``).  Returns one ``(indices, color_data, discarded)``
-    triple per worker chunk — ``indices`` the original-batch positions
-    of the chunk's fragments (its tiles concatenated), the arrays
-    possibly width-1 (the caller broadcasts) — or ``None`` when the
-    draw cannot run out of process (caller falls back).
+    ``chunks`` contiguous ranges covering the batch
+    (:func:`~repro.gles2.raster.partition_tiles`); ``out_name`` the
+    written colour builtin (``gl_FragColor`` or ``gl_FragData``).
+    Returns the merged full-batch ``(color, discarded)`` — (n, 4)
+    float64 colours and the (n,) discard mask, as an in-process run
+    would produce them — or ``None`` when the draw cannot run out of
+    process (caller shades in-process).
 
     :class:`~repro.glsl.errors.GlslLimitError` raised inside a worker
     (loop-cap overflow) propagates, matching in-process semantics.
@@ -292,6 +290,7 @@ def shade_draw(
     from ..glsl.ir import get_compiled
     from ..glsl.interp import Interpreter
     from ..glsl.jit import JitExecutor, _jit_function
+    from ..glsl.jit.codegen import count_sites
 
     if not isinstance(fs_interp, JitExecutor):
         return None
@@ -320,6 +319,7 @@ def shade_draw(
     # success (see module docstring), then split them into what every
     # chunk shares and the per-fragment (wide) arrays to slice.
     # ------------------------------------------------------------------
+    n = chunks[-1].stop
     scratch = OpCounters()
     saved_counters = fs_interp.counters
     fs_interp.counters = scratch
@@ -377,17 +377,6 @@ def shade_draw(
     # and ship them back inside the chunk-result tuple (the leader's
     # recorder object itself never crosses the pool boundary).
     plan_payload["trace"] = trace.enabled()
-    # One job of contiguous tiles per worker, the tiles *merged* into a
-    # single fragment batch (see module docstring): ships the plan (and
-    # its textures) workers times per draw, and pays the generated
-    # function's fixed invocation cost workers times, not tiles times.
-    nchunks = min(workers, len(tile_indices))
-    bounds = np.linspace(0, len(tile_indices), nchunks + 1).astype(int)
-    chunk_indices = [
-        np.concatenate(tile_indices[lo:hi])
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if lo != hi
-    ]
     from ..core.knobs import float_knob
 
     timeout = float_knob(
@@ -402,8 +391,7 @@ def shade_draw(
                 break
         try:
             dispatched = _dispatch_chunks(
-                pool, plan_payload, wide_regs, chunk_indices, timeout,
-                out_name,
+                pool, plan_payload, wide_regs, chunks, timeout, out_name,
             )
             break
         except GlslLimitError:
@@ -445,63 +433,75 @@ def shade_draw(
                           {"reason": type(exc).__name__})
     if dispatched is None:
         # Retry budget exhausted (or the pool could not be rebuilt):
-        # degrade to in-process tiled shading with untouched counters.
+        # degrade to in-process shading with untouched counters.
         counters.values["fault.fallbacks"] += 1
         _note_draw_outcome(success=False)
         trace.instant("pool.fallback", "pool", {"reason": "exhausted"})
         return None
     _note_draw_outcome(success=True)
-    results, worker_counts, worker_spans = dispatched
+    results, sites, worker_counts, worker_spans = dispatched
     recorder = trace.active()
     if recorder is not None and worker_spans:
         recorder.ingest(worker_spans)
 
+    with trace.span("draw.merge", "draw",
+                    {"chunks": len(chunks), "fragments": n}):
+        color = np.empty((n, 4), dtype=np.float64)
+        discarded = np.zeros(n, dtype=bool)
+        for chunk, chunk_color, chunk_discarded in results:
+            if out_name == "gl_FragData":
+                cn = chunk.stop - chunk.start
+                chunk_color = np.broadcast_to(chunk_color, (cn, 1, 4))[:, 0]
+            color[chunk] = chunk_color
+            if chunk_discarded is not None:
+                discarded[chunk] = chunk_discarded
+
     if saved_counters is not None:
         saved_counters.merge(scratch)
         fs_interp.counters = saved_counters
-        fs_interp._charge_static(program, n, count_globals=True)
-    # Workers ran the same generated function the leader would have:
-    # their gather tallies make the draw's counters identical to an
-    # in-process tiled run.
+        fs_interp._charge_static(program, n)
+    # Each fused site counts once for the whole draw, exactly as one
+    # in-process run of the same generated function would count it.
+    count_sites(sites)
     counters.merge(worker_counts)
     counters.values["pool.draws"] += 1
     if shipped_by_ref:
         counters.values["pool.plan_cache_refs"] += 1
-    return results
+    return color, discarded
 
 
-def _dispatch_chunks(
-    pool, plan_payload, wide_regs, chunk_indices, timeout, out_name
-):
+def _dispatch_chunks(pool, plan_payload, wide_regs, chunks, timeout,
+                     out_name):
     """Submit every chunk and gather validated results.
 
-    Returns ``(results, counts, spans)`` — ``counts`` the summed
+    Returns ``(results, sites, counts, spans)`` — ``results`` one
+    ``(chunk, color, discarded)`` triple per chunk, ``sites`` the
+    fused-read site outcomes of the whole draw (a site hit only if it
+    hit in every chunk that ran it), ``counts`` the summed
     ``draw``-scope counter changes of every chunk, ``spans`` their
     worker-recorded trace events (empty while tracing is off); raises
-    the typed failure taxonomy the caller's retry loop dispatches on.  The per-draw timeout is a
-    shared deadline across the chunk futures — the draw as a whole
-    gets ``timeout`` seconds, not each chunk.
+    the typed failure taxonomy the caller's retry loop dispatches on.
+    The per-draw timeout is a shared deadline across the chunk
+    futures — the draw as a whole gets ``timeout`` seconds, not each
+    chunk.
     """
     futures = []
-    with trace.span("pool.submit", "pool",
-                    {"chunks": len(chunk_indices)}):
-        for idx in chunk_indices:
-            job = {reg: data[idx] for reg, data in wide_regs.items()}
+    with trace.span("pool.submit", "pool", {"chunks": len(chunks)}):
+        for chunk in chunks:
+            job = {reg: data[chunk] for reg, data in wide_regs.items()}
             futures.append(pool.submit(
-                _shade_chunk, plan_payload, job, idx.shape[0]
+                _shade_chunk, plan_payload, job, chunk.stop - chunk.start
             ))
     deadline = (time.monotonic() + timeout) if timeout else None
-    results: List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = []
+    results: List[Tuple[slice, np.ndarray, Optional[np.ndarray]]] = []
+    sites: Dict[int, bool] = {}
     counts: Dict[str, int] = {}
     spans: List[dict] = []
     try:
-        for chunk_no, (idx, future) in enumerate(
-            zip(chunk_indices, futures)
-        ):
-            with trace.span(
-                "pool.chunk", "pool",
-                {"chunk": chunk_no, "fragments": int(idx.shape[0])},
-            ):
+        for chunk_no, (chunk, future) in enumerate(zip(chunks, futures)):
+            count = chunk.stop - chunk.start
+            with trace.span("pool.chunk", "pool",
+                            {"chunk": chunk_no, "fragments": count}):
                 if deadline is None:
                     raw = future.result()
                 else:
@@ -511,19 +511,21 @@ def _dispatch_chunks(
                             "per-draw pool timeout exhausted"
                         )
                     raw = future.result(timeout=remaining)
-                color, discarded, chunk_counts, chunk_spans = (
-                    _validate_chunk(raw, idx.shape[0], out_name)
+                color, discarded, chunk_sites, chunk_counts, chunk_spans = (
+                    _validate_chunk(raw, count, out_name)
                 )
+            for site, hit in chunk_sites.items():
+                sites[site] = sites.get(site, True) and hit
             counters.merge(chunk_counts, counts)
             spans.extend(chunk_spans)
-            results.append((idx, color, discarded))
+            results.append((chunk, color, discarded))
     finally:
         # Whatever the outcome, never leave stragglers queued: a
         # failed draw's pending chunks would otherwise burn workers
         # shading a framebuffer nobody will assemble.
         for future in futures:
             future.cancel()
-    return results, counts, spans
+    return results, sites, counts, spans
 
 
 def _validate_chunk(raw, count: int, out_name: str):
@@ -531,7 +533,7 @@ def _validate_chunk(raw, count: int, out_name: str):
     defence against a sick worker returning garbage.  Raises
     :class:`ChunkFormatError`; returns the normalised tuple."""
     try:
-        color, discarded, chunk_counts, chunk_spans = raw
+        color, discarded, sites, chunk_counts, chunk_spans = raw
     except (TypeError, ValueError) as exc:
         raise ChunkFormatError(f"malformed chunk tuple: {exc}") from None
     if not isinstance(color, np.ndarray) or not np.issubdtype(
@@ -556,6 +558,11 @@ def _validate_chunk(raw, count: int, out_name: str):
             or discarded.shape[0] not in (1, count)
         ):
             raise ChunkFormatError("chunk discard mask is malformed")
+    if not isinstance(sites, dict) or not all(
+        type(site) is int and type(hit) is bool
+        for site, hit in sites.items()
+    ):
+        raise ChunkFormatError(f"malformed chunk site outcomes: {sites!r}")
     if not isinstance(chunk_counts, dict) or not all(
         counters.SCOPES.get(name) == counters.DRAW
         and type(count) is int and count >= 0
@@ -566,7 +573,7 @@ def _validate_chunk(raw, count: int, out_name: str):
         raise ChunkFormatError("chunk trace spans are not a sequence")
     # Individual span dicts are validated (and bad ones dropped) by
     # TraceRecorder.ingest — observability must never fail the draw.
-    return color, discarded, chunk_counts, chunk_spans
+    return color, discarded, sites, chunk_counts, chunk_spans
 
 
 # ----------------------------------------------------------------------
@@ -639,13 +646,15 @@ def _materialize(plan):
 
 
 def _shade_chunk(plan, wide_regs, count):
-    """Shade one worker's merged tile chunk in a single invocation;
-    returns ``(color_data, discarded, counts, spans)`` — ``counts`` the
-    ``draw``-scope counters this chunk changed (texture gathers, a plan
-    materialised from the shared disk cache; the leader merges them),
-    and ``spans`` carries this worker's trace events (empty unless the
-    leader shipped ``plan["trace"]``; the leader ingests them so a
-    multiprocess draw renders as one timeline).
+    """Shade one contiguous chunk of a draw in a single invocation;
+    returns ``(color_data, discarded, sites, counts, spans)`` —
+    ``sites`` the chunk's fused-read site outcomes (site number → hit
+    on every execution; the leader merges them across chunks),
+    ``counts`` the ``draw``-scope counters this chunk changed (a plan
+    materialised from the shared disk cache), and ``spans`` this
+    worker's trace events (empty unless the leader shipped
+    ``plan["trace"]``; the leader ingests them so a multiprocess draw
+    renders as one timeline).
 
     Fault-injection hooks run first, under the leader-shipped plan:
     ``worker_crash`` hard-kills this process (``os._exit``, so the
@@ -653,6 +662,7 @@ def _shade_chunk(plan, wide_regs, count):
     would present), ``worker_hang`` sleeps past the leader's per-draw
     deadline, and ``worker_garble`` swaps the colour result for
     garbage to exercise the leader's chunk validation."""
+    from ..glsl.jit.codegen import site_outcomes
     from ..testing import faults
 
     faults.install_encoded(plan.get("faults"))
@@ -677,7 +687,9 @@ def _shade_chunk(plan, wide_regs, count):
     for reg, data in wide_regs.items():
         regs[reg] = _Reg(data=data)
     t2 = time.perf_counter() if traced else 0.0
+    site_outcomes.clear()
     discarded = fn(regs, count, plan["maxit"])
+    sites = dict(site_outcomes)
     changed = counters.delta(before)
     spans = ()
     if traced:
@@ -690,5 +702,5 @@ def _shade_chunk(plan, wide_regs, count):
                             {"fragments": int(count)}),
         ]
     if garble:
-        return np.full(3, np.nan), discarded, changed, spans
-    return regs[plan["out_reg"]].data, discarded, changed, spans
+        return np.full(3, np.nan), discarded, sites, changed, spans
+    return regs[plan["out_reg"]].data, discarded, sites, changed, spans

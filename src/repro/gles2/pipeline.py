@@ -170,16 +170,13 @@ def _normalize_attribute(data: np.ndarray, state: VertexAttribState) -> np.ndarr
 # ----------------------------------------------------------------------
 # Draw execution
 # ----------------------------------------------------------------------
-#: Default edge length of a fragment tile when tiling engages
-#: automatically (shade_workers > 0 and the draw is large enough to
-#: amortise the per-tile dispatch).  Chosen by the
-#: ``benchmarks/perf_smoke.py --sweep-tile`` sweep.
-DEFAULT_TILE_SIZE = 64
-
-#: Automatic tiling only engages above this fragment count — smaller
-#: draws are dispatch-bound, where splitting the batch only multiplies
-#: the per-draw numpy-call overhead.
-AUTO_TILE_MIN_FRAGMENTS = 2048
+#: A draw shades on the worker pool (``shade_workers`` > 0) only with
+#: more fragments than this: below it, shipping the registers to the
+#: workers costs more than the split saves.  Set from the measured
+#: pool/in-process crossover of sgemm on two workers, where the pool
+#: wins from 5184 fragments and is a coin flip at 4096
+#: (``docs/architecture.md`` §5).
+POOL_MIN_FRAGMENTS = 4096
 
 #: The shader executors, by ``execution_backend`` name: ``"jit"`` runs
 #: generated straight-line numpy code (cached per shader; the IR
@@ -204,7 +201,6 @@ def execute_draw(
     max_loop_iterations: int = 65536,
     execution_backend: str = DEFAULT_EXECUTION_BACKEND,
     scissor: Optional[Tuple[int, int, int, int]] = None,
-    tile_size: Optional[int] = None,
     shade_workers: int = 0,
 ) -> DrawStats:
     """Run the full pipeline for one draw call, writing into
@@ -215,12 +211,12 @@ def execute_draw(
 
     ``scissor`` is the (x, y, w, h) rectangle of an enabled
     GL_SCISSOR_TEST (None when disabled): fragments outside it are
-    never generated.  ``tile_size`` splits fragment shading into
-    framebuffer-aligned square tiles (None = automatic: tile only when
-    ``shade_workers`` could use it and the draw is large); merged
-    results are bit-identical to the monolithic path.  ``shade_workers``
-    > 0 fans independent tiles across a process pool for the JIT
-    backend (in-process tiled shading otherwise)."""
+    never generated.  ``shade_workers`` > 0 splits the fragment batch
+    of a draw above :data:`POOL_MIN_FRAGMENTS` into one contiguous
+    range per worker and shades the ranges on a process pool (JIT
+    backend only); every other draw, and any draw the pool cannot take,
+    shades in one in-process call.  Both paths are bit-identical and
+    count the same."""
     shader_executor = EXECUTORS[execution_backend]
     stats = DrawStats()
     if index_stream.size == 0:
@@ -340,36 +336,29 @@ def execute_draw(
         else "gl_FragColor"
     )
 
-    tile_indices = None
-    if tile_size is not None and tile_size > 0:
-        ts = tile_size
-    elif shade_workers > 0 and batch.count > AUTO_TILE_MIN_FRAGMENTS:
-        ts = DEFAULT_TILE_SIZE
-    else:
-        ts = 0
-    if ts:
-        parts = raster.partition_tiles(batch, ts)
-        if len(parts) > 1:
-            tile_indices = parts
-
     with trace.span("draw.shade", "draw") as sp:
-        if sp is not None:
-            sp.args.update({
-                "fragments": batch.count,
-                "backend": execution_backend,
-                "tiles": len(tile_indices) if tile_indices else 1,
-                "workers": shade_workers,
-            })
-        if tile_indices is None:
+        shaded = None
+        if shade_workers > 0 and batch.count > POOL_MIN_FRAGMENTS:
+            from . import parallel
+
+            chunks = raster.partition_tiles(batch, shade_workers)
+            shaded = parallel.shade_draw(
+                fs_interp, fs_presets, chunks, shade_workers, out_name
+            )
+        if shaded is None:
+            chunks = [slice(0, batch.count)]
             fs_env = fs_interp.execute(batch.count, fs_presets)
             color = _extract_color(fs_env, out_name, batch.count)
             color = color.astype(np.float64)
             discarded = fs_interp.discarded
         else:
-            color, discarded = _shade_tiled(
-                fs_interp, fs_presets, tile_indices, batch.count,
-                out_name, shade_workers,
-            )
+            color, discarded = shaded
+        if sp is not None:
+            sp.args.update({
+                "fragments": batch.count,
+                "backend": execution_backend,
+                "chunks": len(chunks),
+            })
 
     discards = int(np.count_nonzero(discarded))
     stats.discarded_fragments = discards
@@ -515,91 +504,6 @@ def _extract_color(fs_env, out_name: str, n: int) -> np.ndarray:
         color = fs_env["gl_FragData"].data
         return np.broadcast_to(color, (n, 1, 4))[:, 0, :]
     return np.broadcast_to(fs_env["gl_FragColor"].data, (n, 4))
-
-
-def _slice_presets(presets: Dict[str, Value], idx: np.ndarray) -> Dict[str, Value]:
-    """Per-tile view of the fragment presets: wide (per-fragment)
-    values are sliced to the tile's fragments, uniform (width-1)
-    values shared as-is.  Executors never mutate preset values (the
-    no-in-place invariant), so sharing is safe."""
-    sliced = {}
-    for name, value in presets.items():
-        if value.fields is None and value.data is not None and value.batch > 1:
-            sliced[name] = Value(value.type, value.data[idx])
-        else:
-            sliced[name] = value
-    return sliced
-
-
-def _shade_tiled(
-    fs_interp,
-    fs_presets: Dict[str, Value],
-    tile_indices,
-    count: int,
-    out_name: str,
-    shade_workers: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Shade a partitioned fragment batch tile by tile, reassembling
-    full-batch (count, 4) float64 colours and the (count,) discard
-    mask in original fragment order.
-
-    Bit-identity with the monolithic path holds because every
-    fragment-stage computation is per-lane elementwise: running the
-    shader on a slice of the interpolated presets produces exactly the
-    slice of the monolithic results.  Tiles partition the fragments,
-    so the scatter below is a permutation-free reassembly.
-
-    When ``shade_workers`` > 0 and the backend is the JIT, tiles fan
-    out across the worker pool (see :mod:`repro.gles2.parallel`);
-    otherwise — and whenever the pool or the program cannot ship — the
-    loop below shades in-process.  Global initializers are per-draw
-    work, so only the first tile tallies them (``count_globals``).
-    """
-    color = np.empty((count, 4), dtype=np.float64)
-    discarded = np.empty(count, dtype=bool)
-
-    if shade_workers > 0:
-        from . import parallel
-
-        results = parallel.shade_draw(
-            fs_interp, count, fs_presets, tile_indices, shade_workers,
-            out_name,
-        )
-        if results is not None:
-            with trace.span(
-                "draw.merge", "draw",
-                {"chunks": len(results), "fragments": count},
-            ):
-                for idx, chunk_color, chunk_discarded in results:
-                    cn = idx.shape[0]
-                    if out_name == "gl_FragData":
-                        chunk_color = np.broadcast_to(
-                            chunk_color, (cn, 1, 4)
-                        )[:, 0, :]
-                    else:
-                        chunk_color = np.broadcast_to(chunk_color, (cn, 4))
-                    color[idx] = chunk_color.astype(np.float64)
-                    if chunk_discarded is None:
-                        discarded[idx] = False
-                    elif chunk_discarded.shape[0] == cn:
-                        discarded[idx] = chunk_discarded
-                    else:
-                        discarded[idx] = bool(chunk_discarded[0])
-            return color, discarded
-
-    for i, idx in enumerate(tile_indices):
-        with trace.span(
-            "draw.shade.tile", "draw",
-            {"tile": i, "fragments": int(idx.shape[0])},
-        ):
-            tile_presets = _slice_presets(fs_presets, idx)
-            fs_env = fs_interp.execute(
-                idx.shape[0], tile_presets, count_globals=(i == 0)
-            )
-            tile_color = _extract_color(fs_env, out_name, idx.shape[0])
-            color[idx] = tile_color.astype(np.float64)
-            discarded[idx] = fs_interp.discarded
-    return color, discarded
 
 
 def quantize_color(color: np.ndarray, mode: str = "round") -> np.ndarray:

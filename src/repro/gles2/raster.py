@@ -164,31 +164,19 @@ def freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def partition_tiles(batch: FragmentBatch, tile_size: int) -> List[np.ndarray]:
-    """Split a fragment batch into framebuffer-aligned square tiles.
+def partition_tiles(batch: FragmentBatch, parts: int) -> List[slice]:
+    """Split a fragment batch into ``min(parts, batch.count)``
+    contiguous ranges of (nearly) equal count, in batch order.
 
-    Returns one int64 index array per non-empty ``tile_size`` ×
-    ``tile_size`` pixel tile, in row-major tile order.  Each index
-    array selects that tile's fragments *in their original batch
-    order*, so per-tile processing followed by a scatter through the
-    returned indices reassembles every per-fragment quantity — and,
-    because tiles partition by pixel position, all fragments competing
-    for one pixel stay in the same tile with their relative order
-    intact (last-writer-wins framebuffer semantics are preserved).
-    """
-    if tile_size <= 0 or batch.count == 0:
-        return [np.arange(batch.count, dtype=np.int64)]
-    tx = batch.px // tile_size
-    ty = batch.py // tile_size
-    width_tiles = int(tx.max()) + 1 if tx.size else 1
-    tile_id = ty * width_tiles + tx
-    order = np.argsort(tile_id, kind="stable")
-    sorted_ids = tile_id[order]
-    boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-    return [
-        chunk.astype(np.int64, copy=False)
-        for chunk in np.split(order, boundaries)
-    ]
+    Each fragment shades on its own, so any split of the batch shades
+    to the same values; the caller writes the merged results in batch
+    order, which keeps last-writer-wins framebuffer semantics for
+    fragments that compete for one pixel."""
+    count = min(parts, batch.count)
+    if count <= 0:
+        return []
+    bounds = [batch.count * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def apply_scissor(

@@ -147,8 +147,7 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Entry point: per-batch reset and global binding
     # ------------------------------------------------------------------
-    def execute(self, n: int, presets: Dict[str, Value],
-                count_globals: bool = True) -> Dict[str, Value]:
+    def execute(self, n: int, presets: Dict[str, Value]) -> Dict[str, Value]:
         """Reset the per-batch state for ``n`` lanes and bind every
         global of the compiled program to its register.
 
@@ -158,14 +157,8 @@ class Interpreter:
         the rest start at zero.  Returns the global environment, which
         the subclass's body run then updates in place; callers extract
         outputs (gl_Position, varyings, gl_FragColor) from it and the
-        discard mask from :attr:`discarded`.
-
-        Global initialisers run once per ``execute`` call at batch
-        width 1, so a caller splitting one draw into several batches
-        (fragment tiling) would tally them once per tile instead of
-        once per draw; such callers pass ``count_globals=False`` on
-        every batch but the first to keep the merged counters equal to
-        a monolithic run.
+        discard mask from :attr:`discarded`.  Global initialisers run
+        once per call, at batch width 1.
         """
         program = self.program
         if program is None or program.checked is not self.checked:
@@ -180,30 +173,24 @@ class Interpreter:
         self.consts = program.materialized_consts(self.fmodel)
         self.regs = [None] * program.nregs
 
-        saved_counters = self.counters
-        if not count_globals:
-            self.counters = None
-        try:
-            simple_inits = program.simple_inits()
-            for plan in program.globals_plan:
-                if plan.name in presets:
-                    value = presets[plan.name]
-                elif plan.is_sampler:
-                    value = Value(plan.type)
-                elif plan.init_block is not None:
-                    idx = simple_inits.get(plan.name)
-                    if idx is not None:
-                        # Folded-to-constant initialiser: no frame needed.
-                        gtype, data = self.consts[idx]
-                        value = Value(gtype, data)
-                    else:
-                        value = self._run_global_init(program, plan)
+        simple_inits = program.simple_inits()
+        for plan in program.globals_plan:
+            if plan.name in presets:
+                value = presets[plan.name]
+            elif plan.is_sampler:
+                value = Value(plan.type)
+            elif plan.init_block is not None:
+                idx = simple_inits.get(plan.name)
+                if idx is not None:
+                    # Folded-to-constant initialiser: no frame needed.
+                    gtype, data = self.consts[idx]
+                    value = Value(gtype, data)
                 else:
-                    value = zeros_for(plan.type, 1, self.fmodel.dtype)
-                self.regs[plan.reg] = value
-                self.globals_env[plan.name] = value
-        finally:
-            self.counters = saved_counters
+                    value = self._run_global_init(program, plan)
+            else:
+                value = zeros_for(plan.type, 1, self.fmodel.dtype)
+            self.regs[plan.reg] = value
+            self.globals_env[plan.name] = value
         for name, value in presets.items():
             self.globals_env.setdefault(name, value)
         return self.globals_env

@@ -166,14 +166,13 @@ class IRExecutor(Interpreter):
         self.cond_ctrl: list = []
         self.sc_ctrl: list = []
 
-    def execute(self, n: int, presets: Dict[str, Value],
-                count_globals: bool = True) -> Dict[str, Value]:
+    def execute(self, n: int, presets: Dict[str, Value]) -> Dict[str, Value]:
         self.call_stack = []
         self.if_ctrl = []
         self.loop_ctrl = []
         self.cond_ctrl = []
         self.sc_ctrl = []
-        super().execute(n, presets, count_globals)
+        super().execute(n, presets)
         self._run(self.program.pairs())
         return self.globals_env
 

@@ -42,10 +42,12 @@ from ..ir import get_compiled, static_cost
 from ..ir.executor import IRExecutor
 from .codegen import (
     JitUnsupported,
+    count_sites,
     gather_enabled,
     generate,
     make_helpers,
     set_gather_enabled,
+    site_outcomes,
 )
 from .uniform import UniformInfo, infer_uniform
 
@@ -248,13 +250,12 @@ class JitExecutor(IRExecutor):
     instructions.  Same constructor, same ``execute(n, presets)``
     contract, bit-identical observable results.
 
-    The generated fused-read sites bump ``draw.texture_gathers`` /
-    ``draw.gather_fallbacks`` once per site execution: a site inside a
-    loop counts once per iteration, matching how often the sample and
-    decode it replaces would have run."""
+    Each generated fused-read site counts once per draw, after the
+    run: ``draw.texture_gathers`` when every execution of it hit,
+    ``draw.gather_fallbacks`` when one missed (a site inside a loop
+    runs once per iteration but still counts once)."""
 
-    def execute(self, n: int, presets: Dict[str, Value],
-                count_globals: bool = True) -> Dict[str, Value]:
+    def execute(self, n: int, presets: Dict[str, Value]) -> Dict[str, Value]:
         program = self.program
         if program is None or program.checked is not self.checked:
             program = get_compiled(self.checked, self.fmodel)
@@ -267,13 +268,13 @@ class JitExecutor(IRExecutor):
         fn = _jit_function(program, self.fmodel, wide)
         if fn is None:
             counters.values["jit.fallbacks"] += 1
-            return super().execute(n, presets, count_globals)
+            return super().execute(n, presets)
 
         # The shared binding only: the generated function threads masks
         # through locals, so no IR dispatch state is allocated.
-        Interpreter.execute(self, n, presets, count_globals)
+        Interpreter.execute(self, n, presets)
 
-        before = counters.snapshot(counters.DRAW)
+        site_outcomes.clear()
         try:
             discarded = fn(self.regs, n, self.max_loop_iterations)
         except (NameError, UnboundLocalError):
@@ -282,40 +283,34 @@ class JitExecutor(IRExecutor):
             # generated function only publishes results in its final
             # writeback, so nothing is half-written: run the draw on
             # the IR executor instead (full re-setup included).  The
-            # partial run's gather tally is dropped with it.
-            counters.restore(before)
+            # partial run's site outcomes are never counted.
             counters.values["jit.fallbacks"] += 1
-            return super().execute(n, presets, count_globals)
+            return super().execute(n, presets)
+        count_sites(site_outcomes)
         if discarded is not None:
             self.discarded = self._broadcast_mask(discarded)
 
         if self.counters is not None:
-            self._charge_static(program, n, count_globals)
+            self._charge_static(program, n)
         return self.globals_env
 
-    def _charge_static(self, program, n: int, count_globals: bool) -> None:
+    def _charge_static(self, program, n: int) -> None:
         """Charge the static counter projection for a draw of ``n``
-        lanes.  The projection splits per-invocation from per-draw
-        (global-initializer) cost; tiled callers charge the per-draw
-        part on the first tile only, mirroring the dynamic executors'
-        count_globals semantics."""
+        lanes (per-invocation cost plus the per-draw
+        global-initializer cost)."""
         if self.counters is None:
             return
         totals_cache = getattr(program, "_static_totals", None)
         if totals_cache is None:
             totals_cache = program._static_totals = {}
-        totals = totals_cache.get((n, count_globals))
+        totals = totals_cache.get(n)
         if totals is None:
             cost = getattr(program, "_static_cost", None)
             if cost is None:
                 cost = program._static_cost = static_cost(program)
-            projected = dict(cost.totals(n))
-            if not count_globals:
-                for category, ops in cost.per_draw.items():
-                    projected[category] = projected.get(category, 0) - ops
-            totals = totals_cache[(n, count_globals)] = [
+            totals = totals_cache[n] = [
                 (category, count)
-                for category, count in projected.items()
+                for category, count in cost.totals(n).items()
                 if count
             ]
         for category, count in totals:

@@ -189,6 +189,22 @@ def _frame_return_count(block) -> int:
     return count
 
 
+#: The outcome of every fused-read site in the generated function that
+#: is running now: site number -> True while each of its executions hit,
+#: False once one missed.  A run starts with it cleared
+#: (``JitExecutor.execute``, a pool worker's chunk); ``count_sites``
+#: then counts each site once for the draw.
+site_outcomes: Dict[int, bool] = {}
+
+
+def count_sites(outcomes: Dict[int, bool]) -> None:
+    """Count each fused-read site of one draw once: a texture gather
+    if all its executions hit, otherwise a gather fallback."""
+    hits = sum(outcomes.values())
+    counters.values["draw.texture_gathers"] += hits
+    counters.values["draw.gather_fallbacks"] += len(outcomes) - hits
+
+
 # ======================================================================
 # Runtime helpers (closed over the float model)
 # ======================================================================
@@ -328,12 +344,9 @@ def make_helpers(fmodel) -> Dict[str, object]:
             return np.asarray(texels, DT)
         return quantize(texels.astype(DT), "tex")
 
-    # Fused-read tallies, counted per site execution into the process
-    # counters; execute_draw captures them per draw.
-    counts = counters.values
     fire = faults.fire
 
-    def _fetch(sampler, x, y, size, rgba):
+    def _fetch(site, sampler, x, y, size, rgba):
         # One fused kernel-input read (see glsl.ir.gather): the stored
         # bytes of texels (x, y), in the model dtype — what the decode
         # floor(texture2D(..) * 255.0 + 0.5) returns, by the identity
@@ -343,7 +356,9 @@ def make_helpers(fmodel) -> Dict[str, object]:
         # half: the sampler qualifies (complete, NEAREST,
         # CLAMP_TO_EDGE, storage matching `size`) and the indices are
         # integral and in-range.  A miss returns None and the caller
-        # runs the original coordinates, sample and decode.
+        # runs the original coordinates, sample and decode.  Either
+        # way the outcome lands in site_outcomes under the site's
+        # number.
         gi = getattr(sampler, "gather_info", None)
         if gi is not None and size.shape[0] == 1:
             data = gi(float(size[0, 0]), float(size[0, 1]))
@@ -357,11 +372,11 @@ def make_helpers(fmodel) -> Dict[str, object]:
                         and (np.floor(x) == x).all()
                         and (np.floor(y) == y).all()
                         and not fire("gather_miss")):
-                    counts["draw.texture_gathers"] += 1
+                    site_outcomes.setdefault(site, True)
                     texel = y.astype(np.intp) * width + x.astype(np.intp)
                     rows = data.reshape(-1, 4).take(texel, axis=0)
                     return (rows if rgba else rows[:, 0]).astype(DT)
-        counts["draw.gather_fallbacks"] += 1
+        site_outcomes[site] = False
         return None
 
     return {
@@ -414,6 +429,8 @@ class CodeGen:
         #: those reads skip in place (they run only in the fallback)
         self.fused: Dict[int, FetchSite] = {}
         self.deferred: Set[int] = set()
+        #: fused reads emitted so far (each gets the next site number)
+        self.nsites = 0
         if self.gather and decode_exact(fmodel):
             samplers = {plan.reg for plan in program.globals_plan
                         if plan.is_sampler}
@@ -1027,8 +1044,9 @@ class CodeGen:
         # register (the helper reads scalar dimensions out of it) fuse.
         size_reg, x_reg, y_reg = ins.gather
         out = f"r{site.out}"
-        self.w(f"{out} = _fetch({sampler}, r{x_reg}, r{y_reg}, "
-               f"r{size_reg}, {site.channel is None})")
+        self.w(f"{out} = _fetch({self.nsites}, {sampler}, r{x_reg}, "
+               f"r{y_reg}, r{size_reg}, {site.channel is None})")
+        self.nsites += 1
         self.w(f"if {out} is None:")
         self.level += 1
         for item in site.fallback:

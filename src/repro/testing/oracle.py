@@ -228,7 +228,6 @@ def draw_for_capture(
     textures: Optional[Dict[str, np.ndarray]] = None,
     vertex_source: str = STANDARD_VERTEX_SHADER,
     execution_backend: str = gles2_pipeline.DEFAULT_EXECUTION_BACKEND,
-    tile_size: Optional[int] = None,
     shade_workers: Optional[int] = None,
 ):
     """Draw a fullscreen quad with ``fragment_source`` and capture the
@@ -244,14 +243,14 @@ def draw_for_capture(
     ``vertex_source`` may replace the standard quad shader (e.g. the
     codegen pass-through shader, whose varying is ``v_coord``).
     ``execution_backend`` selects how the pipeline itself runs the
-    shaders ("ir" or "jit"); ``tile_size`` / ``shade_workers``
-    select tiled and multiprocess fragment shading (the tiled-vs-
-    monolithic bit-identity tests drive these).
+    shaders ("ir" or "jit"); ``shade_workers`` selects multiprocess
+    fragment shading (the pool-vs-in-process bit-identity tests drive
+    it).
     """
     ctx = GLES2Context(
         width=size, height=size, float_model="exact",
         quantization=quantization, execution_backend=execution_backend,
-        tile_size=tile_size, shade_workers=shade_workers,
+        shade_workers=shade_workers,
     )
     vs = ctx.glCreateShader(gl.GL_VERTEX_SHADER)
     ctx.glShaderSource(vs, vertex_source)

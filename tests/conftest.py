@@ -34,6 +34,18 @@ if settings is not None:
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
+#: The pool floor (``pipeline.POOL_MIN_FRAGMENTS``) the ``pool_floor``
+#: fixture sets, and that the workers CI legs run the whole suite at:
+#: every test draw of more than two fragments shades on the pool.
+TEST_POOL_FLOOR = 2
+
+
+def _env_shade_workers() -> int:
+    from repro.core.knobs import int_knob
+
+    return int_knob("REPRO_SHADE_WORKERS", 0, minimum=0)
+
+
 def _fail_session(session, message):
     session.exitstatus = 1
     tr = session.config.pluginmanager.get_plugin("terminalreporter")
@@ -58,9 +70,19 @@ def pytest_sessionfinish(session, exitstatus):
     passing.  Leader-evaluated sites are checked by their fire tally;
     worker-evaluated sites fire inside pool processes, so their
     evidence is the leader-side degraded-path counters
-    (``pool.retries + pool.restarts + fault.fallbacks``)."""
+    (``pool.retries + pool.restarts + fault.fallbacks``).
+
+    With REPRO_SHADE_WORKERS > 0 (the workers CI legs, which lower the
+    pool floor for the whole session) some draw must have shaded on the
+    worker pool: passing because every draw stayed in-process is not
+    passing."""
     from repro.perf.counters import values
 
+    if _env_shade_workers() > 0 and values["pool.draws"] == 0:
+        _fail_session(session, (
+            "REPRO_SHADE_WORKERS > 0 but no draw shaded on the worker "
+            "pool (pool.draws == 0)"
+        ))
     if os.environ.get("REPRO_CACHE_EXPECT_WARM") == "1":
         fresh = {
             name: count for name, count in values.items()
@@ -105,6 +127,38 @@ def pytest_sessionfinish(session, exitstatus):
                     )
         for problem in problems:
             _fail_session(session, problem)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Report how many draws the workers legs shaded on the pool."""
+    if _env_shade_workers() > 0:
+        from repro.perf.counters import values
+
+        terminalreporter.write_line(f"pool.draws: {values['pool.draws']}")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _workers_leg_pool_floor():
+    """Under REPRO_SHADE_WORKERS > 0, lower the pool floor for the
+    whole session, so the suite's small draws split across the worker
+    pool instead of all staying under the production floor."""
+    if _env_shade_workers() == 0:
+        yield
+        return
+    from repro.gles2 import pipeline
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "POOL_MIN_FRAGMENTS", TEST_POOL_FLOOR)
+        yield
+
+
+@pytest.fixture
+def pool_floor(monkeypatch):
+    """Lower the pool floor for one test, so its draws with
+    ``shade_workers`` > 0 split across the worker pool."""
+    from repro.gles2 import pipeline
+
+    monkeypatch.setattr(pipeline, "POOL_MIN_FRAGMENTS", TEST_POOL_FLOOR)
 
 
 @pytest.fixture

@@ -104,9 +104,9 @@ def test_contexts_count_only_their_own_work(monkeypatch, tmp_path,
 
 
 def _sum_draw():
-    # One untiled in-process draw, whatever the environment asks for.
+    # One in-process draw, whatever the environment asks for.
     device = GpgpuDevice(float_model="videocore", execution_backend="jit",
-                         tile_size=1 << 16, shade_workers=0)
+                         shade_workers=0)
     kernel = make_sum_kernel(device, "int32")
     a = np.arange(64, dtype=np.int32) - 7
     b = (np.arange(64, dtype=np.int32) * 3) % 41

@@ -56,15 +56,15 @@ import hashlib, json, os, sys
 import numpy as np
 from repro.core import GpgpuDevice
 from repro.core import cache as store
+from repro.gles2 import pipeline
 from repro.perf import counters
 
 backend = sys.argv[1]
-tile = int(sys.argv[2]) if len(sys.argv) > 2 and sys.argv[2] != "-" else None
+if len(sys.argv) > 2 and sys.argv[2] != "-":
+    pipeline.POOL_MIN_FRAGMENTS = int(sys.argv[2])
 workers = int(sys.argv[3]) if len(sys.argv) > 3 else 0
 
-dev = GpgpuDevice(
-    execution_backend=backend, tile_size=tile, shade_workers=workers
-)
+dev = GpgpuDevice(execution_backend=backend, shade_workers=workers)
 k = dev.kernel(
     name="probe",
     inputs=[("x", "float32"), ("y", "float32")],
@@ -97,13 +97,16 @@ print(json.dumps({
 """
 
 
-def _run_child(cache_dir, backend="jit", tile="-", workers=0, env_extra=None):
+def _run_child(cache_dir, backend="jit", floor="-", workers=0,
+               env_extra=None):
+    """Run the child harness; ``floor`` sets the pool floor
+    (``pipeline.POOL_MIN_FRAGMENTS``; "-" keeps the default)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR
     env["REPRO_CACHE_DIR"] = str(cache_dir)
     env.update(env_extra or {})
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, backend, str(tile), str(workers)],
+        [sys.executable, "-c", _CHILD, backend, str(floor), str(workers)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -376,16 +379,17 @@ def test_in_memory_jit_key_covers_gather_and_wide():
 
 
 def test_execution_knobs_do_not_fragment_the_key(tmp_path):
-    """tile_size / shade_workers change scheduling, not code: every
-    configuration must address the exact same artifact set."""
-    plain = _run_child(tmp_path / "a", tile="-", workers=0)
-    tiled = _run_child(tmp_path / "b", tile=16, workers=0)
-    assert plain["entries"] == tiled["entries"]
-    # And re-running with a different tile size against the first dir
+    """shade_workers and the pool floor change scheduling, not code:
+    every configuration must address the exact same artifact set."""
+    plain = _run_child(tmp_path / "a", workers=0)
+    pooled = _run_child(tmp_path / "b", floor=2, workers=2)
+    assert plain["entries"] == pooled["entries"]
+    assert pooled["digest"] == plain["digest"]
+    # And re-running with another worker count against the first dir
     # is a pure warm start — nothing new written.
-    retiled = _run_child(tmp_path / "a", tile=8, workers=0)
-    assert retiled["entries"] == plain["entries"]
-    assert retiled["ir"]["fresh"] == 0 and retiled["jit"]["fresh"] == 0
+    repooled = _run_child(tmp_path / "a", floor=2, workers=3)
+    assert repooled["entries"] == plain["entries"]
+    assert repooled["ir"]["fresh"] == 0 and repooled["jit"]["fresh"] == 0
 
 
 def test_fused_chains_key_on_the_fusion_signature():
@@ -545,24 +549,22 @@ def test_cache_cli_stats_verify_clear():
 # Multiprocess shading workers load artifacts by reference
 # ----------------------------------------------------------------------
 def test_workers_load_jit_artifacts_from_disk(tmp_path):
-    result = _run_child(tmp_path / "w", backend="jit", tile=16, workers=2)
+    result = _run_child(tmp_path / "w", backend="jit", floor=2, workers=2)
     # The leader publishes the generated function before shipping the
     # plan, so even a cold run ships the cache key, not the source, and
     # each worker materialises from the shared store.
-    warm = _run_child(tmp_path / "w", backend="jit", tile=16, workers=2)
+    warm = _run_child(tmp_path / "w", backend="jit", floor=2, workers=2)
     assert warm["digest"] == result["digest"]
 
 
-def test_worker_disk_load_counters(monkeypatch, tmp_path):
+def test_worker_disk_load_counters(monkeypatch, tmp_path, pool_floor):
     from repro.gles2 import parallel
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "wcache"))
     try:
         from repro.core import GpgpuDevice
 
-        dev = GpgpuDevice(
-            execution_backend="jit", tile_size=8, shade_workers=2
-        )
+        dev = GpgpuDevice(execution_backend="jit", shade_workers=2)
         k = dev.kernel(
             name="wprobe",
             inputs=[("x", "float32")],

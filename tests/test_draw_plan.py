@@ -15,7 +15,7 @@ from repro.perf import trace
 from repro.perf.gpu_model import GpuModel
 from repro.testing import faults
 
-N = 256  # a 16 x 16 output: several 4-pixel tiles for the pool
+N = 256  # a 16 x 16 output: two 128-fragment chunks on the pool
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -91,7 +91,7 @@ def _launch_twice(backend, workers, body, a_host, replay):
     dropped first, so both launches run in full."""
     device = GpgpuDevice(
         float_model="ieee32", execution_backend=backend,
-        shade_workers=workers, tile_size=4 if workers else None,
+        shade_workers=workers,
     )
     kernel = device.kernel(
         name="plan_probe", inputs=[("a", "int32"), ("b", "int32")],
@@ -119,7 +119,7 @@ def _launch_twice(backend, workers, body, a_host, replay):
 @pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("backend", ["ir", "jit"])
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_plan_hit_matches_full_run(backend, workers, kernel):
+def test_plan_hit_matches_full_run(backend, workers, kernel, pool_floor):
     body, a_host = KERNELS[kernel]
     # The draw stats compared below include the fused-read gather
     # counts, which an injected gather miss would skew per launch.

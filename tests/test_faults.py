@@ -5,7 +5,7 @@ The contract under test, per layer:
 
 * **Worker pool** — an injected worker crash / hang / garbled chunk
   makes the draw retry within its bounded budget and then fall back to
-  in-process tiled shading, with byte-identical framebuffers and
+  in-process shading, with byte-identical framebuffers and
   untouched DrawStats, counted in ``worker_retries`` /
   ``pool_restarts`` / ``fault_fallbacks``.
 * **Disk cache** — a corrupted entry reads as a counted miss (and is
@@ -70,23 +70,22 @@ POOL_SHADER = _shader("0.5")
 
 
 @pytest.fixture(autouse=True)
-def _fault_guard(monkeypatch, isolated_counters):
+def _fault_guard(monkeypatch, isolated_counters, pool_floor):
     """Per-test isolation: tests here drive their own injection plans
     (never the environment's), counters are isolated so cold compiles
     are invisible to the warm-CI assertion, and the worker pool (with
-    its circuit-breaker state) is torn down after every test."""
+    its circuit-breaker state) is torn down after every test.  The
+    pool floor is lowered so the small pool renders reach the pool."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
     yield
     parallel.shutdown_pool()
 
 
-def _render(fragment_source, *, size=8, backend="jit", tile_size=None,
-            shade_workers=None):
+def _render(fragment_source, *, size=8, backend="jit", shade_workers=None):
     ctx = GLES2Context(
         width=size, height=size, float_model="exact",
-        execution_backend=backend,
-        tile_size=tile_size, shade_workers=shade_workers,
+        execution_backend=backend, shade_workers=shade_workers,
     )
     vs = ctx.glCreateShader(gl.GL_VERTEX_SHADER)
     ctx.glShaderSource(vs, VS)
@@ -126,8 +125,7 @@ def _stats_tuple(draw):
 
 def _pool_render(**kwargs):
     return _render(
-        POOL_SHADER, size=8, backend="jit", tile_size=4, shade_workers=2,
-        **kwargs,
+        POOL_SHADER, size=8, backend="jit", shade_workers=2, **kwargs,
     )
 
 
@@ -250,8 +248,8 @@ def test_knob_range_and_float_validation(monkeypatch):
     knobs.reset_warned()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        monkeypatch.setenv("REPRO_TILE_SIZE", "-1")
-        assert knobs.int_knob("REPRO_TILE_SIZE", None, minimum=1) is None
+        monkeypatch.setenv("REPRO_SHADE_WORKERS", "-1")
+        assert knobs.int_knob("REPRO_SHADE_WORKERS", 0, minimum=0) == 0
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "1e9")
         assert knobs.int_knob("REPRO_CACHE_MAX_BYTES", 64, minimum=1) == 64
         monkeypatch.setenv("REPRO_POOL_TIMEOUT", "nan")
@@ -264,17 +262,26 @@ def test_knob_range_and_float_validation(monkeypatch):
 
 
 def test_context_falls_back_on_malformed_knobs(monkeypatch):
-    monkeypatch.setenv("REPRO_TILE_SIZE", "-1")
     monkeypatch.setenv("REPRO_SHADE_WORKERS", "abc")
     knobs.reset_warned()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ctx = GLES2Context(width=4, height=4)
-    assert ctx.tile_size is None
     assert ctx.shade_workers == 0
     assert sum(
         1 for w in caught if issubclass(w.category, RuntimeWarning)
-    ) == 2
+    ) == 1
+
+
+@pytest.mark.parametrize("bad", ["2", -3, 2.5, True],
+                         ids=["str", "negative", "float", "bool"])
+def test_context_rejects_bad_shade_workers(bad):
+    """An explicit worker count must be a non-negative int: anything
+    else fails at construction, not in the middle of a large draw."""
+    with pytest.raises(ValueError, match="shade_workers"):
+        GLES2Context(width=4, height=4, shade_workers=bad)
+    with pytest.raises(ValueError, match="shade_workers"):
+        GpgpuDevice(shade_workers=bad)
 
 
 # ======================================================================
@@ -284,7 +291,7 @@ def test_worker_crash_falls_back_bit_identical():
     fb_healthy, ctx_healthy = _healthy_pool_baseline()
     with faults.suppress():
         fb_inproc, ctx_inproc = _render(
-            POOL_SHADER, size=8, backend="jit", tile_size=4,
+            POOL_SHADER, size=8, backend="jit", shade_workers=0,
         )
     draws_before = counters.values["pool.draws"]
     with faults.inject_faults(worker_crash=1.0, seed=101):
@@ -313,16 +320,14 @@ def test_worker_garble_retries_then_succeeds():
     before = counters.values["pool.draws"]
     with faults.suppress():
         fb_healthy, __ = _render(
-            POOL_SHADER, size=8, backend="jit", tile_size=4,
-            shade_workers=1,
+            POOL_SHADER, size=8, backend="jit", shade_workers=1,
         )
     if counters.values["pool.draws"] == before:
         pytest.skip("process pools unavailable on this platform")
     draws_before = counters.values["pool.draws"]
     with faults.inject_faults(worker_garble=(1.0, 1), seed=202):
         fb_fault, ctx_fault = _render(
-            POOL_SHADER, size=8, backend="jit", tile_size=4,
-            shade_workers=1,
+            POOL_SHADER, size=8, backend="jit", shade_workers=1,
         )
     assert fb_fault.tobytes() == fb_healthy.tobytes()
     assert counters.values["pool.draws"] == draws_before + 1
@@ -372,40 +377,47 @@ def test_circuit_breaker_opens_after_repeated_failures():
 
 def test_validate_chunk_rejects_garbage():
     good_color = np.zeros((4, 4))
-    gathers = {"draw.texture_gathers": 3}
-    good = (good_color, None, gathers, [])
+    sites = {0: True, 1: False}
+    loads = {"pool.worker_disk_loads": 1}
+    good = (good_color, None, sites, loads, [])
     assert parallel._validate_chunk(good, 4, "gl_FragColor")[0] is good_color
     with pytest.raises(parallel.ChunkFormatError, match="tuple"):
         parallel._validate_chunk((good_color, None), 4, "gl_FragColor")
     with pytest.raises(parallel.ChunkFormatError, match="tuple"):
         # A tuple of the wrong arity, even with plausible fields.
         parallel._validate_chunk(
-            (good_color, None, (0, 0), 0, []), 4, "gl_FragColor"
+            (good_color, None, sites, loads, [], 0), 4, "gl_FragColor"
         )
     with pytest.raises(parallel.ChunkFormatError, match="float array"):
         parallel._validate_chunk(
-            ("nope", None, gathers, []), 4, "gl_FragColor"
+            ("nope", None, sites, loads, []), 4, "gl_FragColor"
         )
     with pytest.raises(parallel.ChunkFormatError, match="broadcast"):
         parallel._validate_chunk(
-            (np.full(3, np.nan), None, gathers, []), 4, "gl_FragColor"
+            (np.full(3, np.nan), None, sites, loads, []), 4, "gl_FragColor"
         )
     with pytest.raises(parallel.ChunkFormatError, match="discard"):
         parallel._validate_chunk(
-            (good_color, np.zeros(2, dtype=bool), gathers, []),
+            (good_color, np.zeros(2, dtype=bool), sites, loads, []),
             4, "gl_FragColor",
         )
-    for bad in ((0, 0), {"draw.texture_gathers": None},
-                {"draw.texture_gathers": -1}, {"pool.retries": 1}):
+    for bad in ([True], {"0": True}, {0: 1}):
+        # Not a dict, not an integer site number, not a bool outcome.
+        with pytest.raises(parallel.ChunkFormatError, match="site"):
+            parallel._validate_chunk(
+                (good_color, None, bad, loads, []), 4, "gl_FragColor"
+            )
+    for bad in ((0, 0), {"pool.worker_disk_loads": None},
+                {"pool.worker_disk_loads": -1}, {"pool.retries": 1}):
         # Not a dict, not an integer count, negative, or a counter a
         # worker has no business changing.
         with pytest.raises(parallel.ChunkFormatError, match="counters"):
             parallel._validate_chunk(
-                (good_color, None, bad, []), 4, "gl_FragColor"
+                (good_color, None, sites, bad, []), 4, "gl_FragColor"
             )
     with pytest.raises(parallel.ChunkFormatError, match="spans"):
         parallel._validate_chunk(
-            (good_color, None, gathers, 42), 4, "gl_FragColor"
+            (good_color, None, sites, loads, 42), 4, "gl_FragColor"
         )
 
 

@@ -18,14 +18,13 @@ These tests pin the layers of that contract:
   including masked sites, worker pools, every fallback cause and
   texel storage rewritten in place between launches;
 * the ``texture_gathers`` / ``gather_fallbacks`` DrawStats counters
-  account for every site execution, including when a runtime
-  disqualification (wrap/filter/size mismatch) routes a site through
-  the full sampling path, and under tiled / multiprocess shading.
+  count each site once per draw — a fallback when a runtime
+  disqualification (wrap/filter/size mismatch) routed any of its
+  executions through the full sampling path — and read the same
+  whether a draw shades in-process or on the worker pool.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -148,12 +147,10 @@ def _run_sum(backend: str, gather: bool = True):
     return out.to_host(), device.ctx.stats.draws[-1]
 
 
-def _run_sgemm(
-    backend: str, gather: bool = True, tile_size=None, shade_workers=None
-):
+def _run_sgemm(backend: str, gather: bool = True, shade_workers=None):
     device = GpgpuDevice(
         float_model="videocore", execution_backend=backend,
-        tile_size=tile_size, shade_workers=shade_workers,
+        shade_workers=shade_workers,
     )
     n = 8
     rng = np.random.default_rng(42)
@@ -189,8 +186,9 @@ class TestBitIdentity:
         ir, __ = _run_sgemm("ir")
         assert np.array_equal(on, off)
         assert np.array_equal(on, ir)
-        # 3 gather sites: two in-loop fetches plus the c0 tail fetch.
-        assert stats_on.texture_gathers > 0
+        # 3 gather sites: two in-loop fetches plus the c0 tail fetch,
+        # each counted once per draw however often the loop runs it.
+        assert stats_on.texture_gathers == 3
         assert stats_on.gather_fallbacks == 0
         assert stats_off.texture_gathers == 0
 
@@ -273,35 +271,67 @@ class TestFallbackAccounting:
 
 
 # ----------------------------------------------------------------------
-# Tiled and multiprocess shading: bit-identity plus counter plumbing
-# (workers ship their gather tallies back through gles2.parallel).
+# Multiprocess shading: bit-identity plus counter plumbing (workers
+# ship their site outcomes back through gles2.parallel).
 # ----------------------------------------------------------------------
+def _draw_record(draw):
+    """A draw's DrawStats, with its ``draw.*`` counts (``pool.*``
+    counts depend on where the draw ran)."""
+    return (
+        draw.vertex_invocations,
+        draw.fragment_invocations,
+        draw.discarded_fragments,
+        draw.framebuffer_writes,
+        draw.vertex_ops.snapshot(),
+        draw.fragment_ops.snapshot(),
+        {name: count for name, count in draw.counts.items()
+         if name.startswith("draw.")},
+    )
+
+
+def _skip_without_pool(pool_draws_before):
+    if counters.values["pool.draws"] == pool_draws_before:
+        pytest.skip("process pool unavailable on this platform")
+
+
 class TestTiledAndWorkers:
-    def test_sgemm_parity_across_shading_configs(self):
-        mono, stats_mono = _run_sgemm("jit")
-        tiled, stats_tiled = _run_sgemm("jit", tile_size=4)
-        workers, stats_workers = _run_sgemm(
-            "jit", tile_size=4, shade_workers=2
-        )
-        assert np.array_equal(mono, tiled)
-        assert np.array_equal(mono, workers)
-        for stats in (stats_mono, stats_tiled, stats_workers):
-            assert stats.texture_gathers > 0
-            assert stats.gather_fallbacks == 0
-        # Counters tally per gather-site *execution*: each tile (or
-        # worker chunk) runs every site once, so the tiled run counts
-        # a multiple of the monolithic one.  Only meaningful when the
-        # environment is not already forcing tiling/workers onto the
-        # baseline (the CI matrix runs the suite under
-        # REPRO_TILE_SIZE/REPRO_SHADE_WORKERS, which make all three
-        # configs equivalent).
-        if not (os.environ.get("REPRO_TILE_SIZE")
-                or os.environ.get("REPRO_SHADE_WORKERS")):
-            assert (stats_tiled.texture_gathers
-                    % stats_mono.texture_gathers == 0)
-            assert stats_tiled.texture_gathers > stats_mono.texture_gathers
-            assert (stats_workers.texture_gathers
-                    >= stats_mono.texture_gathers)
+    def test_sgemm_parity_across_shading_configs(self, pool_floor):
+        mono, stats_mono = _run_sgemm("jit", shade_workers=0)
+        before = counters.values["pool.draws"]
+        workers, stats_workers = _run_sgemm("jit", shade_workers=2)
+        _skip_without_pool(before)
+        assert mono.tobytes() == workers.tobytes()
+        # Each site counts once per draw, wherever the draw shaded.
+        assert stats_mono.texture_gathers == 3
+        assert stats_mono.gather_fallbacks == 0
+        assert _draw_record(stats_mono) == _draw_record(stats_workers)
+
+    def test_every_family_matches_across_worker_counts(self, pool_floor):
+        """Every kernel family: the same bytes, DrawStats and draw.*
+        counts, launch for launch, with no workers and with two."""
+        runs = {}
+        before = counters.values["pool.draws"]
+        for workers in (0, 2):
+            device = GpgpuDevice(float_model="videocore",
+                                 shade_workers=workers)
+            graph_device = GpgpuDevice(float_model="videocore",
+                                       graph_mode=True,
+                                       shade_workers=workers)
+            with faults.suppress():
+                outputs = _drive_every_family(device, graph_device)
+            draws = device.ctx.stats.draws + graph_device.ctx.stats.draws
+            runs[workers] = (
+                [np.asarray(out).tobytes() for out in outputs],
+                [_draw_record(draw) for draw in draws],
+            )
+        _skip_without_pool(before)
+        (outputs_0, draws_0), (outputs_2, draws_2) = runs[0], runs[2]
+        assert outputs_0 == outputs_2
+        assert len(draws_0) == len(draws_2) > 0
+        for index, (left, right) in enumerate(zip(draws_0, draws_2)):
+            assert left == right, f"draw {index}"
+        assert sum(record[-1].get("draw.texture_gathers", 0)
+                   for record in draws_0) > 0
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +363,60 @@ FORMATS = ("int32", "uint32", "float32", "int16", "uint16", "float16",
            "uint8", "int8")
 
 
+def _drive_every_family(device, graph_device):
+    """Launch every kernel family the library builds once on a tiny
+    input (``graph_device``, in graph mode, runs a fused scale chain);
+    returns the host results."""
+    rng = np.random.default_rng(0)
+    outputs = []
+    for fmt in FORMATS:
+        kernel = make_sum_kernel(device, fmt)
+        host = (np.arange(16) % 7).astype(kernel.output_format.dtype)
+        out = device.empty(16, fmt)
+        kernel(out, {"a": device.array(host), "b": device.array(host)})
+        outputs.append(out.to_host())
+    values = np.arange(16, dtype=np.float32)
+    array = device.array(values)
+    out = device.empty(16, "float32")
+    make_saxpy_kernel(device)(out, {"x": array, "y": array},
+                              {"u_alpha": 1.5})
+    outputs.append(out.to_host())
+    make_scale_kernel(device)(out, {"a": array}, {"u_factor": -2.0})
+    outputs.append(out.to_host())
+    make_sgemm_kernel(device, "float32", 4)(
+        out, {"a": array, "b": array, "c0": array},
+        {"u_n": 4.0, "u_alpha": 1.0, "u_beta": 1.0},
+    )
+    outputs.append(out.to_host())
+    outputs += [
+        reduce_sum(device, array),
+        reduce_min(device, array),
+        inclusive_scan(device, array),
+        exclusive_scan(device, array),
+        bitonic_sort(device, array),
+        transpose(device, array, 4, 4),
+        convolve1d(device, array, np.ones(3, dtype=np.float32)),
+        argmin_via_encoding(device, values),
+        hotspot_gpu(device, rng.random((4, 4)), rng.random((4, 4)), 1),
+        pathfinder_gpu(device, rng.integers(0, 9, (3, 4))),
+        kmeans_assign_gpu(device, rng.random((8, 2)), rng.random((2, 2)),
+                          shift=0.5, scale=2.0),
+        nearest_neighbor_gpu(device, rng.random(8), rng.random(8),
+                             (0.5, 0.5)),
+    ]
+    scale = make_scale_kernel(graph_device)
+    source = graph_device.array(values)
+    with graph_device.record() as graph:
+        mid = graph.scratch(16, "float32")
+        graph.launch(scale, mid, {"a": source}, {"u_factor": 2.0})
+        out = graph.scratch(16, "float32")
+        graph.launch(scale, out, {"a": mid}, {"u_factor": 3.0})
+        graph.keep(out)
+    outputs.append(out)
+    return [out.to_host() if hasattr(out, "to_host") else out
+            for out in outputs]
+
+
 def _family_sources(monkeypatch):
     """Fragment source of every kernel the library builds, by kernel
     name: each driver runs once on a tiny input."""
@@ -345,37 +429,10 @@ def _family_sources(monkeypatch):
         return kernel
 
     monkeypatch.setattr(GpgpuDevice, "kernel", spy)
-    device = GpgpuDevice(float_model="videocore")
-    rng = np.random.default_rng(0)
-    for fmt in FORMATS:
-        make_sum_kernel(device, fmt)
-    make_saxpy_kernel(device)
-    make_scale_kernel(device)
-    make_sgemm_kernel(device, "float32", 4)
-    values = np.arange(16, dtype=np.float32)
-    array = device.array(values)
-    reduce_sum(device, array)
-    reduce_min(device, array)
-    inclusive_scan(device, array)
-    exclusive_scan(device, array)
-    bitonic_sort(device, array)
-    transpose(device, array, 4, 4)
-    convolve1d(device, array, np.ones(3, dtype=np.float32))
-    argmin_via_encoding(device, values)
-    hotspot_gpu(device, rng.random((4, 4)), rng.random((4, 4)), 1)
-    pathfinder_gpu(device, rng.integers(0, 9, (3, 4)))
-    kmeans_assign_gpu(device, rng.random((8, 2)), rng.random((2, 2)),
-                      shift=0.5, scale=2.0)
-    nearest_neighbor_gpu(device, rng.random(8), rng.random(8), (0.5, 0.5))
-    graph_device = GpgpuDevice(float_model="videocore", graph_mode=True)
-    scale = make_scale_kernel(graph_device)
-    source = graph_device.array(values)
-    with graph_device.record() as graph:
-        mid = graph.scratch(16, "float32")
-        graph.launch(scale, mid, {"a": source}, {"u_factor": 2.0})
-        out = graph.scratch(16, "float32")
-        graph.launch(scale, out, {"a": mid}, {"u_factor": 3.0})
-        graph.keep(out)
+    _drive_every_family(
+        GpgpuDevice(float_model="videocore"),
+        GpgpuDevice(float_model="videocore", graph_mode=True),
+    )
     return sources
 
 
@@ -502,7 +559,7 @@ class TestDecodeIdentity:
         y = iy.ravel().astype(dt)
         size = np.array([[16.0, 16.0]], dtype=dt)
         with faults.suppress():
-            fetched = helpers["_fetch"](texture, x, y, size, True)
+            fetched = helpers["_fetch"](0, texture, x, y, size, True)
         assert fetched.dtype == dt
         assert np.array_equal(fetched, decoded)
 
@@ -526,10 +583,10 @@ class TestDecodeIdentity:
 # Bit-identity: fused reads == IR executor, in masked contexts and on
 # the worker pool.
 # ----------------------------------------------------------------------
-def _hotspot(backend, shade_workers=None, tile_size=None, misses=False):
+def _hotspot(backend, shade_workers=None, misses=False):
     """Three hotspot steps; ``misses`` forces every fused read to miss."""
     device = GpgpuDevice(float_model="videocore", execution_backend=backend,
-                         shade_workers=shade_workers, tile_size=tile_size)
+                         shade_workers=shade_workers)
     rng = np.random.default_rng(11)
     before = counters.snapshot(counters.DRAW)
     scope = (faults.inject_faults(gather_miss=1.0) if misses
@@ -550,15 +607,15 @@ class TestFusedBitIdentity:
         assert stats.texture_gathers > 0
         assert stats.gather_fallbacks == 0
 
-    def test_shade_workers_match_ir(self):
+    def test_shade_workers_match_ir(self, pool_floor):
         before = counters.values["pool.draws"]
-        pooled, stats = _hotspot("jit", shade_workers=2, tile_size=4)
+        pooled, stats = _hotspot("jit", shade_workers=2)
         assert counters.values["pool.draws"] > before
         ir, __ = _hotspot("ir")
         assert np.array_equal(pooled, ir)
         assert stats.texture_gathers > 0
         assert stats.gather_fallbacks == 0
-        workers, __ = _run_sgemm("jit", tile_size=4, shade_workers=2)
+        workers, __ = _run_sgemm("jit", shade_workers=2)
         sgemm_ir, __ = _run_sgemm("ir")
         assert np.array_equal(workers, sgemm_ir)
 
@@ -567,7 +624,7 @@ class TestFusedBitIdentity:
         masked sites reproduces the IR executor.  ``gather_miss`` fires
         in this process only, so every draw here shades in-process,
         whatever the environment asks for."""
-        in_process = {"shade_workers": 0, "tile_size": 1 << 16}
+        in_process = {"shade_workers": 0}
         expected, __ = _run_sum("ir")
         device = GpgpuDevice(float_model="videocore", **in_process)
         kernel = make_sum_kernel(device, "int32")
@@ -596,8 +653,9 @@ class TestFusedBitIdentity:
             kernel(out, inputs, {"u_n": float(n), "u_alpha": 1.0,
                                  "u_beta": 1.0})
         draw = device.ctx.stats.draws[-1]
+        # Three sites, each a fallback once per draw.
         assert draw.texture_gathers == 0
-        assert draw.gather_fallbacks == 2 * n + 1
+        assert draw.gather_fallbacks == 3
         assert np.array_equal(out.to_host(), sgemm_ir)
 
         missed, stats = _hotspot("jit", misses=True, **in_process)

@@ -1,13 +1,15 @@
-"""Tiled + multiprocess fragment shading, and the fixed-function
-conformance fixes that landed with it.
+"""Multiprocess fragment shading, and the fixed-function conformance
+fixes that landed with it.
 
 The heart of this file is the bit-identity contract: splitting a draw's
-fragment batch into tiles — shaded in-process or on the worker pool —
-must produce the *byte-identical* framebuffer and the same merged
-DrawStats as the monolithic path.  The golden corpus doubles as the
-cross-check: every pinned framebuffer was generated monolithically, so
-rendering the corpus with tiling (all three backends, plus workers for
-the JIT) against the stored bytes catches any divergence.
+fragment batch into one contiguous chunk per worker and shading the
+chunks on the worker pool must produce the *byte-identical* framebuffer,
+the same DrawStats and the same ``draw.*`` counts as one in-process
+run.  The golden corpus doubles as the cross-check: every pinned
+framebuffer was generated in-process, so rendering the corpus on the
+pool against the stored bytes catches any divergence.  Tests that use
+workers take the ``pool_floor`` fixture, which lowers the pool floor so
+these small draws reach the pool.
 
 Also covered here:
 
@@ -25,6 +27,7 @@ import pytest
 from repro.gles2 import GLES2Context, GLError, enums as gl, parallel, raster
 from repro.gles2.pipeline import VertexAttribState, _normalize_attribute
 from repro.gles2.raster import FragmentBatch, partition_tiles
+from repro.perf import counters
 from repro.testing.corpus import (
     DEFAULT_CORPUS_DIR,
     build_entries,
@@ -94,7 +97,6 @@ def _render(
     *,
     size=8,
     backend="ir",
-    tile_size=None,
     shade_workers=None,
     quad=QUAD_CCW,
     scissor=None,
@@ -103,8 +105,7 @@ def _render(
     """Draw one quad; returns (framebuffer, ctx) so stats are visible."""
     ctx = GLES2Context(
         width=size, height=size, float_model="exact",
-        execution_backend=backend,
-        tile_size=tile_size, shade_workers=shade_workers,
+        execution_backend=backend, shade_workers=shade_workers,
     )
     vs = ctx.glCreateShader(gl.GL_VERTEX_SHADER)
     ctx.glShaderSource(vs, vertex_source)
@@ -135,6 +136,8 @@ def _render(
 
 
 def _stats_tuple(draw):
+    """A draw's DrawStats, with its ``draw.*`` counts (``pool.*``
+    counts depend on where the draw ran)."""
     return (
         draw.vertex_invocations,
         draw.fragment_invocations,
@@ -142,57 +145,60 @@ def _stats_tuple(draw):
         draw.framebuffer_writes,
         draw.vertex_ops.snapshot(),
         draw.fragment_ops.snapshot(),
+        {name: count for name, count in draw.counts.items()
+         if name.startswith("draw.")},
     )
 
 
+def _pooled(render):
+    """Run ``render()``; skip the test when no draw reached the pool
+    because process pools are unavailable on this platform."""
+    before = counters.values["pool.draws"]
+    result = render()
+    if counters.values["pool.draws"] == before:
+        pytest.skip("process pool unavailable on this platform")
+    return result
+
+
 # ======================================================================
-# Tiling partition mechanics
+# Partition mechanics
 # ======================================================================
-def test_partition_tiles_is_a_partition():
-    rng = np.random.default_rng(7)
-    n = 500
-    batch = FragmentBatch(
-        px=rng.integers(0, 33, n),
-        py=rng.integers(0, 17, n),
+def _batch(n):
+    return FragmentBatch(
+        px=np.arange(n) % 7,
+        py=np.arange(n) // 7,
         vertex_ids=np.zeros((n, 3), dtype=np.int64),
         bary=np.zeros((n, 3)),
         persp=np.zeros((n, 3)),
         frag_z=np.zeros(n),
         frag_w=np.ones(n),
     )
-    parts = partition_tiles(batch, 8)
-    assert len(parts) > 1
-    merged = np.concatenate(parts)
-    # Every fragment appears exactly once.
-    assert np.array_equal(np.sort(merged), np.arange(n))
-    for idx in parts:
-        # One tile per index array: all fragments share a tile cell...
-        assert np.unique(batch.px[idx] // 8).size == 1
-        assert np.unique(batch.py[idx] // 8).size == 1
-        # ...and keep their original relative order (last-writer-wins).
-        assert np.all(np.diff(idx) > 0)
+
+
+def test_partition_tiles_is_a_partition():
+    for n, parts in [(500, 2), (500, 3), (7, 7), (9, 4)]:
+        chunks = partition_tiles(_batch(n), parts)
+        assert len(chunks) == parts
+        # Contiguous ranges that cover the batch in order...
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        for left, right in zip(chunks, chunks[1:]):
+            assert left.stop == right.start
+        # ...with counts that differ by at most one fragment.
+        sizes = [chunk.stop - chunk.start for chunk in chunks]
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) > 0
 
 
 def test_partition_tiles_degenerate_cases():
-    batch = FragmentBatch(
-        px=np.array([3, 1]),
-        py=np.array([0, 0]),
-        vertex_ids=np.zeros((2, 3), dtype=np.int64),
-        bary=np.zeros((2, 3)),
-        persp=np.zeros((2, 3)),
-        frag_z=np.zeros(2),
-        frag_w=np.ones(2),
-    )
-    # tile_size <= 0 means "no tiling": the identity partition.
-    (only,) = partition_tiles(batch, 0)
-    assert np.array_equal(only, np.array([0, 1]))
-    # Huge tiles also collapse to one part.
-    (only,) = partition_tiles(batch, 1024)
-    assert np.array_equal(np.sort(only), np.array([0, 1]))
+    # Fewer fragments than parts: one single-fragment chunk each.
+    assert partition_tiles(_batch(2), 5) == [slice(0, 1), slice(1, 2)]
+    # One part is the whole batch.
+    assert partition_tiles(_batch(3), 1) == [slice(0, 3)]
+    # An empty batch has no chunks.
+    assert partition_tiles(_batch(0), 2) == []
 
 
 # ======================================================================
-# Tiled vs monolithic bit-identity (golden corpus)
+# Pool vs in-process bit-identity (golden corpus)
 # ======================================================================
 @pytest.mark.parametrize("backend,workers", [
     ("ir", None), ("jit", None), ("jit", 2),
@@ -200,50 +206,66 @@ def test_partition_tiles_degenerate_cases():
 @pytest.mark.parametrize(
     "entry", ENTRIES, ids=[entry.name for entry in ENTRIES]
 )
-def test_corpus_tiled_matches_golden(entry, backend, workers):
-    """Every pinned framebuffer was rendered monolithically; the tiled
-    (and worker-pool) paths must reproduce it byte for byte."""
-    framebuffer, __ = draw_for_capture(
-        entry.fragment,
-        size=entry.size,
-        quantization=entry.quantization,
-        uniforms=entry.uniforms,
-        textures=entry.textures,
-        vertex_source=entry.vertex,
-        execution_backend=backend,
-        tile_size=2,
-        shade_workers=workers,
-    )
+def test_corpus_tiled_matches_golden(entry, backend, workers, pool_floor):
+    """Every pinned framebuffer was rendered in-process; the IR
+    backend (which never pools) and the worker pool must reproduce it
+    byte for byte, and the pool must count the same draw.* events."""
+
+    def render(shade_workers):
+        before = counters.snapshot(counters.DRAW)
+        framebuffer, __ = draw_for_capture(
+            entry.fragment,
+            size=entry.size,
+            quantization=entry.quantization,
+            uniforms=entry.uniforms,
+            textures=entry.textures,
+            vertex_source=entry.vertex,
+            execution_backend=backend,
+            shade_workers=shade_workers,
+        )
+        changed = counters.delta(before)
+        return framebuffer, {name: count for name, count in changed.items()
+                             if name.startswith("draw.")}
+
+    framebuffer, draw_counts = render(workers)
     expected = parse_framebuffer(
         (DEFAULT_CORPUS_DIR / f"{entry.name}.expected").read_text()
     )
     assert np.array_equal(framebuffer, expected), \
-        f"{entry.name}: tiled {backend} render diverged from golden"
+        f"{entry.name}: {backend} render with workers={workers} " \
+        f"diverged from golden"
+    if workers:
+        __, in_process_counts = render(0)
+        assert draw_counts == in_process_counts, entry.name
 
 
 # ======================================================================
-# Tiled vs monolithic: framebuffer AND merged DrawStats
+# Pool vs in-process: framebuffer AND DrawStats
 # ======================================================================
 @pytest.mark.parametrize("backend", ["ir", "jit"])
 @pytest.mark.parametrize("shader", [UV_SHADER, DISCARD_SHADER],
                          ids=["plain", "discard"])
-def test_tiled_matches_monolithic(backend, shader):
-    mono_fb, mono_ctx = _render(shader, backend=backend)
-    tiled_fb, tiled_ctx = _render(shader, backend=backend, tile_size=3)
-    assert np.array_equal(mono_fb, tiled_fb)
+def test_tiled_matches_monolithic(backend, shader, pool_floor):
+    """Two workers against none: the JIT splits the draw across the
+    pool, the IR backend shades in-process either way."""
+    mono_fb, mono_ctx = _render(shader, backend=backend, shade_workers=0)
+    par_fb, par_ctx = _render(shader, backend=backend, shade_workers=2)
+    assert np.array_equal(mono_fb, par_fb)
     (mono_draw,) = mono_ctx.stats.draws
-    (tiled_draw,) = tiled_ctx.stats.draws
-    # Per-tile stats merge back to exactly the monolithic totals:
-    # per-lane ops sum across the partition, and global-initializer
-    # ops are charged once (first tile only).
-    assert _stats_tuple(mono_draw) == _stats_tuple(tiled_draw)
+    (par_draw,) = par_ctx.stats.draws
+    # Per-chunk op counts sum back to exactly the in-process totals,
+    # and global-initializer ops are charged once per draw.
+    assert _stats_tuple(mono_draw) == _stats_tuple(par_draw)
 
 
-def test_discard_spanning_tile_boundary():
-    """DISCARD_SHADER kills the left half of a 8x8 quad; tile_size=3
-    puts the discard edge inside a tile row.  The per-tile discard
-    masks must merge to the exact monolithic mask."""
-    fb, ctx = _render(DISCARD_SHADER, tile_size=3)
+def test_discard_spanning_chunk_boundary(pool_floor):
+    """DISCARD_SHADER kills the left half of each row of an 8x8 quad,
+    so the boundary between the two workers' chunks falls between
+    discarded and kept fragments.  The chunk discard masks must merge
+    to the exact in-process mask."""
+    fb, ctx = _pooled(lambda: _render(
+        DISCARD_SHADER, backend="jit", shade_workers=2
+    ))
     # Left half (v_uv.x < 0.5 at x pixel centers 0..3) stays cleared.
     assert (fb[:, :4] == 0).all()
     assert (fb[:, 4:, 3] == 255).all()
@@ -252,66 +274,76 @@ def test_discard_spanning_tile_boundary():
     assert draw.framebuffer_writes == 32
 
 
-def test_one_capture_per_tiled_draw():
+def test_one_capture_per_tiled_draw(pool_floor):
     """The differential oracle consumes exactly one FragmentCapture
-    per draw with full-batch arrays in raster order — tiling must
-    reassemble, not emit per-tile captures."""
+    per draw with full-batch arrays in raster order — the pool must
+    merge its chunks, not emit per-chunk captures."""
     from repro.gles2 import pipeline as p
 
     captures = []
     p.set_capture_hook(captures.append)
     try:
-        mono_fb, __ = _render(DISCARD_SHADER)
-        tiled_fb, __ = _render(DISCARD_SHADER, tile_size=3)
+        mono_fb, __ = _render(DISCARD_SHADER, backend="jit",
+                              shade_workers=0)
+        par_fb, __ = _render(DISCARD_SHADER, backend="jit",
+                             shade_workers=2)
     finally:
         p.clear_capture_hook()
     assert len(captures) == 2
-    mono, tiled = captures
-    assert np.array_equal(mono.px, tiled.px)
-    assert np.array_equal(mono.py, tiled.py)
-    assert np.array_equal(mono.discarded, tiled.discarded)
-    assert np.array_equal(mono.colors, tiled.colors)
-    assert np.array_equal(mono.quantised, tiled.quantised)
+    mono, par = captures
+    assert np.array_equal(mono.px, par.px)
+    assert np.array_equal(mono.py, par.py)
+    assert np.array_equal(mono.discarded, par.discarded)
+    assert np.array_equal(mono.colors, par.colors)
+    assert np.array_equal(mono.quantised, par.quantised)
 
 
 # ======================================================================
 # Worker-pool shading
 # ======================================================================
-def test_worker_pool_bit_identical_and_exercised(isolated_counters):
-    mono_fb, mono_ctx = _render(UV_SHADER, backend="jit")
-    par_fb, par_ctx = _render(
-        UV_SHADER, backend="jit", tile_size=3, shade_workers=2
-    )
-    assert np.array_equal(mono_fb, par_fb)
+def test_worker_pool_bit_identical_and_exercised(pool_floor):
+    mono_fb, mono_ctx = _render(UV_SHADER, backend="jit", shade_workers=0)
     # The pool really ran (not a silent in-process fallback) unless
     # process pools are unavailable on this platform.
-    if isolated_counters.values["pool.draws"] == 0:
-        pytest.skip("process pool unavailable on this platform")
-    (mono_draw,) = mono_ctx.stats.draws
-    (par_draw,) = par_ctx.stats.draws
-    assert _stats_tuple(mono_draw) == _stats_tuple(par_draw)
-
-
-def test_worker_pool_discard_bit_identical(isolated_counters):
-    mono_fb, mono_ctx = _render(DISCARD_SHADER, backend="jit")
-    par_fb, par_ctx = _render(
-        DISCARD_SHADER, backend="jit", tile_size=3, shade_workers=2
-    )
+    par_fb, par_ctx = _pooled(lambda: _render(
+        UV_SHADER, backend="jit", shade_workers=2
+    ))
     assert np.array_equal(mono_fb, par_fb)
-    if isolated_counters.values["pool.draws"] == 0:
-        pytest.skip("process pool unavailable on this platform")
     (mono_draw,) = mono_ctx.stats.draws
     (par_draw,) = par_ctx.stats.draws
     assert _stats_tuple(mono_draw) == _stats_tuple(par_draw)
 
 
-def test_workers_ignored_for_ir_backend(isolated_counters):
+def test_worker_pool_discard_bit_identical(pool_floor):
+    mono_fb, mono_ctx = _render(DISCARD_SHADER, backend="jit",
+                                shade_workers=0)
+    par_fb, par_ctx = _pooled(lambda: _render(
+        DISCARD_SHADER, backend="jit", shade_workers=2
+    ))
+    assert np.array_equal(mono_fb, par_fb)
+    (mono_draw,) = mono_ctx.stats.draws
+    (par_draw,) = par_ctx.stats.draws
+    assert _stats_tuple(mono_draw) == _stats_tuple(par_draw)
+
+
+def test_workers_ignored_for_ir_backend(isolated_counters, pool_floor):
     """The IR backend silently shades in-process — same results."""
-    mono_fb, __ = _render(UV_SHADER, backend="ir")
-    tiled_fb, __ = _render(
-        UV_SHADER, backend="ir", tile_size=3, shade_workers=2
-    )
-    assert np.array_equal(mono_fb, tiled_fb)
+    mono_fb, __ = _render(UV_SHADER, backend="ir", shade_workers=0)
+    par_fb, __ = _render(UV_SHADER, backend="ir", shade_workers=2)
+    assert np.array_equal(mono_fb, par_fb)
+    assert isolated_counters.values["pool.draws"] == 0
+
+
+def test_draw_at_the_pool_floor_stays_in_process(isolated_counters,
+                                                 monkeypatch):
+    """Only a draw with more fragments than the floor reaches the
+    pool: a 64-fragment draw at a floor of 64 shades in-process."""
+    from repro.gles2 import pipeline
+
+    monkeypatch.setattr(pipeline, "POOL_MIN_FRAGMENTS", 64)
+    fb, __ = _render(UV_SHADER, backend="jit", shade_workers=2)
+    mono_fb, __ = _render(UV_SHADER, backend="jit", shade_workers=0)
+    assert np.array_equal(fb, mono_fb)
     assert isolated_counters.values["pool.draws"] == 0
 
 
@@ -346,17 +378,24 @@ def test_front_facing_mixed_winding_single_draw():
     assert tuple(fb[2, 3][:3]) == (0, 0, 255)
 
 
-def test_front_facing_tiled_identical():
+def test_front_facing_chunked_identical(pool_floor):
+    """Mixed winding in one draw: the front- and back-facing triangles
+    land in different worker chunks."""
     mixed = np.array(
         [[-1, -1], [1, -1], [-1, 1], [1, 1], [1, -1], [-1, 1]],
         dtype=np.float32,
     )
-    mono_fb, __ = _render(FRONT_SHADER, quad=mixed)
     for backend in ("ir", "jit"):
-        tiled_fb, __ = _render(
-            FRONT_SHADER, quad=mixed, backend=backend, tile_size=3
+        mono_fb, mono_ctx = _render(FRONT_SHADER, quad=mixed,
+                                    backend=backend, shade_workers=0)
+        assert (mono_fb[..., 0] == 255).any()
+        assert (mono_fb[..., 2] == 255).any()
+        par_fb, par_ctx = _render(
+            FRONT_SHADER, quad=mixed, backend=backend, shade_workers=2
         )
-        assert np.array_equal(mono_fb, tiled_fb), backend
+        assert np.array_equal(mono_fb, par_fb), backend
+        assert _stats_tuple(mono_ctx.stats.draws[-1]) == \
+            _stats_tuple(par_ctx.stats.draws[-1]), backend
 
 
 def test_points_are_front_facing():
@@ -475,13 +514,18 @@ def test_read_pixels_negative_extent_is_error(width, height):
             0, 0, width, height, gl.GL_RGBA, gl.GL_UNSIGNED_BYTE)
 
 
-def test_scissored_draw_tiled_identical():
+def test_scissored_draw_chunked_identical(pool_floor):
+    """A scissored draw's batch holds only the fragments inside the
+    box, so the chunk boundary falls inside it."""
     for backend in ("ir", "jit"):
-        mono_fb, __ = _render(
-            UV_SHADER, size=8, backend=backend, scissor=(1, 2, 5, 4)
-        )
-        tiled_fb, __ = _render(
+        mono_fb, mono_ctx = _render(
             UV_SHADER, size=8, backend=backend, scissor=(1, 2, 5, 4),
-            tile_size=3,
+            shade_workers=0,
         )
-        assert np.array_equal(mono_fb, tiled_fb), backend
+        par_fb, par_ctx = _render(
+            UV_SHADER, size=8, backend=backend, scissor=(1, 2, 5, 4),
+            shade_workers=2,
+        )
+        assert np.array_equal(mono_fb, par_fb), backend
+        assert _stats_tuple(mono_ctx.stats.draws[-1]) == \
+            _stats_tuple(par_ctx.stats.draws[-1]), backend

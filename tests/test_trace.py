@@ -1,5 +1,5 @@
 """Structured tracing: recorder semantics, full-stack span coverage
-across backends/tiling/workers/graphs, export round-trips, the CLI,
+across backends/workers/graphs, export round-trips, the CLI,
 and the satellite bugfixes that rode along (elided-transfer pricing,
 non-finite float knobs)."""
 
@@ -165,18 +165,17 @@ def test_every_draw_phase_spans_all_backends(clean_recorder, backend):
     assert _spans(recorder, name="readback.pixels")
 
 
-def test_tiled_draw_emits_tile_spans(clean_recorder, monkeypatch):
-    # In-process tiling on purpose (a CI leg exports REPRO_SHADE_WORKERS
+def test_in_process_draw_records_one_chunk(clean_recorder, monkeypatch):
+    # Workers off on purpose (a CI leg exports REPRO_SHADE_WORKERS
     # globally, which would route this draw through the pool instead).
     monkeypatch.setenv("REPRO_SHADE_WORKERS", "0")
-    monkeypatch.setenv("REPRO_TILE_SIZE", "4")
     recorder = trace.start()
     _run_draw("jit", n=64)
     trace.stop(write=False)
-    tiles = _spans(recorder, name="draw.shade.tile")
-    assert len(tiles) > 1
     (shade,) = _spans(recorder, name="draw.shade")
-    assert shade["args"]["tiles"] == len(tiles)
+    assert shade["args"]["chunks"] == 1
+    assert "workers" not in shade["args"]
+    assert not _spans(recorder, name="draw.merge")
 
 
 @pytest.fixture
@@ -199,9 +198,9 @@ def quiet_pool():
 
 
 def test_worker_draw_ships_spans_back(clean_recorder, quiet_pool,
-                                      monkeypatch, isolated_counters):
+                                      monkeypatch, isolated_counters,
+                                      pool_floor):
     monkeypatch.setenv("REPRO_SHADE_WORKERS", "2")
-    monkeypatch.setenv("REPRO_TILE_SIZE", "8")
     recorder = trace.start()
     device = _run_draw("jit", n=256)
     trace.stop(write=False)
@@ -216,6 +215,9 @@ def test_worker_draw_ships_spans_back(clean_recorder, quiet_pool,
     leader_pid = recorder.pid
     assert all(e["pid"] != leader_pid for e in worker_spans)
     assert _spans(recorder, name="draw.merge")
+    # The draw span records the chunks it actually dispatched.
+    (shade,) = _spans(recorder, name="draw.shade")
+    assert shade["args"]["chunks"] == len(worker_spans) == 2
 
 
 def test_graph_replay_emits_replay_span_and_fuse_instant(clean_recorder):
