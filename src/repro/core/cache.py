@@ -79,7 +79,9 @@ from ..perf import counters, trace
 #: removed ``_gather`` and would fail at run time into the IR executor.
 #: 4: ``_fetch`` takes the site number first; schema-3 code would call
 #: it with the old arguments.
-SCHEMA_VERSION = 4
+#: 5: generated JIT code defines decoder functions and passes them to
+#: ``_fetch``; IR entries carry ``FetchSite.tail``.
+SCHEMA_VERSION = 5
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"

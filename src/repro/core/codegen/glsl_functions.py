@@ -31,7 +31,14 @@ from __future__ import annotations
 #: Rephrasing either (hoisting the divide, fusing the +0.5, scaling by
 #: 1/255, decoding a copy of the texel) keeps kernels correct but
 #: silently loses that fast path — ``tests/test_texture_gather.py``
-#: pins the fused read on every kernel family and format.
+#: pins the fused read on every kernel family and format.  The
+#: ``gpgpu_unpack_*`` bodies matter too: the pass takes what follows
+#: the decode as a decode tail only while it reads nothing but the
+#: bytes and constants, stays straight-line value code (``?:`` and
+#: early returns already fold into selects) and writes each local once,
+#: whole; the JIT then runs it once per texel per draw instead of once
+#: per fragment per read.  A tail that stops matching fails the
+#: ``jit.storage_decodes`` check of the plain CI leg.
 ADDRESSING_GLSL = """
 vec2 gpgpu_index_to_coord(float index, vec2 size) {
     float x = mod(index, size.x);

@@ -662,7 +662,7 @@ def _shade_chunk(plan, wide_regs, count):
     would present), ``worker_hang`` sleeps past the leader's per-draw
     deadline, and ``worker_garble`` swaps the colour result for
     garbage to exercise the leader's chunk validation."""
-    from ..glsl.jit.codegen import site_outcomes
+    from ..glsl.jit.codegen import begin_draw, site_outcomes
     from ..testing import faults
 
     faults.install_encoded(plan.get("faults"))
@@ -687,7 +687,7 @@ def _shade_chunk(plan, wide_regs, count):
     for reg, data in wide_regs.items():
         regs[reg] = _Reg(data=data)
     t2 = time.perf_counter() if traced else 0.0
-    site_outcomes.clear()
+    begin_draw()
     discarded = fn(regs, count, plan["maxit"])
     sites = dict(site_outcomes)
     changed = counters.delta(before)

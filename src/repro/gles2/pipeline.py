@@ -174,9 +174,9 @@ def _normalize_attribute(data: np.ndarray, state: VertexAttribState) -> np.ndarr
 #: more fragments than this: below it, shipping the registers to the
 #: workers costs more than the split saves.  Set from the measured
 #: pool/in-process crossover of sgemm on two workers, where the pool
-#: wins from 5184 fragments and is a coin flip at 4096
+#: wins from 7744 fragments and is a coin flip at 6400
 #: (``docs/architecture.md`` §5).
-POOL_MIN_FRAGMENTS = 4096
+POOL_MIN_FRAGMENTS = 6400
 
 #: The shader executors, by ``execution_backend`` name: ``"jit"`` runs
 #: generated straight-line numpy code (cached per shader; the IR
@@ -337,6 +337,7 @@ def execute_draw(
     )
 
     with trace.span("draw.shade", "draw") as sp:
+        decodes = counters.values["jit.storage_decodes"]
         shaded = None
         if shade_workers > 0 and batch.count > POOL_MIN_FRAGMENTS:
             from . import parallel
@@ -358,6 +359,8 @@ def execute_draw(
                 "fragments": batch.count,
                 "backend": execution_backend,
                 "chunks": len(chunks),
+                "storage_decodes":
+                    counters.values["jit.storage_decodes"] - decodes,
             })
 
     discards = int(np.count_nonzero(discarded))

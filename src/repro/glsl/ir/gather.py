@@ -67,6 +67,33 @@ inactive lanes match.)  A constant the decode reads that is defined
 between the texture and its use is re-run inside the fallback (and
 stays in place when others read it).
 
+``FetchSite.tail = DecodeTail``
+-------------------------------
+The format's unpack after the byte decode (§IV, eqs. (1)–(4): the
+sign/exponent/mantissa arithmetic of ``gpgpu_unpack_float32`` and
+its kin) depends only on the stored bytes, so a backend may evaluate
+it once per texel of the storage instead of once per fragment per
+read.  The tail is the instructions after the decode that
+
+(a) sit in the texture's block with no region boundary, kill op or
+    other texture between them and the texture (so each position is
+    scanned for at most one site's tail);
+(b) read only the site's bytes, other tail registers, or
+    single-definition ``const`` registers (no uniforms, no varyings);
+(c) are lane-wise pure value ops (``_TAIL_OPS``), or the ``decl`` and
+    single whole-value ``store`` of a local that nothing else writes;
+(d) are each the single definition of what they write.
+
+The tail's *outputs* are its registers read outside it (or by a
+region node).  A backend binds them at the texture's position, so the
+pass drops the tail when something between the texture and the
+position where an output gets its value reads that output's previous
+value.  A store in the tail writes its local whole under the
+execution mask, so inactive lanes keep the ``decl``'s zeros.  Under
+the full mask every lane of every output is therefore the lane-wise
+function of that lane's bytes; under a mask that holds for the active
+lanes only, so a backend runs the tail of a masked site in place.
+
 Lane-freshness soundness
 ------------------------
 Value ops compute full-width data (masks only gate stores), so a
@@ -89,8 +116,9 @@ constant-pool indices are final, and is purely additive: it never
 reorders, rewrites or removes instructions, so the IR executor, the
 scalar reference and the static cost model are untouched and remain
 bit-identical oracles.  It runs in time linear in the program: one
-indexing pass, then constant work per texture site plus logarithmic
-window queries.
+indexing pass, then per texture site constant work, logarithmic
+window queries and one scan of its tail window, which no other site
+scans.
 """
 
 from __future__ import annotations
@@ -117,6 +145,33 @@ _GATHER_TEX_KEYS = frozenset({"texture2D/0"})
 _CHAIN_OPS = frozenset({"const", "swizzle", "builtin", "arith", "construct"})
 
 
+#: ops a decode tail may consist of — lane-wise pure value ops (no
+#: struct fields, no mask-reading short-circuit combine).
+_TAIL_OPS = frozenset({"move", "unary", "arith", "compare", "equal", "xor",
+                       "construct", "swizzle", "index", "builtin",
+                       "select"})
+
+
+class DecodeTail:
+    """The §IV unpack after a fused read's byte decode (``FetchSite.tail``).
+
+    ``instrs`` are the tail's instructions in original order: lane-wise
+    value ops and the ``decl`` + whole-value ``store`` pairs of locals
+    private to the tail.  ``consts`` are the single-definition ``const``
+    instructions they read (they stay in place too; a backend that
+    evaluates the tail elsewhere re-reads them).  ``outputs`` are the
+    tail registers read outside it, in definition order.
+    """
+
+    __slots__ = ("instrs", "consts", "outputs")
+
+    def __init__(self, instrs: Tuple[Instr, ...], consts: Tuple[Instr, ...],
+                 outputs: Tuple[int, ...]):
+        self.instrs = instrs
+        self.consts = consts
+        self.outputs = outputs
+
+
 class FetchSite:
     """One fused kernel-input read (the ``fetch`` annotation).
 
@@ -125,10 +180,12 @@ class FetchSite:
     ``.r`` form.  ``private`` holds the instructions a backend may skip
     at their own positions; ``fallback`` is what it must run at the
     texture's position when the direct read misses, in original order
-    (the texture instruction included).
+    (the texture instruction included).  ``tail`` is the
+    :class:`DecodeTail` that turns the bytes into the kernel's value,
+    or None.
     """
 
-    __slots__ = ("out", "channel", "private", "fallback")
+    __slots__ = ("out", "channel", "private", "fallback", "tail")
 
     def __init__(self, out: int, channel: Optional[int],
                  private: Tuple[Instr, ...], fallback: Tuple[Instr, ...]):
@@ -136,6 +193,7 @@ class FetchSite:
         self.channel = channel
         self.private = private
         self.fallback = fallback
+        self.tail: Optional[DecodeTail] = None
 
 
 def _sub_blocks(region):
@@ -176,8 +234,10 @@ class _DefInfo:
         self.positions: Dict[int, Tuple[Block, int]] = {}
         #: reg -> instructions reading it (once per operand slot)
         self.readers: Dict[int, List[Instr]] = {}
+        #: registers published as globals
+        self.globals: Set[int] = {plan.reg for plan in program.globals_plan}
         #: registers read by region nodes, or published as globals
-        self.pinned: Set[int] = {plan.reg for plan in program.globals_plan}
+        self.pinned: Set[int] = set(self.globals)
         for plan in program.globals_plan:
             if plan.init_block is not None:
                 self._scan(plan.init_block)
@@ -512,7 +572,102 @@ def _fetch_site(program, tex: Instr, coord_instrs, info: _DefInfo,
                       key=lambda ins: pos[id(ins)])
     private = tuple(ins for ins in fallback
                     if ins is not tex and id(ins) in inside)
-    return FetchSite(chain[-1].out, channel, private, tuple(fallback))
+    site = FetchSite(chain[-1].out, channel, private, tuple(fallback))
+    site.tail = _decode_tail(tex, site, info)
+    return site
+
+
+def _private_local(decl: Instr, info: _DefInfo, block: Block) -> bool:
+    """True when ``decl`` declares a local (not a global) whose one
+    write is a single whole-value store later in the same block."""
+    reg = decl.out
+    writes = info.stores.get(reg, ())
+    if (info.defs.get(reg) is not decl or reg in info.globals
+            or len(writes) != 1):
+        return False
+    where, __, store = writes[0]
+    return (where is block and store.op == "store" and store.imm == ()
+            and len(store.args) == 2)
+
+
+def _decode_tail(tex: Instr, site: FetchSite,
+                 info: _DefInfo) -> Optional[DecodeTail]:
+    """Match the decode tail after a fused read (module docstring):
+    the instructions of the texture's block, up to the next region,
+    kill op or texture, whose value depends only on the site's bytes
+    and compile-time constants."""
+    block, t = info.positions[id(tex)]
+    skip = {id(ins) for ins in site.fallback}
+    #: tail register -> block position where it gets its value
+    ready: Dict[int, int] = {
+        site.out: info.positions[id(site.fallback[-1])][1]
+    }
+    pending: Dict[int, Instr] = {}  # private locals declared, not stored
+    instrs: List[Instr] = []
+    consts: Dict[int, Instr] = {}
+    def reach(reg: int) -> int:
+        return max([where[1] for where in (
+            info.positions[id(reader)] for reader in info.readers.get(reg, ())
+        ) if where[0] is block], default=t)
+
+    #: the last position in the block that reads a tail register
+    horizon = reach(site.out)
+    for pos in range(t + 1, len(block.items)):
+        ins = block.items[pos]
+        if (pos > horizon or not isinstance(ins, Instr)
+                or ins.op in KILL_OPS or ins.op == "texture"):
+            break
+        if id(ins) in skip or ins.op == "const":
+            continue
+        if ins.op == "decl":
+            if _private_local(ins, info, block):
+                pending[ins.out] = ins
+                instrs.append(ins)
+            continue
+        if ins.op == "store":
+            root = ins.args[0]
+            if root in pending and ins.imm == () and ins.args[1] in ready:
+                del pending[root]
+                ready[root] = pos
+                horizon = max(horizon, reach(root))
+                instrs.append(ins)
+            continue
+        out = ins.out
+        if (ins.op not in _TAIL_OPS or out is None
+                or info.defs.get(out) is not ins or out in info.stores
+                or out in info.globals
+                or not any(reg in ready for reg in ins.args)):
+            continue
+        defs = [info.defs.get(reg) for reg in ins.args if reg not in ready]
+        if any(d is None or d.op != "const" or d.out in info.stores
+               for d in defs):
+            continue
+        for d in defs:
+            consts[id(d)] = d
+        ready[out] = pos
+        horizon = max(horizon, reach(out))
+        instrs.append(ins)
+    # A local whose store did not qualify leaves the tail with its decl.
+    instrs = [ins for ins in instrs
+              if not (ins.op == "decl" and ins.out in pending)]
+    inside = {id(ins) for ins in instrs}
+    outputs = []
+    for reg, at in ready.items():
+        outside = [reader for reader in info.readers.get(reg, ())
+                   if id(reader) not in inside]
+        if not outside and reg not in info.pinned:
+            continue
+        # The outputs are bound at the texture's position: nothing
+        # between there and where the register got its value may read
+        # its previous value.
+        for reader in outside:
+            where = info.positions[id(reader)]
+            if where[0] is block and t < where[1] < at:
+                return None
+        outputs.append(reg)
+    if not instrs or not outputs:
+        return None
+    return DecodeTail(tuple(instrs), tuple(consts.values()), tuple(outputs))
 
 
 def texture_instrs(block: Block):

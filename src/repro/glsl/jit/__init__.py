@@ -42,6 +42,7 @@ from ..ir import get_compiled, static_cost
 from ..ir.executor import IRExecutor
 from .codegen import (
     JitUnsupported,
+    begin_draw,
     count_sites,
     gather_enabled,
     generate,
@@ -274,7 +275,7 @@ class JitExecutor(IRExecutor):
         # through locals, so no IR dispatch state is allocated.
         Interpreter.execute(self, n, presets)
 
-        site_outcomes.clear()
+        begin_draw()
         try:
             discarded = fn(self.regs, n, self.max_loop_iterations)
         except (NameError, UnboundLocalError):

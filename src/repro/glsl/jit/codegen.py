@@ -46,6 +46,10 @@ loop, divergent   masked ``while`` with per-lane break/continue/exit
 function region   inlined (only when it contains no ``return``)
 kernel input      one ``_fetch`` of the stored bytes; coordinates,
 read + decode     sample and decode run only on a miss (ir.gather)
+§IV unpack after  a decoder function of the byte rows, run over the
+the decode        whole storage once per draw when the draw's reads
+                  of it cover more lanes than it has texels (sites
+                  under the full mask; a masked site runs it in place)
 ===============  ====================================================
 
 Anything outside this subset — user functions with ``return``, struct
@@ -58,6 +62,7 @@ the ``jit.fallbacks`` counter.
 from __future__ import annotations
 
 import functools
+import re
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -95,6 +100,9 @@ _COMPARE_SYMBOL = {"<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
 #: texture dispatch codes for the _tex helper
 _TEX_KIND = {"texture2DProj3": 1, "texture2DProj4": 2, "textureCube": 3}
+
+#: a register name in generated code
+_REGISTER = re.compile(r"\br\d+\b")
 
 #: Texture-gather fast path master switch.  On; set_gather_enabled
 #: (or the jit.texture_gather scope) flips it at runtime for tests and
@@ -195,6 +203,21 @@ def _frame_return_count(block) -> int:
 #: (``JitExecutor.execute``, a pool worker's chunk); ``count_sites``
 #: then counts each site once for the draw.
 site_outcomes: Dict[int, bool] = {}
+
+#: Per-draw decode state of the running generated function, cleared
+#: with ``site_outcomes`` (:func:`begin_draw`): a site's decoder output
+#: over a whole texel storage, keyed on (decoder, id(storage)), and the
+#: lanes the draw has read so far under each key.  Nothing survives a
+#: draw: kernels rewrite texel storage in place between draws.
+storage_memo: Dict[tuple, tuple] = {}
+storage_reads: Dict[tuple, int] = {}
+
+
+def begin_draw() -> None:
+    """Clear the per-draw state of fused reads before a run."""
+    site_outcomes.clear()
+    storage_memo.clear()
+    storage_reads.clear()
 
 
 def count_sites(outcomes: Dict[int, bool]) -> None:
@@ -345,8 +368,9 @@ def make_helpers(fmodel) -> Dict[str, object]:
         return quantize(texels.astype(DT), "tex")
 
     fire = faults.fire
+    values = counters.values
 
-    def _fetch(site, sampler, x, y, size, rgba):
+    def _fetch(site, sampler, x, y, size, rgba, dec=None):
         # One fused kernel-input read (see glsl.ir.gather): the stored
         # bytes of texels (x, y), in the model dtype — what the decode
         # floor(texture2D(..) * 255.0 + 0.5) returns, by the identity
@@ -359,6 +383,12 @@ def make_helpers(fmodel) -> Dict[str, object]:
         # runs the original coordinates, sample and decode.  Either
         # way the outcome lands in site_outcomes under the site's
         # number.
+        #
+        # With a decoder (the site's decode tail) the read returns
+        # dec(bytes) instead: taken from dec(all storage rows), run at
+        # most once per draw per (decoder, storage), once the draw's
+        # reads under that key cover more lanes than the storage has
+        # texels; else decoded lane by lane.
         gi = getattr(sampler, "gather_info", None)
         if gi is not None and size.shape[0] == 1:
             data = gi(float(size[0, 0]), float(size[0, 1]))
@@ -374,8 +404,23 @@ def make_helpers(fmodel) -> Dict[str, object]:
                         and not fire("gather_miss")):
                     site_outcomes.setdefault(site, True)
                     texel = y.astype(np.intp) * width + x.astype(np.intp)
-                    rows = data.reshape(-1, 4).take(texel, axis=0)
-                    return (rows if rgba else rows[:, 0]).astype(DT)
+                    rows = data.reshape(-1, 4)
+                    if dec is not None:
+                        key = (dec, id(data))
+                        outs = storage_memo.get(key)
+                        if outs is None:
+                            reads = storage_reads.get(key, 0) + texel.size
+                            storage_reads[key] = reads
+                            if reads > rows.shape[0]:
+                                outs = storage_memo[key] = dec(
+                                    (rows if rgba else rows[:, 0]).astype(DT))
+                                values["jit.storage_decodes"] += 1
+                        if outs is not None:
+                            return tuple(out.take(texel, axis=0)
+                                         for out in outs)
+                    rows = rows.take(texel, axis=0)
+                    fetched = (rows if rgba else rows[:, 0]).astype(DT)
+                    return fetched if dec is None else dec(fetched)
         site_outcomes[site] = False
         return None
 
@@ -431,6 +476,10 @@ class CodeGen:
         self.deferred: Set[int] = set()
         #: fused reads emitted so far (each gets the next site number)
         self.nsites = 0
+        #: decoder name per distinct decode tail (channel, canonical
+        #: text), and the decoders' source in emission order
+        self.decoders: Dict[tuple, str] = {}
+        self.decoder_defs: List[str] = []
         if self.gather and decode_exact(fmodel):
             samplers = {plan.reg for plan in program.globals_plan
                         if plan.is_sampler}
@@ -551,7 +600,8 @@ class CodeGen:
         else:
             self.w("return None")
         body = "\n".join(self.lines)
-        return f"def _jit_main(regs, n, maxit):\n{body}\n"
+        return "".join(f"{text}\n\n" for text in self.decoder_defs) + \
+            f"def _jit_main(regs, n, maxit):\n{body}\n"
 
     # ==================================================================
     # Blocks and regions
@@ -1042,11 +1092,23 @@ class CodeGen:
         # the sample and the decode, in their original order.  Only
         # plain texture2D sites of a global sampler with a width-1 size
         # register (the helper reads scalar dimensions out of it) fuse.
+        # Under the full mask the site's decode tail runs in a decoder
+        # function instead, and the call returns the tail's outputs.
+        # Under a mask the tail runs in place: its stores leave the
+        # inactive lanes at the decl's zeros, which no decoder output
+        # reproduces.
         size_reg, x_reg, y_reg = ins.gather
-        out = f"r{site.out}"
-        self.w(f"{out} = _fetch({self.nsites}, {sampler}, r{x_reg}, "
-               f"r{y_reg}, r{size_reg}, {site.channel is None})")
+        call = (f"_fetch({self.nsites}, {sampler}, r{x_reg}, r{y_reg}, "
+                f"r{size_reg}, {site.channel is None}")
         self.nsites += 1
+        tail = site.tail if m is None else None
+        if tail is None:
+            out = f"r{site.out}"
+            self.w(f"{out} = {call})")
+        else:
+            dec = self.decoder(site)
+            out = self.name("_o")
+            self.w(f"{out} = {call}, {dec})")
         self.w(f"if {out} is None:")
         self.level += 1
         for item in site.fallback:
@@ -1054,10 +1116,47 @@ class CodeGen:
                 self.w(f"r{ins.out} = _tex({sampler}, r{ins.args[1]}, 0)")
             else:
                 m = self.gen_instr(item, m)
+        if tail is not None:
+            self.w(f"{out} = {dec}(r{site.out})")
         self.level -= 1
+        if tail is not None:
+            outputs = "".join(f"r{reg}, " for reg in tail.outputs)
+            self.w(f"{outputs}= {out}")
         # Conditional code: forget array ownership, as around regions.
         self.owned.clear()
         return m
+
+    def decoder(self, site: FetchSite) -> str:
+        """Name of the function that evaluates ``site``'s decode tail
+        on an array of byte rows and returns its outputs, emitted once
+        per distinct tail (same text after renaming registers).  The
+        tail's instructions are skipped in place from now on."""
+        tail = site.tail
+        saved = self.lines, self.level, set(self.owned)
+        self.lines, self.level = [], 1
+        self.owned.clear()
+        try:
+            self.types[site.out] = site.fallback[-1].type
+            for ins in tail.consts:
+                self._g_const(ins, None)
+            for ins in tail.instrs:
+                self.gen_instr(ins, None)
+            outputs = "".join(f"r{reg}, " for reg in tail.outputs)
+            self.w(f"return ({outputs})")
+            text = "\n".join([f"def _dec(r{site.out}):", *self.lines])
+        finally:
+            self.lines, self.level, self.owned = saved
+        renamed: Dict[str, str] = {}
+        text = _REGISTER.sub(
+            lambda reg: renamed.setdefault(reg.group(), f"v{len(renamed)}"),
+            text)
+        key = (site.channel, text)
+        name = self.decoders.get(key)
+        if name is None:
+            name = self.decoders[key] = f"_d{len(self.decoders)}"
+            self.decoder_defs.append(text.replace("_dec", name, 1))
+        self.deferred.update(id(ins) for ins in tail.instrs)
+        return name
 
     # -- constructors ----------------------------------------------------
     def _g_construct(self, ins: Instr, m):

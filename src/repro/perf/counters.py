@@ -67,6 +67,7 @@ DECLARATIONS = (
     ("draw.texture_gathers", DRAW, "texture_gathers"),
     ("draw.gather_fallbacks", DRAW, "gather_fallbacks"),
     ("pool.worker_disk_loads", DRAW, None),
+    ("jit.storage_decodes", DRAW, None),
     ("compile.shaders", CONTEXT, "shader_compiles"),
     ("compile.links", CONTEXT, "program_links"),
     ("gl.uniform_updates", CONTEXT, "uniform_updates"),

@@ -75,13 +75,25 @@ def pytest_sessionfinish(session, exitstatus):
     With REPRO_SHADE_WORKERS > 0 (the workers CI legs, which lower the
     pool floor for the whole session) some draw must have shaded on the
     worker pool: passing because every draw stayed in-process is not
-    passing."""
+    passing.
+
+    With REPRO_DECODES_EXPECT_RUN=1 (the plain tier-1 leg) some fused
+    read must have decoded a whole texel storage: a rephrased unpack
+    template that no longer matches as a decode tail
+    (:mod:`repro.glsl.ir.gather`) keeps kernels correct and silently
+    loses the once-per-draw decode."""
     from repro.perf.counters import values
 
     if _env_shade_workers() > 0 and values["pool.draws"] == 0:
         _fail_session(session, (
             "REPRO_SHADE_WORKERS > 0 but no draw shaded on the worker "
             "pool (pool.draws == 0)"
+        ))
+    if (os.environ.get("REPRO_DECODES_EXPECT_RUN") == "1"
+            and values["jit.storage_decodes"] == 0):
+        _fail_session(session, (
+            "REPRO_DECODES_EXPECT_RUN=1 but no fused read decoded a "
+            "whole texel storage (jit.storage_decodes == 0)"
         ))
     if os.environ.get("REPRO_CACHE_EXPECT_WARM") == "1":
         fresh = {
@@ -130,11 +142,14 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Report how many draws the workers legs shaded on the pool."""
-    if _env_shade_workers() > 0:
-        from repro.perf.counters import values
+    """Report how many draws shaded on the pool and how many whole
+    texel storages fused reads decoded."""
+    from repro.perf.counters import values
 
-        terminalreporter.write_line(f"pool.draws: {values['pool.draws']}")
+    terminalreporter.write_line(
+        f"pool.draws: {values['pool.draws']}  "
+        f"jit.storage_decodes: {values['jit.storage_decodes']}"
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -26,11 +26,15 @@ These tests pin the layers of that contract:
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import GpgpuDevice
 from repro.core.codegen.templates import generate_kernel_source
+from repro.core.numerics.formats import get_format
 from repro.gles2 import enums as gl
 from repro.gles2 import parallel
 from repro.gles2.precision import VideoCoreModel, make_model
@@ -436,6 +440,21 @@ def _family_sources(monkeypatch):
     return sources
 
 
+#: Fused reads under a mask (in varying ?: arms), per kernel name: their
+#: decode tails run in place instead of in a decoder.
+MASKED_READS = {"reduce_step_float32": 1, "reduce_min_float32": 1,
+                "scan_step_float32": 1, "scan_shift_float32": 1,
+                "hotspot_step": 4, "pathfinder_row": 2}
+
+
+def _masked_reads(name):
+    """MASKED_READS of a kernel, or the sum over a fused chain's
+    stages (``fuse[a+b]``)."""
+    if name.startswith("fuse["):
+        return sum(map(_masked_reads, name[5:-1].split("+")))
+    return MASKED_READS.get(name, 0)
+
+
 class TestFusedCoverage:
     def test_every_family_and_format_fully_fused(self, monkeypatch):
         sources = _family_sources(monkeypatch)
@@ -454,6 +473,14 @@ class TestFusedCoverage:
             assert fused == len(gen.fused) == total, name
             # Every sample runs inside a fused site's fallback.
             assert text.count("_fetch(") == text.count("_tex(") == total, name
+            # Every format but uint8 (one byte, nothing to unpack)
+            # matches a decode tail at every site, and every tail of a
+            # site under the full mask runs in a decoder.
+            tails = sum(tex.fetch.tail is not None
+                        for tex in fetch_sites(program.body))
+            assert tails == (0 if name == "sum_uint8" else total), name
+            assert len(re.findall(r"_fetch\([^)]*, _d\d+\)", text)) == \
+                tails - _masked_reads(name), name
 
     def test_both_decode_forms_match(self):
         """One-byte formats decode ``texel.r`` (channel 0), wider
@@ -761,3 +788,239 @@ class TestFreshReads:
                 assert np.array_equal(out.to_host(),
                                       np.full(16, factor + 1, np.int32))
         assert device.ctx.stats.draws[-1].texture_gathers > 0
+
+
+# ----------------------------------------------------------------------
+# Decode tails: a fused read's §IV unpack runs over the storage's
+# texels, once per draw, when the draw's reads cover more lanes than
+# the storage has texels; otherwise lane by lane, as before.
+# ----------------------------------------------------------------------
+MODELS = ("exact", "ieee32", "videocore")
+
+
+def _host_values(fmt, count, rng):
+    """Small values that every format stores and sgemm keeps in range."""
+    dtype = np.dtype(get_format(fmt).dtype)
+    if dtype.kind == "f":
+        return rng.uniform(-2, 2, count).astype(dtype)
+    return rng.integers(-3 if dtype.kind == "i" else 0, 4,
+                        count).astype(dtype)
+
+
+def _decode_runs(drive, model):
+    """``drive(device)`` on the JIT and on the IR executor, eager and
+    in process, faults off; returns (JIT bytes, IR bytes, JIT draws)."""
+    runs = {}
+    for backend in ("jit", "ir"):
+        device = GpgpuDevice(float_model=model, execution_backend=backend,
+                             shade_workers=0, graph_mode=False)
+        with faults.suppress():
+            output = drive(device)
+        runs[backend] = np.asarray(output).tobytes(), device.ctx.stats.draws
+    return runs["jit"][0], runs["ir"][0], runs["jit"][1]
+
+
+def _decodes(draw):
+    return draw.counts.get("jit.storage_decodes", 0)
+
+
+class TestDecodeTail:
+    def test_tails_annotated_and_emitted_once(self):
+        """Every sgemm read carries a tail; the generated function
+        defines one decoder per distinct tail and reads each site's
+        outputs from its _fetch."""
+        fmodel = make_model("videocore")
+        device = GpgpuDevice(float_model="videocore")
+        kernel = make_sgemm_kernel(device, "float32", 4)
+        program = compile_ir(
+            compile_shader(kernel.source.fragment, "fragment"), fmodel
+        )
+        sites = fetch_sites(program.body)
+        assert len(sites) == 3
+        assert all(tex.fetch.tail is not None for tex in sites)
+        text = CodeGen(program, fmodel, {"v_coord"}).generate()
+        # The two loop reads decode through a private local, the c0
+        # read straight from the bytes: two distinct decoders.
+        assert text.count("def _d") == 2
+        assert text.count("_fetch(") == 3
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_sgemm_loop_decodes_each_storage_once(self, fmt, model):
+        """Whole-storage path: the loop's A and B reads decode their
+        storage once per draw (not once per pass); the c0 read stays
+        lane by lane."""
+        n = 8
+        rng = np.random.default_rng(3)
+        mats = [_host_values(fmt, n * n, rng) for _ in range(3)]
+
+        def drive(device):
+            kernel = make_sgemm_kernel(device, fmt, n)
+            out = device.empty(n * n, fmt)
+            kernel(out, {name: device.array(host, fmt)
+                         for name, host in zip(("a", "b", "c0"), mats)},
+                   {"u_n": float(n), "u_alpha": 1.0, "u_beta": 1.0})
+            return out.to_host()
+
+        fused, ir, draws = _decode_runs(drive, model)
+        assert fused == ir
+        (draw,) = draws
+        assert (draw.texture_gathers, draw.gather_fallbacks) == (3, 0)
+        # uint8 reads one byte and decodes nothing after it: no tail.
+        assert _decodes(draw) == (0 if fmt == "uint8" else 2)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_sort_sites_share_one_decode(self, fmt, model):
+        """Shared straight-line path: a bitonic step reads one storage
+        from two sites, 2 x 16 lanes of 16 texels, and decodes it once;
+        the copy pass (16 lanes of 16 texels) stays lane by lane."""
+        host = _host_values(fmt, 16, np.random.default_rng(4))
+        fused, ir, draws = _decode_runs(
+            lambda device: bitonic_sort(device, device.array(host, fmt))
+            .to_host(), model)
+        assert fused == ir
+        assert any(draw.texture_gathers == 2 for draw in draws)
+        for draw in draws:
+            assert draw.gather_fallbacks == 0
+            shared = draw.texture_gathers == 2 and fmt != "uint8"
+            assert _decodes(draw) == int(shared)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_single_reads_stay_lane_by_lane(self, fmt, model):
+        """Lane-by-lane path: one read per input of 16 lanes over 16
+        texels is a tie, so the sum kernel decodes its fetched rows."""
+        rng = np.random.default_rng(6)
+        a, b = (_host_values(fmt, 16, rng) for _ in range(2))
+
+        def drive(device):
+            out = device.empty(16, fmt)
+            make_sum_kernel(device, fmt)(
+                out, {"a": device.array(a, fmt), "b": device.array(b, fmt)})
+            return out.to_host()
+
+        fused, ir, (draw,) = _decode_runs(drive, model)
+        assert fused == ir
+        assert (draw.texture_gathers, _decodes(draw)) == (2, 0)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_masked_reads_run_their_tail_in_place(self, model):
+        """Lane-by-lane path under a mask: reads in varying ?: arms run
+        their tail in place, so pathfinder's two neighbour reads and
+        hotspot's four decode no whole storage; the unmasked centre
+        and row reads (lanes = texels) tie and stay lane by lane."""
+        grid = np.random.default_rng(5).integers(0, 9, (4, 32))
+        fused, ir, draws = _decode_runs(
+            lambda device: pathfinder_gpu(device, grid), model)
+        assert fused == ir
+        assert [(draw.texture_gathers, _decodes(draw))
+                for draw in draws] == [(4, 0)] * 3
+        rng = np.random.default_rng(11)
+        temp = rng.uniform(20, 90, (12, 12))
+        power = rng.uniform(0, 1, (12, 12))
+        fused, ir, draws = _decode_runs(
+            lambda device: hotspot_gpu(device, temp, power, 3), model)
+        assert fused == ir
+        assert [(draw.texture_gathers, _decodes(draw))
+                for draw in draws] == [(6, 0)] * 3
+
+    @pytest.mark.parametrize("rate", [1.0, 0.5])
+    def test_missed_reads_decode_the_fallback_bytes(self, rate):
+        """A miss runs the fallback, then the decoder on its bytes; loop
+        passes that mix hits and misses still match the IR executor."""
+        expected, __ = _run_sgemm("ir")
+        device = GpgpuDevice(float_model="videocore", shade_workers=0)
+        n = 8
+        rng = np.random.default_rng(42)
+        inputs = {
+            name: device.array(rng.uniform(-1, 1, n * n).astype(np.float32))
+            for name in ("a", "b", "c0")
+        }
+        kernel = make_sgemm_kernel(device, "float32", n)
+        out = device.empty(n * n, "float32")
+        with faults.inject_faults(gather_miss=rate, seed=3) as plan:
+            kernel(out, inputs, {"u_n": float(n), "u_alpha": 1.0,
+                                 "u_beta": 1.0})
+        draw = device.ctx.stats.draws[-1]
+        assert np.array_equal(out.to_host(), expected)
+        assert plan.fired["gather_miss"] > 0
+        if rate == 1.0:
+            assert draw.gather_fallbacks == 3 and _decodes(draw) == 0
+
+    def test_family_gather_counts_unchanged(self):
+        """Decode tails change no ``draw.*`` count: every family records
+        the gathers it recorded before tails existed, and some of its
+        draws decode whole storages."""
+        device = GpgpuDevice(float_model="videocore", shade_workers=0,
+                             graph_mode=False)
+        graph_device = GpgpuDevice(float_model="videocore", graph_mode=True,
+                                   shade_workers=0)
+        with faults.suppress():
+            _drive_every_family(device, graph_device)
+        draws = device.ctx.stats.draws + graph_device.ctx.stats.draws
+        assert len(draws) == 67
+        assert sum(draw.texture_gathers for draw in draws) == 119
+        assert sum(draw.gather_fallbacks for draw in draws) == 0
+        assert sum(_decodes(draw) for draw in draws) > 0
+
+
+# ----------------------------------------------------------------------
+# IEEE special values through the whole-storage decode.
+# ----------------------------------------------------------------------
+#: float32 inputs of every IEEE class: ±0, ±inf, NaN, the smallest and
+#: largest subnormals (and their negatives), the largest finite value
+#: (and its negative), the smallest normal, and plain values.
+IEEE_INPUTS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1.1754942e-38,
+     3.4028235e38, -3.4028235e38, 1.0, -2.5, 1.1754944e-38, 3.0, 0.5, 7.0],
+    dtype=np.float32,
+)
+
+#: What the §IV float transform (host pack, GLSL unpack, GLSL pack, host
+#: unpack) returns today for IEEE_INPUTS, as float32 bit patterns, per
+#: float model.  -0 comes back +0 (pack and unpack both special-case
+#: zero); ±inf and NaN survive (NaN as the quiet pattern); subnormals
+#: flush to +0; the largest finite value comes back as inf under the
+#: float32 models; videocore's SFU bias perturbs every finite normal's
+#: low mantissa bits.
+IEEE_RESULTS = {
+    "exact": [0x0, 0x0, 0x7F800000, 0xFF800000, 0x7FC00000, 0x0, 0x0, 0x0,
+              0x7F7FFFFF, 0xFF7FFFFF, 0x3F800000, 0xC0200000, 0x800000,
+              0x40400000, 0x3F000000, 0x40E00000],
+    "ieee32": [0x0, 0x0, 0x7F800000, 0xFF800000, 0x7FC00000, 0x0, 0x0, 0x0,
+               0x7F800000, 0xFF800000, 0x3F800000, 0xC0200000, 0x800000,
+               0x40400000, 0x3F000000, 0x40E00000],
+    "videocore": [0x0, 0x0, 0x7F800000, 0xFF800000, 0x7FC00000, 0x0, 0x0,
+                  0x0, 0x7F800000, 0xFF800000, 0x3F800040, 0xC0200050,
+                  0x800040, 0x40400060, 0x3F000040, 0x40E00070],
+}
+
+
+class TestIeeeSpecialValues:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_whole_storage_decode_of_special_values(self, model):
+        """Three reads of the first 16 texels of a 32-texel storage
+        (48 lanes > 32 texels) decode the whole storage, including
+        the 16 texels no fragment reads; the JIT matches the IR
+        executor byte for byte and no RuntimeWarning escapes."""
+        host = np.concatenate([IEEE_INPUTS, IEEE_INPUTS[::-1]])
+
+        def drive(device):
+            kernel = device.kernel(
+                "ieee_probe", [("x", "float32")], "float32",
+                "result = max(max(fetch_x(gpgpu_index), "
+                "fetch_x(gpgpu_index)), fetch_x(gpgpu_index));",
+                mode="gather",
+            )
+            out = device.empty(16, "float32")
+            kernel(out, {"x": device.array(host)})
+            return out.to_host()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fused, ir, draws = _decode_runs(drive, model)
+        assert fused == ir
+        assert _decodes(draws[-1]) == 1
+        bits = np.frombuffer(fused, dtype=np.uint32)
+        assert [int(b) for b in bits] == IEEE_RESULTS[model]

@@ -28,6 +28,7 @@ from repro.gles2 import GLES2Context, GLError, enums as gl, parallel, raster
 from repro.gles2.pipeline import VertexAttribState, _normalize_attribute
 from repro.gles2.raster import FragmentBatch, partition_tiles
 from repro.perf import counters
+from repro.testing import faults
 from repro.testing.corpus import (
     DEFAULT_CORPUS_DIR,
     build_entries,
@@ -227,7 +228,7 @@ def test_corpus_tiled_matches_golden(entry, backend, workers, pool_floor):
         return framebuffer, {name: count for name, count in changed.items()
                              if name.startswith("draw.")}
 
-    framebuffer, draw_counts = render(workers)
+    framebuffer, __ = render(workers)
     expected = parse_framebuffer(
         (DEFAULT_CORPUS_DIR / f"{entry.name}.expected").read_text()
     )
@@ -235,8 +236,21 @@ def test_corpus_tiled_matches_golden(entry, backend, workers, pool_floor):
         f"{entry.name}: {backend} render with workers={workers} " \
         f"diverged from golden"
     if workers:
-        __, in_process_counts = render(0)
-        assert draw_counts == in_process_counts, entry.name
+        # An injected gather_miss fires only in the leader (pool
+        # workers never consult it), so under it an in-process draw can
+        # count a fallback where the pooled draw cannot.  The counts
+        # are compared on two more renders under the environment's
+        # other faults (worker crashes, corrupt cache entries), with
+        # gather_miss alone masked.
+        env = faults.active_plan()
+        specs = {} if env is None else {
+            site: spec for site, spec in env.specs.items()
+            if site != "gather_miss"
+        }
+        with faults.inject_faults(seed=env.seed if env else 0, **specs):
+            __, pooled_counts = render(workers)
+            __, in_process_counts = render(0)
+        assert pooled_counts == in_process_counts, entry.name
 
 
 # ======================================================================

@@ -178,6 +178,28 @@ def test_in_process_draw_records_one_chunk(clean_recorder, monkeypatch):
     assert not _spans(recorder, name="draw.merge")
 
 
+def test_shade_span_records_storage_decodes(clean_recorder, monkeypatch):
+    """The draw.shade span says how many whole texel storages the
+    draw's decode tails decoded (sgemm: A and B, once each)."""
+    from repro.kernels import make_sgemm_kernel
+    from repro.testing import faults
+
+    monkeypatch.setenv("REPRO_SHADE_WORKERS", "0")
+    recorder = trace.start()
+    device = GpgpuDevice(float_model="videocore", execution_backend="jit")
+    a, b, c0 = (device.array(np.linspace(-1, k, 64, dtype=np.float32))
+                for k in (1, 2, 3))
+    out = device.empty(64, "float32")
+    with faults.suppress():
+        make_sgemm_kernel(device, "float32", 8)(
+            out, {"a": a, "b": b, "c0": c0},
+            {"u_n": 8.0, "u_alpha": 1.0, "u_beta": 1.0},
+        )
+    trace.stop(write=False)
+    (shade,) = _spans(recorder, name="draw.shade")
+    assert shade["args"]["storage_decodes"] == 2
+
+
 @pytest.fixture
 def quiet_pool():
     """Join any live worker pool before and after the test, so this
