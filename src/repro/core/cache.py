@@ -81,7 +81,9 @@ from ..perf import counters, trace
 #: it with the old arguments.
 #: 5: generated JIT code defines decoder functions and passes them to
 #: ``_fetch``; IR entries carry ``FetchSite.tail``.
-SCHEMA_VERSION = 5
+#: 6: ``_fetch`` takes the flat index instead of ``x``/``y``; IR
+#: entries carry ``FetchSite.index`` and ``FetchSite.categories``.
+SCHEMA_VERSION = 6
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"

@@ -23,7 +23,10 @@ from __future__ import annotations
 #: ``+ 0.5``, divide by ``size`` — is load-bearing beyond correctness.
 #: The IR-level gather annotation (:mod:`repro.glsl.ir.gather`)
 #: pattern-matches this chain to prove sample coordinates address
-#: texel centres.  So is the shape of the byte decode in
+#: texel centres, and the JIT proves, per float model and storage
+#: size, that this ``mod``/``floor`` of the flat index addresses flat
+#: texel ``index``, so a fused read takes ``index`` itself and runs
+#: the chain only on a miss.  So is the shape of the byte decode in
 #: ``COMMON_GLSL`` — ``floor(texel * 255.0 + vec4(0.5))`` and
 #: ``floor(channel * 255.0 + 0.5)`` applied to ``texel.r``, reading the
 #: sample directly: the same pass matches it, and the JIT then turns

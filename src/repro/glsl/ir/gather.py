@@ -43,14 +43,32 @@ uniform, so integrality and range cannot be proved statically).
 Set when the texel also feeds the byte decode ``floor(t * 255.0 +
 0.5)`` — the vec4 ``gpgpu_bytes(texel)`` or the scalar
 ``gpgpu_byte(texel.r)`` — with constants exactly 255.0 and 0.5.  The
-site lists the instructions *private* to the fetch (nothing outside
-it reads their results: the coordinate construct/+0.5/divide, the
-coordinate local's store, the texture, the decode) and the
-*fallback* sequence in original order.  The JIT turns the whole site
-into one call that returns the stored bytes (when the decode is exact
-for the float model, see :func:`repro.glsl.jit.codegen.decode_exact`)
-and runs the fallback — coordinates, ``texture2D``, decode — only
-when the runtime check misses.
+site records the flat element index ``idx`` the chain takes ``mod``
+and ``floor`` of, and lists the instructions *private* to the fetch
+(nothing outside it reads their results: the ``size.x`` swizzle, the
+``mod``, the divide and the ``floor`` with the ``x``/``y`` locals'
+stores, the coordinate construct/+0.5/divide, the coordinate local's
+store, the texture, the decode) and the *fallback* sequence in
+original order.  The JIT turns the whole site into one call that
+returns the stored bytes of texel ``idx`` of the flat ``(H, W)``
+storage and runs the fallback — ``mod``/``floor``, coordinates,
+``texture2D``, decode — only when the runtime check misses.
+
+That flat read is the texel the chain addresses when three proofs
+hold.  Statically (this pass): the ``mod`` and the divide sit in the
+texture's block with no region boundary or kill op between them and
+the texture, and nothing there rewrites ``idx``, so all three read
+the same index.  Per float model (the JIT): the quantize of every
+category in ``FetchSite.categories`` (the divide's ``alu``, the
+``mod`` and ``floor`` builtins', the decode's) is a cast, so the
+generated code runs plain model-dtype numpy, and the byte decode is
+exact (:func:`repro.glsl.jit.codegen.decode_exact`).  Per storage
+(the JIT, memoised per (dtype, W, H)):
+:func:`repro.glsl.jit.codegen.flat_index_exact` evaluates the
+generated code's own ``mod(i, W)`` and ``floor(i / W)`` for every
+``i < W*H`` and finds ``(i % W, i // W)``.  At run time ``idx`` must
+then be integral and in ``[0, W*H)``; with the ``gather`` proof above
+that addresses texel ``(i % W, i // W)``, which is flat row ``i``.
 
 Moving the private instructions to the texture's position is sound
 because the pass only defers an instruction that (a) sits in the
@@ -109,7 +127,11 @@ a fresh full-width index paired with a stale masked coordinate could
 disagree on inactive lanes.  When a fused site's coordinate store is
 deferred into the fallback it still runs under the texture's mask,
 so active lanes see exactly the original values; inactive lanes of a
-private register are never observed.
+private register are never observed.  The flat read takes ``idx``
+itself, a pure register, so on every active lane it is the index the
+stored ``x``/``y`` came from; a masked site's inactive lanes may hold
+any index (a neighbour read past the edge), so a backend checks and
+reads ``idx`` on the active lanes only.
 
 The pass runs after :func:`~repro.glsl.ir.passes.compact_pool` so
 constant-pool indices are final, and is purely additive: it never
@@ -124,7 +146,7 @@ scans.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .nodes import (
     Block,
@@ -177,20 +199,27 @@ class FetchSite:
 
     ``out`` is the register the decoded bytes land in (the ``floor``
     result); ``channel`` is None for the vec4 decode and 0 for the
-    ``.r`` form.  ``private`` holds the instructions a backend may skip
-    at their own positions; ``fallback`` is what it must run at the
-    texture's position when the direct read misses, in original order
-    (the texture instruction included).  ``tail`` is the
-    :class:`DecodeTail` that turns the bytes into the kernel's value,
-    or None.
+    ``.r`` form.  ``index`` is the flat element index register the
+    coordinate chain takes ``mod``/``floor`` of; ``categories`` are the
+    quantize categories of the float ops the read stands in for (the
+    address divide, ``mod`` and ``floor``, and the byte decode).
+    ``private`` holds the instructions a backend may skip at their own
+    positions; ``fallback`` is what it must run at the texture's
+    position when the direct read misses, in original order (the
+    texture instruction included).  ``tail`` is the :class:`DecodeTail`
+    that turns the bytes into the kernel's value, or None.
     """
 
-    __slots__ = ("out", "channel", "private", "fallback", "tail")
+    __slots__ = ("out", "channel", "index", "categories", "private",
+                 "fallback", "tail")
 
-    def __init__(self, out: int, channel: Optional[int],
-                 private: Tuple[Instr, ...], fallback: Tuple[Instr, ...]):
+    def __init__(self, out: int, channel: Optional[int], index: int,
+                 categories: FrozenSet[str], private: Tuple[Instr, ...],
+                 fallback: Tuple[Instr, ...]):
         self.out = out
         self.channel = channel
+        self.index = index
+        self.categories = categories
         self.private = private
         self.fallback = fallback
         self.tail: Optional[DecodeTail] = None
@@ -397,10 +426,13 @@ def _match_fetch_chain(program, tex: Instr, info: _DefInfo, index_of):
         arith     coord <- sum size ('/', 2)
         texture   out   <- sampler coord texture2D/0
 
-    Returns ``((size_reg, x_reg, y_reg), coord_instrs)`` or None;
-    ``coord_instrs`` are the instructions that only turn ``x``/``y``
-    into the sample coordinate (construct, 0.5, +, divide, and the
-    coordinate local's store), the candidates for deferral.
+    Returns ``((size_reg, x_reg, y_reg), idx_reg, address,
+    coord_instrs)`` or None.  ``address`` are the ``mod``, the divide
+    and the ``floor`` (in that order), then the ``size.x`` swizzle and
+    the ``x``/``y`` locals' stores; ``coord_instrs`` are the
+    instructions that only turn ``x``/``y`` into the sample coordinate
+    (construct, 0.5, +, divide, and the coordinate local's store).
+    Both are candidates for deferral.
     """
 
     def pure(reg, op):
@@ -463,7 +495,9 @@ def _match_fetch_chain(program, tex: Instr, info: _DefInfo, index_of):
     coord_instrs = [xy, half, add, coord]
     if coord_store is not None:
         coord_instrs.append(coord_store[2])
-    return (size_reg, x_reg, y_reg), coord_instrs
+    address = [x, quot, y, sx] + [store[2] for store in (x_store, y_store)
+                                  if store is not None]
+    return (size_reg, x_reg, y_reg), idx_reg, address, coord_instrs
 
 
 def _match_decode(program, tex: Instr, info: _DefInfo):
@@ -500,16 +534,24 @@ def _match_decode(program, tex: Instr, info: _DefInfo):
     return channel, chain
 
 
-def _fetch_site(program, tex: Instr, coord_instrs, info: _DefInfo,
-                index_of) -> Optional[FetchSite]:
+def _fetch_site(program, tex: Instr, idx_reg: int, address, coord_instrs,
+                info: _DefInfo, index_of) -> Optional[FetchSite]:
     """Build the fused-read record for an annotated texture, or None
-    when the decode does not match or cannot move to the texture."""
+    when the decode does not match or cannot move to the texture, or
+    the flat index may differ there from what the ``mod`` and the
+    divide read."""
     decode = _match_decode(program, tex, info)
     if decode is None:
         return None
     channel, chain = decode
     block, t = info.positions[id(tex)]
     index = index_of(block)
+    for ins in address[:2]:
+        where = info.positions.get(id(ins))
+        if (where is None or where[0] is not block or where[1] >= t
+                or not index.open(where[1], t)
+                or index.rewritten(idx_reg, where[1], t, set())):
+            return None
     pos: Dict[int, int] = {id(tex): t}
     for ins in chain:
         where = info.positions.get(id(ins))
@@ -547,7 +589,7 @@ def _fetch_site(program, tex: Instr, coord_instrs, info: _DefInfo,
     # that are private and whose operands stay put (a fixpoint, since
     # dropping one makes its operands' producers non-private).
     deferred = []
-    for ins in coord_instrs:
+    for ins in (*coord_instrs, *address):
         where = info.positions.get(id(ins))
         if where is not None and where[0] is block and where[1] < t \
                 and index.open(where[1], t):
@@ -572,7 +614,11 @@ def _fetch_site(program, tex: Instr, coord_instrs, info: _DefInfo,
                       key=lambda ins: pos[id(ins)])
     private = tuple(ins for ins in fallback
                     if ins is not tex and id(ins) in inside)
-    site = FetchSite(chain[-1].out, channel, private, tuple(fallback))
+    mod, __, floor = address[:3]
+    categories = frozenset(("alu", mod.imm[1].category,
+                            floor.imm[1].category, chain[-1].imm[1].category))
+    site = FetchSite(chain[-1].out, channel, idx_reg, categories, private,
+                     tuple(fallback))
     site.tail = _decode_tail(tex, site, info)
     return site
 
@@ -707,8 +753,8 @@ def annotate_gathers(program: CompiledProgram) -> int:
             continue
         match = _match_fetch_chain(program, tex, info, index_of)
         if match is not None:
-            tex.gather, coord_instrs = match
-            tex.fetch = _fetch_site(program, tex, coord_instrs, info,
-                                    index_of)
+            tex.gather, idx_reg, address, coord_instrs = match
+            tex.fetch = _fetch_site(program, tex, idx_reg, address,
+                                    coord_instrs, info, index_of)
             sites += 1
     return sites

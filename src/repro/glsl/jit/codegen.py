@@ -44,8 +44,10 @@ loop, divergent   masked ``while`` with per-lane break/continue/exit
 ?: / && / ||      mask-blended straight-line ``np.where`` / boolean
                   algebra (the interpreter's exact combine formulas)
 function region   inlined (only when it contains no ``return``)
-kernel input      one ``_fetch`` of the stored bytes; coordinates,
-read + decode     sample and decode run only on a miss (ir.gather)
+kernel input      one ``_fetch`` of the stored bytes of texel ``idx``
+read + decode     (flat index, proved per (dtype, W, H)); the mod /
+                  floor coordinates, sample and decode run only on a
+                  miss (ir.gather)
 §IV unpack after  a decoder function of the byte rows, run over the
 the decode        whole storage once per draw when the draw's reads
                   of it cover more lanes than it has texels (sites
@@ -69,6 +71,7 @@ import numpy as np
 
 from ...perf import counters
 from ...testing import faults
+from ..builtins import _mod
 from ..errors import GlslLimitError
 from ..types import BaseType, GlslType, TypeKind
 from ..values import INT_DTYPE, masked_blend, zeros_for
@@ -150,6 +153,37 @@ def _decode_identity(dtype: str) -> bool:
     decoded = np.asarray(np.floor(texel * np.asarray([255.0], dtype)
                                   + np.asarray([0.5], dtype)), dtype)
     return bool(np.array_equal(decoded, stored))
+
+
+#: Storages with more texels than this never take a fused read: the
+#: flat-index proof enumerates every index.
+FLAT_INDEX_LIMIT = 1 << 24
+
+
+@functools.lru_cache(maxsize=None)
+def flat_index_exact(dtype: str, width: float, height: float) -> bool:
+    """True when, in float ``dtype``, the kernel's address chain maps
+    every flat index ``i < W*H`` of a ``width`` x ``height`` storage to
+    its own texel: ``mod(i, W) == i % W`` and ``floor(i / W) == i // W``,
+    evaluated with the generated code's own numpy ops (``_mod``, the
+    divide, ``np.floor``, each cast to ``dtype``).  A fused read takes
+    texel ``i`` of the flat storage only when this holds; the check runs
+    once per (dtype, W, H), in chunks of whole rows."""
+    count = int(width * height)
+    if count > FLAT_INDEX_LIMIT:
+        return False
+    dt = np.dtype(dtype)
+    size = np.asarray([width], dt)
+    step = max(1, (1 << 16) // int(width)) * int(width)
+    for start in range(0, count, step):
+        ints = np.arange(start, min(start + step, count))
+        index = ints.astype(dt)
+        x = np.asarray(_mod(index, size), dt)
+        y = np.asarray(np.floor(np.asarray(index / size, dt)), dt)
+        if not (np.array_equal(x, ints % int(width))
+                and np.array_equal(y, ints // int(width))):
+            return False
+    return True
 
 
 def _ndim(gtype: GlslType) -> int:
@@ -369,20 +403,24 @@ def make_helpers(fmodel) -> Dict[str, object]:
 
     fire = faults.fire
     values = counters.values
+    dtype = np.dtype(DT).str
 
-    def _fetch(site, sampler, x, y, size, rgba, dec=None):
+    def _fetch(site, sampler, idx, size, rgba, dec=None, mask=None):
         # One fused kernel-input read (see glsl.ir.gather): the stored
-        # bytes of texels (x, y), in the model dtype — what the decode
-        # floor(texture2D(..) * 255.0 + 0.5) returns, by the identity
-        # decode_exact proved for this dtype.  The static half of the
-        # proof (the coordinate is (vec2(x, y) + 0.5) / size) comes
-        # from the annotation; everything checked here is the runtime
-        # half: the sampler qualifies (complete, NEAREST,
-        # CLAMP_TO_EDGE, storage matching `size`) and the indices are
-        # integral and in-range.  A miss returns None and the caller
-        # runs the original coordinates, sample and decode.  Either
-        # way the outcome lands in site_outcomes under the site's
-        # number.
+        # bytes of texel `idx` of the flat storage, in the model dtype
+        # - what the decode floor(texture2D(..) * 255.0 + 0.5) returns,
+        # by the identity decode_exact proved for this dtype.  The
+        # static half of the proof (the coordinate is
+        # (vec2(mod(idx, W), floor(idx / W)) + 0.5) / size) comes from
+        # the annotation; everything checked here is the runtime half:
+        # the sampler qualifies (complete, NEAREST, CLAMP_TO_EDGE,
+        # storage matching `size`), the model's mod and floor address
+        # texel idx of this storage (flat_index_exact), and idx is
+        # integral and in range.  Under a mask the inactive lanes read
+        # texel 0: a masked read's result is only ever stored under
+        # that mask.  A miss returns None and the caller runs the
+        # original coordinates, sample and decode.  Either way the
+        # outcome lands in site_outcomes under the site's number.
         #
         # With a decoder (the site's decode tail) the read returns
         # dec(bytes) instead: taken from dec(all storage rows), run at
@@ -391,36 +429,36 @@ def make_helpers(fmodel) -> Dict[str, object]:
         # texels; else decoded lane by lane.
         gi = getattr(sampler, "gather_info", None)
         if gi is not None and size.shape[0] == 1:
-            data = gi(float(size[0, 0]), float(size[0, 1]))
-            if data is not None:
-                height, width = data.shape[0], data.shape[1]
-                # In range (a NaN minimum compares False), then
-                # integral; only then are the int casts exact.
-                if (x.size > 0 and y.size > 0
-                        and x.min() >= 0 and y.min() >= 0
-                        and x.max() < width and y.max() < height
-                        and (np.floor(x) == x).all()
-                        and (np.floor(y) == y).all()
-                        and not fire("gather_miss")):
-                    site_outcomes.setdefault(site, True)
-                    texel = y.astype(np.intp) * width + x.astype(np.intp)
-                    rows = data.reshape(-1, 4)
-                    if dec is not None:
-                        key = (dec, id(data))
-                        outs = storage_memo.get(key)
-                        if outs is None:
-                            reads = storage_reads.get(key, 0) + texel.size
-                            storage_reads[key] = reads
-                            if reads > rows.shape[0]:
-                                outs = storage_memo[key] = dec(
-                                    (rows if rgba else rows[:, 0]).astype(DT))
-                                values["jit.storage_decodes"] += 1
-                        if outs is not None:
-                            return tuple(out.take(texel, axis=0)
-                                         for out in outs)
-                    rows = rows.take(texel, axis=0)
-                    fetched = (rows if rgba else rows[:, 0]).astype(DT)
-                    return fetched if dec is None else dec(fetched)
+            width, height = float(size[0, 0]), float(size[0, 1])
+            data = gi(width, height)
+            if mask is not None:
+                idx = np.where(mask, idx, 0)
+            # In range (a NaN minimum compares False), then integral;
+            # only then is the intp cast exact.
+            if (data is not None and idx.size > 0
+                    and idx.min() >= 0 and idx.max() < width * height
+                    and (np.floor(idx) == idx).all()
+                    and flat_index_exact(dtype, width, height)
+                    and not fire("gather_miss")):
+                site_outcomes.setdefault(site, True)
+                texel = idx.astype(np.intp)
+                rows = data.reshape(-1, 4)
+                if dec is not None:
+                    key = (dec, id(data))
+                    outs = storage_memo.get(key)
+                    if outs is None:
+                        reads = storage_reads.get(key, 0) + texel.size
+                        storage_reads[key] = reads
+                        if reads > rows.shape[0]:
+                            outs = storage_memo[key] = dec(
+                                (rows if rgba else rows[:, 0]).astype(DT))
+                            values["jit.storage_decodes"] += 1
+                    if outs is not None:
+                        return tuple(out.take(texel, axis=0)
+                                     for out in outs)
+                rows = rows.take(texel, axis=0)
+                fetched = (rows if rgba else rows[:, 0]).astype(DT)
+                return fetched if dec is None else dec(fetched)
         site_outcomes[site] = False
         return None
 
@@ -487,10 +525,10 @@ class CodeGen:
                 site = tex.fetch
                 if site is None:
                     continue
-                floor = site.fallback[-1].imm[1]
                 if (tex.args[0] in samplers
                         and self.uinfo.is_uniform(tex.gather[0])
-                        and fmodel.quantize_is_cast(floor.category)):
+                        and all(map(fmodel.quantize_is_cast,
+                                    site.categories))):
                     self.fused[id(tex)] = site
                     self.deferred.update(id(ins) for ins in site.private)
 
@@ -1088,23 +1126,25 @@ class CodeGen:
             self.w(f"r{ins.out} = _tex({sampler}, r{ins.args[1]}, {kind})")
             return m
         # Fused read (glsl.ir.gather): one call returns the stored
-        # bytes; only a miss runs the private coordinate instructions,
-        # the sample and the decode, in their original order.  Only
-        # plain texture2D sites of a global sampler with a width-1 size
-        # register (the helper reads scalar dimensions out of it) fuse.
-        # Under the full mask the site's decode tail runs in a decoder
-        # function instead, and the call returns the tail's outputs.
-        # Under a mask the tail runs in place: its stores leave the
-        # inactive lanes at the decl's zeros, which no decoder output
-        # reproduces.
-        size_reg, x_reg, y_reg = ins.gather
-        call = (f"_fetch({self.nsites}, {sampler}, r{x_reg}, r{y_reg}, "
-                f"r{size_reg}, {site.channel is None}")
+        # bytes of the site's flat index; only a miss runs the private
+        # address and coordinate instructions, the sample and the
+        # decode, in their original order.  Only plain texture2D sites
+        # of a global sampler with a width-1 size register (the helper
+        # reads scalar dimensions out of it) fuse.  Under the full
+        # mask the site's decode tail runs in a decoder function
+        # instead, and the call returns the tail's outputs.  Under a
+        # mask the call takes the mask (inactive lanes may index past
+        # the storage) and the tail runs in place: its stores leave
+        # the inactive lanes at the decl's zeros, which no decoder
+        # output reproduces.
+        call = (f"_fetch({self.nsites}, {sampler}, r{site.index}, "
+                f"r{ins.gather[0]}, {site.channel is None}")
         self.nsites += 1
         tail = site.tail if m is None else None
         if tail is None:
             out = f"r{site.out}"
-            self.w(f"{out} = {call})")
+            mask = "" if m is None else f", None, {m}"
+            self.w(f"{out} = {call}{mask})")
         else:
             dec = self.decoder(site)
             out = self.name("_o")

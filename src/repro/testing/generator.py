@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.codegen.glsl_functions import ADDRESSING_GLSL, COMMON_GLSL
+
 #: Uniforms every generated program may reference.  The oracle binds
 #: deterministic values for exactly these names.
 STANDARD_UNIFORMS: Tuple[Tuple[str, str], ...] = (
@@ -25,6 +27,8 @@ STANDARD_UNIFORMS: Tuple[Tuple[str, str], ...] = (
     ("u_v2", "vec2"),
     ("u_v3", "vec3"),
     ("u_v4", "vec4"),
+    ("u_size0", "vec2"),
+    ("u_size3", "vec2"),
 )
 
 #: Samplers every generated program may reference.  The oracle binds a
@@ -34,6 +38,15 @@ STANDARD_UNIFORMS: Tuple[Tuple[str, str], ...] = (
 #: LINEAR filtering, so generated ``texture2D`` calls exercise the full
 #: sampling path of every backend.
 STANDARD_SAMPLERS: Tuple[str, ...] = ("u_tex0", "u_tex1", "u_tex2", "u_tex3")
+
+#: The NEAREST / CLAMP_TO_EDGE standard samplers with their size
+#: uniforms and texel counts: a flat-index read of one (see
+#: :meth:`_ProgramGenerator.index_read`) is a kernel input read the JIT
+#: fuses.
+INDEX_SAMPLERS: Tuple[Tuple[str, str, int, int], ...] = (
+    ("u_tex0", "u_size0", 4, 4),
+    ("u_tex3", "u_size3", 5, 3),
+)
 
 _PREAMBLE = (
     "precision highp float;\n"
@@ -89,6 +102,8 @@ class _ProgramGenerator:
         #: dedicated variables; they are read back exclusively through
         #: a statement-level "harvest" production.
         self.out_scratch: List[str] = []
+        #: True once a flat-index read needs the kernel helpers.
+        self.index_reads = False
 
     # -- small utilities ------------------------------------------------
     def fresh(self, prefix: str) -> str:
@@ -272,6 +287,8 @@ class _ProgramGenerator:
         fully unconstrained vec2 expressions, so REPEAT/MIRRORED_REPEAT
         wrap arithmetic and out-of-range clamping get exercised too.
         """
+        if self.chance(0.3):
+            return self.index_read(d)
         sampler = self.pick(STANDARD_SAMPLERS)
         roll = self.rng.random()
         if roll < 0.4:
@@ -281,6 +298,28 @@ class _ProgramGenerator:
         else:
             coord = self.vec_expr("vec2", d)
         return f"texture2D({sampler}, {coord})"
+
+    def index_read(self, d: int) -> str:
+        """A kernel input read, as the kernel codegen emits it: the
+        bytes of texel ``index`` of a NEAREST / CLAMP sampler through
+        ``gpgpu_index_to_coord`` and ``gpgpu_bytes``, scaled back to
+        [0, 1].  The index is the fragment's own texel (integral, in
+        range), a constant just around the range, or a random
+        expression (fractional, negative or past the end too)."""
+        self.index_reads = True
+        sampler, size, width, height = self.pick(INDEX_SAMPLERS)
+        roll = self.rng.random()
+        if roll < 0.4:
+            index = (f"(floor(v_uv.x * {width}.0) + "
+                     f"{width}.0 * floor(v_uv.y * {height}.0))")
+        elif roll < 0.6:
+            index = f"{self.rng.randrange(-2, width * height + 2)}.0"
+        elif roll < 0.8:
+            index = f"floor({self.float_expr(d)} * {width}.0)"
+        else:
+            index = self.float_expr(d)
+        return (f"(gpgpu_bytes(texture2D({sampler}, "
+                f"gpgpu_index_to_coord({index}, {size}))) / 255.0)")
 
     def vec_expr(self, gtype: str, depth: int) -> str:
         if depth <= 0:
@@ -574,6 +613,8 @@ class _ProgramGenerator:
         lines.append(f"    gl_FragColor = clamp({final}, 0.0, 1.0);")
         self.scopes.pop()
         lines.append("}")
+        if self.index_reads:
+            lines[1:1] = [ADDRESSING_GLSL, COMMON_GLSL]
         return "\n".join(lines) + "\n"
 
 

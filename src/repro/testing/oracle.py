@@ -71,6 +71,9 @@ STANDARD_UNIFORM_VALUES: Dict[str, object] = {
     "u_v2": (0.81, 0.13),
     "u_v3": (0.29, -0.64, 1.07),
     "u_v4": (0.52, 0.91, -0.33, 0.18),
+    # Sizes of u_tex0 / u_tex3 (generator.INDEX_SAMPLERS).
+    "u_size0": (4.0, 4.0),
+    "u_size3": (5.0, 3.0),
 }
 
 _CLEAR_COLOR = (0.0, 0.0, 0.0, 0.0)

@@ -13,7 +13,9 @@ These tests pin the layers of that contract:
   a rephrasing of the codegen templates that silently loses the fast
   path fails here, per the contract note in
   ``repro.core.codegen.glsl_functions``);
-* the decode identity the fusion relies on holds for every float model;
+* the decode identity the fusion relies on holds for every float model,
+  and so does the flat-index identity that lets a read take the
+  element index instead of its ``mod``/``floor`` texel coordinates;
 * fused, gather-forced-off and IR-executor runs are bit-identical,
   including masked sites, worker pools, every fallback cause and
   texel storage rewritten in place between launches;
@@ -26,6 +28,7 @@ These tests pin the layers of that contract:
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import warnings
 
@@ -42,9 +45,16 @@ from repro.gles2.texture import Texture
 from repro.glsl import jit
 from repro.glsl.interp import compile_shader
 from repro.glsl.ir import IRExecutor, compile_ir, static_cost
-from repro.glsl.ir.gather import texture_instrs
+from repro.glsl.ir.gather import annotate_gathers, texture_instrs
 from repro.glsl.jit import JitExecutor
-from repro.glsl.jit.codegen import CodeGen, decode_exact, make_helpers
+from repro.glsl.jit import codegen as jit_codegen
+from repro.glsl.jit.codegen import (
+    FLAT_INDEX_LIMIT,
+    CodeGen,
+    decode_exact,
+    flat_index_exact,
+    make_helpers,
+)
 from repro.kernels import (
     argmin_via_encoding,
     bitonic_sort,
@@ -582,11 +592,10 @@ class TestDecodeIdentity:
                            + np.asarray([0.5], dt))
         assert decoded.dtype == dt
         assert np.array_equal(decoded[:, 0], stored.ravel())
-        x = ix.ravel().astype(dt)
-        y = iy.ravel().astype(dt)
+        index = (iy.ravel() * 16 + ix.ravel()).astype(dt)
         size = np.array([[16.0, 16.0]], dtype=dt)
         with faults.suppress():
-            fetched = helpers["_fetch"](0, texture, x, y, size, True)
+            fetched = helpers["_fetch"](0, texture, index, size, True)
         assert fetched.dtype == dt
         assert np.array_equal(fetched, decoded)
 
@@ -745,6 +754,24 @@ class TestFusedFallbacks:
         self._assert_fallback_matches_ir(self._capture(
             body="result = fetch_x(gpgpu_index + 0.25);", mode="gather"
         ))
+
+    @pytest.mark.parametrize("bad", [
+        "5.5", "-1.0", "16.0", "(gpgpu_index - 5.0) / (gpgpu_index - 5.0)",
+    ], ids=["fractional", "negative", "past-end", "nan"])
+    # A NaN coordinate warns in the sampler's int cast, on both backends.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_one_bad_index_lane(self, bad):
+        """One lane's flat index is non-integral, negative, W*H or NaN:
+        the whole read misses once and the fallback matches the IR."""
+        capture = self._capture(
+            body=f"float i = gpgpu_index == 5.0 ? {bad} : gpgpu_index;\n"
+                 "result = fetch_x(i);",
+            mode="gather",
+        )
+        fused, stats = self._run(capture, JitExecutor)
+        ir, __ = self._run(capture, IRExecutor)
+        assert (stats.texture_gathers, stats.gather_fallbacks) == (0, 1)
+        assert np.array_equal(np.broadcast_to(fused, ir.shape), ir)
 
 
 # ----------------------------------------------------------------------
@@ -1024,3 +1051,120 @@ class TestIeeeSpecialValues:
         assert _decodes(draws[-1]) == 1
         bits = np.frombuffer(fused, dtype=np.uint32)
         assert [int(b) for b in bits] == IEEE_RESULTS[model]
+
+
+# ----------------------------------------------------------------------
+# Flat-index reads: a fused read takes the element index, and the mod /
+# floor texel coordinates run only on a miss.
+# ----------------------------------------------------------------------
+def _address_deferred(site) -> bool:
+    """The site's ``mod(index, size.x)`` and ``floor(index / size.x)``
+    are private to it: they run only in its fallback."""
+    def private(op, key):
+        return [ins for ins in site.private
+                if ins.op == op and ins.imm[0] == key]
+
+    mods = [ins for ins in private("builtin", "mod/0")
+            if ins.args[0] == site.index]
+    quots = [ins.out for ins in private("arith", "/")
+             if ins.args[0] == site.index]
+    floors = [ins for ins in private("builtin", "floor/0")
+              if ins.args[0] in quots]
+    return len(mods) == len(quots) == len(floors) == 1
+
+
+class TestFlatIndex:
+    def test_every_site_reads_by_flat_index(self, monkeypatch):
+        """Every fused site of every family and format records its flat
+        index, and its address ops (sgemm's loop sites included) move
+        into the fallback."""
+        sources = _family_sources(monkeypatch)
+        fmodel = make_model("videocore")
+        sgemm = 0
+        for name, fragment in sources.items():
+            program = compile_ir(compile_shader(fragment, "fragment"), fmodel)
+            sites = fetch_sites(program.body)
+            assert sites, name
+            for tex in sites:
+                assert tex.fetch.index is not None, name
+                assert _address_deferred(tex.fetch), name
+            sgemm += name.startswith("sgemm")
+        assert sgemm
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_jit_matches_ir(self, model):
+        """Straight-line (sum), loop (sgemm) and masked (hotspot) reads
+        all hit, with the IR executor's bytes, in every float model."""
+        rng = np.random.default_rng(9)
+        a, b = (rng.uniform(-2, 2, 64).astype(np.float32) for _ in range(2))
+        temp = rng.uniform(20, 90, (8, 8))
+        power = rng.uniform(0, 1, (8, 8))
+
+        def drive(device):
+            out = device.empty(64, "float32")
+            make_sum_kernel(device, "float32")(
+                out, {"a": device.array(a), "b": device.array(b)})
+            results = [out.to_host()]
+            make_sgemm_kernel(device, "float32", 8)(
+                out, {"a": device.array(a), "b": device.array(b),
+                      "c0": device.array(a)},
+                {"u_n": 8.0, "u_alpha": 1.0, "u_beta": 1.0})
+            results.append(out.to_host())
+            results.append(hotspot_gpu(device, temp, power, 2).ravel())
+            return np.concatenate(results)
+
+        fused, ir, draws = _decode_runs(drive, model)
+        assert fused == ir
+        assert sum(draw.texture_gathers for draw in draws) == 2 + 3 + 12
+        assert sum(draw.gather_fallbacks for draw in draws) == 0
+
+    def test_identity_per_size(self):
+        """The flat-index identity holds in float32 and float64 and
+        fails where half precision cannot hold every index."""
+        for width, height in ((1, 1), (5, 3), (96, 96), (1, 4096)):
+            for dtype in ("<f4", "<f8"):
+                assert flat_index_exact(dtype, float(width), float(height))
+        assert flat_index_exact("<f2", 5.0, 3.0)
+        assert not flat_index_exact("<f2", 64.0, 64.0)
+        assert not flat_index_exact("<f4", float(FLAT_INDEX_LIMIT), 2.0)
+
+    def test_failed_proof_is_a_counted_fallback(self, monkeypatch):
+        """Where the identity fails every read misses: the fallback
+        gives the same bytes and each site counts one fallback."""
+        expected, __ = _run_sum("ir")
+        hit, stats = _run_sum("jit")
+        assert (stats.texture_gathers, stats.gather_fallbacks) == (2, 0)
+        monkeypatch.setattr(jit_codegen, "flat_index_exact",
+                            lambda *args: False)
+        device = GpgpuDevice(float_model="videocore", shade_workers=0)
+        kernel = make_sum_kernel(device, "int32")
+        a = np.arange(64, dtype=np.int32) - 7
+        b = (np.arange(64, dtype=np.int32) * 3) % 41
+        out = device.empty(64, "int32")
+        with faults.suppress():
+            kernel(out, {"a": device.array(a), "b": device.array(b)})
+        draw = device.ctx.stats.draws[-1]
+        assert (draw.texture_gathers, draw.gather_fallbacks) == (0, 2)
+        assert np.array_equal(out.to_host(), expected)
+        assert np.array_equal(hit, expected)
+
+    def test_non_cast_mod_is_not_fused(self):
+        """A model whose ``mod`` quantize is not a cast keeps the read
+        in place: the flat read would skip that rounding."""
+        fmodel = make_model("videocore")
+        assert not fmodel.quantize_is_cast("sfu")
+        source = generate_kernel_source(
+            "probe", [("x", "int32")], "int32", "result = x;"
+        )
+        program = compile_ir(compile_shader(source.fragment, "fragment"),
+                             fmodel)
+        for tex in texture_instrs(program.body):
+            for ins in tex.fetch.private:
+                if ins.op == "builtin" and ins.imm[0] == "mod/0":
+                    ins.imm = (ins.imm[0], dataclasses.replace(
+                        ins.imm[1], category="sfu"))
+        annotate_gathers(program)
+        (tex,) = fetch_sites(program.body)
+        assert "sfu" in tex.fetch.categories
+        gen = CodeGen(program, fmodel, {"v_coord"})
+        assert "_fetch(" not in gen.generate() and not gen.fused
