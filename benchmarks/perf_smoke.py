@@ -18,12 +18,13 @@ the CheckedShader).
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_glsl_exec.json]
+    PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_glsl_exec.json] [--baseline REV]
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -31,6 +32,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -415,12 +417,97 @@ def bench_cold_warm(reps=COLD_WARM_REPS):
     return stats
 
 
+PUBLISH_STORE_ENTRIES = (0, 300, 1000, 3000)
+PUBLISH_PAYLOAD_BYTES = 6 * 1024
+PUBLISH_REPS = 25
+
+#: Child process for the cache_publish_6k row: for each store size,
+#: fill a fresh store with that many entries (plain file writes, not
+#: publishes), make one untimed publish, then time PUBLISH_REPS
+#: ``cache.put`` calls of distinct keys.
+_PUBLISH_CHILD = r"""
+import json, os, statistics, sys, time
+from repro.core import cache as store
+
+payload = b"Z" * int(sys.argv[1])
+reps = int(sys.argv[3])
+root = os.environ["REPRO_CACHE_DIR"]
+report = {}
+for filled in map(int, sys.argv[2].split(",")):
+    os.environ["REPRO_CACHE_DIR"] = os.path.join(root, str(filled))
+    blob = store._pack(payload, "jit")
+    for i in range(filled):
+        path = store._entry_path(store.artifact_key("jit", f"fill{i}"))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(blob)
+    store.put(store.artifact_key("jit", "untimed"), payload, "jit")
+    samples = []
+    for i in range(reps):
+        key = store.artifact_key("jit", f"timed{i}")
+        t0 = time.perf_counter()
+        assert store.put(key, payload, "jit")
+        samples.append(time.perf_counter() - t0)
+    report[str(filled)] = {
+        "median_ms": statistics.median(samples) * 1e3,
+        "min_ms": min(samples) * 1e3,
+        "reps": reps,
+    }
+print(json.dumps(report))
+"""
+
+
+def _publish_child(src_dir):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src_dir)
+    env.pop("REPRO_CACHE", None)
+    env.pop("REPRO_CACHE_MAX_BYTES", None)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-publish-") as root:
+        env["REPRO_CACHE_DIR"] = root
+        proc = subprocess.run(
+            [sys.executable, "-c", _PUBLISH_CHILD,
+             str(PUBLISH_PAYLOAD_BYTES),
+             ",".join(map(str, PUBLISH_STORE_ENTRIES)), str(PUBLISH_REPS)],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+    if proc.returncode != 0:
+        raise SystemExit(f"cache_publish_6k: child failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def bench_publish(baseline=None):
+    """Artifact publish latency against store size: the median
+    ``cache.put`` of a 6 KB payload into stores already holding 0, 300,
+    1000 and 3000 entries, in a fresh process.  ``after`` times this
+    checkout; with ``baseline`` (a git revision) ``before`` times that
+    revision's ``src/`` the same way."""
+    root = Path(__file__).resolve().parent.parent
+    stats = {"after": _publish_child(root / "src")}
+    if baseline is not None:
+        archive = subprocess.run(
+            ["git", "-C", str(root), "archive", baseline, "src"],
+            capture_output=True, check=True,
+        ).stdout
+        with tempfile.TemporaryDirectory(prefix="repro-bench-base-") as tmp:
+            tarfile.open(fileobj=io.BytesIO(archive)).extractall(
+                tmp, filter="data"
+            )
+            stats["before"] = _publish_child(Path(tmp) / "src")
+        stats["before_rev"] = baseline
+    stats["payload_bytes"] = PUBLISH_PAYLOAD_BYTES
+    return stats
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--out",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_glsl_exec.json"),
         help="where to write the JSON report",
+    )
+    parser.add_argument(
+        "--baseline", metavar="REV",
+        help="also time the cache_publish_6k row on the src/ of git "
+        "revision REV (e.g. the parent commit) as its 'before' column",
     )
     args = parser.parse_args(argv)
 
@@ -434,7 +521,11 @@ def main(argv=None):
             "against eager multi-pass dispatch; "
             "first_launch_sgemm_float32 times kernel build + first "
             "launch in a fresh process with the persistent artifact "
-            "store cold vs warm (REPRO_CACHE_DIR)"
+            "store cold vs warm (REPRO_CACHE_DIR); cache_publish_6k "
+            "times one artifact publish (cache.put, 6 KB) against the "
+            "number of entries already in the store, keyed by that "
+            "number, for this checkout ('after') and a git baseline "
+            "('before', --baseline)"
         ),
         "python": platform.python_version(),
         # Worker-pool columns only make sense relative to the cores
@@ -501,6 +592,15 @@ def main(argv=None):
             print(f"{name} speedup (cold/warm): {ratio:.3f}x")
         per_backend["size"] = size
         report["workloads"][name] = per_backend
+
+    publish = bench_publish(args.baseline)
+    for column in ("before", "after"):
+        for entries, row in publish.get(column, {}).items():
+            print(
+                f"cache_publish_6k [{column}, {entries} entries] median "
+                f"{row['median_ms']:.3f} ms  min {row['min_ms']:.3f} ms"
+            )
+    report["workloads"]["cache_publish_6k"] = publish
 
     # The gather fast path must actually engage on the kernel
     # workloads: a silent loss (e.g. a codegen-template rephrase that

@@ -2,8 +2,8 @@
 
 Thin command wrapper around :mod:`repro.core.cache`::
 
-    python -m repro.cache stats    # entry count / bytes / budget / location
-    python -m repro.cache clear    # drop every entry
+    python -m repro.cache stats    # entries / bytes (scanned and tracked) / budget
+    python -m repro.cache clear    # drop every entry, reset the total
     python -m repro.cache verify   # re-validate entries, drop corrupt ones
 
 All subcommands accept ``--json`` for machine-readable output and
@@ -42,6 +42,7 @@ def _collect_stats() -> Dict[str, object]:
         "enabled": store.enabled(),
         "entries": entries,
         "bytes": total,
+        "tracked_bytes": store.tracked_bytes(),
         "max_bytes": store.max_bytes(),
         "kinds": kinds,
     }
@@ -58,6 +59,12 @@ def _cmd_stats(as_json: bool) -> int:
         f"entries:    {info['entries']} "
         f"({info['bytes'] / 1024.0:.1f} KiB of "
         f"{info['max_bytes'] / (1024.0 * 1024.0):.0f} MiB budget)"
+    )
+    tracked = info["tracked_bytes"]
+    print(
+        "tracked:    "
+        + ("unknown (the next publish rescans)" if tracked is None
+           else f"{tracked / 1024.0:.1f} KiB (running total of publishes)")
     )
     kinds = info["kinds"]
     if kinds:

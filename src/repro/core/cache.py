@@ -34,11 +34,19 @@ runtime stale artifacts.
 
 Storage is crash- and concurrency-safe by construction: entries are
 single files written to a temp name and published with an atomic
-``os.replace`` (readers never observe torn writes), the LRU eviction
-scan serialises on an advisory ``fcntl`` lock, and *any* invalid entry
-— truncated, garbage, checksum-mismatched, wrong schema — is treated
-as a miss, deleted, and recompiled.  A racing second writer simply
+``os.replace`` (readers never observe torn writes), the LRU trim
+serialises on an advisory ``fcntl`` lock, and *any* invalid entry —
+truncated, garbage, checksum-mismatched, wrong schema — is treated as
+a miss, deleted, and recompiled.  A racing second writer simply
 republishes bit-identical content.
+
+A publish costs the same whatever the store holds: one ``fsync`` and
+one update of the running byte total in ``v<SCHEMA_VERSION>/.usage``
+under an exclusive ``flock``.  The store is scanned (one ``os.scandir``
+pass, which also sweeps orphaned publish temps) only when that total
+is unknown or over the bound; the scan's measured total then replaces
+it.  Deletions outside a trim leave the total high — the safe side —
+until the next scan.
 
 Knobs (environment, read lazily so tests can flip them):
 
@@ -47,8 +55,9 @@ Knobs (environment, read lazily so tests can flip them):
 ``REPRO_CACHE_DIR``
     Store location (default ``~/.cache/repro``).
 ``REPRO_CACHE_MAX_BYTES``
-    LRU size bound (default 256 MiB); the store is trimmed to 80 % of
-    the bound, oldest-access first, when a write overflows it.
+    LRU size bound (default 256 MiB); once the running total of a
+    publish exceeds it, the store is scanned and trimmed to 80 % of
+    the bound, oldest-access first.
 
 Observability: every lookup/eviction/corruption tallies into the
 ``cache.disk.*`` counters of :mod:`repro.perf.counters`; GL contexts
@@ -59,6 +68,7 @@ module for the maintenance CLI).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -263,27 +273,39 @@ def contains(key: str) -> bool:
 
 
 def put(key: str, payload: bytes, kind: str) -> bool:
-    """Publish one entry atomically (tmp file + rename); runs the LRU
-    trim afterwards.  Failures never break a compile — they are
-    counted (``write_failures``), optionally logged
-    (``REPRO_DEBUG_FAULTS=1``), and the caller proceeds uncached."""
+    """Publish one entry atomically (tmp file + rename); the rename and
+    the running-total update (:func:`_account`) share one lock hold,
+    which is all a publish into a store under its bound locks.  Failures
+    never break a compile — they are counted (``write_failures``),
+    optionally logged (``REPRO_DEBUG_FAULTS=1``), and the caller
+    proceeds uncached."""
     if not enabled():
         return False
     from ..testing import faults
 
     path = _entry_path(key)
+    blob = _pack(payload, kind)
     tmp = None
     try:
         if faults.fire("cache_enospc"):
             raise OSError(28, "injected fault: no space left on device")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
+        except FileNotFoundError:  # first entry of this shard
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
         with os.fdopen(fd, "wb") as handle:
-            handle.write(_pack(payload, kind))
+            handle.write(blob)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        tmp = None
+        with _usage_locked() as usage_fd:
+            try:
+                replaced = os.stat(path).st_size
+            except FileNotFoundError:
+                replaced = 0
+            os.replace(tmp, path)
+            tmp = None
+            _account(usage_fd, len(blob) - replaced)
         trace.instant("cache.publish", "cache", {
             "key": key[:16], "kind": kind, "bytes": len(payload),
         })
@@ -296,7 +318,6 @@ def put(key: str, payload: bytes, kind: str) -> bool:
             except OSError:
                 pass
         return False
-    _maybe_evict()
     return True
 
 
@@ -332,14 +353,18 @@ def usage() -> Tuple[int, int]:
 
 
 def clear() -> int:
-    """Remove every entry; returns the number removed."""
+    """Remove every entry and reset the running total to 0; returns
+    the number removed."""
     removed = 0
-    for path in iter_entries():
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
+    with _usage_locked() as fd:
+        for path in iter_entries():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                continue
+        if fd is not None:
+            _write_total(fd, 0)
     return removed
 
 
@@ -376,86 +401,184 @@ def verify() -> Dict[str, int]:
     return {"kept": kept, "dropped": dropped}
 
 
-#: How old an unpublished ``.tmp-*`` file must be before the trim
+# ----------------------------------------------------------------------
+# Size bound: running total, scan, LRU trim
+# ----------------------------------------------------------------------
+#: The store-wide running byte total of the ``*.art`` entries, one
+#: decimal line, read and rewritten under an exclusive ``flock``.
+_USAGE_FILE = ".usage"
+
+#: How old an unpublished ``.tmp-*`` file must be before the scan
 #: treats it as an orphan (a writer killed between mkstemp and
 #: os.replace).  One hour: comfortably past any legitimate in-flight
 #: publish, so a racing live writer is never swept.
 _ORPHAN_MAX_AGE_SECONDS = 3600.0
 
 
-def _sweep_orphans(root: Path) -> None:
-    """Remove stale mkstemp leftovers the atomic-publish protocol can
-    leak when a writer dies mid-publish.  Without this the LRU trim
-    never touches them (it only scans ``*.art``) and they accumulate
-    forever in the cache dir."""
+@contextlib.contextmanager
+def _usage_locked(exclusive: bool = True) -> Iterator[Optional[int]]:
+    """The running-total file, open and ``flock``-ed (exclusive: read
+    and write, created if missing; shared: read only).  Yields None
+    where there is no ``fcntl`` or the file cannot be opened."""
+    try:
+        import fcntl
+    except ImportError:
+        yield None
+        return
+    path = cache_dir() / f"v{SCHEMA_VERSION}" / _USAGE_FILE
+    try:
+        fd = os.open(
+            path, os.O_RDWR | os.O_CREAT if exclusive else os.O_RDONLY, 0o644
+        )
+    except OSError:
+        yield None
+        return
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        yield fd
+    finally:
+        os.close(fd)
+
+
+def _read_total(fd: int) -> Optional[int]:
+    raw = os.pread(fd, 32, 0)
+    if raw.endswith(b"\n") and raw[:-1].isdigit():
+        return int(raw)
+    return None  # missing, torn or garbled: the caller rescans
+
+
+def _write_total(fd: int, total: int) -> None:
+    data = b"%d\n" % total
+    os.pwrite(fd, data, 0)
+    os.ftruncate(fd, len(data))
+
+
+def tracked_bytes() -> Optional[int]:
+    """The running total as recorded, or None when it is unknown (the
+    next publish then rescans)."""
+    try:
+        with _usage_locked(exclusive=False) as fd:
+            return None if fd is None else _read_total(fd)
+    except OSError:
+        return None
+
+
+def _account(fd: Optional[int], delta: int) -> None:
+    """Add one publish's ``delta`` bytes to the running total open on
+    ``fd``.  Only when the total is unknown or the new one exceeds
+    ``max_bytes()`` does the full scan (and maybe the trim) of
+    :func:`_maybe_evict` run; its measured total then replaces the
+    running one.  The caller holds the lock across its rename and this
+    update, scan and trim included, so concurrent publishes keep the
+    total exact.
+
+    Only deletions outside a trim — ``invalidate``, corrupt-entry
+    drops, ``verify`` — make it drift, and they leave it high: that
+    bound.  The scan corrects it.  A writer of an older version sharing
+    the store does not update the total; the next scan counts its
+    entries.  Without ``fcntl`` (``fd`` None) every publish scans."""
+    if fd is None:
+        _maybe_evict()
+        return
+    try:
+        total = _read_total(fd)
+        if total is not None:
+            total += delta
+            if total <= max_bytes():
+                _write_total(fd, total)
+                return
+        scanned = _maybe_evict()
+        if scanned is not None:
+            total = scanned
+        if total is not None:
+            _write_total(fd, total)
+    except OSError:
+        pass  # a missed update leaves the total unknown or high
+
+
+def _scan(root: Path) -> Tuple[list, int]:
+    """One pass over the shard directories: ``(mtime, size, path)`` of
+    every entry and their total size.  Publish temps older than
+    ``_ORPHAN_MAX_AGE_SECONDS`` are removed on the way — a writer that
+    died between ``mkstemp`` and ``os.replace`` leaves one, and nothing
+    else ever deletes it."""
     import time
 
     cutoff = time.time() - _ORPHAN_MAX_AGE_SECONDS
-    try:
-        candidates = list(root.glob("*/.tmp-*"))
-    except OSError:
-        return
-    for path in candidates:
+    with os.scandir(root) as listing:
+        shards = [
+            item.path for item in listing
+            if not item.name.startswith(".") and item.is_dir()
+        ]
+    entries = []
+    total = 0
+    for shard in shards:
         try:
-            if path.stat().st_mtime < cutoff:
-                path.unlink()
-                counters.values["cache.disk.orphans_removed"] += 1
+            listing = os.scandir(shard)
         except OSError:
             continue
+        with listing:
+            for item in listing:
+                name = item.name
+                try:
+                    if name.startswith(".tmp-"):
+                        if item.stat().st_mtime < cutoff:
+                            os.unlink(item.path)
+                            counters.values["cache.disk.orphans_removed"] += 1
+                    elif (name.endswith(_ENTRY_SUFFIX)
+                          and not name.startswith(".")):
+                        meta = item.stat()
+                        entries.append((meta.st_mtime, meta.st_size, item.path))
+                        total += meta.st_size
+                except OSError:
+                    continue
+    return entries, total
 
 
-def _maybe_evict() -> None:
-    """LRU size bound: trim oldest-access entries once the store
-    overflows ``max_bytes()``.  The scan serialises on an advisory
-    lock; a contended lock skips the trim (another process is already
-    doing it, counted in ``lock_skips``).  Every run also sweeps
-    orphaned publish temp files (:func:`_sweep_orphans`)."""
-    bound = max_bytes()
-    root = cache_dir() / f"v{SCHEMA_VERSION}"
+def _maybe_evict() -> Optional[int]:
+    """Full scan (:func:`_scan`) and LRU size bound: trim oldest-access
+    entries to ``_EVICT_TO`` of ``max_bytes()`` once the store
+    overflows it.  The trim serialises on an advisory lock; a
+    contended lock skips it (another process is already trimming,
+    counted in ``lock_skips``).  Returns the store's total bytes after
+    the trim, or None when the store cannot be listed."""
     from ..testing import faults
 
-    _sweep_orphans(root)
+    bound = max_bytes()
+    root = cache_dir() / f"v{SCHEMA_VERSION}"
+    try:
+        entries, total = _scan(root)
+    except OSError:
+        return None
+    if total <= bound:
+        return total
+    if faults.fire("cache_lock"):
+        counters.values["cache.disk.lock_skips"] += 1
+        return total  # injected contention: someone else is trimming
     lock_handle = None
     try:
-        entries = []
-        total = 0
-        for path in root.glob(f"*/*{_ENTRY_SUFFIX}"):
-            try:
-                meta = path.stat()
-            except OSError:
-                continue
-            entries.append((meta.st_mtime, meta.st_size, path))
-            total += meta.st_size
-        if total <= bound:
-            return
-        if faults.fire("cache_lock"):
-            counters.values["cache.disk.lock_skips"] += 1
-            return  # injected contention: someone else is trimming
         try:
             import fcntl
 
             lock_handle = open(root / ".lock", "a+b")
             fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except ImportError:
-            lock_handle = None
+            pass
         except OSError:
             counters.values["cache.disk.lock_skips"] += 1
-            if lock_handle is not None:
-                lock_handle.close()
-            return  # someone else is trimming
+            return total  # someone else is trimming
         entries.sort()  # oldest access first
         target = bound * _EVICT_TO
         for __, size, path in entries:
             if total <= target:
                 break
             try:
-                path.unlink()
+                os.unlink(path)
                 total -= size
                 counters.values["cache.disk.evictions"] += 1
             except OSError:
                 continue
-    except OSError:
-        return
+        return total
     finally:
         if lock_handle is not None:
             lock_handle.close()

@@ -501,6 +501,168 @@ def test_lru_eviction_trims_oldest(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Running byte total: a publish scans the store only when it must
+# ----------------------------------------------------------------------
+def _count_scans(monkeypatch):
+    calls = []
+    scan = store._scan
+
+    def counting(root):
+        calls.append(root)
+        return scan(root)
+
+    monkeypatch.setattr(store, "_scan", counting)
+    return calls
+
+
+def _usage_file():
+    return store.cache_dir() / f"v{store.SCHEMA_VERSION}" / store._USAGE_FILE
+
+
+def test_publishes_scan_a_fresh_store_once(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    for i in range(200):
+        assert store.put(
+            store.artifact_key("jit", f"entry{i:03d}"), b"x" * 512, "jit"
+        )
+    assert len(scans) == 1
+    assert store.tracked_bytes() == store.usage()[1]
+    # Republishing a key replaces its bytes rather than adding to them.
+    assert store.put(store.artifact_key("jit", "entry000"), b"y" * 64, "jit")
+    assert len(scans) == 1
+    assert store.tracked_bytes() == store.usage()[1]
+
+
+@pytest.mark.parametrize("damage", ["missing", "garbled", "torn"])
+def test_unknown_total_rescans_once_and_repairs(monkeypatch, damage):
+    for i in range(5):
+        store.put(store.artifact_key("jit", f"seed{i}"), b"x" * 300, "jit")
+    usage = _usage_file()
+    if damage == "missing":
+        usage.unlink()
+    elif damage == "garbled":
+        usage.write_bytes(b"not a number\n")
+    else:  # a shorter total written over a longer one, untruncated
+        usage.write_bytes(b"123\n456\n")
+    assert store.tracked_bytes() is None
+    scans = _count_scans(monkeypatch)
+    for i in range(5):
+        store.put(store.artifact_key("jit", f"more{i}"), b"x" * 300, "jit")
+    assert len(scans) == 1
+    assert store.tracked_bytes() == store.usage()[1]
+
+
+def test_trims_reset_the_total_to_the_trimmed_store(monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")
+    scans = _count_scans(monkeypatch)
+    for i in range(64):
+        key = store.artifact_key("jit", f"entry{i:03d}", stage="fragment")
+        assert store.put(key, b"x" * 256, "jit")
+        os.utime(store._entry_path(key), (1_000_000 + i, 1_000_000 + i))
+        tracked = store.tracked_bytes()
+        assert tracked == store.usage()[1]
+        assert tracked <= 4096
+    evictions = counters.values["cache.disk.evictions"]
+    assert evictions > 0
+    # One scan for the fresh store, then one per overflow: a trim to
+    # 80 % of the bound leaves room for two more ~400-byte entries, so
+    # at most every third publish scans.
+    assert len(scans) <= 1 + 64 // 3
+
+
+def test_publish_creates_a_shard_directory_only_once(monkeypatch):
+    import pathlib
+
+    # An existing store root, so the shard's mkdir does not recurse.
+    (store.cache_dir() / f"v{store.SCHEMA_VERSION}").mkdir(parents=True)
+    made = []
+    mkdir = pathlib.Path.mkdir
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "mkdir", counting)
+    keys = [f"ab{i:062d}" for i in range(3)]
+    for key in keys:
+        assert store.put(key, b"payload", "jit")
+    assert made == [store._entry_path(keys[0]).parent]
+
+
+def test_clear_resets_the_total():
+    for i in range(3):
+        store.put(store.artifact_key("jit", f"entry{i}"), b"x" * 100, "jit")
+    assert store.tracked_bytes() > 0
+    assert store.clear() == 3
+    assert store.tracked_bytes() == 0 == store.usage()[1]
+
+
+def test_concurrent_writers_keep_the_total_exact(monkeypatch, tmp_path):
+    import threading
+
+    shared = tmp_path / "shared"
+    results = []
+    threads = [
+        threading.Thread(target=lambda backend=backend: results.append(
+            _run_child(shared, backend=backend)
+        ))
+        for backend in ("jit", "ir")
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=240)
+        assert not thread.is_alive()
+    assert len(results) == 2
+    assert len({result["digest"] for result in results}) == 1
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(shared))
+    assert store.tracked_bytes() == store.usage()[1] > 0
+    assert store.verify()["dropped"] == 0
+
+
+_PUBLISHER = r"""
+import sys
+from repro.core import cache as store
+me = sys.argv[1]
+for i in range(120):
+    # Every other key is shared with the other writers: racing
+    # republishes of one entry as well as distinct ones.
+    source = f"shared{i}" if i % 2 else f"{me}-{i}"
+    assert store.put(store.artifact_key("jit", source), b"x" * (200 + i), "test")
+"""
+
+
+@pytest.mark.parametrize("bound", [None, 16384])
+def test_racing_publishers_lose_no_update(monkeypatch, bound):
+    # Three writers (more than a 2-core runner has cores), each
+    # publishing while the others rename, account and (under the small
+    # bound) trim.
+    if bound is not None:
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", str(bound))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _PUBLISHER, f"writer{n}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        for n in range(3)
+    ]
+    for proc in procs:
+        __, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    entries, scanned = store.usage()
+    assert store.tracked_bytes() == scanned
+    if bound is None:
+        assert entries == 3 * 60 + 60
+    else:
+        assert scanned <= bound
+        assert entries < 3 * 60 + 60  # the writers trimmed
+    assert store.verify()["dropped"] == 0
+
+
+# ----------------------------------------------------------------------
 # Maintenance CLI
 # ----------------------------------------------------------------------
 def test_cache_cli_stats_verify_clear():
@@ -523,6 +685,7 @@ def test_cache_cli_stats_verify_clear():
     assert info["bytes"] > 0
     assert set(info["kinds"]) <= {"frontend", "ir", "jit"}
     assert info["cache_dir"] == str(shared)
+    assert info["tracked_bytes"] == info["bytes"]
 
     proc = cli("verify", "--json")
     assert proc.returncode == 0, proc.stderr
@@ -543,6 +706,8 @@ def test_cache_cli_stats_verify_clear():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"removed": info["entries"] - 1}
     assert list(store.iter_entries()) == []
+    proc = cli("stats", "--json")
+    assert json.loads(proc.stdout)["tracked_bytes"] == 0
 
 
 # ----------------------------------------------------------------------
