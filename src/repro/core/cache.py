@@ -6,9 +6,8 @@ wall-time model's compile term, ``relinks_on_relaunch`` in the bench
 report).  The in-process caches already make *relaunches* free; this
 module makes *process launches* cheap too, by persisting the compile
 pipeline's artifacts on disk so every later process — a cold CLI run,
-a pytest session, a ``gles2.parallel`` worker — warm-starts from the
-store instead of re-running parse → typecheck → IR-optimise →
-JIT-codegen.
+a pytest session — warm-starts from the store instead of re-running
+parse → typecheck → IR-optimise → JIT-codegen.
 
 Three artifact kinds are stored, one per pipeline stage:
 
@@ -23,9 +22,8 @@ Three artifact kinds are stored, one per pipeline stage:
     The generated NumPy source, its marshalled code object, and its
     captured namespace in a pickle-safe encoding (arrays as-is, builtin
     implementations by registry key), keyed additionally by the
-    texture-gather flag and the wide-global set.  Programs outside the
-    JIT subset store an ``unsupported`` marker so the negative result
-    is warm too.
+    wide-global set.  Programs outside the JIT subset store an
+    ``unsupported`` marker so the negative result is warm too.
 
 Every key mixes in the cache schema version and the Python/NumPy
 versions (:func:`env_fingerprint`), so interpreter or dependency
@@ -35,9 +33,9 @@ runtime stale artifacts.
 Storage is crash- and concurrency-safe by construction: entries are
 single files written to a temp name and published with an atomic
 ``os.replace`` (readers never observe torn writes), the LRU trim
-serialises on an advisory ``fcntl`` lock, and *any* invalid entry —
-truncated, garbage, checksum-mismatched, wrong schema — is treated as
-a miss, deleted, and recompiled.  A racing second writer simply
+runs under the publish's exclusive lock on the running total, and
+*any* invalid entry — truncated, garbage, checksum-mismatched, wrong
+schema — is treated as a miss, deleted, and recompiled.  A racing second writer simply
 republishes bit-identical content.
 
 A publish costs the same whatever the store holds: one ``fsync`` and
@@ -155,7 +153,6 @@ def artifact_key(
     *,
     stage: str = "",
     model: str = "",
-    gather: Optional[bool] = None,
     wide: Iterable[str] = (),
     fusion: str = "",
 ) -> str:
@@ -163,11 +160,11 @@ def artifact_key(
 
     Every knob that changes the artifact's bytes is a component:
     the GLSL source digest, the shader stage, the float model, the
-    texture-gather flag, the wide-global set (JIT only), the fusion
-    signature of composed map chains, the schema version, and the
-    Python/NumPy versions.  Execution-irrelevant knobs
-    (``shade_workers``, ``graph_mode``) deliberately have no component:
-    they change scheduling, never generated code.
+    wide-global set (JIT only), the fusion signature of composed map
+    chains, the schema version, and the Python/NumPy versions.
+    Execution-irrelevant knobs (``shade_workers``, ``graph_mode``)
+    deliberately have no component: they change scheduling, never
+    generated code.
     """
     parts = (
         f"schema={SCHEMA_VERSION}",
@@ -176,7 +173,6 @@ def artifact_key(
         f"src={source_digest}",
         f"stage={stage}",
         f"model={model}",
-        f"gather={'' if gather is None else int(bool(gather))}",
         f"wide={','.join(sorted(wide))}",
         f"fusion={fusion}",
     )
@@ -260,16 +256,6 @@ def get(key: str) -> Optional[bytes]:
     except OSError:
         pass
     return unpacked[1]
-
-
-def contains(key: str) -> bool:
-    """Entry presence without reading it (no hit/miss accounting)."""
-    if not enabled():
-        return False
-    try:
-        return _entry_path(key).is_file()
-    except OSError:
-        return False
 
 
 def put(key: str, payload: bytes, kind: str) -> bool:
@@ -419,7 +405,10 @@ _ORPHAN_MAX_AGE_SECONDS = 3600.0
 def _usage_locked(exclusive: bool = True) -> Iterator[Optional[int]]:
     """The running-total file, open and ``flock``-ed (exclusive: read
     and write, created if missing; shared: read only).  Yields None
-    where there is no ``fcntl`` or the file cannot be opened."""
+    where there is no ``fcntl`` or the file cannot be opened — the
+    ``cache_lock`` fault site acts as the latter."""
+    from ..testing import faults
+
     try:
         import fcntl
     except ImportError:
@@ -427,6 +416,8 @@ def _usage_locked(exclusive: bool = True) -> Iterator[Optional[int]]:
         return
     path = cache_dir() / f"v{SCHEMA_VERSION}" / _USAGE_FILE
     try:
+        if faults.fire("cache_lock"):
+            raise OSError(13, "injected fault: .usage will not open")
         fd = os.open(
             path, os.O_RDWR | os.O_CREAT if exclusive else os.O_RDONLY, 0o644
         )
@@ -476,8 +467,11 @@ def _account(fd: Optional[int], delta: int) -> None:
     drops, ``verify`` — make it drift, and they leave it high: that
     bound.  The scan corrects it.  A writer of an older version sharing
     the store does not update the total; the next scan counts its
-    entries.  Without ``fcntl`` (``fd`` None) every publish scans."""
+    entries.  Without the total (``fd`` None: no ``fcntl``, or
+    ``.usage`` would not open) the publish scans, and trims unlocked,
+    counted in ``cache.disk.lock_skips``."""
     if fd is None:
+        counters.values["cache.disk.lock_skips"] += 1
         _maybe_evict()
         return
     try:
@@ -538,50 +532,27 @@ def _scan(root: Path) -> Tuple[list, int]:
 def _maybe_evict() -> Optional[int]:
     """Full scan (:func:`_scan`) and LRU size bound: trim oldest-access
     entries to ``_EVICT_TO`` of ``max_bytes()`` once the store
-    overflows it.  The trim serialises on an advisory lock; a
-    contended lock skips it (another process is already trimming,
-    counted in ``lock_skips``).  Returns the store's total bytes after
-    the trim, or None when the store cannot be listed."""
-    from ..testing import faults
-
+    overflows it.  Returns the store's total bytes after the trim, or
+    None when the store cannot be listed."""
     bound = max_bytes()
-    root = cache_dir() / f"v{SCHEMA_VERSION}"
     try:
-        entries, total = _scan(root)
+        entries, total = _scan(cache_dir() / f"v{SCHEMA_VERSION}")
     except OSError:
         return None
     if total <= bound:
         return total
-    if faults.fire("cache_lock"):
-        counters.values["cache.disk.lock_skips"] += 1
-        return total  # injected contention: someone else is trimming
-    lock_handle = None
-    try:
+    entries.sort()  # oldest access first
+    target = bound * _EVICT_TO
+    for __, size, path in entries:
+        if total <= target:
+            break
         try:
-            import fcntl
-
-            lock_handle = open(root / ".lock", "a+b")
-            fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except ImportError:
-            pass
+            os.unlink(path)
+            total -= size
+            counters.values["cache.disk.evictions"] += 1
         except OSError:
-            counters.values["cache.disk.lock_skips"] += 1
-            return total  # someone else is trimming
-        entries.sort()  # oldest access first
-        target = bound * _EVICT_TO
-        for __, size, path in entries:
-            if total <= target:
-                break
-            try:
-                os.unlink(path)
-                total -= size
-                counters.values["cache.disk.evictions"] += 1
-            except OSError:
-                continue
-        return total
-    finally:
-        if lock_handle is not None:
-            lock_handle.close()
+            continue
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ applied once per draw.
 
 from __future__ import annotations
 
-import contextlib
 import marshal
 from typing import Dict, FrozenSet
 
@@ -44,10 +43,8 @@ from .codegen import (
     JitUnsupported,
     begin_draw,
     count_sites,
-    gather_enabled,
     generate,
     make_helpers,
-    set_gather_enabled,
     site_outcomes,
 )
 from .uniform import UniformInfo, infer_uniform
@@ -56,11 +53,9 @@ __all__ = [
     "JitExecutor",
     "JitUnsupported",
     "UniformInfo",
-    "gather_enabled",
+    "entry_bytes",
     "infer_uniform",
     "materialize",
-    "set_gather_enabled",
-    "texture_gather",
 ]
 
 #: The ``compile.jit.*`` counters under their short names, read-only,
@@ -77,19 +72,6 @@ def __getattr__(name):
     if name == "jit_fallbacks":
         return counters.values["jit.fallbacks"]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@contextlib.contextmanager
-def texture_gather(enabled: bool):
-    """Scoped override of the texture-gather fast path (tests, A/B
-    comparison).  Generation-time flag: functions generated inside the
-    scope carry the override for their lifetime; functions cached
-    earlier are untouched (the cache is keyed on the flag)."""
-    previous = set_gather_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_gather_enabled(previous)
 
 
 def materialize(source: str, captured: Dict[str, object], fmodel,
@@ -114,6 +96,20 @@ def materialize(source: str, captured: Dict[str, object], fmodel,
     return fn
 
 
+def entry_bytes(fn):
+    """A generated function's ``jit`` artifact-store entry:
+    :func:`~repro.core.cache.dump_jit_entry` of its source, captured
+    namespace and code object — what the store publishes, and what a
+    pooled draw ships to its workers.  None when some captured object
+    has no pickle-safe encoding."""
+    encoded = artifact_cache.encode_captured(fn._jit_captured)
+    if encoded is None:
+        return None
+    return artifact_cache.dump_jit_entry(
+        fn._jit_source, encoded, fn._jit_code
+    )
+
+
 def _disk_key(program, fmodel, wide: FrozenSet[str]):
     """The artifact-store key for one generated function, or None when
     the program has no source digest / the store is disabled."""
@@ -124,15 +120,13 @@ def _disk_key(program, fmodel, wide: FrozenSet[str]):
         "jit", digest,
         stage=getattr(program.checked, "stage", ""),
         model=artifact_cache.model_tag(fmodel),
-        gather=gather_enabled(),
         wide=wide,
         fusion=getattr(program.checked, "fusion_signature", ""),
     )
 
 
 def _jit_function(program, fmodel, wide: FrozenSet[str]):
-    """Cached codegen: one compiled function per (program, wide set,
-    gather flag).
+    """Cached codegen: one compiled function per (program, wide set).
 
     ``program`` instances are already memoised per (shader, float
     model) by :func:`repro.glsl.ir.get_compiled`, so attaching the JIT
@@ -144,9 +138,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
     Under the in-memory memo sits the persistent artifact store: on a
     memory miss the generated source (or the ``unsupported`` verdict)
     is loaded from disk when some earlier process already generated
-    it, and written there when codegen runs fresh.  The function's
-    disk key is kept on ``fn._jit_disk_key`` so the multiprocess
-    shading layer can ship a reference instead of the source text.
+    it, and written there when codegen runs fresh.
     """
     if faults.fire("jit_error"):
         # Injected codegen failure: this *draw* degrades to the IR
@@ -159,13 +151,12 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
     cache = getattr(program, "_jit_cache", None)
     if cache is None:
         cache = program._jit_cache = {}
-    key = (wide, gather_enabled())
-    if key in cache:
-        return cache[key]
+    if wide in cache:
+        return cache[wide]
     rejected = getattr(program, "_jit_unsupported", None)
     if rejected is None:
         rejected = program._jit_unsupported = {}
-    if key in rejected:
+    if wide in rejected:
         return None
     with trace.span("compile.jit", "compile") as sp:
         if sp is not None:
@@ -177,7 +168,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                 entry = artifact_cache.load_jit_entry(payload)
                 fn = None
                 if entry is not None and "unsupported" in entry:
-                    rejected[key] = entry["unsupported"]
+                    rejected[wide] = entry["unsupported"]
                     counters.values["compile.jit.disk"] += 1
                     if sp is not None:
                         sp.args.update(event="disk", unsupported=True)
@@ -203,9 +194,8 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                         faults.note_swallowed("jit_materialize", exc)
                         fn = None
                 if fn is not None:
-                    fn._jit_disk_key = disk_key
                     counters.values["compile.jit.disk"] += 1
-                    cache[key] = fn
+                    cache[wide] = fn
                     if sp is not None:
                         sp.args["event"] = "disk"
                     return fn
@@ -213,7 +203,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
         try:
             fn = generate(program, fmodel, wide)
         except JitUnsupported as exc:
-            rejected[key] = str(exc)
+            rejected[wide] = str(exc)
             if disk_key is not None:
                 artifact_cache.put(
                     disk_key,
@@ -223,21 +213,14 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
             if sp is not None:
                 sp.args.update(event="fresh", unsupported=True)
             return None
-        fn._jit_disk_key = disk_key
         if disk_key is not None:
             counters.values["compile.jit.fresh"] += 1
-            encoded = artifact_cache.encode_captured(fn._jit_captured)
-            if encoded is not None:
-                artifact_cache.put(
-                    disk_key,
-                    artifact_cache.dump_jit_entry(
-                        fn._jit_source, encoded, fn._jit_code
-                    ),
-                    "jit",
-                )
+            entry = entry_bytes(fn)
+            if entry is not None:
+                artifact_cache.put(disk_key, entry, "jit")
         else:
             counters.values["compile.jit.uncached"] += 1
-        cache[key] = fn
+        cache[wide] = fn
         if sp is not None:
             sp.args["event"] = (
                 "fresh" if disk_key is not None else "uncached"

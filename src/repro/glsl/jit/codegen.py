@@ -107,27 +107,6 @@ _TEX_KIND = {"texture2DProj3": 1, "texture2DProj4": 2, "textureCube": 3}
 #: a register name in generated code
 _REGISTER = re.compile(r"\br\d+\b")
 
-#: Texture-gather fast path master switch.  On; set_gather_enabled
-#: (or the jit.texture_gather scope) flips it at runtime for tests and
-#: A/B benchmarking.  The flag is read at *generation* time: flipping it
-#: produces a distinct cached function (see _jit_function's cache
-#: key), and worker processes inherit whatever the leader generated
-#: because they receive the already-emitted source.
-_GATHER_ENABLED = True
-
-
-def gather_enabled() -> bool:
-    return _GATHER_ENABLED
-
-
-def set_gather_enabled(enabled: bool) -> bool:
-    """Set the gather flag; returns the previous value."""
-    global _GATHER_ENABLED
-    previous = _GATHER_ENABLED
-    _GATHER_ENABLED = bool(enabled)
-    return previous
-
-
 def decode_exact(fmodel) -> bool:
     """True when, under ``fmodel``, the shader's byte decode returns
     every stored byte unchanged: ``floor(t * 255.0 + 0.5) == c`` for
@@ -485,11 +464,10 @@ def make_helpers(fmodel) -> Dict[str, object]:
 # ======================================================================
 class CodeGen:
     def __init__(self, program: CompiledProgram, fmodel,
-                 wide_globals: Set[str], gather: Optional[bool] = None):
+                 wide_globals: Set[str]):
         self.program = program
         self.fmodel = fmodel
         self.exact = fmodel.name == "exact"
-        self.gather = _GATHER_ENABLED if gather is None else gather
         self.uinfo: UniformInfo = infer_uniform(program, set(wide_globals))
         self.lines: List[str] = []
         self.level = 1
@@ -518,7 +496,7 @@ class CodeGen:
         #: text), and the decoders' source in emission order
         self.decoders: Dict[tuple, str] = {}
         self.decoder_defs: List[str] = []
-        if self.gather and decode_exact(fmodel):
+        if decode_exact(fmodel):
             samplers = {plan.reg for plan in program.globals_plan
                         if plan.is_sampler}
             for tex in texture_instrs(program.body):
@@ -1371,15 +1349,11 @@ class CodeGen:
         return m
 
 
-def generate(program: CompiledProgram, fmodel, wide_globals: Set[str],
-             gather: Optional[bool] = None):
+def generate(program: CompiledProgram, fmodel, wide_globals: Set[str]):
     """Generate and compile the JIT function for one program under one
     wide-global set.  Returns the callable ``fn(regs, n, maxit)``;
-    raises :class:`JitUnsupported` for programs outside the subset.
-
-    ``gather`` overrides the module gather flag for this function
-    (None = use the flag)."""
-    gen = CodeGen(program, fmodel, wide_globals, gather=gather)
+    raises :class:`JitUnsupported` for programs outside the subset."""
+    gen = CodeGen(program, fmodel, wide_globals)
     source = gen.generate()
     ns = make_helpers(fmodel)
     ns.update(gen.ns)
@@ -1392,8 +1366,8 @@ def generate(program: CompiledProgram, fmodel, wide_globals: Set[str],
     # start skips compile() (see repro.core.cache.dump_jit_entry).
     fn._jit_code = code
     # Captured objects only (the `make_helpers` closures are rebuilt
-    # from the float model at the destination): together with the
-    # source this is everything a worker process needs to rematerialise
-    # the function — see repro.gles2.parallel.
+    # from the float model at the destination): with the source and
+    # the code this is everything a worker process needs to
+    # rematerialise the function — see repro.gles2.parallel.
     fn._jit_captured = dict(gen.ns)
     return fn

@@ -60,13 +60,11 @@ DECLARATIONS = (
     ("compile.jit.uncached", PROCESS, None),
     ("jit.fallbacks", PROCESS, None),
     ("pool.draws", PROCESS, None),
-    ("pool.plan_cache_refs", PROCESS, None),
     ("pool.retries", PROCESS, "worker_retries"),
     ("pool.restarts", PROCESS, "pool_restarts"),
     ("fault.fallbacks", PROCESS, "fault_fallbacks"),
     ("draw.texture_gathers", DRAW, "texture_gathers"),
     ("draw.gather_fallbacks", DRAW, "gather_fallbacks"),
-    ("pool.worker_disk_loads", DRAW, None),
     ("jit.storage_decodes", DRAW, None),
     ("compile.shaders", CONTEXT, "shader_compiles"),
     ("compile.links", CONTEXT, "program_links"),

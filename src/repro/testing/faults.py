@@ -20,7 +20,8 @@ A **fault site** is a named point in the runtime that asks
 ``cache_corrupt``    a :mod:`repro.core.cache` entry reads back as
                      garbage (validation fails, entry dropped)
 ``cache_enospc``     a cache publish fails with ``ENOSPC``
-``cache_lock``       the LRU trim's advisory lock is contended
+``cache_lock``       the store's running-total file (``.usage``) will
+                     not open (a publish scans the store instead)
 ``fuse_fail``        :func:`repro.core.codegen.fuse.compose_chain_cached`
                      raises (graph replay falls back to eager)
 ``jit_error``        JIT codegen fails (draw falls back to the IR

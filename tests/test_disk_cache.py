@@ -92,6 +92,7 @@ print(json.dumps({
     "ir": group("compile.ir."),
     "jit": group("compile.jit."),
     "disk": group("cache.disk."),
+    "pool": group("pool."),
     "entries": sorted(p.name for p in store.iter_entries()),
 }))
 """
@@ -321,7 +322,7 @@ def test_warm_jit_execs_the_stored_code_object(monkeypatch):
 # ----------------------------------------------------------------------
 def test_every_codegen_knob_fragments_the_key():
     base = dict(
-        stage="fragment", model="exact:<f8", gather=True,
+        stage="fragment", model="exact:<f8",
         wide=frozenset({"x"}), fusion="",
     )
     key = store.artifact_key("jit", "cafe", **base)
@@ -333,8 +334,6 @@ def test_every_codegen_knob_fragments_the_key():
             "jit", "cafe", **{**base, "stage": "vertex"})),
         ("model", store.artifact_key(
             "jit", "cafe", **{**base, "model": "ieee32:<f4"})),
-        ("gather", store.artifact_key(
-            "jit", "cafe", **{**base, "gather": False})),
         ("wide", store.artifact_key(
             "jit", "cafe", **{**base, "wide": frozenset({"x", "y"})})),
         ("fusion", store.artifact_key(
@@ -352,10 +351,10 @@ def test_every_codegen_knob_fragments_the_key():
     )
 
 
-def test_in_memory_jit_key_covers_gather_and_wide():
+def test_in_memory_jit_key_covers_wide():
     from repro.gles2 import enums, shader as shader_mod
     from repro.glsl.interp import _ExactModel
-    from repro.glsl.jit import _jit_function, texture_gather
+    from repro.glsl.jit import _jit_function
 
     obj = shader_mod.Shader(1, enums.GL_FRAGMENT_SHADER)
     obj.source = """
@@ -371,11 +370,10 @@ def test_in_memory_jit_key_covers_gather_and_wide():
         _jit_function(program, fmodel, frozenset()),
         _jit_function(program, fmodel, frozenset({"u_a"})),
     }
-    with texture_gather(not jit_mod.gather_enabled()):
-        fns.add(_jit_function(program, fmodel, frozenset()))
+    assert _jit_function(program, fmodel, frozenset()) in fns  # memoised
     fns.discard(None)
-    assert len(fns) == 3  # gather flag and wide set each fragment
-    assert len(program._jit_cache) == 3
+    assert len(fns) == 2  # the wide set fragments
+    assert len(program._jit_cache) == 2
 
 
 def test_execution_knobs_do_not_fragment_the_key(tmp_path):
@@ -496,8 +494,8 @@ def test_lru_eviction_trims_oldest(monkeypatch):
     assert total <= 4096
     assert counters.values["cache.disk.evictions"] > 0
     # The newest entry survived; the oldest was evicted.
-    assert store.contains(keys[-1])
-    assert not store.contains(keys[0])
+    assert store._entry_path(keys[-1]).is_file()
+    assert not store._entry_path(keys[0]).is_file()
 
 
 # ----------------------------------------------------------------------
@@ -711,40 +709,16 @@ def test_cache_cli_stats_verify_clear():
 
 
 # ----------------------------------------------------------------------
-# Multiprocess shading workers load artifacts by reference
+# Multiprocess shading against a shared store
 # ----------------------------------------------------------------------
-def test_workers_load_jit_artifacts_from_disk(tmp_path):
+def test_pooled_cold_and_warm_runs_agree(tmp_path):
     result = _run_child(tmp_path / "w", backend="jit", floor=2, workers=2)
-    # The leader publishes the generated function before shipping the
-    # plan, so even a cold run ships the cache key, not the source, and
-    # each worker materialises from the shared store.
+    # Workers rebuild each function from the entry bytes the leader
+    # ships, so a warm leader (functions loaded from the store) and a
+    # cold one (functions generated fresh) shade the same pixels.
     warm = _run_child(tmp_path / "w", backend="jit", floor=2, workers=2)
+    if result["pool"]["draws"] == 0:
+        pytest.skip("process pool unavailable on this platform")
+    assert warm["pool"]["draws"] == result["pool"]["draws"]
+    assert warm["jit"]["fresh"] == 0
     assert warm["digest"] == result["digest"]
-
-
-def test_worker_disk_load_counters(monkeypatch, tmp_path, pool_floor):
-    from repro.gles2 import parallel
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "wcache"))
-    try:
-        from repro.core import GpgpuDevice
-
-        dev = GpgpuDevice(execution_backend="jit", shade_workers=2)
-        k = dev.kernel(
-            name="wprobe",
-            inputs=[("x", "float32")],
-            output="float32",
-            body="result = 2.0 * x;",
-        )
-        x = np.linspace(0.0, 1.0, 256, dtype=np.float32)
-        out = dev.empty(256, "float32")
-        res = k(out, inputs={"x": dev.array(x, "float32")}).to_host()
-        assert res.shape == (256,)
-        if counters.values["pool.draws"]:
-            # The plan went out by cache reference and every worker
-            # rebuilt the function from the shared store — the pickle
-            # stream carried no generated source.
-            assert counters.values["pool.plan_cache_refs"] >= 1
-            assert counters.values["pool.worker_disk_loads"] >= 1
-    finally:
-        parallel.shutdown_pool()

@@ -378,7 +378,7 @@ def test_circuit_breaker_opens_after_repeated_failures():
 def test_validate_chunk_rejects_garbage():
     good_color = np.zeros((4, 4))
     sites = {0: True, 1: False}
-    loads = {"pool.worker_disk_loads": 1}
+    loads = {"jit.storage_decodes": 1}
     good = (good_color, None, sites, loads, [])
     assert parallel._validate_chunk(good, 4, "gl_FragColor")[0] is good_color
     with pytest.raises(parallel.ChunkFormatError, match="tuple"):
@@ -407,8 +407,8 @@ def test_validate_chunk_rejects_garbage():
             parallel._validate_chunk(
                 (good_color, None, bad, loads, []), 4, "gl_FragColor"
             )
-    for bad in ((0, 0), {"pool.worker_disk_loads": None},
-                {"pool.worker_disk_loads": -1}, {"pool.retries": 1}):
+    for bad in ((0, 0), {"jit.storage_decodes": None},
+                {"jit.storage_decodes": -1}, {"pool.retries": 1}):
         # Not a dict, not an integer count, negative, or a counter a
         # worker has no business changing.
         with pytest.raises(parallel.ChunkFormatError, match="counters"):
@@ -489,14 +489,21 @@ def test_cache_enospc_render_still_correct(monkeypatch, tmp_path):
 
 
 def test_cache_lock_contention_skips_trim(monkeypatch, tmp_path):
+    """``cache_lock``: the running total will not open, so each publish
+    skips it and scans the store instead — and the scan still trims."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "1")
-    key = "ef" + "0" * 62
+    bound = 4096
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", str(bound))
     skips_before = counters.values["cache.disk.lock_skips"]
+    evictions_before = counters.values["cache.disk.evictions"]
     with faults.inject_faults(cache_lock=1.0, seed=15):
-        assert cache.put(key, b"over the one-byte bound", "test")
-    assert counters.values["cache.disk.lock_skips"] == skips_before + 1
-    # The trim was skipped, so the entry survived despite the bound.
+        for index in range(12):
+            key = f"{index:02x}" + "e" * 62
+            assert cache.put(key, bytes(1024), "test")
+            assert cache.usage()[1] <= bound
+    assert counters.values["cache.disk.lock_skips"] == skips_before + 12
+    assert counters.values["cache.disk.evictions"] > evictions_before
+    # The newest entry survives the trims.
     with faults.suppress():
         assert cache.get(key) is not None
 

@@ -16,7 +16,7 @@ These tests pin the layers of that contract:
 * the decode identity the fusion relies on holds for every float model,
   and so does the flat-index identity that lets a read take the
   element index instead of its ``mod``/``floor`` texel coordinates;
-* fused, gather-forced-off and IR-executor runs are bit-identical,
+* fused JIT and IR-executor runs are bit-identical,
   including masked sites, worker pools, every fallback cause and
   texel storage rewritten in place between launches;
 * the ``texture_gathers`` / ``gather_fallbacks`` DrawStats counters
@@ -42,7 +42,6 @@ from repro.gles2 import enums as gl
 from repro.gles2 import parallel
 from repro.gles2.precision import VideoCoreModel, make_model
 from repro.gles2.texture import Texture
-from repro.glsl import jit
 from repro.glsl.interp import compile_shader
 from repro.glsl.ir import IRExecutor, compile_ir, static_cost
 from repro.glsl.ir.gather import annotate_gathers, texture_instrs
@@ -148,20 +147,20 @@ class TestAnnotation:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: gather on == gather off == IR executor.
+# Bit-identity: fused JIT == IR executor.
 # ----------------------------------------------------------------------
-def _run_sum(backend: str, gather: bool = True):
+def _run_sum(backend: str):
     device = GpgpuDevice(float_model="videocore", execution_backend=backend)
     kernel = make_sum_kernel(device, "int32")
     a = np.arange(64, dtype=np.int32) - 7
     b = (np.arange(64, dtype=np.int32) * 3) % 41
     out = device.empty(64, "int32")
-    with faults.suppress(), jit.texture_gather(gather):
+    with faults.suppress():
         kernel(out, {"a": device.array(a), "b": device.array(b)})
     return out.to_host(), device.ctx.stats.draws[-1]
 
 
-def _run_sgemm(backend: str, gather: bool = True, shade_workers=None):
+def _run_sgemm(backend: str, shade_workers=None):
     device = GpgpuDevice(
         float_model="videocore", execution_backend=backend,
         shade_workers=shade_workers,
@@ -177,34 +176,27 @@ def _run_sgemm(backend: str, gather: bool = True, shade_workers=None):
         "a": device.array(a), "b": device.array(b), "c0": device.array(c0)
     }
     uniforms = {"u_n": float(n), "u_alpha": 1.0, "u_beta": 1.0}
-    with faults.suppress(), jit.texture_gather(gather):
+    with faults.suppress():
         kernel(out, inputs, uniforms)
     return out.to_host(), device.ctx.stats.draws[-1]
 
 
 class TestBitIdentity:
     def test_sum_gather_on_off_ir_identical(self):
-        on, stats_on = _run_sum("jit", gather=True)
-        off, stats_off = _run_sum("jit", gather=False)
+        on, stats_on = _run_sum("jit")
         ir, __ = _run_sum("ir")
-        assert np.array_equal(on, off)
         assert np.array_equal(on, ir)
         assert stats_on.texture_gathers > 0
         assert stats_on.gather_fallbacks == 0
-        assert stats_off.texture_gathers == 0
-        assert stats_off.gather_fallbacks == 0
 
     def test_sgemm_gather_on_off_ir_identical(self):
-        on, stats_on = _run_sgemm("jit", gather=True)
-        off, stats_off = _run_sgemm("jit", gather=False)
+        on, stats_on = _run_sgemm("jit")
         ir, __ = _run_sgemm("ir")
-        assert np.array_equal(on, off)
         assert np.array_equal(on, ir)
         # 3 gather sites: two in-loop fetches plus the c0 tail fetch,
         # each counted once per draw however often the loop runs it.
         assert stats_on.texture_gathers == 3
         assert stats_on.gather_fallbacks == 0
-        assert stats_off.texture_gathers == 0
 
 
 # ----------------------------------------------------------------------
@@ -346,28 +338,6 @@ class TestTiledAndWorkers:
             assert left == right, f"draw {index}"
         assert sum(record[-1].get("draw.texture_gathers", 0)
                    for record in draws_0) > 0
-
-
-# ----------------------------------------------------------------------
-# The knob.
-# ----------------------------------------------------------------------
-class TestKnob:
-    def test_context_manager_restores_flag(self):
-        assert jit.gather_enabled()
-        with jit.texture_gather(False):
-            assert not jit.gather_enabled()
-            with jit.texture_gather(True):
-                assert jit.gather_enabled()
-            assert not jit.gather_enabled()
-        assert jit.gather_enabled()
-
-    def test_set_returns_previous(self):
-        previous = jit.set_gather_enabled(False)
-        try:
-            assert previous is True
-            assert jit.set_gather_enabled(True) is False
-        finally:
-            jit.set_gather_enabled(True)
 
 
 # ----------------------------------------------------------------------

@@ -340,6 +340,78 @@ def test_worker_pool_discard_bit_identical(pool_floor):
     assert _stats_tuple(mono_draw) == _stats_tuple(par_draw)
 
 
+# ----------------------------------------------------------------------
+# Plan transport: every plan carries the function's store entry by
+# value, so pooled shading never depends on the artifact store.
+# ----------------------------------------------------------------------
+def _assert_pooled_matches(shader, launches=1, between=None):
+    """``launches`` pooled draws of ``shader`` (``between()`` runs
+    after each but the last): each pools, and each matches one
+    in-process draw pixel for pixel and stat for stat."""
+    mono_fb, mono_ctx = _render(shader, backend="jit", shade_workers=0)
+    (mono_draw,) = mono_ctx.stats.draws
+    before = counters.values["pool.draws"]
+    for launch in range(launches):
+        if launch and between is not None:
+            between()
+        fb, ctx = _render(shader, backend="jit", shade_workers=2)
+        if counters.values["pool.draws"] == before:
+            pytest.skip("process pool unavailable on this platform")
+        assert counters.values["pool.draws"] == before + launch + 1
+        assert np.array_equal(fb, mono_fb)
+        (draw,) = ctx.stats.draws
+        assert _stats_tuple(draw) == _stats_tuple(mono_draw)
+
+
+def test_pooled_draws_survive_a_cleared_store(monkeypatch, tmp_path,
+                                              pool_floor, isolated_counters):
+    """The store emptied between two pooled launches of one kernel:
+    plans never read it, so both launches still pool.  (Its compiles
+    into the private store are fresh by design, hence the isolated
+    counters.)"""
+    from repro.core import cache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    shader = UV_SHADER.replace("1.0);", "0.5);")
+    with faults.suppress():
+        _assert_pooled_matches(shader, launches=2, between=cache.clear)
+    assert list(cache.iter_entries()) == []
+
+
+def test_pooled_draws_without_a_store(monkeypatch, pool_floor):
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    shader = DISCARD_SHADER.replace("0.25", "0.625")
+    with faults.suppress():
+        _assert_pooled_matches(shader)
+
+
+def test_unloadable_plan_shades_in_process(monkeypatch, pool_floor):
+    """Entry bytes a worker cannot load: the draw shades in-process,
+    bit-identical, as one counted fallback — not a pool failure."""
+    shader = UV_SHADER.replace("1.0);", "0.75);")
+    shipped = parallel._plan_entry
+
+    def corrupted(fn, fmodel):
+        entry, uid = shipped(fn, fmodel)
+        return entry[: len(entry) // 2], uid + "-truncated"
+
+    with faults.suppress():
+        mono_fb, mono_ctx = _render(shader, backend="jit", shade_workers=0)
+        monkeypatch.setattr(parallel, "_plan_entry", corrupted)
+        before = counters.snapshot()
+        fb, ctx = _render(shader, backend="jit", shade_workers=2)
+    changed = counters.delta(before)
+    if parallel._POOL is None:
+        pytest.skip("process pool unavailable on this platform")
+    assert np.array_equal(fb, mono_fb)
+    assert _stats_tuple(ctx.stats.draws[-1]) == \
+        _stats_tuple(mono_ctx.stats.draws[-1])
+    assert changed.get("fault.fallbacks") == 1
+    assert "pool.draws" not in changed
+    assert "pool.restarts" not in changed
+    assert "pool.retries" not in changed
+
+
 def test_workers_ignored_for_ir_backend(isolated_counters, pool_floor):
     """The IR backend silently shades in-process — same results."""
     mono_fb, __ = _render(UV_SHADER, backend="ir", shade_workers=0)

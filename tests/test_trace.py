@@ -310,7 +310,8 @@ def test_draw_span_registry_and_context_stats_agree(
     # One number, three readers: the draw span's counter args, the
     # registry delta around the draw, and the ContextStats delta must
     # agree key for key — on a draw whose lazy IR/JIT loads hit a
-    # corrupt entry, undeserialisable payloads and a contended trim.
+    # corrupt entry and undeserialisable payloads, and whose publishes
+    # run without the store's running total (so each scans the store).
     from repro.core import cache
     from repro.gles2 import enums as gl, shader as shader_mod
     from repro.perf import counters
@@ -326,7 +327,6 @@ def test_draw_span_registry_and_context_stats_agree(
                 cache.put(path.stem, b"not a pickle", kind)
         shader_mod.clear_frontend_cache()
         ctx = _quad_context()
-    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "1")
     recorder = trace.start()
     registry_before = counters.snapshot()
     context_before = dict(ctx.stats.counts)
