@@ -197,7 +197,7 @@ def _graph_chain_rig(graph_mode):
     """A three-stage elementwise chain — the multi-pass shape the
     launch-graph scheduler fuses.  Eager: three draws through two
     materialised intermediates; graph: record + replay as one fused
-    draw from pooled scratch."""
+    draw into a kept scratch."""
     dev = GpgpuDevice(
         float_model="videocore", execution_backend="jit",
         graph_mode=graph_mode,
@@ -265,7 +265,6 @@ def bench_graph():
     replay = rigs["graph"][1]["stats"]
     stats["graph"]["fused_draws_per_replay"] = replay.fused_draws
     stats["graph"]["elided_draws_per_replay"] = replay.elided_draws
-    stats["graph"]["scratch_reuses_per_replay"] = replay.scratch_reuses
     graph_dev = rigs["graph"][0]
     stats["graph"]["elided_transfer_seconds"] = (
         graph_dev.wall_time().elided_transfer_seconds

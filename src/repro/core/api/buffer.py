@@ -151,33 +151,6 @@ class GpuArray:
                 raise GpgpuError(f"framebuffer incomplete: {hex(status)}")
         return self._fbo
 
-    def respecify(self, length: int) -> "GpuArray":
-        """Re-shape this array in place for ``length`` elements of the
-        same format, keeping the GL texture and framebuffer objects.
-
-        The storage is re-specified with explicit zero bytes — exactly
-        the state a freshly constructed GpuArray starts in — so a
-        pooled scratch array is bit-indistinguishable from a new
-        allocation (same contents, same ``texture_upload_bytes``),
-        while the texture/FBO object churn of repeated allocation is
-        avoided.  Used by the launch-graph scratch pool.
-        """
-        self._check_alive()
-        self.length = length
-        self.width, self.height = texture_shape(
-            length, self.device.ctx.limits.max_texture_size
-        )
-        ctx = self.device.ctx
-        ctx.glBindTexture(gl.GL_TEXTURE_2D, self.texture)
-        ctx.glTexImage2D(
-            gl.GL_TEXTURE_2D, 0, gl.GL_RGBA, self.width, self.height, 0,
-            gl.GL_RGBA, gl.GL_UNSIGNED_BYTE,
-            np.zeros((self.height, self.width, 4), dtype=np.uint8),
-        )
-        if self.device.fb_resident is self:
-            self.device.fb_resident = None
-        return self
-
     def release(self) -> None:
         """Free the GL objects backing this array."""
         if self.released:

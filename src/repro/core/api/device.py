@@ -103,7 +103,6 @@ class GpgpuDevice:
         self.graph_mode = bool(graph_mode)
         #: The currently recording LaunchGraph, if any.
         self._active_graph = None
-        self._scratch_pool = None  # lazily built ScratchPool
 
     @property
     def kernel_cache_hits(self) -> int:
@@ -122,28 +121,21 @@ class GpgpuDevice:
         the outer graph owns the schedule)."""
         return self.graph_mode and self._active_graph is None
 
-    @property
-    def scratch_pool(self):
-        """The device-lifetime pool of scratch backing arrays."""
-        if self._scratch_pool is None:
-            from .graph import ScratchPool
-
-            self._scratch_pool = ScratchPool(self)
-        return self._scratch_pool
-
     def record(self):
         """Open a deferred :class:`~repro.core.api.graph.LaunchGraph`.
 
         Use as a context manager: launches recorded through
-        ``graph.launch(...)`` execute at block exit, scheduled through
-        map-chain fusion, scratch pooling and dead-launch elimination::
+        ``graph.launch(...)`` execute at block exit in record order,
+        with map chains fused into single draws::
 
             with device.record() as graph:
                 graph.launch(kernel, out, {"a": src})
             host = out.to_host()
 
-        Recording is not reentrant — a second ``record()`` while one
-        graph is open raises.
+        ``graph.scratch`` intermediates get their textures at replay
+        and free them after their last reader unless ``graph.keep``
+        marks them.  Recording is not reentrant — a second
+        ``record()`` while one graph is open raises.
         """
         from .graph import LaunchGraph
 

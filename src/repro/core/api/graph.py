@@ -1,11 +1,11 @@
 """Deferred launch graphs: record/replay kernel scheduling.
 
-Eager execution pays per-launch GL state churn, a fresh texture per
-intermediate, and a full pack→store→unpack round-trip between every
+Eager execution pays a full pack→store→unpack round-trip between every
 pair of dependent passes.  A :class:`LaunchGraph` defers instead:
 launches recorded through :meth:`LaunchGraph.launch` build a dataflow
-graph (nodes = launches, edges = GpuArray versions) that is replayed
-by a scheduler doing three things the eager path cannot:
+graph (nodes = launches, edges = GpuArray versions).  Replay runs the
+recorded launches in record order and does one thing the eager path
+cannot:
 
 * **map-chain fusion** — a producer whose scratch output is consumed
   at matching length by exactly one launch is folded into its
@@ -15,18 +15,14 @@ by a scheduler doing three things the eager path cannot:
   the concatenated stages keeps the fused result bit-identical to
   eager execution on every backend.
 
-* **scratch-array lifetime pooling** — intermediates declared with
-  :meth:`LaunchGraph.scratch` draw their storage from a per-device,
-  format-keyed :class:`ScratchPool` and return it the moment their
-  last reader has run.  A ping-pong ladder that eagerly allocates
-  O(log n) textures runs from two pooled backings.
-
-* **dead-launch elimination** — launches whose output no kept array
-  and no later launch observes are dropped.
+Intermediates declared with :meth:`LaunchGraph.scratch` get a fresh
+:class:`GpuArray` when a launch first touches them and are released
+(texture and framebuffer deleted) right after their last reader has
+run, unless kept with :meth:`LaunchGraph.keep`.
 
 Recording validates every launch eagerly (mistakes surface where they
 were made); replay happens when the ``with device.record() as graph:``
-block exits.  Any node the scheduler cannot prove fusable — multiple
+block exits.  Any chain the scheduler cannot prove fusable — multiple
 consumers, non-identity gathers, missing kernel spec, non-"round"
 quantization, a failed fused build — simply executes on the ordinary
 eager path, so the graph is never less correct than eager, only
@@ -51,53 +47,13 @@ from .errors import GpgpuError, ShaderBuildError
 from .kernel import Kernel
 
 
-class ScratchPool:
-    """Device-lifetime pool of scratch backing arrays, keyed by format.
-
-    ``acquire`` recycles a free backing by re-specifying its texture
-    storage to the requested length — the same zero-filled
-    ``glTexImage2D`` a fresh :class:`GpuArray` performs, so a pooled
-    scratch is bit-indistinguishable (contents *and* upload counters)
-    from a new allocation while the GL object churn is skipped.
-    """
-
-    def __init__(self, device):
-        self.device = device
-        self._free: Dict[str, List[GpuArray]] = {}
-
-    def acquire(self, length: int, fmt) -> GpuArray:
-        fmt = get_format(fmt)
-        counts = self.device.ctx.stats.counts
-        free = self._free.get(fmt.name)
-        if free:
-            backing = free.pop()
-            backing.respecify(length)
-            counts["graph.scratch_reuses"] += 1
-            return backing
-        counts["graph.scratch_allocs"] += 1
-        return GpuArray(self.device, length, fmt)
-
-    def release(self, backing: GpuArray) -> None:
-        self._free.setdefault(backing.format.name, []).append(backing)
-
-    def free_count(self) -> int:
-        return sum(len(backings) for backings in self._free.values())
-
-    def drain(self) -> None:
-        """Release the GL objects of every pooled backing."""
-        for backings in self._free.values():
-            for backing in backings:
-                backing.release()
-        self._free.clear()
-
-
 class ScratchArray:
     """A recorded intermediate: length and format fixed at record time,
-    storage assigned from the device :class:`ScratchPool` at replay.
+    storage allocated at replay.
 
     Mirrors the :class:`~repro.core.api.buffer.GpuArray` surface that
-    kernels and readback touch, delegating to its pooled backing.  An
-    unkept scratch is recycled as soon as its last recorded reader has
+    kernels and readback touch, delegating to its backing array.  An
+    unkept scratch is released as soon as its last recorded reader has
     executed; call :meth:`LaunchGraph.keep` on arrays that must
     survive replay (final results read back after the ``with`` block).
     """
@@ -136,9 +92,9 @@ class ScratchArray:
         return self._materialised().to_host()
 
     def release(self) -> None:
-        """Return the backing to the scratch pool."""
-        if self.backing is not None and not self.recycled:
-            self.device.scratch_pool.release(self.backing)
+        """Delete the backing texture and framebuffer."""
+        if self.backing is not None:
+            self.backing.release()
         self.backing = None
         self.recycled = True
 
@@ -188,9 +144,9 @@ class LaunchNode:
 class ReplayStats:
     """What one replay did.  ``counts`` is the change it made to the
     context's :class:`~repro.perf.counters.ContextStats` tally; the
-    ``graph.*`` scheduling counters read as ``fused_draws``,
-    ``elided_draws``, ``dead_launches``, ``scratch_allocs``,
-    ``scratch_reuses`` and ``elided_intermediate_bytes``."""
+    ``graph.*`` counters read as ``fused_draws``, ``elided_draws``,
+    ``scratch_allocs`` and ``elided_intermediate_bytes`` (plus the
+    ledger-only ``dead_launches`` and ``scratch_reuses``, always 0)."""
 
     recorded: int = 0
     executed_draws: int = 0
@@ -218,7 +174,7 @@ class LaunchGraph:
             raise GpgpuError("LaunchGraph has already been replayed")
 
     def scratch(self, length: int, fmt) -> ScratchArray:
-        """Declare a pooled intermediate array."""
+        """Declare an intermediate array, allocated at replay."""
         self._check_open()
         array = ScratchArray(self, length, fmt)
         # Registered immediately so a kept-but-never-written scratch
@@ -278,7 +234,7 @@ class LaunchGraph:
 
     # -- scheduling ----------------------------------------------------
     def replay(self) -> ReplayStats:
-        """Schedule and execute the recorded launches."""
+        """Execute the recorded launches, fusing map chains."""
         self._check_open()
         self.closed = True
         if self.device._active_graph is self:
@@ -299,14 +255,7 @@ class LaunchGraph:
                 "graph.replay", "graph", span_t0, perf_counter(), {
                     "recorded": stats.recorded,
                     "executed_draws": stats.executed_draws,
-                    "fused_draws": stats.fused_draws,
-                    "elided_draws": stats.elided_draws,
-                    "dead_launches": stats.dead_launches,
-                    "scratch_allocs": stats.scratch_allocs,
-                    "scratch_reuses": stats.scratch_reuses,
-                    "elided_intermediate_bytes": (
-                        stats.elided_intermediate_bytes
-                    ),
+                    "counters": dict(stats.counts),
                 },
             )
         self.stats = stats
@@ -315,9 +264,8 @@ class LaunchGraph:
     def _schedule(self, stats: ReplayStats, counts: Dict[str, int]) -> None:
         """The replay body: ``stats`` takes the draw tallies, ``counts``
         (the context's tally) the ``graph.*`` counters."""
-        live = self._eliminate_dead(counts)
-        chains, fused_member = self._plan_chains(live)
-        steps = self._plan_steps(live, chains, fused_member)
+        chains, fused_member = self._plan_chains()
+        steps = self._plan_steps(chains, fused_member)
         release_at = self._plan_lifetimes(steps, chains)
 
         for pos, (kind, payload) in enumerate(steps):
@@ -357,7 +305,7 @@ class LaunchGraph:
                 if not scratch.kept and not scratch.recycled:
                     scratch.release()
 
-        # Kept scratch arrays no live launch wrote still honour their
+        # Kept scratch arrays no launch wrote still honour their
         # keep: materialise them (zero-filled, like a fresh empty()).
         for arr in self._arrays.values():
             if (
@@ -369,32 +317,8 @@ class LaunchGraph:
                 self._materialise(arr)
 
     # ------------------------------------------------------------------
-    def _eliminate_dead(self, counts: Dict[str, int]) -> List[LaunchNode]:
-        """Backward liveness over (array, version) pairs: a launch is
-        live iff its written version is observable — read by a live
-        later launch, or the final version of a real / kept array."""
-        required: set = set()
-        for aid, arr in self._arrays.items():
-            final = self._versions.get(aid, 0)
-            if final and (
-                not isinstance(arr, ScratchArray) or arr.kept
-            ):
-                required.add((aid, final))
-        live: List[LaunchNode] = []
-        for node in reversed(self.nodes):
-            if (id(node.out), node.out_version) in required:
-                live.append(node)
-                for name, arr in node.inputs.items():
-                    required.add((id(arr), node.input_versions[name]))
-            else:
-                counts["graph.dead_launches"] += 1
-        live.reverse()
-        return live
-
-    def _plan_chains(
-        self, live: List[LaunchNode]
-    ) -> Tuple[List[List[LaunchNode]], Dict[int, int]]:
-        """Find maximal fusable map chains among the live launches."""
+    def _plan_chains(self) -> Tuple[List[List[LaunchNode]], Dict[int, int]]:
+        """Find maximal fusable map chains among the recorded launches."""
         chains: List[List[LaunchNode]] = []
         fused_member: Dict[int, int] = {}
         if self.device.ctx.quantization != "round":
@@ -404,16 +328,15 @@ class LaunchGraph:
             return chains, fused_member
 
         readers: Dict[Tuple[int, int], List[Tuple[LaunchNode, str]]] = {}
-        for node in live:
+        for node in self.nodes:
             for name, arr in node.inputs.items():
                 readers.setdefault(
                     (id(arr), node.input_versions[name]), []
                 ).append((node, name))
 
-        by_index = {node.index: node for node in live}
         fuse_next: Dict[int, Tuple[int, str]] = {}
         consumed: set = set()
-        for p in live:
+        for p in self.nodes:
             out = p.out
             if not isinstance(out, ScratchArray) or out.kept:
                 continue
@@ -444,15 +367,15 @@ class LaunchGraph:
             fuse_next[p.index] = (consumer.index, iname)
             consumed.add(consumer.index)
 
-        for p in live:
+        for p in self.nodes:
             if p.index not in fuse_next or p.index in consumed:
                 continue  # not a chain head
             chain = [p]
             cur = p
             while cur.index in fuse_next:
-                consumer = by_index[fuse_next[cur.index][0]]
+                consumer = self.nodes[fuse_next[cur.index][0]]
                 candidate = chain + [consumer]
-                if not self._chain_inputs_stable(candidate, live):
+                if not self._chain_inputs_stable(candidate):
                     break
                 chain = candidate
                 cur = consumer
@@ -463,9 +386,7 @@ class LaunchGraph:
                     fused_member[node.index] = cid
         return chains, fused_member
 
-    def _chain_inputs_stable(
-        self, stages: List[LaunchNode], live: List[LaunchNode]
-    ) -> bool:
+    def _chain_inputs_stable(self, stages: List[LaunchNode]) -> bool:
         """Fusing executes every stage at the last stage's position:
         each stage's external inputs must still hold the version it
         recorded against, and none may alias the fused output."""
@@ -478,7 +399,7 @@ class LaunchGraph:
                     continue
                 if arr is final.out:
                     return False
-                for writer in live:
+                for writer in self.nodes:
                     if writer.index in chain_set:
                         continue
                     if (
@@ -488,9 +409,9 @@ class LaunchGraph:
                         return False
         return True
 
-    def _plan_steps(self, live, chains, fused_member):
+    def _plan_steps(self, chains, fused_member):
         steps: List[Tuple[str, object]] = []
-        for node in live:
+        for node in self.nodes:
             cid = fused_member.get(node.index)
             if cid is None:
                 steps.append(("node", node))
@@ -501,7 +422,7 @@ class LaunchGraph:
 
     def _plan_lifetimes(self, steps, chains):
         """Last step position touching each scratch array → the step
-        after which it returns to the pool.  Elided intermediates are
+        after which it is released.  Elided intermediates are
         excluded: they are never materialised at all."""
         last_use: Dict[int, int] = {}
         by_id: Dict[int, ScratchArray] = {}
@@ -533,9 +454,8 @@ class LaunchGraph:
                     "internal: recycled scratch reached execution"
                 )
             if arr.backing is None:
-                arr.backing = self.device.scratch_pool.acquire(
-                    arr.length, arr.format
-                )
+                self.device.ctx.stats.counts["graph.scratch_allocs"] += 1
+                arr.backing = GpuArray(self.device, arr.length, arr.format)
             return arr.backing
         return arr
 

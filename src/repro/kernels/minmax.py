@@ -98,7 +98,8 @@ def argmin_via_encoding(device: GpgpuDevice, values: np.ndarray) -> int:
     uniforms = {"u_lo": lo, "u_span": span, "u_n": float(n)}
     if device.graph_enabled:
         # Record encode + reduction ladder as one graph so the encode
-        # output and every ladder intermediate share pooled scratch.
+        # output and every ladder intermediate are freed after their
+        # last reader.
         kernel = make_minmax_step_kernel(device, "float32", "min")
         with device.record() as graph:
             encoded = graph.scratch(n, "float32")

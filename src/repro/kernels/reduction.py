@@ -5,10 +5,10 @@ of gather kernels, each pass halving the array until one element
 remains — the classic GPGPU pattern the paper's framework enables.
 
 Under the device's graph mode (``REPRO_GRAPH``), the ladder records
-into a deferred :class:`~repro.core.api.graph.LaunchGraph`: the
-O(log n) per-pass intermediates then come from the scratch pool (two
-backing textures total, recycled pass over pass) instead of O(log n)
-fresh allocations.
+into a deferred :class:`~repro.core.api.graph.LaunchGraph`: each
+per-pass intermediate is a graph scratch, allocated when its pass runs
+and freed right after the next pass has read it, so at most two are
+alive at once.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def reduce_sum(device: GpgpuDevice, array: GpuArray, kernel: Kernel = None):
 
     Returns a Python scalar of the array's format.  Runs
     ceil(log2(n)) kernel passes; intermediate arrays are released
-    (eager) or pooled (graph mode).
+    after use (eagerly, or by the replay in graph mode).
     """
     fmt = array.format
     if kernel is None:

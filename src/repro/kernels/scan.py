@@ -6,8 +6,8 @@ ceil(log2(n)) ping-pong passes: pass d adds the element 2^d to the
 left, fragments with no left neighbour pass through.
 
 Under graph mode the ladder records into a deferred
-:class:`~repro.core.api.graph.LaunchGraph`: ping/pong buffers come
-from the scratch pool, and ``exclusive_scan``'s shift pass fuses with
+:class:`~repro.core.api.graph.LaunchGraph`: ping/pong buffers are
+graph scratches, and ``exclusive_scan``'s shift pass fuses with
 the ladder's seed copy into a single draw (the copy consumes the
 shifted array element-for-element — the scheduler's map-chain rule).
 """
@@ -71,8 +71,8 @@ def inclusive_scan(device: GpgpuDevice, array: GpuArray,
                    kernel: Kernel = None) -> GpuArray:
     """Inclusive prefix sum of ``array`` on the GPU.
 
-    Returns a new array of the same length/format (a pooled scratch
-    array in graph mode — ``release()`` returns it to the pool); the
+    Returns a new array of the same length/format (a kept graph
+    scratch in graph mode — ``release()`` frees its texture); the
     input is left untouched.  Runs ceil(log2(n)) passes.
     """
     fmt = array.format
@@ -112,7 +112,7 @@ def exclusive_scan(device: GpgpuDevice, array: GpuArray) -> GpuArray:
     if device.graph_enabled:
         # One graph for shift + ladder: the shift output feeds the
         # seed copy element-for-element, so the scheduler fuses the
-        # pair into a single draw and pools the ping-pong buffers.
+        # pair into a single draw.
         with device.record() as graph:
             shifted = graph.scratch(n, fmt)
             graph.launch(shift, shifted, {"a": array})

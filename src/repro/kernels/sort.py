@@ -84,8 +84,8 @@ def bitonic_sort(device: GpgpuDevice, array: GpuArray,
                  kernel: Kernel = None) -> GpuArray:
     """Sort a power-of-two-length GpuArray ascending on the GPU.
 
-    Returns a new array (a pooled scratch array in graph mode —
-    ``release()`` returns it to the pool); the input is untouched.
+    Returns a new array (a kept graph scratch in graph mode —
+    ``release()`` frees its texture); the input is untouched.
     Runs log2(n)·(log2(n)+1)/2 passes.
     """
     n = array.length

@@ -75,8 +75,10 @@ DECLARATIONS = (
     ("kernel.cache_hits", CONTEXT, None),
     ("graph.fused_draws", CONTEXT, "fused_draws"),
     ("graph.elided_draws", CONTEXT, "elided_draws"),
+    # Always 0 (replay drops no launch); only the ledger reads it.
     ("graph.dead_launches", CONTEXT, "dead_launches"),
     ("graph.scratch_allocs", CONTEXT, "scratch_allocs"),
+    # Always 0 (scratches are never pooled); only the ledger reads it.
     ("graph.scratch_reuses", CONTEXT, "scratch_reuses"),
     ("graph.elided_intermediate_bytes", CONTEXT, "elided_intermediate_bytes"),
 )

@@ -25,8 +25,8 @@ Design rules:
   :mod:`repro.gles2.parallel`) and are ingested with the worker's pid,
   so a multiprocess draw renders as one timeline with one track per
   process.
-* **Bounded.**  ``REPRO_TRACE_MAX_EVENTS`` (default 200000) caps the
-  in-memory buffer; overflow is counted in ``otherData.dropped_events``
+* **Bounded.**  ``max_events`` (default 200000) caps the in-memory
+  buffer; overflow is counted in ``otherData.dropped_events``
   rather than silently truncated.
 
 Timestamps are ``time.perf_counter()`` microseconds.  On Linux that is
@@ -158,11 +158,7 @@ class TraceRecorder:
     def __init__(self, path: Optional[str] = None,
                  max_events: Optional[int] = None):
         if max_events is None:
-            from ..core.knobs import int_knob
-
-            max_events = int_knob(
-                "REPRO_TRACE_MAX_EVENTS", _DEFAULT_MAX_EVENTS, minimum=1
-            )
+            max_events = _DEFAULT_MAX_EVENTS
         self.path = path
         self.max_events = max_events
         self.pid = os.getpid()

@@ -79,7 +79,7 @@ def hotspot_gpu(
     if device.graph_enabled:
         # Record the whole ping-pong into one graph: the stencil reads
         # neighbours, so no pass fuses, but the second ping-pong buffer
-        # comes from (and returns to) the device scratch pool.
+        # is a graph scratch, freed when the replay ends.
         with device.record() as graph:
             ping = source
             pong = graph.scratch(width * height, "float32")

@@ -55,7 +55,7 @@ def pathfinder_gpu(device: GpgpuDevice, grid: np.ndarray) -> np.ndarray:
     if device.graph_enabled:
         # One graph for the whole DP: each row reads its left/right
         # neighbours, so nothing fuses, but the ping-pong cost buffer
-        # is pooled scratch instead of a fresh allocation.
+        # is a graph scratch, freed when the replay ends.
         with device.record() as graph:
             ping = source
             pong = graph.scratch(width, "int32")

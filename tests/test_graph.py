@@ -1,4 +1,4 @@
-"""Launch-graph tests: recording, fusion, pooling, dead elimination.
+"""Launch-graph tests: recording, fusion, scratch lifetimes.
 
 The eager-vs-graph bit-identity matrix over drivers and workloads
 lives in ``test_graph_parity.py``; this file unit-tests the scheduler
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import GpgpuDevice, GpgpuError
-from repro.core.api.graph import LaunchGraph, ScratchArray, ScratchPool
+from repro.core.api.graph import LaunchGraph, ScratchArray
 from repro.core.codegen.fuse import (
     FusedStage,
     compose_chain,
@@ -321,50 +321,80 @@ class TestFusion:
         )
 
 
+def record_reduce_ladder(device, src):
+    """Record a halving reduce ladder over ``src``; returns the graph
+    and its kept one-element result."""
+    kernel = make_reduce_step_kernel(device, src.format)
+    with device.record() as graph:
+        current = src
+        length = src.length
+        while length > 1:
+            next_length = (length + 1) // 2
+            target = graph.scratch(next_length, src.format)
+            graph.launch(
+                kernel, target, {"a": current}, {"u_len": float(length)},
+            )
+            current = target
+            length = next_length
+        graph.keep(current)
+    return graph, current
+
+
 class TestPoolingAndLiveness:
-    def test_reduce_ladder_uses_at_most_two_backings(self):
+    def test_reduce_ladder_allocates_one_scratch_per_pass(self):
         device = GpgpuDevice(execution_backend="jit", graph_mode=True)
-        kernel = make_reduce_step_kernel(device, "int32")
-        src = device.array((np.arange(2**14) % 7).astype(np.int32))
-        with device.record() as graph:
-            current = src
-            length = 2**14
-            while length > 1:
-                next_length = (length + 1) // 2
-                target = graph.scratch(next_length, "int32")
-                graph.launch(
-                    kernel, target, {"a": current},
-                    {"u_len": float(length)},
-                )
-                current = target
-                length = next_length
-            graph.keep(current)
+        host = (np.arange(2**14) % 7).astype(np.int32)
+        graph, result = record_reduce_ladder(device, device.array(host))
         assert graph.stats.recorded == 14
-        assert graph.stats.scratch_allocs <= 2
-        assert graph.stats.scratch_reuses == 12
-        assert current.to_host()[0] == (np.arange(2**14) % 7).sum()
+        assert graph.stats.scratch_allocs == 14
+        assert graph.stats.scratch_reuses == 0
+        assert result.to_host()[0] == host.sum()
 
-    def test_pool_persists_across_graphs(self, device):
-        run_chain_graph(device, HOST)
-        stats_before = device.ctx.stats.scratch_allocs
-        __, stats = run_chain_graph(device, HOST)
-        # the released output backing is recycled by the second graph
-        assert stats.scratch_reuses >= 1
-        assert device.ctx.stats.scratch_allocs == stats_before
+    def test_replay_deletes_unkept_scratch_objects(self):
+        device = GpgpuDevice(execution_backend="jit", graph_mode=True)
+        ctx = device.ctx
+        src = device.array(np.arange(16, dtype=np.int32))
+        # GL names are never reused: everything the replay created
+        # lies strictly between two probe names.
+        (tex_lo,) = ctx.glGenTextures(1)
+        (fbo_lo,) = ctx.glGenFramebuffers(1)
+        graph, result = record_reduce_ladder(device, src)
+        (tex_hi,) = ctx.glGenTextures(1)
+        (fbo_hi,) = ctx.glGenFramebuffers(1)
+        kept_tex, kept_fbo = result.texture, result.framebuffer()
+        assert [
+            n for n in range(tex_lo + 1, tex_hi) if ctx.glIsTexture(n)
+        ] == [kept_tex]
+        assert [
+            n for n in range(fbo_lo + 1, fbo_hi) if ctx.glIsFramebuffer(n)
+        ] == [kept_fbo]
+        assert graph.stats.scratch_allocs == 4
+        assert result.to_host()[0] == np.arange(16).sum()
+        result.release()
+        assert not ctx.glIsTexture(kept_tex)
+        assert not ctx.glIsFramebuffer(kept_fbo)
 
-    def test_dead_launch_eliminated(self, device):
+    def test_each_graph_allocates_its_own_scratch(self, device):
+        __, first = run_chain_graph(device, HOST)
+        __, second = run_chain_graph(device, HOST)
+        # the fused chain materialises only its kept output
+        assert first.scratch_allocs == second.scratch_allocs == 1
+        assert second.scratch_reuses == 0
+
+    def test_unobserved_launch_still_runs(self, device):
         k1, __ = make_chain_kernels(device)
         src = device.array(HOST)
         draws_before = len(device.ctx.stats.draws)
         with device.record() as graph:
-            dead = graph.scratch(len(HOST), "float32")
-            graph.launch(k1, dead, {"a": src}, {"u_shift": 1.0})
+            unread = graph.scratch(len(HOST), "float32")
+            graph.launch(k1, unread, {"a": src}, {"u_shift": 1.0})
             out = graph.scratch(len(HOST), "float32")
             graph.launch(k1, out, {"a": src}, {"u_shift": 2.0})
             graph.keep(out)
-        assert graph.stats.dead_launches == 1
-        assert graph.stats.executed_draws == 1
-        assert len(device.ctx.stats.draws) == draws_before + 1
+        assert graph.stats.executed_draws == 2
+        assert len(device.ctx.stats.draws) == draws_before + 2
+        with pytest.raises(GpgpuError, match="keep"):
+            unread.to_host()
 
     def test_write_to_real_array_is_never_dead(self, device):
         k1, __ = make_chain_kernels(device)
@@ -372,7 +402,7 @@ class TestPoolingAndLiveness:
         out = device.empty(len(HOST), "float32")
         with device.record() as graph:
             graph.launch(k1, out, {"a": src}, {"u_shift": 4.0})
-        assert graph.stats.dead_launches == 0
+        assert graph.stats.executed_draws == 1
         assert np.allclose(out.to_host(), HOST + 1.5 + 2.5, atol=1e-4)
 
     def test_unkept_scratch_cannot_be_read_after_replay(self, device):

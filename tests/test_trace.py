@@ -258,8 +258,10 @@ def test_graph_replay_emits_replay_span_and_fuse_instant(clean_recorder):
     trace.stop(write=False)
     (replay,) = _spans(recorder, name="graph.replay")
     assert replay["args"]["recorded"] == 2
-    assert replay["args"]["fused_draws"] == graph.stats.fused_draws
+    assert replay["args"]["executed_draws"] == graph.stats.executed_draws
+    assert replay["args"]["counters"] == graph.stats.counts
     if graph.stats.fused_draws:
+        assert replay["args"]["counters"]["graph.fused_draws"] == 1
         fuses = [e for e in recorder.events if e["name"] == "graph.fuse"]
         assert fuses and fuses[0]["args"]["elided_bytes"] > 0
 
