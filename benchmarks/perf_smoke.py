@@ -18,12 +18,14 @@ the CheckedShader).
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_glsl_exec.json] [--baseline REV]
+    PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_glsl_exec.json] [--baseline [ROW=]REV]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -387,6 +389,12 @@ def bench_cold_warm(reps=COLD_WARM_REPS):
                 "first_launch_sgemm_float32: warm run still compiled "
                 f"fresh (ir={warm['ir']}, jit={warm['jit']})"
             )
+        if warm["ir"]["disk"]:
+            raise SystemExit(
+                "first_launch_sgemm_float32: warm JIT run loaded its IR "
+                f"program ({warm['ir']['disk']} loads) — the JIT entry "
+                "no longer carries what a draw reads"
+            )
     stats = {
         "cold": {
             "median_ms": statistics.median(cold_samples),
@@ -402,6 +410,7 @@ def bench_cold_warm(reps=COLD_WARM_REPS):
     last = warm_reports[-1]
     stats["warm"]["disk_cache_hits"] = last["disk"]["hits"]
     stats["warm"]["ir_compiles_fresh"] = last["ir"]["fresh"]
+    stats["warm"]["ir_disk_loads"] = last["ir"]["disk"]
     stats["warm"]["jit_codegen_fresh"] = last["jit"]["fresh"]
     stats["cold"]["correct"] = stats["warm"]["correct"] = True
     speedup = (stats["cold"]["median_ms"]
@@ -473,27 +482,152 @@ def _publish_child(src_dir):
     return json.loads(proc.stdout)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@contextlib.contextmanager
+def _revision_src(rev):
+    """The ``src/`` of git revision ``rev``, extracted with ``git
+    archive`` into a temporary directory for the block."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    with tempfile.TemporaryDirectory(prefix="repro-bench-base-") as tmp:
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(
+            tmp, filter="data"
+        )
+        yield Path(tmp) / "src"
+
+
 def bench_publish(baseline=None):
     """Artifact publish latency against store size: the median
     ``cache.put`` of a 6 KB payload into stores already holding 0, 300,
     1000 and 3000 entries, in a fresh process.  ``after`` times this
     checkout; with ``baseline`` (a git revision) ``before`` times that
     revision's ``src/`` the same way."""
-    root = Path(__file__).resolve().parent.parent
-    stats = {"after": _publish_child(root / "src")}
+    stats = {"after": _publish_child(ROOT / "src")}
     if baseline is not None:
-        archive = subprocess.run(
-            ["git", "-C", str(root), "archive", baseline, "src"],
-            capture_output=True, check=True,
-        ).stdout
-        with tempfile.TemporaryDirectory(prefix="repro-bench-base-") as tmp:
-            tarfile.open(fileobj=io.BytesIO(archive)).extractall(
-                tmp, filter="data"
-            )
-            stats["before"] = _publish_child(Path(tmp) / "src")
+        with _revision_src(baseline) as src:
+            stats["before"] = _publish_child(src)
         stats["before_rev"] = baseline
     stats["payload_bytes"] = PUBLISH_PAYLOAD_BYTES
     return stats
+
+
+WARM_START_REPS = 10
+#: Rows with a 'before' column timed on a git baseline.
+BEFORE_AFTER_ROWS = ("cache_publish_6k", "warm_start")
+
+#: Child process for the warm_start row: import the report module and
+#: regenerate EXPERIMENTS.md into argv[1] against the store in
+#: REPRO_CACHE_DIR, as ``python -m repro.experiments.report`` does.
+_WARM_START_CHILD = r"""
+import time
+t0 = time.perf_counter()
+import hashlib, json, sys
+from repro.experiments import report
+t1 = time.perf_counter()
+if report.main([sys.argv[1]]) != 0:
+    sys.exit("report.main failed")
+t2 = time.perf_counter()
+from repro.perf.counters import values
+with open(sys.argv[1], "rb") as out:
+    digest = hashlib.sha256(out.read()).hexdigest()
+print(json.dumps({
+    "import_ms": (t1 - t0) * 1e3,
+    "main_ms": (t2 - t1) * 1e3,
+    "ir_disk": values["compile.ir.disk"],
+    "digest": digest,
+}))
+"""
+
+
+def _warm_start_child(src_dir, store, out):
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(src_dir)
+    env["REPRO_CACHE_DIR"] = str(store)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_START_CHILD, str(out)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"warm_start: child failed\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _summary(samples):
+    return {"median": statistics.median(samples), "min": min(samples)}
+
+
+def bench_warm_start(baseline=None, reps=WARM_START_REPS):
+    """Warm start of the E1-E10 regeneration: in each of ``reps`` fresh
+    interpreters against an artifact store one cold run populated, the
+    ms to import ``repro.experiments.report``, the ms of its ``main``,
+    and the IR programs it loaded from disk.  ``after`` runs this
+    checkout; with ``baseline`` (a git revision) ``before`` runs that
+    revision's ``src/``, interleaved run for run with ``after``."""
+    expected = hashlib.sha256(
+        (ROOT / "EXPERIMENTS.md").read_bytes()).hexdigest()
+    with contextlib.ExitStack() as stack:
+        tmp = Path(stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-bench-warm-")))
+        trees = {"after": ROOT / "src"}
+        if baseline is not None:
+            trees["before"] = stack.enter_context(_revision_src(baseline))
+        runs = {column: [] for column in trees}
+        for rep in range(reps + 1):  # run 0 populates each store
+            for column, src in trees.items():
+                run = _warm_start_child(src, tmp / f"store-{column}",
+                                        tmp / f"{column}.md")
+                if rep:
+                    runs[column].append(run)
+    stats = {}
+    for column, column_runs in runs.items():
+        stats[column] = {
+            "import_ms": _summary([r["import_ms"] for r in column_runs]),
+            "main_ms": _summary([r["main_ms"] for r in column_runs]),
+            "ir_disk_loads": _summary([r["ir_disk"] for r in column_runs]),
+            "reps": reps,
+            "correct": all(r["digest"] == expected for r in column_runs),
+        }
+    if not stats["after"]["correct"]:
+        raise SystemExit(
+            "warm_start: the warm regeneration differs from the "
+            "committed EXPERIMENTS.md"
+        )
+    if baseline is not None:
+        stats["before_rev"] = baseline
+    return stats
+
+
+def _recorded_baselines(path):
+    """``row -> before_rev`` of the before/after rows already recorded
+    in the report at ``path`` (empty when there is none)."""
+    try:
+        workloads = json.loads(Path(path).read_text())["workloads"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    return {name: row["before_rev"] for name, row in workloads.items()
+            if isinstance(row, dict) and "before_rev" in row}
+
+
+def _baselines(args):
+    """The git revision each before/after row times its ``before``
+    column against: ``--baseline REV`` sets every row, ``--baseline
+    ROW=REV`` one row; a row given none keeps the revision its last
+    recording in ``--out`` names."""
+    baselines = _recorded_baselines(args.out)
+    for value in args.baseline or ():
+        row, sep, rev = value.rpartition("=")
+        if not sep:
+            baselines.update(dict.fromkeys(BEFORE_AFTER_ROWS, rev))
+        elif row in BEFORE_AFTER_ROWS:
+            baselines[row] = rev
+        else:
+            raise SystemExit(f"--baseline: no before/after row {row!r}")
+    return baselines
 
 
 def main(argv=None):
@@ -504,11 +638,14 @@ def main(argv=None):
         help="where to write the JSON report",
     )
     parser.add_argument(
-        "--baseline", metavar="REV",
-        help="also time the cache_publish_6k row on the src/ of git "
-        "revision REV (e.g. the parent commit) as its 'before' column",
+        "--baseline", metavar="[ROW=]REV", action="append",
+        help="time the 'before' column of the before/after rows "
+        f"({', '.join(BEFORE_AFTER_ROWS)}) on the src/ of git revision "
+        "REV, or only ROW's with ROW=REV (repeatable); without it each "
+        "row reuses the revision recorded in --out",
     )
     args = parser.parse_args(argv)
+    baselines = _baselines(args)
 
     report = {
         "description": (
@@ -524,9 +661,13 @@ def main(argv=None):
             "times one artifact publish (cache.put, 6 KB) against the "
             "number of entries already in the store, keyed by that "
             "number, for this checkout ('after') and a git baseline "
-            "('before', --baseline)"
+            "('before', --baseline); warm_start times importing "
+            "repro.experiments.report and its main (E1-E10) in fresh "
+            "interpreters against a warm store, with the IR programs "
+            "each run loaded, after and before"
         ),
         "python": platform.python_version(),
+        "numpy": np.__version__,
         # Worker-pool columns only make sense relative to the cores
         # actually available: on a single-core host they measure pure
         # dispatch overhead, not parallel shading.
@@ -592,7 +733,7 @@ def main(argv=None):
         per_backend["size"] = size
         report["workloads"][name] = per_backend
 
-    publish = bench_publish(args.baseline)
+    publish = bench_publish(baselines.get("cache_publish_6k"))
     for column in ("before", "after"):
         for entries, row in publish.get(column, {}).items():
             print(
@@ -600,6 +741,18 @@ def main(argv=None):
                 f"{row['median_ms']:.3f} ms  min {row['min_ms']:.3f} ms"
             )
     report["workloads"]["cache_publish_6k"] = publish
+
+    warm = bench_warm_start(baselines.get("warm_start"))
+    for column in ("before", "after"):
+        if column in warm:
+            row = warm[column]
+            print(
+                f"warm_start [{column}] import median "
+                f"{row['import_ms']['median']:.1f} ms, main median "
+                f"{row['main_ms']['median']:.1f} ms, IR disk loads "
+                f"{row['ir_disk_loads']['median']:g}"
+            )
+    report["workloads"]["warm_start"] = warm
 
     # The gather fast path must actually engage on the kernel
     # workloads: a silent loss (e.g. a codegen-template rephrase that

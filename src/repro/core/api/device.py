@@ -24,7 +24,7 @@ from ..codegen.templates import (
     PASSTHROUGH_VERTEX_SHADER,
     generate_kernel_source,
 )
-from ..numerics.formats import ALIASES, FORMATS, NumericFormat, get_format
+from ..numerics.formats import ALIASES, FORMATS, get_format
 from .buffer import GpuArray
 from .errors import GpgpuError, ShaderBuildError
 from .kernel import Kernel, KernelSpec, MultiOutputKernel, program_cache_key

@@ -21,8 +21,10 @@ Three artifact kinds are stored, one per pipeline stage:
 ``jit``
     The generated NumPy source, its marshalled code object, and its
     captured namespace in a pickle-safe encoding (arrays as-is, builtin
-    implementations by registry key), keyed additionally by the
-    wide-global set.  Programs outside the JIT subset store an
+    implementations by registry key), plus what a draw reads of the IR
+    program (its :class:`~repro.glsl.ir.nodes.Bindings` and
+    :class:`~repro.glsl.ir.cost.StaticCost`), keyed additionally by
+    the wide-global set.  Programs outside the JIT subset store an
     ``unsupported`` marker so the negative result is warm too.
 
 Every key mixes in the cache schema version and the Python/NumPy
@@ -91,7 +93,9 @@ from ..perf import counters, trace
 #: ``_fetch``; IR entries carry ``FetchSite.tail``.
 #: 6: ``_fetch`` takes the flat index instead of ``x``/``y``; IR
 #: entries carry ``FetchSite.index`` and ``FetchSite.categories``.
-SCHEMA_VERSION = 6
+#: 7: JIT entries carry the program's bindings and static cost, which
+#: a warm JIT draw reads instead of loading the IR program.
+SCHEMA_VERSION = 7
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"
@@ -731,14 +735,19 @@ def decode_captured(encoded: Dict) -> Dict[str, object]:
     }
 
 
-def dump_jit_entry(source: str, encoded_captured: Dict, code) -> bytes:
+def dump_jit_entry(source: str, encoded_captured: Dict, code,
+                   bindings, cost) -> bytes:
     """The generated source, its captured namespace and its compiled
     code object (``marshal``: valid within one Python minor version,
-    which the key pins), so a warm load execs without ``compile()``."""
+    which the key pins), so a warm load execs without ``compile()``;
+    and the program's bindings and static cost, so a warm draw runs
+    without the IR program."""
     return _dumps({
         "source": source,
         "captured": encoded_captured,
         "code": marshal.dumps(code),
+        "bindings": bindings,
+        "cost": cost,
     })
 
 
@@ -748,8 +757,8 @@ def dump_jit_unsupported(reason: str) -> bytes:
 
 def load_jit_entry(data: bytes) -> Optional[Dict]:
     """Deserialise a JIT artifact — either ``{"source", "captured",
-    "code"}`` or ``{"unsupported": reason}``; None on any data
-    failure."""
+    "code", "bindings", "cost"}`` or ``{"unsupported": reason}``; None
+    on any data failure."""
     try:
         entry = _loads(data)
     except _DESERIALISE_ERRORS as exc:
@@ -765,5 +774,8 @@ def load_jit_entry(data: bytes) -> Optional[Dict]:
     if not isinstance(entry.get("captured"), dict):
         return None
     if not isinstance(entry.get("code"), bytes):
+        return None
+    if not isinstance(entry.get("bindings"), tuple) \
+            or entry.get("cost") is None:
         return None
     return entry

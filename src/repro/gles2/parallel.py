@@ -233,24 +233,24 @@ def _note_draw_outcome(success: bool) -> None:
 # ----------------------------------------------------------------------
 # Plan encoding (leader side)
 # ----------------------------------------------------------------------
-def _plan_entry(fn, fmodel) -> Optional[Tuple[bytes, str]]:
-    """The generated function's store entry
+def _plan_entry(kernel, fmodel) -> Optional[Tuple[bytes, str]]:
+    """The JIT kernel's store entry
     (:func:`~repro.glsl.jit.entry_bytes`) and the plan's ``uid``: a
     digest of the entry and of the float model, whose helpers the
-    worker binds.  Memoised on ``fn``; None when the function has no
+    worker binds.  Memoised on the kernel; None when it has no
     shippable entry."""
-    cached = getattr(fn, "_plan_entry", None)
+    cached = kernel.plan_entry
     if cached is None:
         from ..core.cache import model_tag
         from ..glsl.jit import entry_bytes
 
-        entry = entry_bytes(fn)
+        entry = entry_bytes(kernel)
         cached = ()
         if entry is not None:
             digest = hashlib.sha1(model_tag(fmodel).encode())
             digest.update(entry)
             cached = (entry, digest.hexdigest())
-        fn._plan_entry = cached
+        kernel.plan_entry = cached
     return cached or None
 
 
@@ -279,7 +279,8 @@ def shade_draw(
     from ..glsl.errors import GlslLimitError
     from ..glsl.ir import get_compiled
     from ..glsl.interp import Interpreter
-    from ..glsl.jit import JitExecutor, _jit_function
+    from ..glsl.jit import JitExecutor
+    from ..glsl.jit import get_compiled as get_kernel
     from ..glsl.jit.codegen import count_sites
 
     if not isinstance(fs_interp, JitExecutor):
@@ -295,10 +296,11 @@ def shade_draw(
     wide = frozenset(
         name for name, value in presets.items() if value.batch > 1
     )
-    fn = _jit_function(program, fs_interp.fmodel, wide)
-    if fn is None:
+    kernel = get_kernel(fs_interp.checked, fs_interp.fmodel, wide)
+    if kernel is None:
         return None
-    shipped = _plan_entry(fn, fs_interp.fmodel)
+    fs_interp.kernel = kernel
+    shipped = _plan_entry(kernel, fs_interp.fmodel)
     if shipped is None:
         return None
     entry, uid = shipped
@@ -433,7 +435,7 @@ def shade_draw(
     if saved_counters is not None:
         saved_counters.merge(scratch)
         fs_interp.counters = saved_counters
-        fs_interp._charge_static(program, n)
+        fs_interp._charge_static(n)
     # Each fused site counts once for the whole draw, exactly as one
     # in-process run of the same generated function would count it.
     count_sites(sites)

@@ -162,7 +162,8 @@ def mantissa_agreement_bits(reference: np.ndarray, measured: np.ndarray) -> np.n
 
     For each element the relative error ``|m - r| / |r|`` is converted
     to matched bits: ``-log2(rel_err) - 1`` clamped to [0, 23]; exact
-    matches count as the full 23.
+    matches count as the full 23.  A NaN or infinite measurement of a
+    finite reference agrees in no bits.
     """
     ref = np.asarray(reference, dtype=np.float64)
     mea = np.asarray(measured, dtype=np.float64)
@@ -176,6 +177,7 @@ def mantissa_agreement_bits(reference: np.ndarray, measured: np.ndarray) -> np.n
     out[inexact] = np.clip(bits[inexact], 0.0, 23.0)
     # Zero reference but nonzero measurement: no agreement.
     out[~nonzero & (mea != 0)] = 0.0
+    out[np.isfinite(ref) & ~np.isfinite(mea)] = 0.0
     return out
 
 

@@ -27,13 +27,28 @@ import numpy as np
 from ..glsl import ast_nodes  # noqa: F401  (re-exported for tooling)
 from ..glsl.errors import GlslError
 from ..glsl.optimize import optimize
-from ..glsl.parser import parse
-from ..glsl.preprocessor import preprocess
 from ..glsl.typecheck import CheckedShader, ShaderStage, check
 from ..glsl.types import BaseType, GlslType, TypeKind
 from ..glsl.values import INT_DTYPE, Value
 from ..perf import counters
 from . import enums
+
+
+# The front end's compile-only stages, imported on the first cold
+# compile: a process whose shaders all come from the memo or the
+# artifact store never loads them (``optimize`` defers its own import).
+def preprocess(source: str):
+    """:func:`repro.glsl.preprocessor.preprocess`."""
+    from ..glsl.preprocessor import preprocess as run
+
+    return run(source)
+
+
+def parse(source: str):
+    """:func:`repro.glsl.parser.parse`."""
+    from ..glsl.parser import parse as run
+
+    return run(source)
 
 
 #: (stage, sha1(source)) -> CheckedShader for successful compiles.

@@ -27,10 +27,22 @@ from .errors import (
 )
 from .interp import Interpreter, compile_shader
 from .optimize import optimize
-from .printer import print_expr, print_stmt, print_unit
-from .scalar_ref import FragmentDiscarded, ScalarInterpreter, python_value
 from .typecheck import CheckedShader, ShaderStage, check
 from .types import GlslType
+
+#: Names served on first use (PEP 562): the printer and the scalar
+#: reference run only in tooling and the oracle, so a warm start never
+#: imports them.  (``optimize`` stays eager: a lazy name is shadowed by
+#: the same-named submodule once anything imports that directly; the
+#: shim defers its own fold-rule import instead.)
+_LAZY = {
+    "print_expr": "printer",
+    "print_stmt": "printer",
+    "print_unit": "printer",
+    "FragmentDiscarded": "scalar_ref",
+    "ScalarInterpreter": "scalar_ref",
+    "python_value": "scalar_ref",
+}
 
 __all__ = [
     "GlslError",
@@ -53,3 +65,12 @@ __all__ = [
     "print_stmt",
     "print_expr",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f".{module}", __name__), name)

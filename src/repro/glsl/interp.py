@@ -118,8 +118,8 @@ class Interpreter:
         Safety cap for loop execution.
 
     Subclasses run the shader body after :meth:`execute` has bound the
-    globals, and supply ``_run_global_init`` for initialisers the IR
-    fold pass could not reduce to a constant.
+    globals, and supply ``_run_global_init(index)`` for initialisers
+    the IR fold pass could not reduce to a constant.
     """
 
     def __init__(
@@ -133,7 +133,7 @@ class Interpreter:
         self.fmodel = float_model or _ExactModel()
         self.counters = counters
         self.max_loop_iterations = max_loop_iterations
-        #: The compiled IR program (resolved on first execute).
+        #: The compiled IR program (resolved by :meth:`ir_program`).
         self.program = None
         # Runtime state (reset per execution).
         self.n = 0
@@ -160,40 +160,47 @@ class Interpreter:
         discard mask from :attr:`discarded`.  Global initialisers run
         once per call, at batch width 1.
         """
-        program = self.program
-        if program is None or program.checked is not self.checked:
-            from .ir import get_compiled
-
-            program = self.program = get_compiled(self.checked, self.fmodel)
+        bindings = self.bindings()
         self.n = n
         self.exec_mask = np.ones(n, dtype=bool)
         self.discarded = np.zeros(n, dtype=bool)
         self.globals_env = {}
         self.frames = []
-        self.consts = program.materialized_consts(self.fmodel)
-        self.regs = [None] * program.nregs
-
-        simple_inits = program.simple_inits()
-        for plan in program.globals_plan:
-            if plan.name in presets:
-                value = presets[plan.name]
-            elif plan.is_sampler:
-                value = Value(plan.type)
-            elif plan.init_block is not None:
-                idx = simple_inits.get(plan.name)
-                if idx is not None:
-                    # Folded-to-constant initialiser: no frame needed.
-                    gtype, data = self.consts[idx]
-                    value = Value(gtype, data)
-                else:
-                    value = self._run_global_init(program, plan)
+        self.regs = [None] * bindings.nregs
+        for index, (name, reg, gtype, is_sampler, const, run_init) \
+                in enumerate(bindings.globals):
+            if name in presets:
+                value = presets[name]
+            elif is_sampler:
+                value = Value(gtype)
+            elif const is not None:
+                # Folded-to-constant initialiser: no frame needed.
+                value = Value(*const)
+            elif run_init:
+                value = self._run_global_init(index)
             else:
-                value = zeros_for(plan.type, 1, self.fmodel.dtype)
-            self.regs[plan.reg] = value
-            self.globals_env[plan.name] = value
+                value = zeros_for(gtype, 1, self.fmodel.dtype)
+            self.regs[reg] = value
+            self.globals_env[name] = value
         for name, value in presets.items():
             self.globals_env.setdefault(name, value)
         return self.globals_env
+
+    def ir_program(self):
+        """The compiled IR program, resolved on first use, with its
+        constant pool materialised for this float model."""
+        program = self.program
+        if program is None or program.checked is not self.checked:
+            from .ir import get_compiled
+
+            program = self.program = get_compiled(self.checked, self.fmodel)
+        self.consts = program.materialized_consts(self.fmodel)
+        return program
+
+    def bindings(self):
+        """The :class:`~repro.glsl.ir.nodes.Bindings` :meth:`execute`
+        walks."""
+        return self.ir_program().bindings(self.fmodel)
 
     # ------------------------------------------------------------------
     # Masks and counting.  The lane popcount is cached: straight-line

@@ -30,9 +30,7 @@ from ...perf import counters
 from .cost import StaticCost, static_cost
 from .executor import IRExecutor, flatten_program
 from .gather import annotate_gathers
-from .lower import Lowerer, lower_shader
 from .nodes import CompiledProgram, Instr, dump_ir
-from .passes import run_passes
 
 __all__ = [
     "CompiledProgram",
@@ -49,6 +47,21 @@ __all__ = [
     "run_passes",
     "static_cost",
 ]
+
+
+#: Names served on first use (PEP 562): lowering and the pass pipeline
+#: run only on a cold compile, so a warm start never imports them.
+_LAZY = {"Lowerer": "lower", "lower_shader": "lower",
+         "run_passes": "passes"}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 def _model_key(fmodel) -> tuple:
@@ -105,6 +118,8 @@ def _load_or_compile(checked, fmodel, mkey) -> CompiledProgram:
 def compile_ir(checked, fmodel=None) -> CompiledProgram:
     """Lower + optimise one shader for one float model (uncached)."""
     from ..interp import _ExactModel
+    from .lower import lower_shader
+    from .passes import run_passes
 
     fmodel = fmodel or _ExactModel()
     program = lower_shader(checked)

@@ -167,18 +167,21 @@ class IRExecutor(Interpreter):
         self.sc_ctrl: list = []
 
     def execute(self, n: int, presets: Dict[str, Value]) -> Dict[str, Value]:
+        program = self.ir_program()
         self.call_stack = []
         self.if_ctrl = []
         self.loop_ctrl = []
         self.cond_ctrl = []
         self.sc_ctrl = []
         super().execute(n, presets)
-        self._run(self.program.pairs())
+        self._run(program.pairs())
         return self.globals_env
 
-    def _run_global_init(self, program: CompiledProgram, plan) -> Value:
+    def _run_global_init(self, index: int) -> Value:
         # A batch-1 frame and mask while self.n keeps the full batch
         # size: the initialiser is per-draw work, evaluated once.
+        program = self.ir_program()
+        plan = program.globals_plan[index]
         saved_mask = self.exec_mask
         self.exec_mask = np.ones(1, dtype=bool)
         frame = _FunctionFrame(1, plan.type, self.fmodel.dtype)
@@ -617,25 +620,5 @@ def _program_init_pairs(self: CompiledProgram, name: str):
     return pairs
 
 
-def _program_simple_inits(self: CompiledProgram):
-    """Global initialisers the fold pass reduced to a lone constant:
-    ``name -> const pool index`` (cached).  The executor materialises
-    these directly instead of running an activation frame."""
-    simple = getattr(self, "_simple_inits", None)
-    if simple is None:
-        simple = {}
-        for plan in self.globals_plan:
-            block = plan.init_block
-            if block is None or len(block.items) != 1:
-                continue
-            ins = block.items[0]
-            if isinstance(ins, Instr) and ins.op == "const" \
-                    and ins.out == plan.init_reg:
-                simple[plan.name] = ins.imm
-        self._simple_inits = simple
-    return simple
-
-
 CompiledProgram.pairs = _program_pairs
 CompiledProgram.init_pairs = _program_init_pairs
-CompiledProgram.simple_inits = _program_simple_inits

@@ -25,7 +25,7 @@ IR dumps (``tests/corpus/*.ir``) record.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -205,6 +205,19 @@ class GlobalPlan:
         self.init_reg = init_reg
 
 
+class Bindings(NamedTuple):
+    """What binding a program's globals for one float model reads: the
+    register count and one row per global, ``(name, reg, type,
+    is_sampler, const, run_init)``.  ``const`` is the ``(type, data)``
+    of an initialiser the fold pass reduced to a lone constant (else
+    None); ``run_init`` marks an initialiser that did not fold, which
+    only the program's init block can compute.  The JIT artifact
+    carries this view, so a draw binds without the program."""
+
+    nregs: int
+    globals: tuple
+
+
 class CompiledProgram:
     """The compiled artifact for one shader stage.
 
@@ -247,6 +260,29 @@ class CompiledProgram:
                 cached.append((gtype, data))
             self._const_cache[key] = cached
         return cached
+
+    def bindings(self, fmodel) -> Bindings:
+        """The :class:`Bindings` view for one float model (cached per
+        dtype)."""
+        key = np.dtype(fmodel.dtype).str
+        cache = self.__dict__.setdefault("_bindings", {})
+        view = cache.get(key)
+        if view is None:
+            consts = self.materialized_consts(fmodel)
+            rows = []
+            for plan in self.globals_plan:
+                block = plan.init_block
+                const = None
+                if block is not None and len(block.items) == 1:
+                    ins = block.items[0]
+                    if isinstance(ins, Instr) and ins.op == "const" \
+                            and ins.out == plan.init_reg:
+                        const = consts[ins.imm]
+                rows.append((plan.name, plan.reg, plan.type,
+                             plan.is_sampler, const,
+                             block is not None and const is None))
+            view = cache[key] = Bindings(self.nregs, tuple(rows))
+        return view
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,15 @@ function call per shader stage per draw, all the work inside numpy.
 registers depending only on uniforms/constants at batch width 1, so
 per-draw quantities are computed once instead of once per fragment.
 
-:class:`JitExecutor` is the drop-in `execute(n, presets)` engine.  It
-shares the IR executor's whole setup path (program cache, and the
-global binding of :meth:`repro.glsl.interp.Interpreter.execute`) and
-differs only in how the body runs.
+:class:`JitExecutor` is the drop-in `execute(n, presets)` engine.  Its
+cached compile, :func:`get_compiled`, keeps one :class:`JitKernel` per
+(shader, float model, wide-global set) on the CheckedShader, over the
+persistent artifact store.  A kernel carries what a draw reads of the
+IR program — the global bindings that
+:meth:`repro.glsl.interp.Interpreter.execute` walks and the static
+cost projection — so a warm draw runs without loading the program.
+The program loads only on a miss (codegen), for a draw that falls
+back, or for a global initialiser that did not fold to a constant.
 Programs using constructs outside the JIT subset (divergent returns,
 structs, multi-step l-values — see :class:`~.codegen.JitUnsupported`)
 fall back to the :class:`~repro.glsl.ir.executor.IRExecutor` at whole-
@@ -23,8 +28,8 @@ program granularity; each fallback *draw* increments the
 
 Because the generated code does not tally ops dynamically, callers
 that need :class:`~repro.perf.counters.OpCounters` totals get the
-static IR-cost projection (:func:`repro.glsl.ir.static_cost`) instead,
-applied once per draw.
+static IR-cost projection (:func:`repro.glsl.ir.static_cost`, stored
+in the kernel) instead, applied once per draw.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ from typing import Dict, FrozenSet
 from ...core import cache as artifact_cache
 from ...perf import counters, trace
 from ...testing import faults
+from .. import ir
 from ..interp import Interpreter
 from ..values import Value
-from ..ir import get_compiled, static_cost
+from ..ir import static_cost
 from ..ir.executor import IRExecutor
 from .codegen import (
     JitUnsupported,
@@ -51,9 +57,11 @@ from .uniform import UniformInfo, infer_uniform
 
 __all__ = [
     "JitExecutor",
+    "JitKernel",
     "JitUnsupported",
     "UniformInfo",
     "entry_bytes",
+    "get_compiled",
     "infer_uniform",
     "materialize",
 ]
@@ -96,49 +104,70 @@ def materialize(source: str, captured: Dict[str, object], fmodel,
     return fn
 
 
-def entry_bytes(fn):
-    """A generated function's ``jit`` artifact-store entry:
-    :func:`~repro.core.cache.dump_jit_entry` of its source, captured
-    namespace and code object — what the store publishes, and what a
-    pooled draw ships to its workers.  None when some captured object
-    has no pickle-safe encoding."""
+def entry_bytes(kernel):
+    """A kernel's ``jit`` artifact-store entry:
+    :func:`~repro.core.cache.dump_jit_entry` of its function's source,
+    captured namespace and code object and of its bindings and static
+    cost — what the store publishes, and what a pooled draw ships to
+    its workers.  None when some captured object has no pickle-safe
+    encoding."""
+    fn = kernel.fn
     encoded = artifact_cache.encode_captured(fn._jit_captured)
     if encoded is None:
         return None
     return artifact_cache.dump_jit_entry(
-        fn._jit_source, encoded, fn._jit_code
+        fn._jit_source, encoded, fn._jit_code, kernel.bindings, kernel.cost
     )
 
 
-def _disk_key(program, fmodel, wide: FrozenSet[str]):
+class JitKernel:
+    """One generated function and what a draw reads of its IR program:
+    the :class:`~repro.glsl.ir.nodes.Bindings` that
+    :meth:`~repro.glsl.interp.Interpreter.execute` walks and the
+    :class:`~repro.glsl.ir.cost.StaticCost` charged per draw.  It is
+    the whole ``jit`` artifact, so a warm draw never loads the
+    program."""
+
+    __slots__ = ("fn", "bindings", "cost", "totals", "plan_entry")
+
+    def __init__(self, fn, bindings, cost):
+        self.fn = fn
+        self.bindings = bindings
+        self.cost = cost
+        #: invocations -> the nonzero ``(category, count)`` totals.
+        self.totals: Dict[int, list] = {}
+        #: The pooled-draw payload, memoised by
+        #: :func:`repro.gles2.parallel._plan_entry`.
+        self.plan_entry = None
+
+
+def _disk_key(checked, fmodel, wide: FrozenSet[str]):
     """The artifact-store key for one generated function, or None when
-    the program has no source digest / the store is disabled."""
-    digest = getattr(program.checked, "source_digest", None)
+    the shader has no source digest / the store is disabled."""
+    digest = getattr(checked, "source_digest", None)
     if digest is None or not artifact_cache.enabled():
         return None
     return artifact_cache.artifact_key(
         "jit", digest,
-        stage=getattr(program.checked, "stage", ""),
+        stage=getattr(checked, "stage", ""),
         model=artifact_cache.model_tag(fmodel),
         wide=wide,
-        fusion=getattr(program.checked, "fusion_signature", ""),
+        fusion=getattr(checked, "fusion_signature", ""),
     )
 
 
-def _jit_function(program, fmodel, wide: FrozenSet[str]):
-    """Cached codegen: one compiled function per (program, wide set).
-
-    ``program`` instances are already memoised per (shader, float
-    model) by :func:`repro.glsl.ir.get_compiled`, so attaching the JIT
-    artifact cache to the program object gives the per-(shader,
-    float-model) caching the launch path relies on.  Returns ``None``
-    when the program is outside the JIT subset (negative result cached
+def get_compiled(checked, fmodel, wide: FrozenSet[str]):
+    """Cached compile for the JIT backend: one :class:`JitKernel` per
+    (shader, float model, wide-global set), or ``None`` when the
+    program is outside the JIT subset (the negative result is cached
     too, so unsupported shaders pay codegen only once).
 
-    Under the in-memory memo sits the persistent artifact store: on a
-    memory miss the generated source (or the ``unsupported`` verdict)
-    is loaded from disk when some earlier process already generated
-    it, and written there when codegen runs fresh.
+    The memo lives on the CheckedShader under the model key
+    :func:`repro.glsl.ir.get_compiled` uses.  Under it sits the
+    persistent artifact store: on a memory miss the kernel (or the
+    ``unsupported`` verdict) loads from disk when some earlier process
+    generated it.  Only a miss there loads the IR program and runs
+    :func:`generate`.
     """
     if faults.fire("jit_error"):
         # Injected codegen failure: this *draw* degrades to the IR
@@ -147,41 +176,50 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
         # next draw may JIT normally.
         counters.values["fault.fallbacks"] += 1
         return None
-
-    cache = getattr(program, "_jit_cache", None)
+    key = (ir._model_key(fmodel), wide)
+    cache = getattr(checked, "_jit_cache", None)
     if cache is None:
-        cache = program._jit_cache = {}
-    if wide in cache:
-        return cache[wide]
-    rejected = getattr(program, "_jit_unsupported", None)
-    if rejected is None:
-        rejected = program._jit_unsupported = {}
-    if wide in rejected:
-        return None
+        cache = {}
+        try:
+            checked._jit_cache = cache
+        except AttributeError:  # frozen/slotted shader object
+            return _load_or_generate(checked, fmodel, wide)
+    try:
+        return cache[key]
+    except KeyError:
+        kernel = cache[key] = _load_or_generate(checked, fmodel, wide)
+        return kernel
+
+
+def _load_or_generate(checked, fmodel, wide: FrozenSet[str]):
+    """The disk layer under the in-memory kernel memo."""
     with trace.span("compile.jit", "compile") as sp:
         if sp is not None:
-            sp.args["stage"] = getattr(program.checked, "stage", "")
-        disk_key = _disk_key(program, fmodel, wide)
+            sp.args["stage"] = getattr(checked, "stage", "")
+        disk_key = _disk_key(checked, fmodel, wide)
         if disk_key is not None:
             payload = artifact_cache.get(disk_key)
             if payload is not None:
                 entry = artifact_cache.load_jit_entry(payload)
-                fn = None
                 if entry is not None and "unsupported" in entry:
-                    rejected[wide] = entry["unsupported"]
                     counters.values["compile.jit.disk"] += 1
                     if sp is not None:
                         sp.args.update(event="disk", unsupported=True)
                     return None
+                kernel = None
                 if entry is not None:
                     try:
-                        fn = materialize(
-                            entry["source"],
-                            artifact_cache.decode_captured(
-                                entry["captured"]
+                        kernel = JitKernel(
+                            materialize(
+                                entry["source"],
+                                artifact_cache.decode_captured(
+                                    entry["captured"]
+                                ),
+                                fmodel,
+                                entry["code"],
                             ),
-                            fmodel,
-                            entry["code"],
+                            entry["bindings"],
+                            entry["cost"],
                         )
                     except (KeyError, NameError, TypeError, ValueError,
                             AttributeError, EOFError) as exc:
@@ -192,18 +230,16 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                         # — the healthy path regenerates.
                         counters.values["cache.disk.load_failures"] += 1
                         faults.note_swallowed("jit_materialize", exc)
-                        fn = None
-                if fn is not None:
+                if kernel is not None:
                     counters.values["compile.jit.disk"] += 1
-                    cache[wide] = fn
                     if sp is not None:
                         sp.args["event"] = "disk"
-                    return fn
+                    return kernel
                 artifact_cache.invalidate(disk_key)
+        program = ir.get_compiled(checked, fmodel)
         try:
             fn = generate(program, fmodel, wide)
         except JitUnsupported as exc:
-            rejected[wide] = str(exc)
             if disk_key is not None:
                 artifact_cache.put(
                     disk_key,
@@ -213,19 +249,20 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
             if sp is not None:
                 sp.args.update(event="fresh", unsupported=True)
             return None
+        kernel = JitKernel(fn, program.bindings(fmodel),
+                           static_cost(program))
         if disk_key is not None:
             counters.values["compile.jit.fresh"] += 1
-            entry = entry_bytes(fn)
+            entry = entry_bytes(kernel)
             if entry is not None:
                 artifact_cache.put(disk_key, entry, "jit")
         else:
             counters.values["compile.jit.uncached"] += 1
-        cache[wide] = fn
         if sp is not None:
             sp.args["event"] = (
                 "fresh" if disk_key is not None else "uncached"
             )
-        return fn
+        return kernel
 
 
 class JitExecutor(IRExecutor):
@@ -239,18 +276,17 @@ class JitExecutor(IRExecutor):
     ``draw.gather_fallbacks`` when one missed (a site inside a loop
     runs once per iteration but still counts once)."""
 
-    def execute(self, n: int, presets: Dict[str, Value]) -> Dict[str, Value]:
-        program = self.program
-        if program is None or program.checked is not self.checked:
-            program = get_compiled(self.checked, self.fmodel)
-            self.program = program
+    #: The kernel this draw runs (None: the draw runs on the IR
+    #: executor, which binds from the program).
+    kernel = None
 
+    def execute(self, n: int, presets: Dict[str, Value]) -> Dict[str, Value]:
         wide = frozenset(
             name for name, value in presets.items()
             if value.batch > 1
         )
-        fn = _jit_function(program, self.fmodel, wide)
-        if fn is None:
+        kernel = self.kernel = get_compiled(self.checked, self.fmodel, wide)
+        if kernel is None:
             counters.values["jit.fallbacks"] += 1
             return super().execute(n, presets)
 
@@ -260,7 +296,7 @@ class JitExecutor(IRExecutor):
 
         begin_draw()
         try:
-            discarded = fn(self.regs, n, self.max_loop_iterations)
+            discarded = kernel.fn(self.regs, n, self.max_loop_iterations)
         except (NameError, UnboundLocalError):
             # A cross-region CSE'd value whose defining branch did not
             # execute on this draw left a Python local unbound.  The
@@ -269,32 +305,34 @@ class JitExecutor(IRExecutor):
             # the IR executor instead (full re-setup included).  The
             # partial run's site outcomes are never counted.
             counters.values["jit.fallbacks"] += 1
+            self.kernel = None
             return super().execute(n, presets)
         count_sites(site_outcomes)
         if discarded is not None:
             self.discarded = self._broadcast_mask(discarded)
 
         if self.counters is not None:
-            self._charge_static(program, n)
+            self._charge_static(n)
         return self.globals_env
 
-    def _charge_static(self, program, n: int) -> None:
-        """Charge the static counter projection for a draw of ``n``
-        lanes (per-invocation cost plus the per-draw
+    def bindings(self):
+        kernel = self.kernel
+        if kernel is None:
+            return super().bindings()
+        return kernel.bindings
+
+    def _charge_static(self, n: int) -> None:
+        """Charge the kernel's static counter projection for a draw of
+        ``n`` lanes (per-invocation cost plus the per-draw
         global-initializer cost)."""
         if self.counters is None:
             return
-        totals_cache = getattr(program, "_static_totals", None)
-        if totals_cache is None:
-            totals_cache = program._static_totals = {}
-        totals = totals_cache.get(n)
+        kernel = self.kernel
+        totals = kernel.totals.get(n)
         if totals is None:
-            cost = getattr(program, "_static_cost", None)
-            if cost is None:
-                cost = program._static_cost = static_cost(program)
-            totals = totals_cache[n] = [
+            totals = kernel.totals[n] = [
                 (category, count)
-                for category, count in cost.totals(n).items()
+                for category, count in kernel.cost.totals(n).items()
                 if count
             ]
         for category, count in totals:

@@ -14,11 +14,12 @@ behaviour so existing imports and tests keep working.
 from __future__ import annotations
 
 from . import ast_nodes as ast
-from .ir.foldrules import fold_unit
 
 
 def optimize(unit: ast.TranslationUnit) -> ast.TranslationUnit:
     """Fold constants and prune static branches in place.
 
     Thin shim over :func:`repro.glsl.ir.foldrules.fold_unit`."""
+    from .ir.foldrules import fold_unit
+
     return fold_unit(unit)

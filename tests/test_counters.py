@@ -120,22 +120,22 @@ def test_jit_partial_run_reports_only_the_ir_rerun(monkeypatch,
     with faults.suppress():
         expected, healthy = _sum_draw()
     assert healthy.texture_gathers > 0
-    real = jit._jit_function
+    real = jit.get_compiled
     failed = []
 
-    def fails_after_gathering(program, fmodel, wide):
-        fn = real(program, fmodel, wide)
-        if fn is None or program.checked.stage != "fragment":
-            return fn
+    def fails_after_gathering(checked, fmodel, wide):
+        kernel = real(checked, fmodel, wide)
+        if kernel is None or checked.stage != "fragment":
+            return kernel
 
         def run(regs, n, maxit):
-            fn(regs, n, maxit)  # every gather site fires
+            kernel.fn(regs, n, maxit)  # every gather site fires
             failed.append(n)
             raise UnboundLocalError("cross-region local never bound")
 
-        return run
+        return jit.JitKernel(run, kernel.bindings, kernel.cost)
 
-    monkeypatch.setattr(jit, "_jit_function", fails_after_gathering)
+    monkeypatch.setattr(jit, "get_compiled", fails_after_gathering)
     before = counters.snapshot()
     with faults.suppress():
         got, draw = _sum_draw()

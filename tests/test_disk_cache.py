@@ -128,10 +128,13 @@ def test_warm_start_is_bit_identical_across_backends(tmp_path):
         assert warm["disk"]["hits"] > 0, backend
         # Second process must compile nothing fresh.
         assert warm["ir"]["fresh"] == 0, backend
-        assert warm["ir"]["disk"] > 0, backend
         if backend == "jit":
+            # A warm JIT draw runs from its JIT entry alone.
+            assert warm["ir"]["disk"] == 0
             assert warm["jit"]["fresh"] == 0
             assert warm["jit"]["disk"] > 0
+        else:
+            assert warm["ir"]["disk"] > 0
     # One output for every backend, cold or warm.
     assert len(digests) == 1
 
@@ -267,6 +270,151 @@ def test_unknown_builtin_key_is_a_counted_load_failure():
     assert counters.values["cache.disk.load_failures"] == before + 4
 
 
+# ----------------------------------------------------------------------
+# Warm start loads only what a warm run executes
+# ----------------------------------------------------------------------
+#: Modules only a cold compile (front end, fold rules, IR lowering and
+#: passes) or the oracle uses, and the ``numpy.ma`` import
+#: ``np.median`` costs.
+_COLD_ONLY_MODULES = (
+    "repro.glsl.parser", "repro.glsl.preprocessor", "repro.glsl.lexer",
+    "repro.glsl.printer", "repro.glsl.ir.lower",
+    "repro.glsl.ir.passes", "repro.glsl.ir.foldrules",
+    "repro.glsl.scalar_ref", "numpy.ma",
+)
+
+#: Child harness: launch the kernels of one ``set`` against the store
+#: in REPRO_CACHE_DIR and report their output bytes, the DrawStats of
+#: each launch, the compile counters and the cold-only modules loaded.
+_WARM_CHILD = r"""
+import hashlib, json, sys
+import repro
+import numpy as np
+from repro.core import GpgpuDevice
+from repro.kernels.elementwise import make_sum_kernel
+from repro.kernels.sgemm import make_sgemm_kernel
+from repro.perf import counters
+from repro.perf.counters import OpCounters
+
+dev = GpgpuDevice(float_model="videocore", shade_workers=0)
+x = np.linspace(-2.0, 2.0, 64, dtype=np.float32)
+y = np.linspace(0.0, 3.0, 64, dtype=np.float32)
+launches = []
+if sys.argv[1] == "paper":
+    k = make_sum_kernel(dev, "float32")
+    launches.append((k, {"a": dev.array(x), "b": dev.array(y)}, {}))
+    k = make_sgemm_kernel(dev, "float32", 8)
+    launches.append((k, {"a": dev.array(x), "b": dev.array(y),
+                         "c0": dev.array(x)},
+                     {"u_n": 8.0, "u_alpha": 1.0, "u_beta": 0.5}))
+else:
+    # Outside the JIT subset (a struct): the draw runs on the IR
+    # executor.
+    k = dev.kernel("structs", [("x", "float32")], "float32",
+                   "Pair p = Pair(x, u_a); result = p.a * p.b;",
+                   uniforms=[("u_a", "float")],
+                   preamble="struct Pair { float a; float b; };")
+    launches.append((k, {"x": dev.array(x)}, {"u_a": 0.75}))
+    # An initialiser that reads a uniform does not fold to a constant.
+    k = dev.kernel("scaled", [("x", "float32")], "float32",
+                   "result = x * g_scale;", uniforms=[("u_a", "float")],
+                   preamble="float g_scale = u_a * 2.0;")
+    launches.append((k, {"x": dev.array(x)}, {"u_a": 0.75}))
+runs = []
+for kernel, inputs, uniforms in launches:
+    before = counters.snapshot()
+    res = kernel(dev.empty(64, "float32"), inputs, uniforms).to_host()
+    draw = dev.ctx.stats.draws[-1]
+    runs.append({
+        "digest": hashlib.sha256(res.tobytes()).hexdigest(),
+        "draw": {name: value.snapshot() if isinstance(value, OpCounters)
+                 else value for name, value in vars(draw).items()},
+        "ir_disk": counters.delta(before).get("compile.ir.disk", 0),
+    })
+print(json.dumps({
+    "runs": runs,
+    "compile": {name: count for name, count in counters.values.items()
+                if name.startswith("compile.")},
+    "loaded": sorted(name for name in sys.argv[2].split(",")
+                     if name in sys.modules),
+}))
+"""
+
+
+def _run_warm_child(cache_dir, kernel_set):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR, REPRO_CACHE_DIR=str(cache_dir))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_CHILD, kernel_set,
+         ",".join(_COLD_ONLY_MODULES)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_warm_jit_draws_load_no_ir_and_no_compile_only_module(tmp_path):
+    cold = _run_warm_child(tmp_path / "store", "paper")
+    assert cold["compile"]["compile.jit.fresh"] > 0
+    assert "repro.glsl.parser" in cold["loaded"]
+    warm = _run_warm_child(tmp_path / "store", "paper")
+    assert warm["loaded"] == []
+    assert warm["compile"]["compile.ir.disk"] == 0
+    assert warm["compile"]["compile.ir.fresh"] == 0
+    assert warm["compile"]["compile.jit.disk"] > 0
+    assert warm["compile"]["compile.jit.fresh"] == 0
+    assert warm["runs"] == cold["runs"]
+
+
+def test_warm_fallback_and_unfolded_init_load_their_ir_lazily(tmp_path):
+    cold = _run_warm_child(tmp_path / "store", "fallbacks")
+    warm = _run_warm_child(tmp_path / "store", "fallbacks")
+    assert [run["digest"] for run in warm["runs"]] == \
+        [run["digest"] for run in cold["runs"]]
+    assert [run["draw"] for run in warm["runs"]] == \
+        [run["draw"] for run in cold["runs"]]
+    # Each kernel loads its fragment program once, counted; the rest
+    # of the launch binds from the JIT entry.
+    assert [run["ir_disk"] for run in warm["runs"]] == [1, 1]
+    assert warm["compile"]["compile.ir.fresh"] == 0
+    assert warm["compile"]["compile.jit.fresh"] == 0
+
+
+def test_v6_jit_entries_are_never_addressed(monkeypatch):
+    from repro.core import GpgpuDevice
+    from repro.gles2 import shader as shader_mod
+
+    x = np.linspace(-1, 1, 16).astype(np.float32)
+
+    def run_fresh_process_view():
+        monkeypatch.setattr(shader_mod, "_FRONTEND_CACHE", {})
+        dev = GpgpuDevice(execution_backend="jit")
+        kernel = dev.kernel("schema_probe", [("x", "float32")], "float32",
+                            "result = x * 3.0 - 1.0;")
+        out = dev.empty(16, "float32")
+        return kernel(out, {"x": dev.array(x, "float32")}).to_host()
+
+    monkeypatch.setattr(store, "SCHEMA_VERSION", 6)
+    expected = run_fresh_process_view()
+    v6_keys = {path.stem for path in store.iter_entries()}
+    monkeypatch.setattr(store, "SCHEMA_VERSION", 7)
+    before = counters.snapshot()
+    assert np.array_equal(run_fresh_process_view(), expected)
+    changed = counters.delta(before)
+    assert changed.get("compile.jit.fresh", 0) > 0
+    assert "compile.jit.disk" not in changed
+    assert not v6_keys & {path.stem for path in store.iter_entries()}
+    # A v6-shaped payload (no bindings or cost) under a v7 key is a
+    # miss, never a kernel.
+    for path in store.iter_entries():
+        header, payload = store._unpack(path.read_bytes())
+        if header["kind"] != "jit":
+            continue
+        entry = store.load_jit_entry(payload)
+        assert entry is not None and "bindings" in entry
+        old = {name: entry[name] for name in ("source", "captured", "code")}
+        assert store.load_jit_entry(store._dumps(old)) is None
+
+
 def test_warm_jit_execs_the_stored_code_object(monkeypatch):
     from repro.core import GpgpuDevice
     from repro.gles2 import shader as shader_mod
@@ -354,7 +502,6 @@ def test_every_codegen_knob_fragments_the_key():
 def test_in_memory_jit_key_covers_wide():
     from repro.gles2 import enums, shader as shader_mod
     from repro.glsl.interp import _ExactModel
-    from repro.glsl.jit import _jit_function
 
     obj = shader_mod.Shader(1, enums.GL_FRAGMENT_SHADER)
     obj.source = """
@@ -365,15 +512,15 @@ def test_in_memory_jit_key_covers_wide():
     obj.compile()
     assert obj.compiled, obj.info_log
     fmodel = _ExactModel()
-    program = ir_mod.get_compiled(obj.checked, fmodel)
-    fns = {
-        _jit_function(program, fmodel, frozenset()),
-        _jit_function(program, fmodel, frozenset({"u_a"})),
+    checked = obj.checked
+    kernels = {
+        jit_mod.get_compiled(checked, fmodel, frozenset()),
+        jit_mod.get_compiled(checked, fmodel, frozenset({"u_a"})),
     }
-    assert _jit_function(program, fmodel, frozenset()) in fns  # memoised
-    fns.discard(None)
-    assert len(fns) == 2  # the wide set fragments
-    assert len(program._jit_cache) == 2
+    assert jit_mod.get_compiled(checked, fmodel, frozenset()) in kernels
+    kernels.discard(None)
+    assert len(kernels) == 2  # the wide set fragments
+    assert len(checked._jit_cache) == 2
 
 
 def test_execution_knobs_do_not_fragment_the_key(tmp_path):

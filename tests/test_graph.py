@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro import GpgpuDevice, GpgpuError
-from repro.core.api.graph import LaunchGraph, ScratchArray
 from repro.core.codegen.fuse import (
     FusedStage,
     compose_chain,

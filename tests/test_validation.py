@@ -49,6 +49,13 @@ class TestMantissaAgreement:
         bits = mantissa_agreement_bits(np.array([0.0]), np.array([1.0]))
         assert bits[0] == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("reference", [1.0, -3.5, 0.0])
+    def test_nonfinite_measurement_agrees_in_no_bits(self, reference, bad):
+        bits = mantissa_agreement_bits(np.array([reference]),
+                                       np.array([bad]))
+        assert bits[0] == 0.0
+
     def test_truncation_agreement_matches_kept_bits(self):
         rng = np.random.default_rng(4)
         ref = (rng.standard_normal(1000) * 100).astype(np.float32)
@@ -73,6 +80,22 @@ class TestPrecisionReport:
         measured = ref * (1 + 2.0**-10)
         report = precision_report(ref, measured)
         assert not report.meets_paper_band()
+
+    def test_all_nan_output_fails_the_band(self):
+        report = precision_report(np.ones(8), np.full(8, np.nan))
+        assert report.median_bits == 0.0
+        assert report.fraction_ge_15 == 0.0
+        assert not report.meets_paper_band()
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 101])
+    def test_median_equals_numpy_median(self, size):
+        rng = np.random.default_rng(size)
+        ref = rng.standard_normal(size) + 2.0
+        measured = ref * (1 + rng.uniform(-2.0**-12, 2.0**-12, size))
+        bits = mantissa_agreement_bits(ref, measured)
+        report = precision_report(ref, measured)
+        assert np.float64(report.median_bits).tobytes() == \
+            np.float64(np.median(bits)).tobytes()
 
     def test_str_rendering(self):
         ref = np.array([1.0])
