@@ -18,7 +18,7 @@ the CheckedShader).
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_glsl_exec.json] [--baseline [ROW=]REV]
+    PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_glsl_exec.json] [--baseline [ROW=]REV] [--only ROW]
 """
 
 from __future__ import annotations
@@ -517,7 +517,7 @@ def bench_publish(baseline=None):
 
 WARM_START_REPS = 10
 #: Rows with a 'before' column timed on a git baseline.
-BEFORE_AFTER_ROWS = ("cache_publish_6k", "warm_start")
+BEFORE_AFTER_ROWS = ("cache_publish_6k", "warm_start", "cold_compile")
 
 #: Child process for the warm_start row: import the report module and
 #: regenerate EXPERIMENTS.md into argv[1] against the store in
@@ -602,6 +602,160 @@ def bench_warm_start(baseline=None, reps=WARM_START_REPS):
     return stats
 
 
+COLD_COMPILE_REPS = 7
+#: The compile-path trace spans whose self time the cold_compile row
+#: records.
+COLD_COMPILE_SPANS = ("compile.shader", "compile.ir", "compile.jit")
+
+#: Child process for the cold_compile row: build and first-launch one
+#: never-seen kernel of each ledger ``first_launch`` family on the JIT
+#: against the empty store in REPRO_CACHE_DIR, traced.  Pass rounds are
+#: counted as calls of ``passes.dce``, the last pass of every round,
+#: which counts the same way on trees that predate the
+#: ``compile.ir.pass_rounds`` counter.
+_COLD_COMPILE_CHILD = r"""
+import hashlib, json, time
+import numpy as np
+from repro.core.api.device import GpgpuDevice
+from repro.glsl.ir import passes
+from repro.kernels import (convolve1d, inclusive_scan, make_sgemm_kernel,
+                           reduce_sum, sort_host_array)
+from repro.perf import counters, trace
+from repro.workloads.kmeans import kmeans_assign_gpu
+
+rounds = [0]
+dce = passes.dce
+def counting_dce(program):
+    rounds[0] += 1
+    return dce(program)
+passes.dce = counting_dce
+
+rng = np.random.default_rng(3)
+x = rng.uniform(-1, 1, 256).astype(np.float32)
+ints = rng.integers(-1000, 1000, 256).astype(np.int32)
+bytes_ = rng.integers(0, 256, 256).astype(np.uint8)
+mats = [rng.uniform(-1, 1, 64).astype(np.float32) for _ in range(3)]
+
+def launch_map(dev, fmt, host, body):
+    kernel = dev.kernel("cold_map", [("a", fmt)], fmt, body)
+    out = dev.empty(host.size, fmt)
+    return kernel(out, {"a": dev.array(host, fmt)}).to_host()
+
+def launch_sgemm(dev):
+    kernel = make_sgemm_kernel(dev, "float32", 8)
+    arrays = {name: dev.array(m, "float32")
+              for name, m in zip(("a", "b", "c0"), mats)}
+    out = dev.empty(64, "float32")
+    return kernel(out, arrays, {"u_n": 8.0, "u_alpha": 1.0,
+                                "u_beta": 0.5}).to_host()
+
+families = [
+    lambda d: launch_map(d, "float32", x, "result = a * 3.0 + 12.5;"),
+    lambda d: launch_map(d, "int32", ints, "result = a * 3.0 + 417.0;"),
+    lambda d: launch_map(d, "uint8", bytes_,
+                         "result = mod(a + 77.0, 256.0);"),
+    launch_sgemm,
+    lambda d: kmeans_assign_gpu(d, x[:64].reshape(32, 2),
+                                x[64:70].reshape(3, 2)),
+    lambda d: convolve1d(d, d.array(x, "float32"),
+                         np.linspace(0.1, 0.5, 5)).to_host(),
+    lambda d: sort_host_array(d, x[:64].copy()),
+    lambda d: np.asarray([reduce_sum(d, d.array(x, "float32"))]),
+    lambda d: inclusive_scan(d, d.array(ints, "int32")).to_host(),
+]
+
+recorder = trace.start()
+t0 = time.perf_counter()
+dev = GpgpuDevice(float_model="ieee32", execution_backend="jit",
+                  shade_workers=0)
+outputs = [np.asarray(run(dev)) for run in families]
+wall_ms = (time.perf_counter() - t0) * 1e3
+trace.stop(write=False)
+
+# Self time per span name: a span's duration less its direct children's.
+self_us = {}
+stack = []
+def close(entry):
+    __, name, dur, children = entry
+    self_us[name] = self_us.get(name, 0.0) + dur - children
+for event in sorted((e for e in recorder.events if e["ph"] == "X"),
+                    key=lambda e: (e["ts"], -e["dur"])):
+    while stack and stack[-1][0] <= event["ts"]:
+        close(stack.pop())
+    if stack:
+        stack[-1][3] += event["dur"]
+    stack.append([event["ts"] + event["dur"], event["name"],
+                  event["dur"], 0.0])
+while stack:
+    close(stack.pop())
+
+digest = hashlib.sha256()
+for out in outputs:
+    digest.update(out.tobytes())
+print(json.dumps({
+    "wall_ms": wall_ms,
+    "self_ms": {name: us / 1e3 for name, us in self_us.items()},
+    "pass_rounds": rounds[0],
+    "ir_fresh": counters.values["compile.ir.fresh"],
+    "digest": digest.hexdigest(),
+}))
+"""
+
+
+def _cold_compile_child(src_dir):
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(src_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cold-") as store:
+        env["REPRO_CACHE_DIR"] = store
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_COMPILE_CHILD],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+    if proc.returncode != 0:
+        raise SystemExit(f"cold_compile: child failed\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def bench_cold_compile(baseline=None, reps=COLD_COMPILE_REPS):
+    """Cold compile of the ledger's ``first_launch`` kernel families: in
+    each of ``reps`` fresh interpreters on an empty artifact store,
+    build and first-launch one kernel per family, and record the wall
+    ms, the self ms of the compile spans (front end, IR, JIT) and the
+    IR pass rounds per fresh IR compile.  ``after`` runs this checkout;
+    with ``baseline`` (a git revision) ``before`` runs that revision's
+    ``src/``, interleaved run for run with ``after``."""
+    with contextlib.ExitStack() as stack:
+        trees = {"after": ROOT / "src"}
+        if baseline is not None:
+            trees["before"] = stack.enter_context(_revision_src(baseline))
+        runs = {column: [] for column in trees}
+        for __ in range(reps):
+            for column, src in trees.items():
+                runs[column].append(_cold_compile_child(src))
+    digests = {run["digest"] for column in runs.values() for run in column}
+    if len(digests) != 1:
+        raise SystemExit(
+            "cold_compile: kernel outputs differ between runs or trees"
+        )
+    stats = {}
+    for column, column_runs in runs.items():
+        row = {"wall_ms": _summary([r["wall_ms"] for r in column_runs])}
+        for name in COLD_COMPILE_SPANS:
+            row[f"{name}.self_ms"] = _summary(
+                [r["self_ms"].get(name, 0.0) for r in column_runs])
+        last = column_runs[-1]
+        row["ir_fresh"] = last["ir_fresh"]
+        row["pass_rounds_per_compile"] = round(
+            last["pass_rounds"] / max(last["ir_fresh"], 1), 3)
+        row["reps"] = reps
+        row["correct"] = True
+        stats[column] = row
+    if baseline is not None:
+        stats["before_rev"] = baseline
+    return stats
+
+
 def _recorded_baselines(path):
     """``row -> before_rev`` of the before/after rows already recorded
     in the report at ``path`` (empty when there is none)."""
@@ -630,6 +784,115 @@ def _baselines(args):
     return baselines
 
 
+#: The kernel rows, timed in-process: name -> (bench, size, timed
+#: columns).
+KERNEL_ROWS = {
+    "sum_int32": (bench_sum, SUM_N, BACKENDS),
+    "sgemm_float32": (bench_sgemm, SGEMM_N, BACKENDS),
+    # sgemm-16 carries a jit+workers column too: its 256 fragments
+    # are below the pool floor, so the column shows what workers
+    # cost a draw that stays in-process.
+    "sgemm_float32_16": (
+        lambda: bench_sgemm(SGEMM_N_LARGE, include_workers=True),
+        SGEMM_N_LARGE, BACKENDS + ("jit+workers",)),
+    # sgemm-128 is the workload the worker pool targets: 16384
+    # fragments with a 128-iteration loop each, where fragment
+    # shading is ~98% of the launch.  IR is skipped (minutes per
+    # rep); the draw splits across the workers by default.
+    "sgemm_float32_128": (
+        lambda: bench_sgemm(SGEMM_N_XL, backends=("jit",),
+                            include_workers=True,
+                            reps=XL_REPS, warmup=XL_WARMUP),
+        SGEMM_N_XL, ("jit", "jit+workers")),
+    # Deferred launch graph vs eager on the multi-pass map chain:
+    # replay must fuse the chain into one draw and match eager
+    # bit for bit (both asserted); the speed ratio is only timed.
+    "map_chain_float32": (bench_graph, GRAPH_CHAIN_N, ("eager", "graph")),
+    # Persistent artifact store: kernel build + first launch in a
+    # fresh process, cold (empty REPRO_CACHE_DIR) vs warm
+    # (populated).  Asserts disk hits, zero fresh compiles, and
+    # the minimum warm speedup — not just timed.
+    "first_launch_sgemm_float32": (bench_cold_warm, SGEMM_N,
+                                   ("cold", "warm")),
+}
+
+#: Every row, in report order.
+ROWS = tuple(KERNEL_ROWS) + BEFORE_AFTER_ROWS
+
+
+def _kernel_row(name):
+    fn, size, timed = KERNEL_ROWS[name]
+    per_backend = fn()
+    for backend in timed:
+        print(
+            f"{name} [{backend}] median {per_backend[backend]['median_ms']:.3f} ms"
+            f"  min {per_backend[backend]['min_ms']:.3f} ms"
+        )
+    for slow, fast, key in (
+        ("ir", "jit", "speedup_jit_over_ir"),
+        ("jit", "jit+workers", "speedup_workers_over_jit"),
+        ("eager", "graph", "speedup_graph_over_eager"),
+        ("cold", "warm", "speedup_warm_over_cold"),
+    ):
+        if slow in per_backend and fast in per_backend:
+            ratio = (per_backend[slow]["median_ms"]
+                     / per_backend[fast]["median_ms"])
+            per_backend[key] = round(ratio, 3)
+            print(f"{name} speedup ({slow}/{fast}): {ratio:.3f}x")
+    per_backend["size"] = size
+    return per_backend
+
+
+def _publish_row(baseline):
+    publish = bench_publish(baseline)
+    for column in ("before", "after"):
+        for entries, row in publish.get(column, {}).items():
+            print(
+                f"cache_publish_6k [{column}, {entries} entries] median "
+                f"{row['median_ms']:.3f} ms  min {row['min_ms']:.3f} ms"
+            )
+    return publish
+
+
+def _warm_start_row(baseline):
+    warm = bench_warm_start(baseline)
+    for column in ("before", "after"):
+        if column in warm:
+            row = warm[column]
+            print(
+                f"warm_start [{column}] import median "
+                f"{row['import_ms']['median']:.1f} ms, main median "
+                f"{row['main_ms']['median']:.1f} ms, IR disk loads "
+                f"{row['ir_disk_loads']['median']:g}"
+            )
+    return warm
+
+
+def _cold_compile_row(baseline):
+    cold = bench_cold_compile(baseline)
+    for column in ("before", "after"):
+        if column in cold:
+            row = cold[column]
+            spans = ", ".join(
+                f"{name} {row[f'{name}.self_ms']['median']:.1f}"
+                for name in COLD_COMPILE_SPANS
+            )
+            print(
+                f"cold_compile [{column}] wall median "
+                f"{row['wall_ms']['median']:.1f} ms; self ms {spans}; "
+                f"{row['pass_rounds_per_compile']:g} pass rounds per "
+                "IR compile"
+            )
+    return cold
+
+
+BEFORE_AFTER_BENCHES = {
+    "cache_publish_6k": _publish_row,
+    "warm_start": _warm_start_row,
+    "cold_compile": _cold_compile_row,
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -644,9 +907,20 @@ def main(argv=None):
         "REV, or only ROW's with ROW=REV (repeatable); without it each "
         "row reuses the revision recorded in --out",
     )
+    parser.add_argument(
+        "--only", metavar="ROW", action="append", choices=ROWS,
+        help="record only ROW (repeatable), keeping every other row "
+        "as --out has it",
+    )
     args = parser.parse_args(argv)
     baselines = _baselines(args)
 
+    workloads = {}
+    if args.only:
+        try:
+            workloads = json.loads(Path(args.out).read_text())["workloads"]
+        except (OSError, ValueError, KeyError):
+            workloads = {}
     report = {
         "description": (
             "repeated-launch wall clock, linear IR executor vs "
@@ -664,7 +938,12 @@ def main(argv=None):
             "('before', --baseline); warm_start times importing "
             "repro.experiments.report and its main (E1-E10) in fresh "
             "interpreters against a warm store, with the IR programs "
-            "each run loaded, after and before"
+            "each run loaded, after and before; cold_compile times "
+            "building and first-launching one kernel of each ledger "
+            "first_launch family on an empty store in fresh "
+            "interpreters, with the self ms of the compile.shader, "
+            "compile.ir and compile.jit spans and the IR pass rounds "
+            "per compile, after and before"
         ),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -672,93 +951,24 @@ def main(argv=None):
         # actually available: on a single-core host they measure pure
         # dispatch overhead, not parallel shading.
         "cpu_count": os.cpu_count(),
-        "workloads": {},
+        "workloads": workloads,
     }
-    for name, fn, size, timed in (
-        ("sum_int32", bench_sum, SUM_N, BACKENDS),
-        ("sgemm_float32", bench_sgemm, SGEMM_N, BACKENDS),
-        # sgemm-16 carries a jit+workers column too: its 256 fragments
-        # are below the pool floor, so the column shows what workers
-        # cost a draw that stays in-process.
-        ("sgemm_float32_16",
-         lambda: bench_sgemm(SGEMM_N_LARGE, include_workers=True),
-         SGEMM_N_LARGE, BACKENDS + ("jit+workers",)),
-        # sgemm-128 is the workload the worker pool targets: 16384
-        # fragments with a 128-iteration loop each, where fragment
-        # shading is ~98% of the launch.  IR is skipped (minutes per
-        # rep); the draw splits across the workers by default.
-        ("sgemm_float32_128",
-         lambda: bench_sgemm(SGEMM_N_XL, backends=("jit",),
-                             include_workers=True,
-                             reps=XL_REPS, warmup=XL_WARMUP),
-         SGEMM_N_XL, ("jit", "jit+workers")),
-        # Deferred launch graph vs eager on the multi-pass map chain:
-        # replay must fuse the chain into one draw and match eager
-        # bit for bit (both asserted); the speed ratio is only timed.
-        ("map_chain_float32", bench_graph, GRAPH_CHAIN_N,
-         ("eager", "graph")),
-        # Persistent artifact store: kernel build + first launch in a
-        # fresh process, cold (empty REPRO_CACHE_DIR) vs warm
-        # (populated).  Asserts disk hits, zero fresh compiles, and
-        # the minimum warm speedup — not just timed.
-        ("first_launch_sgemm_float32", bench_cold_warm, SGEMM_N,
-         ("cold", "warm")),
-    ):
-        per_backend = fn()
-        for backend in timed:
-            print(
-                f"{name} [{backend}] median {per_backend[backend]['median_ms']:.3f} ms"
-                f"  min {per_backend[backend]['min_ms']:.3f} ms"
-            )
-        if "ir" in per_backend:
-            ratio = (per_backend["ir"]["median_ms"]
-                     / per_backend["jit"]["median_ms"])
-            per_backend["speedup_jit_over_ir"] = round(ratio, 3)
-            print(f"{name} speedup (ir/jit): {ratio:.3f}x")
-        if "jit+workers" in per_backend:
-            ratio = (per_backend["jit"]["median_ms"]
-                     / per_backend["jit+workers"]["median_ms"])
-            per_backend["speedup_workers_over_jit"] = round(ratio, 3)
-            print(f"{name} speedup (jit/jit+workers): {ratio:.3f}x")
-        if "eager" in per_backend and "graph" in per_backend:
-            ratio = (per_backend["eager"]["median_ms"]
-                     / per_backend["graph"]["median_ms"])
-            per_backend["speedup_graph_over_eager"] = round(ratio, 3)
-            print(f"{name} speedup (eager/graph): {ratio:.3f}x")
-        if "cold" in per_backend and "warm" in per_backend:
-            ratio = (per_backend["cold"]["median_ms"]
-                     / per_backend["warm"]["median_ms"])
-            per_backend["speedup_warm_over_cold"] = round(ratio, 3)
-            print(f"{name} speedup (cold/warm): {ratio:.3f}x")
-        per_backend["size"] = size
-        report["workloads"][name] = per_backend
-
-    publish = bench_publish(baselines.get("cache_publish_6k"))
-    for column in ("before", "after"):
-        for entries, row in publish.get(column, {}).items():
-            print(
-                f"cache_publish_6k [{column}, {entries} entries] median "
-                f"{row['median_ms']:.3f} ms  min {row['min_ms']:.3f} ms"
-            )
-    report["workloads"]["cache_publish_6k"] = publish
-
-    warm = bench_warm_start(baselines.get("warm_start"))
-    for column in ("before", "after"):
-        if column in warm:
-            row = warm[column]
-            print(
-                f"warm_start [{column}] import median "
-                f"{row['import_ms']['median']:.1f} ms, main median "
-                f"{row['main_ms']['median']:.1f} ms, IR disk loads "
-                f"{row['ir_disk_loads']['median']:g}"
-            )
-    report["workloads"]["warm_start"] = warm
+    selected = args.only or ROWS
+    for name in ROWS:
+        if name not in selected:
+            continue
+        if name in KERNEL_ROWS:
+            workloads[name] = _kernel_row(name)
+        else:
+            workloads[name] = BEFORE_AFTER_BENCHES[name](baselines.get(name))
 
     # The gather fast path must actually engage on the kernel
     # workloads: a silent loss (e.g. a codegen-template rephrase that
     # breaks the IR annotation match) fails the bench run itself.
     for wname in ("sum_int32", "sgemm_float32", "sgemm_float32_128"):
-        jit_stats = report["workloads"][wname]["jit"]
+        if wname not in selected:
+            continue
+        jit_stats = workloads[wname]["jit"]
         if jit_stats.get("texture_gathers", 0) <= 0:
             raise SystemExit(
                 f"{wname}: JIT draw reported no texture gathers — the "
@@ -773,6 +983,8 @@ def main(argv=None):
     from repro.gles2 import parallel
 
     parallel.shutdown_pool()
+    report["workloads"] = {name: workloads[name] for name in ROWS
+                           if name in workloads}
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     return report

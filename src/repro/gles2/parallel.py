@@ -281,7 +281,7 @@ def shade_draw(
     from ..glsl.interp import Interpreter
     from ..glsl.jit import JitExecutor
     from ..glsl.jit import get_compiled as get_kernel
-    from ..glsl.jit.codegen import count_sites
+    from ..glsl.jit.runtime import count_sites
 
     if not isinstance(fs_interp, JitExecutor):
         return None
@@ -613,7 +613,7 @@ def _shade_chunk(plan, wide_regs, count):
     would present), ``worker_hang`` sleeps past the leader's per-draw
     deadline, and ``worker_garble`` swaps the colour result for
     garbage to exercise the leader's chunk validation."""
-    from ..glsl.jit.codegen import begin_draw, site_outcomes
+    from ..glsl.jit.runtime import begin_draw, site_outcomes
     from ..testing import faults
 
     faults.install_encoded(plan.get("faults"))

@@ -64,7 +64,7 @@ category in ``FetchSite.categories`` (the divide's ``alu``, the
 generated code runs plain model-dtype numpy, and the byte decode is
 exact (:func:`repro.glsl.jit.codegen.decode_exact`).  Per storage
 (the JIT, memoised per (dtype, W, H)):
-:func:`repro.glsl.jit.codegen.flat_index_exact` evaluates the
+:func:`repro.glsl.jit.runtime.flat_index_exact` evaluates the
 generated code's own ``mod(i, W)`` and ``floor(i / W)`` for every
 ``i < W*H`` and finds ``(i % W, i // W)``.  At run time ``idx`` must
 then be integral and in ``[0, W*H)``; with the ``gather`` proof above

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+from ...perf import counters
 from ..errors import GlslError
 from ..values import Value
 from .nodes import (
@@ -847,14 +848,17 @@ def _forward_rewrite(block: Block, state: Dict) -> None:
     for item in block.items:
         if isinstance(item, Instr):
             state["pos"] += 1
-            if item.args:
+            if item.args and fwd:
                 if item.op in ("store", "incdec"):
                     # args[0] is the l-value root; only value/index
                     # operands follow the data flow.
-                    item.args = item.args[:1] + tuple(
+                    args = item.args[:1] + tuple(
                         fwd.get(a, a) for a in item.args[1:])
                 else:
-                    item.args = tuple(fwd.get(a, a) for a in item.args)
+                    args = tuple(fwd.get(a, a) for a in item.args)
+                if args != item.args:
+                    item.args = args
+                    state["changed"] = True
             if item.op == "store":
                 entry = eligible.get(item.args[0])
                 if entry is not None and entry[0] == state["pos"]:
@@ -863,8 +867,9 @@ def _forward_rewrite(block: Block, state: Dict) -> None:
             for attr in ("cond", "left", "right", "true_reg",
                          "false_reg"):
                 reg = getattr(item, attr, None)
-                if reg is not None and reg in fwd:
+                if reg is not None and fwd.get(reg, reg) != reg:
                     setattr(item, attr, fwd[reg])
+                    state["changed"] = True
             for sub in _region_blocks(item):
                 _forward_rewrite(sub, state)
 
@@ -877,7 +882,8 @@ def forward_stores(program: CompiledProgram) -> bool:
     the data of ``r`` (the top-level mask diverges from full only on
     kill-channel lanes, whose values are unobservable), so those reads
     can use ``r`` directly; DCE then retires the dead declaration and
-    store for non-pinned variables.
+    store for non-pinned variables.  Reports a change only when some
+    operand or region register was rewritten.
     """
     changed = False
     units = [plan.init_block for plan in program.globals_plan
@@ -891,9 +897,10 @@ def forward_stores(program: CompiledProgram) -> bool:
                 eligible[root] = (pos, ins.args[1])
         if not eligible:
             continue
-        state = {"pos": 0, "fwd": {}, "eligible": eligible}
+        state = {"pos": 0, "fwd": {}, "eligible": eligible,
+                 "changed": False}
         _forward_rewrite(unit, state)
-        changed |= bool(state["fwd"])
+        changed |= state["changed"]
     return changed
 
 
@@ -1257,8 +1264,11 @@ def compact_pool(program: CompiledProgram) -> None:
 
 
 def run_passes(program: CompiledProgram, fmodel) -> CompiledProgram:
-    """Run the full pass pipeline to a fixpoint (bounded)."""
+    """Run the full pass pipeline to a fixpoint: until a round in
+    which no pass reports a change, at most 4 rounds.  Each round run
+    counts in ``compile.ir.pass_rounds``."""
     for _ in range(4):
+        counters.values["compile.ir.pass_rounds"] += 1
         changed = _FoldPass(program, fmodel).run()
         changed |= flatten_return_ladders(program)
         changed |= elide_frames(program)

@@ -7,6 +7,10 @@ Python function, materialised with ``compile()``/``exec``.  Steady-state
 kernel relaunches then run **zero interpreter instructions** — one
 function call per shader stage per draw, all the work inside numpy.
 
+:mod:`.runtime` holds what a generated function runs with (its helper
+namespace and the per-draw fused-read state); the generator imports
+only on a miss, so a warm process never loads it.
+
 :mod:`.uniform` supplies the uniform-lane inference that keeps
 registers depending only on uniforms/constants at batch width 1, so
 per-draw quantities are computed once instead of once per fragment.
@@ -45,15 +49,7 @@ from ..interp import Interpreter
 from ..values import Value
 from ..ir import static_cost
 from ..ir.executor import IRExecutor
-from .codegen import (
-    JitUnsupported,
-    begin_draw,
-    count_sites,
-    generate,
-    make_helpers,
-    site_outcomes,
-)
-from .uniform import UniformInfo, infer_uniform
+from .runtime import begin_draw, count_sites, make_helpers, site_outcomes
 
 __all__ = [
     "JitExecutor",
@@ -74,12 +70,33 @@ __all__ = [
 codegen_events = counters.View("compile.jit.")
 
 
+#: Names served on first use (PEP 562): the generator and its
+#: uniform-lane inference run only on a JIT miss, so a warm start never
+#: imports them.
+_LAZY = {"JitUnsupported": "codegen", "UniformInfo": "uniform",
+         "infer_uniform": "uniform"}
+
+
 def __getattr__(name):
     # ``jit_fallbacks``: the ``jit.fallbacks`` counter, read-only, for
     # the benchmark ledger.
     if name == "jit_fallbacks":
         return counters.values["jit.fallbacks"]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def generate(program, fmodel, wide: FrozenSet[str]):
+    """:func:`.codegen.generate`, imported on the first JIT miss: a
+    process whose kernels all load from the artifact store never
+    imports the generator."""
+    from .codegen import generate as run
+
+    return run(program, fmodel, wide)
 
 
 def materialize(source: str, captured: Dict[str, object], fmodel,
@@ -237,6 +254,8 @@ def _load_or_generate(checked, fmodel, wide: FrozenSet[str]):
                     return kernel
                 artifact_cache.invalidate(disk_key)
         program = ir.get_compiled(checked, fmodel)
+        from .codegen import JitUnsupported
+
         try:
             fn = generate(program, fmodel, wide)
         except JitUnsupported as exc:

@@ -9,8 +9,7 @@ produce driver-style info logs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 from .errors import GlslSyntaxError
 
@@ -69,24 +68,39 @@ OPERATORS = [
     "<", ">", "=", "!", "&", "|", "^", "~",
 ]
 
-_FLOAT_RE = re.compile(
+#: Comments: a line comment up to its newline, a block comment, or an
+#: unclosed ``/*`` (the last alternative, an error).
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/|/\*", re.DOTALL)
+
+#: One token (or whitespace run) per match, alternatives in priority
+#: order: whitespace, identifier/keyword, float, int (hex | octal |
+#: decimal), operators longest first, then any other character (an
+#: error).  ``09`` therefore lexes as the octal ``0`` then ``9``.  A
+#: token's group is named after its :class:`TokenType`.
+_TOKEN_RE = re.compile(
     r"""
-    (?:
-        \d+\.\d*(?:[eE][+-]?\d+)?   # 1. , 1.5 , 1.5e3
-      | \.\d+(?:[eE][+-]?\d+)?     # .5 , .5e-2
-      | \d+[eE][+-]?\d+            # 1e3
+    (?P<space>[ \t\r\f\v\n]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<floatconst>
+        \d+\.\d*(?:[eE][+-]?\d+)?    # 1. , 1.5 , 1.5e3
+      | \.\d+(?:[eE][+-]?\d+)?      # .5 , .5e-2
+      | \d+[eE][+-]?\d+             # 1e3
     )
+  | (?P<intconst>0[xX][0-9a-fA-F]+|0[0-7]*|\d+)
+  | (?P<op>"""
+    + "|".join(re.escape(op) for op in OPERATORS)
+    + r""")
+  | (?P<other>.)
     """,
     re.VERBOSE,
 )
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
-_OCT_RE = re.compile(r"0[0-7]*")
-_DEC_RE = re.compile(r"\d+")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: Token type of every keyword (``true``/``false`` are constants).
+_WORD_TYPES = dict.fromkeys(KEYWORDS, TokenType.KEYWORD)
+_WORD_TYPES.update(dict.fromkeys(("true", "false"), TokenType.BOOLCONST))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position."""
 
     type: str
@@ -98,6 +112,17 @@ class Token:
         return f"Token({self.type}, {self.value!r}, {self.line}:{self.column})"
 
 
+def _comment_space(match) -> str:
+    text = match.group()
+    if text == "/*":
+        source = match.string
+        raise GlslSyntaxError(
+            "unterminated block comment",
+            line=source.count("\n", 0, match.start()) + 1,
+        )
+    return " " + "\n" * text.count("\n")
+
+
 def strip_comments(source: str) -> str:
     """Replace comments with whitespace, preserving line structure.
 
@@ -105,111 +130,47 @@ def strip_comments(source: str) -> str:
     everything else inside a comment becomes a single space (spec:
     comments are replaced by one space).
     """
-    out: List[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        nxt = source[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            j = source.find("\n", i)
-            if j == -1:
-                j = n
-            out.append(" ")
-            i = j
-        elif ch == "/" and nxt == "*":
-            j = source.find("*/", i + 2)
-            if j == -1:
-                raise GlslSyntaxError(
-                    "unterminated block comment",
-                    line=source.count("\n", 0, i) + 1,
-                )
-            body = source[i : j + 2]
-            out.append(" " + "\n" * body.count("\n"))
-            i = j + 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_comment_space, source)
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenise GLSL source into a token list ending with an EOF token."""
-    return list(_scan(strip_comments(source)))
-
-
-def _scan(text: str) -> Iterator[Token]:
+    tokens: List[Token] = []
+    append = tokens.append
+    # ``Token(...)`` without the generated ``__new__``'s extra call.
+    new = tuple.__new__
     line = 1
     line_start = 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
+    for m in _TOKEN_RE.finditer(strip_comments(source)):
+        kind = m.lastgroup
+        if kind == "space":
+            text = m.group()
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                line_start = m.start() + text.rindex("\n") + 1
             continue
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        col = i - line_start + 1
-
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            if word in ("true", "false"):
-                yield Token(TokenType.BOOLCONST, word, line, col)
-            elif word in KEYWORDS:
-                yield Token(TokenType.KEYWORD, word, line, col)
-            elif word in RESERVED:
-                raise GlslSyntaxError(
-                    f"'{word}' is a reserved word", line=line, column=col
+        start = m.start()
+        value = m.group()
+        if kind == TokenType.IDENT:
+            kind = _WORD_TYPES.get(value, kind)
+            if kind == TokenType.IDENT and (value in RESERVED or "__" in value):
+                message = (
+                    f"'{value}' is a reserved word" if value in RESERVED
+                    else f"identifier '{value}' contains a double "
+                    "underscore (reserved)"
                 )
-            elif "__" in word:
                 raise GlslSyntaxError(
-                    f"identifier '{word}' contains a double underscore "
-                    "(reserved)",
-                    line=line,
-                    column=col,
+                    message, line=line, column=start - line_start + 1
                 )
-            else:
-                yield Token(TokenType.IDENT, word, line, col)
-            i = m.end()
-            continue
-
-        m = _FLOAT_RE.match(text, i)
-        if m:
-            yield Token(TokenType.FLOATCONST, m.group(), line, col)
-            i = m.end()
-            continue
-
-        m = _HEX_RE.match(text, i)
-        if m:
-            yield Token(TokenType.INTCONST, m.group(), line, col)
-            i = m.end()
-            continue
-
-        if ch == "0":
-            m = _OCT_RE.match(text, i)
-            yield Token(TokenType.INTCONST, m.group(), line, col)
-            i = m.end()
-            continue
-
-        m = _DEC_RE.match(text, i)
-        if m:
-            yield Token(TokenType.INTCONST, m.group(), line, col)
-            i = m.end()
-            continue
-
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                yield Token(TokenType.OP, op, line, col)
-                i += len(op)
-                break
-        else:
+        elif kind == "other":
             raise GlslSyntaxError(
-                f"unexpected character {ch!r}", line=line, column=col
+                f"unexpected character {value!r}",
+                line=line, column=start - line_start + 1,
             )
-    yield Token(TokenType.EOF, "", line, 1)
+        append(new(Token, (kind, value, line, start - line_start + 1)))
+    append(Token(TokenType.EOF, "", line, 1))
+    return tokens
 
 
 def int_literal_value(text: str) -> int:

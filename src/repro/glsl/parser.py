@@ -1,4 +1,5 @@
-"""Recursive-descent parser for GLSL ES 1.00.
+"""Recursive-descent parser for GLSL ES 1.00, with binary operators
+parsed by precedence climbing over the spec §5.1 levels.
 
 Builds the AST defined in :mod:`repro.glsl.ast_nodes`.  The parser is
 purely syntactic except for one classic C-family necessity: it tracks
@@ -44,8 +45,11 @@ class Parser:
     # Cursor helpers
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # The cursor never passes the EOF token, so only a lookahead
+        # needs clamping.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -54,15 +58,15 @@ class Parser:
         return tok
 
     def check(self, type_: str, value: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.type == type_ and (value is None or tok.value == value)
 
     def check_op(self, *values: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.type == TokenType.OP and tok.value in values
 
     def check_kw(self, *values: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.type == TokenType.KEYWORD and tok.value in values
 
     def match_op(self, *values: str) -> Optional[Token]:
@@ -306,44 +310,46 @@ class Parser:
         return block
 
     def parse_statement(self) -> ast.Stmt:
-        tok = self.peek()
-        if self.check_op("{"):
-            return self.parse_compound_stmt()
-        if self.check_kw("if"):
-            return self.parse_if()
-        if self.check_kw("for"):
-            return self.parse_for()
-        if self.check_kw("while"):
-            return self.parse_while()
-        if self.check_kw("do"):
-            return self.parse_do_while()
-        if self.check_kw("return"):
-            self.advance()
-            value = None
-            if not self.check_op(";"):
-                value = self.parse_expression()
-            self.expect_op(";")
-            return ast.ReturnStmt(value=value, line=tok.line)
-        if self.check_kw("break"):
-            self.advance()
-            self.expect_op(";")
-            return ast.BreakStmt(line=tok.line)
-        if self.check_kw("continue"):
-            self.advance()
-            self.expect_op(";")
-            return ast.ContinueStmt(line=tok.line)
-        if self.check_kw("discard"):
-            self.advance()
-            self.expect_op(";")
-            return ast.DiscardStmt(line=tok.line)
-        if self.check_op(";"):
-            self.advance()
-            return ast.CompoundStmt(line=tok.line)  # empty statement
+        tok = self.tokens[self.pos]
+        if tok.type == TokenType.OP:
+            if tok.value == "{":
+                return self.parse_compound_stmt()
+            if tok.value == ";":
+                self.pos += 1
+                return ast.CompoundStmt(line=tok.line)  # empty statement
+        elif tok.type == TokenType.KEYWORD:
+            keyword = tok.value
+            if keyword == "if":
+                return self.parse_if()
+            if keyword == "for":
+                return self.parse_for()
+            if keyword == "while":
+                return self.parse_while()
+            if keyword == "do":
+                return self.parse_do_while()
+            if keyword == "return":
+                self.pos += 1
+                value = None
+                if not self.check_op(";"):
+                    value = self.parse_expression()
+                self.expect_op(";")
+                return ast.ReturnStmt(value=value, line=tok.line)
+            if keyword in self._JUMPS:
+                self.pos += 1
+                self.expect_op(";")
+                return self._JUMPS[keyword](line=tok.line)
         if self._starts_declaration():
             return self.parse_declaration_stmt()
         expr = self.parse_expression()
         self.expect_op(";")
         return ast.ExprStmt(expr=expr, line=tok.line)
+
+    #: Jump statements that take no operand.
+    _JUMPS = {
+        "break": ast.BreakStmt,
+        "continue": ast.ContinueStmt,
+        "discard": ast.DiscardStmt,
+    }
 
     def _starts_declaration(self) -> bool:
         tok = self.peek()
@@ -495,77 +501,92 @@ class Parser:
         ("*", "/", "%"),
     ]
 
-    def parse_binary_expr(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary_expr()
-        ops = self._BINARY_LEVELS[level]
-        expr = self.parse_binary_expr(level + 1)
-        while self.check_op(*ops):
-            tok = self.advance()
+    #: Binary operator -> its index in :attr:`_BINARY_LEVELS`.
+    _BINARY_LEVEL_OF = {
+        op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops
+    }
+
+    def parse_binary_expr(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: the longest left-associative chain of
+        operators at ``min_level`` or tighter, each right operand
+        parsed one level tighter than its operator."""
+        expr = self.parse_unary_expr()
+        levels = self._BINARY_LEVEL_OF
+        while True:
+            tok = self.tokens[self.pos]
+            if tok.type != TokenType.OP:
+                return expr
+            level = levels.get(tok.value)
+            if level is None or level < min_level:
+                return expr
+            self.pos += 1
             right = self.parse_binary_expr(level + 1)
             expr = ast.BinaryOp(op=tok.value, left=expr, right=right, line=tok.line)
-        return expr
 
     def parse_unary_expr(self) -> ast.Expr:
-        tok = self.peek()
-        if self.check_op("++", "--"):
-            self.advance()
-            operand = self.parse_unary_expr()
-            return ast.PrefixIncDec(op=tok.value, operand=operand, line=tok.line)
-        if self.check_op("+", "-", "!", "~"):
-            self.advance()
-            operand = self.parse_unary_expr()
-            return ast.UnaryOp(op=tok.value, operand=operand, line=tok.line)
+        tok = self.tokens[self.pos]
+        if tok.type == TokenType.OP:
+            if tok.value in ("++", "--"):
+                self.pos += 1
+                operand = self.parse_unary_expr()
+                return ast.PrefixIncDec(op=tok.value, operand=operand, line=tok.line)
+            if tok.value in ("+", "-", "!", "~"):
+                self.pos += 1
+                operand = self.parse_unary_expr()
+                return ast.UnaryOp(op=tok.value, operand=operand, line=tok.line)
         return self.parse_postfix_expr()
 
     def parse_postfix_expr(self) -> ast.Expr:
         expr = self.parse_primary_expr()
         while True:
-            tok = self.peek()
-            if self.check_op("["):
-                self.advance()
+            tok = self.tokens[self.pos]
+            if tok.type != TokenType.OP:
+                return expr
+            if tok.value == "[":
+                self.pos += 1
                 index = self.parse_expression()
                 self.expect_op("]")
                 expr = ast.IndexAccess(base=expr, index=index, line=tok.line)
-            elif self.check_op("."):
-                self.advance()
+            elif tok.value == ".":
+                self.pos += 1
                 # Field name may lexically collide with a keyword-ish
                 # token only if it is an identifier; swizzles always are.
                 field_tok = self.expect_ident()
                 expr = ast.FieldAccess(
                     base=expr, field_name=field_tok.value, line=tok.line
                 )
-            elif self.check_op("++", "--"):
-                self.advance()
+            elif tok.value in ("++", "--"):
+                self.pos += 1
                 expr = ast.PostfixIncDec(op=tok.value, operand=expr, line=tok.line)
             else:
                 return expr
 
     def parse_primary_expr(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.type == TokenType.INTCONST:
-            self.advance()
-            return ast.IntLiteral(value=int_literal_value(tok.value), line=tok.line)
-        if tok.type == TokenType.FLOATCONST:
-            self.advance()
-            return ast.FloatLiteral(value=float(tok.value), line=tok.line)
-        if tok.type == TokenType.BOOLCONST:
-            self.advance()
-            return ast.BoolLiteral(value=tok.value == "true", line=tok.line)
-        if self.check_op("("):
-            self.advance()
-            expr = self.parse_expression()
-            self.expect_op(")")
-            return expr
-        if tok.type == TokenType.KEYWORD and tok.value in BUILTIN_TYPE_NAMES:
-            # Constructor: vec4(...), float(...), mat3(...)
-            self.advance()
-            return self.parse_call_rest(tok)
-        if tok.type == TokenType.IDENT:
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.type
+        if kind == TokenType.IDENT:
+            self.pos += 1
             if self.check_op("("):
                 return self.parse_call_rest(tok)
             return ast.Identifier(name=tok.value, line=tok.line)
+        if kind == TokenType.INTCONST:
+            self.pos += 1
+            return ast.IntLiteral(value=int_literal_value(tok.value), line=tok.line)
+        if kind == TokenType.FLOATCONST:
+            self.pos += 1
+            return ast.FloatLiteral(value=float(tok.value), line=tok.line)
+        if kind == TokenType.BOOLCONST:
+            self.pos += 1
+            return ast.BoolLiteral(value=tok.value == "true", line=tok.line)
+        if kind == TokenType.OP and tok.value == "(":
+            self.pos += 1
+            expr = self.parse_expression()
+            self.expect_op(")")
+            return expr
+        if kind == TokenType.KEYWORD and tok.value in BUILTIN_TYPE_NAMES:
+            # Constructor: vec4(...), float(...), mat3(...)
+            self.pos += 1
+            return self.parse_call_rest(tok)
         raise self.error(f"unexpected token '{tok.value or '<eof>'}' in expression")
 
     def parse_call_rest(self, callee_tok: Token) -> ast.Call:

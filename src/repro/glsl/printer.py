@@ -106,7 +106,11 @@ def print_stmt(stmt: ast.Stmt, indent: int = 0) -> str:
     if isinstance(stmt, ast.IfStmt):
         text = pad + f"if ({print_expr(stmt.condition)})\n"
         text += print_stmt(_as_block(stmt.then_branch), indent)
-        if stmt.else_branch is not None:
+        if isinstance(stmt.else_branch, ast.IfStmt):
+            # ``else if``: the chained if stays unbraced, as it parsed.
+            text += "\n" + pad + "else "
+            text += print_stmt(stmt.else_branch, indent).lstrip()
+        elif stmt.else_branch is not None:
             text += "\n" + pad + "else\n"
             text += print_stmt(_as_block(stmt.else_branch), indent)
         return text

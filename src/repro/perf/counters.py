@@ -55,6 +55,8 @@ DECLARATIONS = (
     ("compile.ir.fresh", PROCESS, None),
     ("compile.ir.disk", PROCESS, None),
     ("compile.ir.uncached", PROCESS, None),
+    # Pass-pipeline rounds run by every IR compile (at most 4 each).
+    ("compile.ir.pass_rounds", PROCESS, None),
     ("compile.jit.fresh", PROCESS, None),
     ("compile.jit.disk", PROCESS, None),
     ("compile.jit.uncached", PROCESS, None),

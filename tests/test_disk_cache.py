@@ -241,8 +241,8 @@ def test_builtin_overloads_round_trip_by_registry_identity():
     assert ir_mod.dump_ir(restored) == ir_mod.dump_ir(program)
     assert restored.checked is checked and restored.linear is None
     fmodel = _ExactModel()
-    assert jit_mod.codegen.generate(restored, fmodel, set())._jit_source \
-        == jit_mod.codegen.generate(program, fmodel, set())._jit_source
+    assert jit_mod.generate(restored, fmodel, set())._jit_source \
+        == jit_mod.generate(program, fmodel, set())._jit_source
 
 
 def test_unknown_builtin_key_is_a_counted_load_failure():
@@ -274,12 +274,13 @@ def test_unknown_builtin_key_is_a_counted_load_failure():
 # Warm start loads only what a warm run executes
 # ----------------------------------------------------------------------
 #: Modules only a cold compile (front end, fold rules, IR lowering and
-#: passes) or the oracle uses, and the ``numpy.ma`` import
-#: ``np.median`` costs.
+#: passes, JIT code generator) or the oracle uses, and the ``numpy.ma``
+#: import ``np.median`` costs.
 _COLD_ONLY_MODULES = (
     "repro.glsl.parser", "repro.glsl.preprocessor", "repro.glsl.lexer",
     "repro.glsl.printer", "repro.glsl.ir.lower",
     "repro.glsl.ir.passes", "repro.glsl.ir.foldrules",
+    "repro.glsl.jit.codegen", "repro.glsl.jit.uniform",
     "repro.glsl.scalar_ref", "numpy.ma",
 )
 

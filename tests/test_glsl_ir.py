@@ -244,3 +244,82 @@ def test_static_cost_exact_for_straight_line():
     totals = cost.totals(7)
     assert totals["alu"] % 7 == 0
     assert totals["alu"] > 0
+
+
+# ----------------------------------------------------------------------
+# The pass fixpoint: run_passes stops when no pass changes anything
+# ----------------------------------------------------------------------
+def _fixpoint_sources():
+    from glsl_helpers import library_kernel_sources
+    from repro.testing.corpus import build_entries
+
+    sources = [(f"corpus:{e.name}", e.fragment, "fragment")
+               for e in build_entries()]
+    for family, shaders in library_kernel_sources().items():
+        sources += [(family, source, stage) for source, stage in shaders]
+    return sources
+
+
+def _pass_functions(fmodel):
+    return {
+        "fold": lambda program: passes._FoldPass(program, fmodel).run(),
+        "flatten_return_ladders": passes.flatten_return_ladders,
+        "elide_frames": passes.elide_frames,
+        "propagate_copies": passes.propagate_copies,
+        "forward_stores": passes.forward_stores,
+        "select_convert": passes.select_convert,
+        "cse": passes.cse,
+        "dce": passes.dce,
+    }
+
+
+@pytest.mark.parametrize("model", ["exact", "ieee32", "videocore"])
+def test_every_pass_is_idle_on_run_passes_output(model):
+    """Each pass reports no change when re-run on what ``run_passes``
+    produced, and really changes nothing (the dump stays the same):
+    the pipeline's fixpoint is a true one."""
+    from repro.gles2.precision import make_model
+
+    fmodel = make_model(model)
+    for label, source, stage in _fixpoint_sources():
+        program = compile_ir(compile_shader(source, stage), fmodel)
+        before = dump_ir(program)
+        for name, run in _pass_functions(fmodel).items():
+            assert run(program) is False, (label, name)
+            assert dump_ir(program) == before, (label, name)
+
+
+def test_library_kernels_settle_in_at_most_three_rounds():
+    """Every library kernel family reaches the fixpoint in 2-3 of the
+    4 allowed rounds, counted in ``compile.ir.pass_rounds``."""
+    from glsl_helpers import library_kernel_sources
+    from repro.gles2.precision import make_model
+    from repro.perf import counters
+
+    rounds = {}
+    for family, shaders in library_kernel_sources().items():
+        for source, stage in shaders:
+            checked = compile_shader(source, stage)
+            for model in ("exact", "ieee32", "videocore"):
+                before = counters.values["compile.ir.pass_rounds"]
+                compile_ir(checked, make_model(model))
+                count = counters.values["compile.ir.pass_rounds"] - before
+                rounds[family] = max(rounds.get(family, 0), count)
+    assert rounds and all(2 <= count <= 3 for count in rounds.values()), \
+        rounds
+
+
+def test_forward_stores_reports_only_rewrites():
+    """``gl_FragColor``'s one top-level store keeps it eligible for
+    forwarding after ``run_passes``, but with nothing left to rewrite
+    the pass reports no change (it used to report one whenever a
+    variable was eligible, so every shader ran all 4 rounds)."""
+    program = _compile("""
+        precision highp float;
+        uniform float u;
+        void main() {
+            float k = u * 2.0;
+            gl_FragColor = vec4(k, k, 0.0, 1.0);
+        }
+    """)
+    assert passes.forward_stores(program) is False

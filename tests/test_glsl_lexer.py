@@ -122,3 +122,54 @@ class TestPositions:
 
     def test_token_repr(self):
         assert "Token" in repr(Token(TokenType.IDENT, "x", 1, 1))
+
+
+class TestEdgeCases:
+    def test_positions_after_multiline_block_comment(self):
+        # The comment becomes one space followed by its newlines, so a
+        # token after it on the same line counts columns from there.
+        tokens = tokenize("a /* one\ntwo\n three */ b\n  c")
+        assert [(t.value, t.line, t.column) for t in tokens[:3]] == [
+            ("a", 1, 1), ("b", 3, 2), ("c", 4, 3),
+        ]
+
+    def test_slash_star_slash_is_unclosed(self):
+        with pytest.raises(GlslSyntaxError) as info:
+            tokenize("a\nb /*/ c")
+        assert "unterminated block comment" in str(info.value)
+        assert info.value.line == 2
+
+    def test_line_comment_inside_block_comment(self):
+        assert kinds("a /* // */ b") == [
+            (TokenType.IDENT, "a"), (TokenType.IDENT, "b"),
+        ]
+
+    def test_leading_zero_decimal_splits(self):
+        assert kinds("09") == [
+            (TokenType.INTCONST, "0"), (TokenType.INTCONST, "9"),
+        ]
+
+    def test_float_forms_whole_token(self):
+        assert kinds("1.") == [(TokenType.FLOATCONST, "1.")]
+        assert kinds(".5e-2") == [(TokenType.FLOATCONST, ".5e-2")]
+
+    def test_longest_operator_wins(self):
+        assert [v for __, v in kinds("a<<=b")] == ["a", "<<=", "b"]
+        assert [v for __, v in kinds("a---b")] == ["a", "--", "-", "b"]
+
+    @pytest.mark.parametrize("source, message, column", [
+        ("int x;\n  float class;", "'class' is a reserved word", 9),
+        ("int x;\n  my__var", "double underscore", 3),
+        ("int x;\n  a = $;", "unexpected character '$'", 7),
+    ])
+    def test_error_positions(self, source, message, column):
+        with pytest.raises(GlslSyntaxError) as info:
+            tokenize(source)
+        assert message in str(info.value)
+        assert (info.value.line, info.value.column) == (2, column)
+
+    def test_tokens_are_positional_records(self):
+        token = tokenize("foo")[0]
+        assert token == Token(TokenType.IDENT, "foo", 1, 1)
+        assert tuple(token) == ("ident", "foo", 1, 1)
+        assert repr(token) == "Token(ident, 'foo', 1:1)"

@@ -208,6 +208,50 @@ class TestExpressions:
         assert node.callee == "vec3"
 
 
+#: The binary operators by precedence level, loosest first (spec §5.1).
+_LEVELS = [
+    ("||",), ("^^",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+    ("<", ">", "<=", ">="), ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
+]
+
+
+def _shape(node):
+    """A binary-operator tree as fully parenthesised text."""
+    if isinstance(node, ast.BinaryOp):
+        return f"({_shape(node.left)} {node.op} {_shape(node.right)})"
+    return node.name
+
+
+class TestBinaryPrecedence:
+    def expr(self, text):
+        func = parse_one("void main() { x = " + text + "; }")
+        return _shape(func.body.statements[0].expr.value)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (lo, hi) for lo in range(len(_LEVELS))
+        for hi in range(lo + 1, len(_LEVELS))
+    ])
+    def test_tighter_level_groups_first(self, lo, hi):
+        for lo_op in _LEVELS[lo]:
+            for hi_op in _LEVELS[hi]:
+                assert self.expr(f"a {lo_op} b {hi_op} c") == \
+                    f"(a {lo_op} (b {hi_op} c))"
+                assert self.expr(f"a {hi_op} b {lo_op} c") == \
+                    f"((a {hi_op} b) {lo_op} c)"
+
+    @pytest.mark.parametrize("level", range(len(_LEVELS)))
+    def test_left_associative_within_a_level(self, level):
+        for first in _LEVELS[level]:
+            for second in _LEVELS[level]:
+                assert self.expr(f"a {first} b {second} c {first} d") == \
+                    f"(((a {first} b) {second} c) {first} d)"
+
+    def test_operator_line_is_the_node_line(self):
+        func = parse_one("void main() { x = a\n+ b *\nc; }")
+        node = func.body.statements[0].expr.value
+        assert (node.line, node.right.line) == (2, 2)
+
+
 class TestStructs:
     def test_struct_definition(self):
         node = parse_one("struct Light { vec3 dir; float power; };")

@@ -180,6 +180,14 @@ class TestStructuralRoundTrip:
         second = parse(print_unit(first))
         assert ast.structurally_equal(first, second)
 
+    def test_else_if_chain_stays_unbraced(self):
+        source = ("void main() { if (a) { x = 1.0; } "
+                  "else if (b) { x = 2.0; } else { x = 3.0; } }")
+        first = parse(source)
+        printed = print_unit(first)
+        assert "else if (b)" in printed
+        assert ast.structurally_equal(first, parse(printed))
+
     def test_structurally_equal_detects_differences(self):
         a = parse("void main() { x = 1.0; }")
         b = parse("void main() { x = 2.0; }")
@@ -196,3 +204,40 @@ class TestStructuralRoundTrip:
             first = parse(preprocess(source).source)
             second = parse(print_unit(first))
             assert ast.structurally_equal(first, second)
+
+
+def _assert_roundtrips(sources):
+    from repro.glsl.preprocessor import preprocess
+
+    for source in sources:
+        first = parse(preprocess(source).source)
+        second = parse(print_unit(first))
+        assert ast.structurally_equal(first, second), source
+
+
+class TestRoundTripOverSources:
+    """``parse(print_unit(parse(s)))`` equals ``parse(s)`` (line numbers
+    aside) over every source the front end sees in practice."""
+
+    def test_golden_corpus(self):
+        from repro.testing.corpus import build_entries
+
+        entries = build_entries()
+        _assert_roundtrips([e.fragment for e in entries]
+                           + [e.vertex for e in entries])
+
+    def test_fuzz_programs(self):
+        from repro.testing import generate_program
+        from repro.testing.fuzz import program_rng
+
+        _assert_roundtrips(
+            generate_program(program_rng(0, i)) for i in range(300)
+        )
+
+    def test_library_kernel_sources(self):
+        from glsl_helpers import library_kernel_sources
+
+        _assert_roundtrips(
+            source for family in library_kernel_sources().values()
+            for source, __ in family
+        )

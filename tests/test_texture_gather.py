@@ -46,11 +46,10 @@ from repro.glsl.interp import compile_shader
 from repro.glsl.ir import IRExecutor, compile_ir, static_cost
 from repro.glsl.ir.gather import annotate_gathers, texture_instrs
 from repro.glsl.jit import JitExecutor
-from repro.glsl.jit import codegen as jit_codegen
-from repro.glsl.jit.codegen import (
+from repro.glsl.jit import runtime as jit_runtime
+from repro.glsl.jit.codegen import CodeGen, decode_exact
+from repro.glsl.jit.runtime import (
     FLAT_INDEX_LIMIT,
-    CodeGen,
-    decode_exact,
     flat_index_exact,
     make_helpers,
 )
@@ -1104,7 +1103,7 @@ class TestFlatIndex:
         expected, __ = _run_sum("ir")
         hit, stats = _run_sum("jit")
         assert (stats.texture_gathers, stats.gather_fallbacks) == (2, 0)
-        monkeypatch.setattr(jit_codegen, "flat_index_exact",
+        monkeypatch.setattr(jit_runtime, "flat_index_exact",
                             lambda *args: False)
         device = GpgpuDevice(float_model="videocore", shade_workers=0)
         kernel = make_sum_kernel(device, "int32")
