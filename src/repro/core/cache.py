@@ -9,23 +9,23 @@ pipeline's artifacts on disk so every later process — a cold CLI run,
 a pytest session — warm-starts from the store instead of re-running
 parse → typecheck → IR-optimise → JIT-codegen.
 
-Three artifact kinds are stored, one per pipeline stage:
+Two artifact kinds are stored:
 
 ``frontend``
     The pickled :class:`~repro.glsl.typecheck.CheckedShader` (the
     parse/typecheck result), keyed by (stage, source digest).
-``ir``
-    The pickled optimised :class:`~repro.glsl.ir.nodes.CompiledProgram`
-    (lowering + the whole pass pipeline), keyed additionally by the
-    float model and fusion signature.
 ``jit``
     The generated NumPy source, its marshalled code object, and its
     captured namespace in a pickle-safe encoding (arrays as-is, builtin
     implementations by registry key), plus what a draw reads of the IR
     program (its :class:`~repro.glsl.ir.nodes.Bindings` and
     :class:`~repro.glsl.ir.cost.StaticCost`), keyed additionally by
-    the wide-global set.  Programs outside the JIT subset store an
-    ``unsupported`` marker so the negative result is warm too.
+    the float model, the wide-global set and the fusion signature.
+
+The optimised IR program is not stored: a warm JIT draw runs from its
+``jit`` entry alone, and what still needs the program (IR-executor
+draws, programs outside the JIT subset, unfolded global initialisers,
+pooled draws) lowers it once per process.
 
 Every key mixes in the cache schema version and the Python/NumPy
 versions (:func:`env_fingerprint`), so interpreter or dependency
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import marshal
 import os
@@ -95,7 +94,8 @@ from ..perf import counters, trace
 #: entries carry ``FetchSite.index`` and ``FetchSite.categories``.
 #: 7: JIT entries carry the program's bindings and static cost, which
 #: a warm JIT draw reads instead of loading the IR program.
-SCHEMA_VERSION = 7
+#: 8: IR programs and ``unsupported`` JIT markers are no longer stored.
+SCHEMA_VERSION = 8
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"
@@ -371,8 +371,6 @@ def verify() -> Dict[str, int]:
                 header, payload = unpacked
                 if header.get("kind") == "frontend":
                     ok = load_checked(payload) is not None
-                elif header.get("kind") == "ir":
-                    ok = load_program(payload, None) is not None
                 elif header.get("kind") == "jit":
                     ok = load_jit_entry(payload) is not None
                 else:
@@ -562,81 +560,16 @@ def _maybe_evict() -> Optional[int]:
 # ----------------------------------------------------------------------
 # Artifact (de)serialisation
 # ----------------------------------------------------------------------
-def _builtin_by_key(key: str):
-    """Unpickle target for a builtin overload shipped by registry key
-    (its ``impl`` lambda does not pickle).  A key the registry no
-    longer holds raises ``KeyError``: a counted load failure."""
-    from ..glsl.builtins import OVERLOADS_BY_KEY
-
-    return OVERLOADS_BY_KEY[key]
-
-
-def _reduce_builtin(overload):
-    return (_builtin_by_key, (overload.key,))
-
-
-def _fresh_program():
-    from ..glsl.ir.nodes import CompiledProgram
-
-    program = CompiledProgram.__new__(CompiledProgram)
-    program.checked = None
-    program._const_cache = {}
-    program.linear = None
-    program.global_linear = None
-    return program
-
-
-def _reduce_program(program):
-    """Strip a :class:`CompiledProgram` down to its persistent fields —
-    the structured IR, register count and constant pool — dropping the
-    attached runtime caches and the live CheckedShader reference."""
-    state = {
-        "globals_plan": program.globals_plan,
-        "body": program.body,
-        "nregs": program.nregs,
-        "consts": program.consts,
-    }
-    return (_fresh_program, (), state)
-
-
-_dispatch_table = None
-
-
-def _artifact_dispatch_table():
-    """The copyreg table plus the two artifact reducers.  A dispatch
-    table is looked up by exact type inside the C pickler, so unlike a
-    ``persistent_id``/``reducer_override`` hook it costs no Python call
-    per pickled object.  Built on first use: the GLSL modules import
-    this one."""
-    global _dispatch_table
-    if _dispatch_table is None:
-        import copyreg
-
-        from ..glsl.builtins import BuiltinOverload
-        from ..glsl.ir.nodes import CompiledProgram
-
-        table = copyreg.dispatch_table.copy()
-        table[BuiltinOverload] = _reduce_builtin
-        table[CompiledProgram] = _reduce_program
-        _dispatch_table = table
-    return _dispatch_table
-
-
 def _dumps(obj) -> bytes:
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=4)
-    pickler.dispatch_table = _artifact_dispatch_table()
-    pickler.dump(obj)
-    return buffer.getvalue()
+    return pickle.dumps(obj, protocol=4)
 
 
 #: What deserialising a stale or hostile payload can legitimately
 #: raise: the pickle protocol's own errors (``UnpicklingError``,
 #: ``EOFError``, ``AttributeError``, ``ImportError``, ``IndexError``
-#: per the pickle docs), ``KeyError`` from :func:`_builtin_by_key`
-#: resolving a builtin key that no longer exists in the registry, and
-#: ``TypeError`` / ``ValueError`` / ``UnicodeDecodeError`` from
-#: malformed opcodes and reconstructed state.  Anything else (``KeyboardInterrupt``,
+#: per the pickle docs), and ``KeyError`` / ``TypeError`` /
+#: ``ValueError`` / ``UnicodeDecodeError`` from malformed opcodes and
+#: reconstructed state.  Anything else (``KeyboardInterrupt``,
 #: ``MemoryError``, a genuine repro bug) propagates — a cache must
 #: degrade on bad *data*, not mask broken *code*.
 _DESERIALISE_ERRORS = (
@@ -679,27 +612,6 @@ def load_checked(data: bytes):
         _note_load_failure("frontend", exc)
         return None
     return checked if isinstance(checked, CheckedShader) else None
-
-
-def dump_program(program) -> bytes:
-    return _dumps(program)
-
-
-def load_program(data: bytes, checked):
-    """Deserialise an IR artifact and re-attach the live CheckedShader;
-    None on any failure."""
-    from ..glsl.ir.nodes import CompiledProgram
-
-    try:
-        program = _loads(data)
-    except _DESERIALISE_ERRORS as exc:
-        counters.values["cache.disk.load_failures"] += 1
-        _note_load_failure("ir", exc)
-        return None
-    if not isinstance(program, CompiledProgram):
-        return None
-    program.checked = checked
-    return program
 
 
 def encode_captured(captured: Dict[str, object]) -> Optional[Dict]:
@@ -751,14 +663,9 @@ def dump_jit_entry(source: str, encoded_captured: Dict, code,
     })
 
 
-def dump_jit_unsupported(reason: str) -> bytes:
-    return _dumps({"unsupported": reason})
-
-
 def load_jit_entry(data: bytes) -> Optional[Dict]:
-    """Deserialise a JIT artifact — either ``{"source", "captured",
-    "code", "bindings", "cost"}`` or ``{"unsupported": reason}``; None
-    on any data failure."""
+    """Deserialise a JIT artifact — ``{"source", "captured", "code",
+    "bindings", "cost"}``; None on any data failure."""
     try:
         entry = _loads(data)
     except _DESERIALISE_ERRORS as exc:
@@ -767,8 +674,6 @@ def load_jit_entry(data: bytes) -> Optional[Dict]:
         return None
     if not isinstance(entry, dict):
         return None
-    if "unsupported" in entry:
-        return entry
     if not isinstance(entry.get("source"), str):
         return None
     if not isinstance(entry.get("captured"), dict):

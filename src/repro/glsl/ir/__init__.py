@@ -10,23 +10,20 @@ the shared runtime base :class:`~repro.glsl.interp.Interpreter`.
 :func:`get_compiled` is the cached front door: compiled artifacts are
 memoised per (float model, dtype) on the CheckedShader itself, so
 repeated draws — and repeated kernels compiled from identical source —
-skip lowering and the pass pipeline entirely.  Under that in-process
-memo sits the persistent artifact store (:mod:`repro.core.cache`):
-shaders carrying a source digest (everything compiled through the
-gles2 front end) load their optimised ``CompiledProgram`` from disk on
-a memory miss and only run the pass pipeline when no process has ever
-compiled this (source, float model) before.  The ``compile.ir.*``
-counters (:mod:`repro.perf.counters`) record how each program was
-obtained — ``fresh`` (pipeline ran, disk entry written), ``disk``
-(warm start), ``uncached`` (no digest or cache disabled) — which the
-warm-CI leg asserts over.
+skip lowering and the pass pipeline entirely.  The program is an
+in-memory artifact only: the persistent artifact store
+(:mod:`repro.core.cache`) keeps the JIT's generated functions, which
+carry what a JIT draw reads of the program, so a process lowers a
+program at most once per (shader, float model) and a warm JIT draw
+not at all.  Every pipeline run counts ``compile.ir.uncached``
+(:mod:`repro.perf.counters`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...perf import counters
+from ...perf import counters, trace
 from .cost import StaticCost, static_cost
 from .executor import IRExecutor, flatten_program
 from .gather import annotate_gathers
@@ -74,47 +71,6 @@ def _model_key(fmodel) -> tuple:
 compile_events = counters.View("compile.ir.")
 
 
-def _load_or_compile(checked, fmodel, mkey) -> CompiledProgram:
-    """The disk layer under the in-memory program memo."""
-    from ...core import cache as artifact_cache
-    from ...perf import trace
-
-    with trace.span("compile.ir", "compile") as sp:
-        if sp is not None:
-            sp.args["stage"] = getattr(checked, "stage", "")
-        digest = getattr(checked, "source_digest", None)
-        disk_key = None
-        if digest is not None and artifact_cache.enabled():
-            disk_key = artifact_cache.artifact_key(
-                "ir", digest,
-                stage=getattr(checked, "stage", ""),
-                model=f"{mkey[0]}:{mkey[1]}",
-                fusion=getattr(checked, "fusion_signature", ""),
-            )
-            data = artifact_cache.get(disk_key)
-            if data is not None:
-                program = artifact_cache.load_program(data, checked)
-                if program is not None:
-                    counters.values["compile.ir.disk"] += 1
-                    if sp is not None:
-                        sp.args["event"] = "disk"
-                    return program
-                artifact_cache.invalidate(disk_key)
-        program = compile_ir(checked, fmodel)
-        if disk_key is not None:
-            counters.values["compile.ir.fresh"] += 1
-            artifact_cache.put(
-                disk_key, artifact_cache.dump_program(program), "ir"
-            )
-        else:
-            counters.values["compile.ir.uncached"] += 1
-        if sp is not None:
-            sp.args["event"] = (
-                "fresh" if disk_key is not None else "uncached"
-            )
-        return program
-
-
 def compile_ir(checked, fmodel=None) -> CompiledProgram:
     """Lower + optimise one shader for one float model (uncached)."""
     from ..interp import _ExactModel
@@ -146,6 +102,10 @@ def get_compiled(checked, fmodel=None) -> CompiledProgram:
     key = _model_key(fmodel)
     program = cache.get(key)
     if program is None:
-        program = _load_or_compile(checked, fmodel, key)
-        cache[key] = program
+        with trace.span("compile.ir", "compile") as sp:
+            if sp is not None:
+                sp.args.update(stage=getattr(checked, "stage", ""),
+                               event="uncached")
+            program = cache[key] = compile_ir(checked, fmodel)
+        counters.values["compile.ir.uncached"] += 1
     return program

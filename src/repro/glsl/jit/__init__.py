@@ -21,8 +21,8 @@ cached compile, :func:`get_compiled`, keeps one :class:`JitKernel` per
 persistent artifact store.  A kernel carries what a draw reads of the
 IR program — the global bindings that
 :meth:`repro.glsl.interp.Interpreter.execute` walks and the static
-cost projection — so a warm draw runs without loading the program.
-The program loads only on a miss (codegen), for a draw that falls
+cost projection — so a warm draw runs without the program.  The
+program compiles only on a miss (codegen), for a draw that falls
 back, or for a global initialiser that did not fold to a constant.
 Programs using constructs outside the JIT subset (divergent returns,
 structs, multi-step l-values — see :class:`~.codegen.JitUnsupported`)
@@ -177,14 +177,13 @@ def get_compiled(checked, fmodel, wide: FrozenSet[str]):
     """Cached compile for the JIT backend: one :class:`JitKernel` per
     (shader, float model, wide-global set), or ``None`` when the
     program is outside the JIT subset (the negative result is cached
-    too, so unsupported shaders pay codegen only once).
+    in memory, so an unsupported shader pays codegen once per process).
 
     The memo lives on the CheckedShader under the model key
     :func:`repro.glsl.ir.get_compiled` uses.  Under it sits the
-    persistent artifact store: on a memory miss the kernel (or the
-    ``unsupported`` verdict) loads from disk when some earlier process
-    generated it.  Only a miss there loads the IR program and runs
-    :func:`generate`.
+    persistent artifact store: on a memory miss the kernel loads from
+    disk when some earlier process generated it.  Only a miss there
+    compiles the IR program and runs :func:`generate`.
     """
     if faults.fire("jit_error"):
         # Injected codegen failure: this *draw* degrades to the IR
@@ -218,11 +217,6 @@ def _load_or_generate(checked, fmodel, wide: FrozenSet[str]):
             payload = artifact_cache.get(disk_key)
             if payload is not None:
                 entry = artifact_cache.load_jit_entry(payload)
-                if entry is not None and "unsupported" in entry:
-                    counters.values["compile.jit.disk"] += 1
-                    if sp is not None:
-                        sp.args.update(event="disk", unsupported=True)
-                    return None
                 kernel = None
                 if entry is not None:
                     try:
@@ -258,13 +252,7 @@ def _load_or_generate(checked, fmodel, wide: FrozenSet[str]):
 
         try:
             fn = generate(program, fmodel, wide)
-        except JitUnsupported as exc:
-            if disk_key is not None:
-                artifact_cache.put(
-                    disk_key,
-                    artifact_cache.dump_jit_unsupported(str(exc)),
-                    "jit",
-                )
+        except JitUnsupported:
             if sp is not None:
                 sp.args.update(event="fresh", unsupported=True)
             return None

@@ -986,13 +986,16 @@ class CodeGen:
     def _g_load(self, ins: Instr, m):
         path = ins.imm
         root = ins.args[0]
-        self.types[ins.out] = ins.type
         if path == ():
+            # A whole-variable load has its root's type (select
+            # conversion's pre-value loads carry no type of their own).
+            self.types[ins.out] = ins.type or self.type_of(root)
             if root in self.samplers:
                 self.samplers[ins.out] = self.samplers[root]
                 return m
             self.w(f"r{ins.out} = r{root}")
             return m
+        self.types[ins.out] = ins.type
         expr = self._path_read(f"r{root}", path, ins.args[1:])
         self.w(f"r{ins.out} = {expr}")
         return m

@@ -120,15 +120,19 @@ def _comment_space(match) -> str:
             "unterminated block comment",
             line=source.count("\n", 0, match.start()) + 1,
         )
-    return " " + "\n" * text.count("\n")
+    breaks = text.count("\n")
+    if not breaks:
+        return " "
+    return " " + "\n" * breaks + " " * (len(text) - text.rindex("\n") - 1)
 
 
 def strip_comments(source: str) -> str:
-    """Replace comments with whitespace, preserving line structure.
+    """Replace comments with whitespace, preserving positions.
 
-    Block comments keep their newlines so positions stay accurate;
-    everything else inside a comment becomes a single space (spec:
-    comments are replaced by one space).
+    A comment becomes a single space (spec: comments are replaced by
+    one space); a block comment spanning lines keeps its newlines and
+    pads its last line to its source width, so the lines and columns
+    of the tokens after it stay accurate.
     """
     return _COMMENT_RE.sub(_comment_space, source)
 

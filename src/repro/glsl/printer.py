@@ -104,15 +104,20 @@ def print_stmt(stmt: ast.Stmt, indent: int = 0) -> str:
     if isinstance(stmt, ast.ExprStmt):
         return pad + print_expr(stmt.expr) + ";"
     if isinstance(stmt, ast.IfStmt):
+        then_branch = stmt.then_branch
+        if stmt.else_branch is not None and _ends_open(then_branch):
+            # Unbraced, the else would rebind to the inner ``if``.
+            then_branch = ast.CompoundStmt(statements=[then_branch],
+                                           line=then_branch.line)
         text = pad + f"if ({print_expr(stmt.condition)})\n"
-        text += print_stmt(_as_block(stmt.then_branch), indent)
+        text += _print_body(then_branch, indent)
         if isinstance(stmt.else_branch, ast.IfStmt):
-            # ``else if``: the chained if stays unbraced, as it parsed.
+            # ``else if``: the chained if stays on the else's line.
             text += "\n" + pad + "else "
             text += print_stmt(stmt.else_branch, indent).lstrip()
         elif stmt.else_branch is not None:
             text += "\n" + pad + "else\n"
-            text += print_stmt(_as_block(stmt.else_branch), indent)
+            text += _print_body(stmt.else_branch, indent)
         return text
     if isinstance(stmt, ast.ForStmt):
         init = ""
@@ -125,12 +130,12 @@ def print_stmt(stmt: ast.Stmt, indent: int = 0) -> str:
         condition = print_expr(stmt.condition) if stmt.condition else ""
         update = print_expr(stmt.update) if stmt.update else ""
         text = pad + f"for ({init} {condition}; {update})\n"
-        return text + print_stmt(_as_block(stmt.body), indent)
+        return text + _print_body(stmt.body, indent)
     if isinstance(stmt, ast.WhileStmt):
         text = pad + f"while ({print_expr(stmt.condition)})\n"
-        return text + print_stmt(_as_block(stmt.body), indent)
+        return text + _print_body(stmt.body, indent)
     if isinstance(stmt, ast.DoWhileStmt):
-        text = pad + "do\n" + print_stmt(_as_block(stmt.body), indent)
+        text = pad + "do\n" + _print_body(stmt.body, indent)
         return text + "\n" + pad + f"while ({print_expr(stmt.condition)});"
     if isinstance(stmt, ast.ReturnStmt):
         if stmt.value is None:
@@ -145,10 +150,26 @@ def print_stmt(stmt: ast.Stmt, indent: int = 0) -> str:
     raise ValueError(f"cannot print {type(stmt).__name__}")
 
 
-def _as_block(stmt: ast.Stmt) -> ast.CompoundStmt:
+def _print_body(stmt: ast.Stmt, indent: int) -> str:
+    """A control statement's body as parsed: a block at the statement's
+    indent, a single statement one level in."""
     if isinstance(stmt, ast.CompoundStmt):
-        return stmt
-    return ast.CompoundStmt(statements=[stmt], line=stmt.line)
+        return print_stmt(stmt, indent)
+    return print_stmt(stmt, indent + 1)
+
+
+def _ends_open(stmt: ast.Stmt) -> bool:
+    """True when ``stmt``, printed unbraced, ends in an ``if`` without
+    an ``else`` — one that would take a following ``else`` as its own."""
+    while True:
+        if isinstance(stmt, ast.IfStmt):
+            if stmt.else_branch is None:
+                return True
+            stmt = stmt.else_branch
+        elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
+            stmt = stmt.body
+        else:
+            return False
 
 
 def _print_decl_stmt(stmt: ast.DeclStmt) -> str:

@@ -52,8 +52,12 @@ DECLARATIONS = (
     ("compile.frontend.memo_hits", PROCESS, None),
     ("compile.frontend.memo_misses", PROCESS, None),
     ("compile.frontend.disk", PROCESS, "disk_warm_compiles"),
+    # Always 0 since IR programs left the artifact store; declared
+    # because the benchmark ledger reads them.
     ("compile.ir.fresh", PROCESS, None),
     ("compile.ir.disk", PROCESS, None),
+    # IR pipeline runs (lowering and passes): at most one per shader
+    # and float model in a process.
     ("compile.ir.uncached", PROCESS, None),
     # Pass-pipeline rounds run by every IR compile (at most 4 each).
     ("compile.ir.pass_rounds", PROCESS, None),

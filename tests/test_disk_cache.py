@@ -1,11 +1,11 @@
 """Persistent compile-artifact cache (:mod:`repro.core.cache`).
 
 Covers the disk layer end to end: cold/warm bit-identity across
-backends and processes, corrupt-entry robustness, key-composition
-audit (codegen-affecting knobs fragment the key, execution-irrelevant
-knobs don't), concurrent cold starts on a shared store, the LRU size
-bound, the maintenance CLI, and the multiprocess shading workers'
-load-by-reference path.
+backends and processes, the two stored kinds (``frontend`` and
+``jit``), corrupt-entry robustness, key-composition audit
+(codegen-affecting knobs fragment the key, execution-irrelevant knobs
+don't), concurrent cold starts on a shared store, the LRU size bound,
+the maintenance CLI, and pooled shading against a warm store.
 
 Every test that compiles points REPRO_CACHE_DIR at a private tmp dir,
 and every test runs under the ``isolated_counters`` fixture — so the
@@ -126,15 +126,16 @@ def test_warm_start_is_bit_identical_across_backends(tmp_path):
         digests.add(cold["digest"])
         digests.add(warm["digest"])
         assert warm["disk"]["hits"] > 0, backend
-        # Second process must compile nothing fresh.
-        assert warm["ir"]["fresh"] == 0, backend
+        # IR programs are never stored or loaded.
+        assert warm["ir"]["fresh"] == warm["ir"]["disk"] == 0, backend
         if backend == "jit":
             # A warm JIT draw runs from its JIT entry alone.
-            assert warm["ir"]["disk"] == 0
+            assert warm["ir"]["uncached"] == 0
             assert warm["jit"]["fresh"] == 0
             assert warm["jit"]["disk"] > 0
         else:
-            assert warm["ir"]["disk"] > 0
+            # An IR-executor draw compiles its program in every process.
+            assert warm["ir"]["uncached"] > 0
     # One output for every backend, cold or warm.
     assert len(digests) == 1
 
@@ -223,51 +224,71 @@ void main() {
 
 
 def test_builtin_overloads_round_trip_by_registry_identity():
-    from repro.glsl.builtins import OVERLOADS_BY_KEY
     from repro.glsl.interp import _ExactModel, compile_shader
 
-    keys = sorted(OVERLOADS_BY_KEY)[:5]
-    shipped = [OVERLOADS_BY_KEY[k] for k in keys]
-    loaded = store._loads(store._dumps({"overloads": shipped * 2}))
-    # Resolved back to the live registry objects (impls included),
-    # memoised so repeats stay one object.
-    assert all(a is b for a, b in zip(loaded["overloads"], shipped * 2))
-
+    # A front end names its builtin calls by key; restored from its
+    # entry, it compiles to the same IR and JIT source.
     checked = compile_shader(_BUILTIN_SHADER, "fragment")
     blob = store.dump_checked(checked)
-    assert store.dump_checked(store.load_checked(blob)) == blob
+    restored = store.load_checked(blob)
+    assert store.dump_checked(restored) == blob
     program = ir_mod.compile_ir(checked)
-    restored = store.load_program(store.dump_program(program), checked)
-    assert ir_mod.dump_ir(restored) == ir_mod.dump_ir(program)
-    assert restored.checked is checked and restored.linear is None
+    program_restored = ir_mod.compile_ir(restored)
+    assert ir_mod.dump_ir(program_restored) == ir_mod.dump_ir(program)
     fmodel = _ExactModel()
-    assert jit_mod.generate(restored, fmodel, set())._jit_source \
-        == jit_mod.generate(program, fmodel, set())._jit_source
+    fn = jit_mod.generate(program, fmodel, set())
+    assert jit_mod.generate(program_restored, fmodel, set())._jit_source \
+        == fn._jit_source
+    # The generated function's builtin implementations ship in its
+    # entry by registry key and resolve back to the live registry
+    # objects.
+    encoded = store.encode_captured(fn._jit_captured)
+    assert ("builtin", "sin/0") in encoded.values()
+    decoded = store.decode_captured(store._loads(store._dumps(encoded)))
+    assert decoded.keys() == fn._jit_captured.keys()
+    for name, (kind, __) in encoded.items():
+        if kind == "builtin":
+            assert decoded[name] is fn._jit_captured[name], name
 
 
 def test_unknown_builtin_key_is_a_counted_load_failure():
-    import dataclasses
+    from repro.core import GpgpuDevice
+    from repro.gles2 import shader as shader_mod
 
-    from repro.glsl.builtins import OVERLOADS_BY_KEY
-    from repro.glsl.interp import compile_shader
+    # A stored JIT function calling a builtin whose key has left the
+    # registry is a counted load failure: the entry is dropped and the
+    # function regenerated.
+    x = np.linspace(-1, 1, 16).astype(np.float32)
 
-    retired = dataclasses.replace(
-        next(iter(OVERLOADS_BY_KEY.values())), key="retired/0"
-    )
-    before = counters.values["cache.disk.load_failures"]
-    assert store.load_checked(store._dumps(retired)) is None
-    assert store.load_program(store._dumps([retired]), None) is None
-    assert store.load_jit_entry(store._dumps({"o": retired})) is None
-    assert counters.values["cache.disk.load_failures"] == before + 3
+    def launch():
+        shader_mod.clear_frontend_cache()
+        dev = GpgpuDevice(execution_backend="jit")
+        kernel = dev.kernel("retired_probe", [("x", "float32")], "float32",
+                            "result = sin(x);")
+        out = dev.empty(16, "float32")
+        return kernel(out, {"x": dev.array(x, "float32")}).to_host()
 
-    # A stored IR program calling a builtin whose key has left the
-    # registry degrades the same way.
-    checked = compile_shader(_BUILTIN_SHADER, "fragment")
-    blob = store.dump_program(ir_mod.compile_ir(checked))
-    stale = blob.replace(b"sin/0", b"nil/0")
-    assert stale != blob
-    assert store.load_program(stale, checked) is None
-    assert counters.values["cache.disk.load_failures"] == before + 4
+    expected = launch()
+    sin, retired = ("builtin", "sin/0"), ("builtin", "nil/0")
+    stale = 0
+    for path in store.iter_entries():
+        header, payload = store._unpack(path.read_bytes())
+        if header["kind"] != "jit":
+            continue
+        entry = store.load_jit_entry(payload)
+        if sin in entry["captured"].values():
+            captured = {name: retired if code == sin else code
+                        for name, code in entry["captured"].items()}
+            store.put(path.stem, store._dumps(dict(entry, captured=captured)),
+                      "jit")
+            stale += 1
+    assert stale == 1
+    before = counters.snapshot()
+    assert np.array_equal(launch(), expected)
+    changed = counters.delta(before)
+    assert changed["cache.disk.load_failures"] == 1
+    assert changed["cache.disk.corrupt"] == 1
+    assert changed["compile.jit.fresh"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +306,9 @@ _COLD_ONLY_MODULES = (
 )
 
 #: Child harness: launch the kernels of one ``set`` against the store
-#: in REPRO_CACHE_DIR and report their output bytes, the DrawStats of
-#: each launch, the compile counters and the cold-only modules loaded.
+#: in REPRO_CACHE_DIR and report their output bytes, the DrawStats and
+#: IR compiles of each launch, the compile counters and the cold-only
+#: modules loaded.
 _WARM_CHILD = r"""
 import hashlib, json, sys
 import repro
@@ -330,7 +352,7 @@ for kernel, inputs, uniforms in launches:
         "digest": hashlib.sha256(res.tobytes()).hexdigest(),
         "draw": {name: value.snapshot() if isinstance(value, OpCounters)
                  else value for name, value in vars(draw).items()},
-        "ir_disk": counters.delta(before).get("compile.ir.disk", 0),
+        "ir_compiles": counters.delta(before).get("compile.ir.uncached", 0),
     })
 print(json.dumps({
     "runs": runs,
@@ -359,25 +381,35 @@ def test_warm_jit_draws_load_no_ir_and_no_compile_only_module(tmp_path):
     assert "repro.glsl.parser" in cold["loaded"]
     warm = _run_warm_child(tmp_path / "store", "paper")
     assert warm["loaded"] == []
-    assert warm["compile"]["compile.ir.disk"] == 0
-    assert warm["compile"]["compile.ir.fresh"] == 0
+    assert warm["compile"]["compile.ir.uncached"] == 0
     assert warm["compile"]["compile.jit.disk"] > 0
     assert warm["compile"]["compile.jit.fresh"] == 0
-    assert warm["runs"] == cold["runs"]
+    assert [(run["digest"], run["draw"]) for run in warm["runs"]] == \
+        [(run["digest"], run["draw"]) for run in cold["runs"]]
 
 
-def test_warm_fallback_and_unfolded_init_load_their_ir_lazily(tmp_path):
-    cold = _run_warm_child(tmp_path / "store", "fallbacks")
-    warm = _run_warm_child(tmp_path / "store", "fallbacks")
+def _entry_kinds():
+    return {store._unpack(path.read_bytes())[0]["kind"]
+            for path in store.iter_entries()}
+
+
+def test_warm_fallback_and_unfolded_init_compile_their_ir_lazily():
+    # A cold run on an empty store publishes front ends and JIT
+    # functions only, for kernels the JIT runs and for those it
+    # cannot (the struct kernel).
+    shared = os.environ["REPRO_CACHE_DIR"]
+    cold = _run_warm_child(shared, "fallbacks")
+    assert _entry_kinds() == {"frontend", "jit"}
+    warm = _run_warm_child(shared, "fallbacks")
     assert [run["digest"] for run in warm["runs"]] == \
         [run["digest"] for run in cold["runs"]]
     assert [run["draw"] for run in warm["runs"]] == \
         [run["draw"] for run in cold["runs"]]
-    # Each kernel loads its fragment program once, counted; the rest
-    # of the launch binds from the JIT entry.
-    assert [run["ir_disk"] for run in warm["runs"]] == [1, 1]
-    assert warm["compile"]["compile.ir.fresh"] == 0
-    assert warm["compile"]["compile.jit.fresh"] == 0
+    # Each kernel compiles its fragment program once, counted; the
+    # rest of the launch binds from the JIT entry.
+    assert [run["ir_compiles"] for run in warm["runs"]] == [1, 1]
+    assert not any(count for name, count in warm["compile"].items()
+                   if name.endswith(".fresh"))
 
 
 def test_v6_jit_entries_are_never_addressed(monkeypatch):
@@ -477,7 +509,7 @@ def test_every_codegen_knob_fragments_the_key():
     key = store.artifact_key("jit", "cafe", **base)
     assert key == store.artifact_key("jit", "cafe", **base)  # stable
     variants = [
-        ("kind", store.artifact_key("ir", "cafe", **base)),
+        ("kind", store.artifact_key("frontend", "cafe", **base)),
         ("digest", store.artifact_key("jit", "beef", **base)),
         ("stage", store.artifact_key(
             "jit", "cafe", **{**base, "stage": "vertex"})),
@@ -535,7 +567,7 @@ def test_execution_knobs_do_not_fragment_the_key(tmp_path):
     # is a pure warm start — nothing new written.
     repooled = _run_child(tmp_path / "a", floor=2, workers=3)
     assert repooled["entries"] == plain["entries"]
-    assert repooled["ir"]["fresh"] == 0 and repooled["jit"]["fresh"] == 0
+    assert repooled["jit"]["fresh"] == 0
 
 
 def test_fused_chains_key_on_the_fusion_signature():
@@ -581,9 +613,9 @@ def test_fused_chains_key_on_the_fusion_signature():
     assert signatures  # the fused program carries its chain signature
     # The signature reaches the artifact key, so a fused fragment
     # shader and an identically-sourced unfused one can never collide.
-    key_plain = store.artifact_key("ir", "d1g3st", stage="fragment")
+    key_plain = store.artifact_key("jit", "d1g3st", stage="fragment")
     key_fused = store.artifact_key(
-        "ir", "d1g3st", stage="fragment", fusion=next(iter(signatures))
+        "jit", "d1g3st", stage="fragment", fusion=next(iter(signatures))
     )
     assert key_plain != key_fused
 
@@ -829,7 +861,7 @@ def test_cache_cli_stats_verify_clear():
     info = json.loads(proc.stdout)
     assert info["entries"] > 0
     assert info["bytes"] > 0
-    assert set(info["kinds"]) <= {"frontend", "ir", "jit"}
+    assert set(info["kinds"]) == {"frontend", "jit"}
     assert info["cache_dir"] == str(shared)
     assert info["tracked_bytes"] == info["bytes"]
 

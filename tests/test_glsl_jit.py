@@ -185,6 +185,34 @@ def test_supported_program_does_not_count_fallbacks(isolated_counters):
     assert isolated_counters.values["jit.fallbacks"] == 0
 
 
+#: An if/else whose else arm alone stores a vec3: select conversion
+#: reads the variable's pre-branch value for the then operand.
+_ELSE_ONLY_STORE_SHADER = """
+precision mediump float;
+varying vec2 v_uv;
+void main() {
+    vec3 c = vec3(v_uv, 0.5);
+    float a;
+    if (v_uv.x > 0.5) {
+        a = 1.0;
+    } else {
+        c = vec3(v_uv.y, 0.25, v_uv.x);
+        a = 0.5;
+    }
+    gl_FragColor = vec4(c, a);
+}
+"""
+
+
+def test_select_of_an_unstored_arm_runs_on_the_jit(isolated_counters):
+    reference, __ = draw_for_capture(_ELSE_ONLY_STORE_SHADER,
+                                     execution_backend="ir")
+    framebuffer, __ = draw_for_capture(_ELSE_ONLY_STORE_SHADER,
+                                       execution_backend="jit")
+    assert isolated_counters.values["jit.fallbacks"] == 0
+    assert np.array_equal(framebuffer, reference)
+
+
 # ----------------------------------------------------------------------
 # 3. Static-counter parity: JIT draws report the static projection,
 #    which on E1 kernels equals the IR executor's dynamic tally.

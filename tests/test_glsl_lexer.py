@@ -126,11 +126,11 @@ class TestPositions:
 
 class TestEdgeCases:
     def test_positions_after_multiline_block_comment(self):
-        # The comment becomes one space followed by its newlines, so a
-        # token after it on the same line counts columns from there.
+        # The comment keeps its newlines and the width of its last
+        # line, so a token after it reports its source column.
         tokens = tokenize("a /* one\ntwo\n three */ b\n  c")
         assert [(t.value, t.line, t.column) for t in tokens[:3]] == [
-            ("a", 1, 1), ("b", 3, 2), ("c", 4, 3),
+            ("a", 1, 1), ("b", 3, 11), ("c", 4, 3),
         ]
 
     def test_slash_star_slash_is_unclosed(self):

@@ -73,9 +73,21 @@ class TestStatements:
         )
         assert "while (a)" in text and "do" in text
 
-    def test_braces_added_to_single_statements(self):
+    def test_braces_added_only_where_else_would_rebind(self):
+        # Parsed, an unbraced body stays unbraced.
         text = roundtrip("void main() { if (a) discard; }")
-        assert "{" in text.split("if (a)")[1]
+        assert "{" not in text.split("if (a)")[1]
+        # A tree no parse yields: an else-less ``if`` as the
+        # unbraced then-branch of an ``if`` with an ``else``.  Printed
+        # bare, the else would bind to the inner ``if``; braces keep it
+        # on the outer one.
+        unit = parse("void main() { if (a) { if (b) x = 1.0; } else x = 2.0; }")
+        outer = unit.declarations[0].body.statements[0]
+        braced = outer.then_branch
+        outer.then_branch = braced.statements[0]
+        text = print_unit(unit)
+        outer.then_branch = braced
+        assert ast.structurally_equal(unit, parse(text))
 
     def test_empty_block(self):
         roundtrip("void main() { if (a) { } }")
@@ -213,6 +225,21 @@ def _assert_roundtrips(sources):
         first = parse(preprocess(source).source)
         second = parse(print_unit(first))
         assert ast.structurally_equal(first, second), source
+
+
+@pytest.mark.parametrize("body", [
+    "if (a) x = 1.0;",
+    "if (a) x = 1.0; else x = 2.0;",
+    "for (int i = 0; i < 4; i++) x += 1.0;",
+    "while (a) x = 1.0;",
+    "do x = 1.0; while (a);",
+    "if (a) if (b) x = 1.0; else x = 2.0;",
+    "if (a) for (;;) if (b) break; else x = 2.0;",
+    "if (a) { if (b) x = 1.0; } else x = 2.0;",
+])
+def test_unbraced_bodies_round_trip_as_parsed(body):
+    first = parse(f"void main() {{ {body} }}")
+    assert ast.structurally_equal(first, parse(print_unit(first)))
 
 
 class TestRoundTripOverSources:

@@ -311,9 +311,10 @@ def test_draw_span_registry_and_context_stats_agree(
 ):
     # One number, three readers: the draw span's counter args, the
     # registry delta around the draw, and the ContextStats delta must
-    # agree key for key — on a draw whose lazy IR/JIT loads hit a
-    # corrupt entry and undeserialisable payloads, and whose publishes
-    # run without the store's running total (so each scans the store).
+    # agree key for key — on a draw whose JIT loads hit a corrupt entry
+    # and undeserialisable payloads, so it compiles its IR programs,
+    # and whose publishes run without the store's running total (so
+    # each scans the store).
     from repro.core import cache
     from repro.gles2 import enums as gl, shader as shader_mod
     from repro.perf import counters
@@ -321,12 +322,15 @@ def test_draw_span_registry_and_context_stats_agree(
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     with faults.suppress():
+        # Fresh shader objects, so both stages publish their entries.
+        shader_mod.clear_frontend_cache()
         _quad_context().glDrawArrays(gl.GL_TRIANGLES, 0, 6)
-        # Valid envelopes around IR/JIT payloads that will not unpickle.
+        # Valid envelopes around payloads that will not unpickle: the
+        # front ends recompile with the new context, the JIT functions
+        # in the draw.
         for path in list(cache.iter_entries()):
             kind = cache._unpack(path.read_bytes())[0]["kind"]
-            if kind in ("ir", "jit"):
-                cache.put(path.stem, b"not a pickle", kind)
+            cache.put(path.stem, b"not a pickle", kind)
         shader_mod.clear_frontend_cache()
         ctx = _quad_context()
     recorder = trace.start()
@@ -346,7 +350,7 @@ def test_draw_span_registry_and_context_stats_agree(
         if counters.SCOPES[name] == counters.DRAW
     }
     for name in ("cache.disk.corrupt", "cache.disk.load_failures",
-                 "cache.disk.lock_skips", "compile.ir.fresh",
+                 "cache.disk.lock_skips", "compile.ir.uncached",
                  "compile.jit.fresh"):
         assert registry.get(name, 0) > 0, name
 
