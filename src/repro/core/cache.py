@@ -95,7 +95,9 @@ from ..perf import counters, trace
 #: 7: JIT entries carry the program's bindings and static cost, which
 #: a warm JIT draw reads instead of loading the IR program.
 #: 8: IR programs and ``unsupported`` JIT markers are no longer stored.
-SCHEMA_VERSION = 8
+#: 9: store forwarding no longer lets a copy see later stores to its
+#: source; schema-8 JIT code may carry that miscompile.
+SCHEMA_VERSION = 9
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"

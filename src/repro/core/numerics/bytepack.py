@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .delta import BYTE_MAX, reconstruct_byte, texel_to_float
+from .delta import BYTE_MAX, reconstruct_byte
 
 # ----------------------------------------------------------------------
 # Host side: value array <-> texel bytes (identity layout)
@@ -70,9 +70,3 @@ def shader_pack_schar(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     unsigned = np.where(v < 0, v + 256.0, v)
     return unsigned / BYTE_MAX
-
-
-def roundtrip_uchar_through_shader(values: np.ndarray, quantize=texel_to_float) -> np.ndarray:
-    """Full input-side path: bytes -> eq.(1) floats -> M -> bytes.
-    Used by tests to prove bijectivity over all 256 values."""
-    return shader_unpack_uchar(quantize(values))

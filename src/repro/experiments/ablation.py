@@ -52,13 +52,6 @@ class AblationResult:
         """End-to-end wall-time ratio (transfers and compiles included)."""
         return self.unoptimized.total_seconds / self.optimized.total_seconds
 
-    @property
-    def execute_overhead_factor(self) -> float:
-        """Shader-execution-only ratio — isolates the per-element cost
-        (the packing ablation's headline number: at small sizes the
-        end-to-end ratio is hidden by fixed transfer/compile costs)."""
-        return self.unoptimized.execute_seconds / self.optimized.execute_seconds
-
 
 def _run_sum_once(device: GpgpuDevice, size: int, seed: int = 11) -> np.ndarray:
     rng = np.random.default_rng(seed)

@@ -13,11 +13,14 @@ unpack rebuilds the stored bytes (§IV, eqs. (1) and (4))::
     // or, one-byte formats: floor(texture2D(sampler, coord).r * 255.0 + 0.5)
 
 After the optimisation pipeline the coordinate part survives as one
-rigid instruction chain (mod / floor / construct / +0.5 /
-divide-by-size), either fully forwarded into pure value ops
-(straight-line kernels) or still routed through the helper's
-single-store locals (loop bodies, where store forwarding does not
-cross iterations).  This pass recognises both forms and records two
+rigid chain of pure single-definition value ops (mod / floor /
+construct / +0.5 / divide-by-size): store forwarding
+(:func:`~repro.glsl.ir.passes.forward_stores`) has replaced the reads
+of the helper's single-store locals, which the helper declares in the
+block that stores them — straight-line code, a loop body or an arm.
+(A coordinate local stored in a loop it is declared outside keeps its
+store; that read is not matched and samples through plain
+``texture2D``.)  This pass recognises the chain and records two
 annotations on the ``texture`` instruction.
 
 ``gather = (size_reg, x_reg, y_reg)``
@@ -46,13 +49,13 @@ Set when the texel also feeds the byte decode ``floor(t * 255.0 +
 site records the flat element index ``idx`` the chain takes ``mod``
 and ``floor`` of, and lists the instructions *private* to the fetch
 (nothing outside it reads their results: the ``size.x`` swizzle, the
-``mod``, the divide and the ``floor`` with the ``x``/``y`` locals'
-stores, the coordinate construct/+0.5/divide, the coordinate local's
-store, the texture, the decode) and the *fallback* sequence in
-original order.  The JIT turns the whole site into one call that
-returns the stored bytes of texel ``idx`` of the flat ``(H, W)``
-storage and runs the fallback — ``mod``/``floor``, coordinates,
-``texture2D``, decode — only when the runtime check misses.
+``mod``, the divide and the ``floor``, the coordinate
+construct/+0.5/divide, the texture, the decode) and the *fallback*
+sequence in original order.  The JIT turns the whole site into one
+call that returns the stored bytes of texel ``idx`` of the flat
+``(H, W)`` storage and runs the fallback — ``mod``/``floor``,
+coordinates, ``texture2D``, decode — only when the runtime check
+misses.
 
 That flat read is the texel the chain addresses when three proofs
 hold.  Statically (this pass): the ``mod`` and the divide sit in the
@@ -74,16 +77,14 @@ Moving the private instructions to the texture's position is sound
 because the pass only defers an instruction that (a) sits in the
 texture's own block with no region boundary or kill op in between,
 (b) is the single definition of what it writes, (c) has no reader
-outside the site (a local that is only declared elsewhere counts as
-unread), (d) whose operands nothing else rewrites between its
-original position and the texture, and (e) that reads no value a
-deferred instruction carried over from an earlier pass through the
-block — a pass whose read hit and skipped it.  (The masked store of
-the coordinate local reads the local's old value; the helper's
-``decl`` earlier in the same block resets it on every pass, so even
-inactive lanes match.)  A constant the decode reads that is defined
-between the texture and its use is re-run inside the fallback (and
-stays in place when others read it).
+outside the site, and (d) whose operands nothing else rewrites
+between its original position and the texture.  A moved instruction
+writes only its own pure register, and a pure register is defined
+before it is read in its block, so no deferred instruction reads a
+value that a moved one left from an earlier pass through a loop body
+(a pass whose read hit and skipped it).  A constant the decode reads
+that is defined between the texture and its use is re-run inside the
+fallback (and stays in place when others read it).
 
 ``FetchSite.tail = DecodeTail``
 -------------------------------
@@ -98,40 +99,27 @@ read.  The tail is the instructions after the decode that
     scanned for at most one site's tail);
 (b) read only the site's bytes, other tail registers, or
     single-definition ``const`` registers (no uniforms, no varyings);
-(c) are lane-wise pure value ops (``_TAIL_OPS``), or the ``decl`` and
-    single whole-value ``store`` of a local that nothing else writes;
+(c) are lane-wise pure value ops (``_TAIL_OPS``);
 (d) are each the single definition of what they write.
 
 The tail's *outputs* are its registers read outside it (or by a
 region node).  A backend binds them at the texture's position, so the
 pass drops the tail when something between the texture and the
 position where an output gets its value reads that output's previous
-value.  A store in the tail writes its local whole under the
-execution mask, so inactive lanes keep the ``decl``'s zeros.  Under
-the full mask every lane of every output is therefore the lane-wise
-function of that lane's bytes; under a mask that holds for the active
-lanes only, so a backend runs the tail of a masked site in place.
+value.  Every lane of every output is the lane-wise function of that
+lane's bytes.
 
 Lane-freshness soundness
 ------------------------
-Value ops compute full-width data (masks only gate stores), so a
-chain of *pure* single-definition registers is value-consistent on
-every lane, active or not.  The store-routed form is consistent only
-because all three locals (``x``, ``y``, ``coord``) are written under
-the same execution mask: the pass requires their defining stores and
-the texture instruction to share one block with no region boundaries
-or kill ops in between, so per lane the three registers always hold
-values from the same (possibly earlier) iteration and the coordinate
-relation holds lane-wise.  Mixed pure/stored chains are rejected —
-a fresh full-width index paired with a stale masked coordinate could
-disagree on inactive lanes.  When a fused site's coordinate store is
-deferred into the fallback it still runs under the texture's mask,
-so active lanes see exactly the original values; inactive lanes of a
-private register are never observed.  The flat read takes ``idx``
-itself, a pure register, so on every active lane it is the index the
-stored ``x``/``y`` came from; a masked site's inactive lanes may hold
-any index (a neighbour read past the edge), so a backend checks and
-reads ``idx`` on the active lanes only.
+Value ops compute full-width data (masks only gate stores), so the
+chain of pure single-definition registers is value-consistent on
+every lane, active or not: per lane, ``x``, ``y`` and the coordinate
+are computed from the ``idx`` of the same pass.  A deferred
+instruction computes the same values in the fallback, and inactive
+lanes of a private register are never observed.  The flat read takes
+``idx`` itself; a masked site's inactive lanes may hold any index (a
+neighbour read past the edge), so a backend checks and reads ``idx``
+on the active lanes only.
 
 The pass runs after :func:`~repro.glsl.ir.passes.compact_pool` so
 constant-pool indices are final, and is purely additive: it never
@@ -145,7 +133,7 @@ scans.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .nodes import (
@@ -163,10 +151,6 @@ from .nodes import (
 #: texture overload keys eligible for gather (plain 2-D texture2D).
 _GATHER_TEX_KEYS = frozenset({"texture2D/0"})
 
-#: ops a matched coordinate chain may consist of — all pure value ops.
-_CHAIN_OPS = frozenset({"const", "swizzle", "builtin", "arith", "construct"})
-
-
 #: ops a decode tail may consist of — lane-wise pure value ops (no
 #: struct fields, no mask-reading short-circuit combine).
 _TAIL_OPS = frozenset({"move", "unary", "arith", "compare", "equal", "xor",
@@ -177,9 +161,8 @@ _TAIL_OPS = frozenset({"move", "unary", "arith", "compare", "equal", "xor",
 class DecodeTail:
     """The §IV unpack after a fused read's byte decode (``FetchSite.tail``).
 
-    ``instrs`` are the tail's instructions in original order: lane-wise
-    value ops and the ``decl`` + whole-value ``store`` pairs of locals
-    private to the tail.  ``consts`` are the single-definition ``const``
+    ``instrs`` are the tail's lane-wise value ops in original order.
+    ``consts`` are the single-definition ``const``
     instructions they read (they stay in place too; a backend that
     evaluates the tail elsewhere re-reads them).  ``outputs`` are the
     tail registers read outside it, in definition order.
@@ -292,31 +275,15 @@ class _DefInfo:
                 for sub in _sub_blocks(item):
                     self._scan(sub)
 
-    def resolve(self, reg: int):
-        """Resolve ``reg`` to the pure instruction computing its value.
-
-        Returns ``(instr, store)`` where ``store`` is None for a pure
-        single-definition register, or the ``(block, idx, Instr)``
-        triple of the *single* whole-value store when ``reg`` is a
-        store-routed local whose stored source is pure.  Returns None
-        when the value cannot be pinned down.
-        """
+    def resolve(self, reg: int, op: str) -> Optional[Instr]:
+        """The pure single-definition ``op`` instruction computing
+        ``reg``, or None (also when ``reg`` is a variable: store
+        forwarding has already replaced the reads of every local the
+        fetch chain could route through)."""
         ins = self.defs.get(reg)
-        if ins is None:
+        if ins is None or ins.op != op or reg in self.stores:
             return None
-        if ins.op in _CHAIN_OPS and reg not in self.stores:
-            return ins, None
-        writes = self.stores.get(reg, ())
-        if len(writes) != 1:
-            return None
-        block, idx, st = writes[0]
-        if st.op != "store" or st.imm != () or len(st.args) != 2:
-            return None  # partial (swizzled/indexed) store: not whole-value
-        src = self.defs.get(st.args[1])
-        if src is None or src.op not in _CHAIN_OPS \
-                or st.args[1] in self.stores:
-            return None
-        return src, (block, idx, st)
+        return ins
 
     def sole_reader(self, reg: int) -> Optional[Instr]:
         """The one instruction reading ``reg``, if exactly one does."""
@@ -369,14 +336,6 @@ class _BlockIndex:
             i += 1
         return False
 
-    def carried(self, reg: int, pos: int, moved: Set[int]) -> bool:
-        """True when ``reg`` reaches ``pos`` from an earlier pass through
-        the block (nothing writes it before ``pos``) and one of the
-        ``moved`` instructions (ids) writes it."""
-        positions = self.writes.get(reg, ())
-        return bisect_left(positions, pos) == 0 and any(
-            id(self.items[q]) in moved for q in positions)
-
 
 def _splat_const(program: CompiledProgram, info: _DefInfo, reg: int):
     """``(type name, value)`` when ``reg`` is a single-definition
@@ -396,25 +355,10 @@ def _splat_const(program: CompiledProgram, info: _DefInfo, reg: int):
     return name, float(flat[0])
 
 
-def _same_mask_window(info: _DefInfo, tex: Instr, stores, index_of) -> bool:
-    """True when every store in ``stores`` shares the texture's block
-    and the span from the earliest store to the texture is free of
-    region boundaries and kill ops — i.e. one execution mask covers
-    all of them and the stored triple is lane-consistent."""
-    tex_block, tex_idx = info.positions[id(tex)]
-    first = tex_idx
-    for block, idx, __ in stores:
-        if block is not tex_block or idx >= tex_idx:
-            return False
-        first = min(first, idx)
-    return index_of(tex_block).open(first, tex_idx)
-
-
-def _match_fetch_chain(program, tex: Instr, info: _DefInfo, index_of):
+def _match_fetch_chain(program, tex: Instr, info: _DefInfo):
     """Match the fetch-helper coordinate chain rooted at ``tex``.
 
-    Expected value structure (each endpoint either a pure register or
-    a single-store local)::
+    Expected value structure, every register pure and singly defined::
 
         swizzle   sx    <- size (0,)
         builtin   x     <- idx sx mod/0
@@ -428,76 +372,48 @@ def _match_fetch_chain(program, tex: Instr, info: _DefInfo, index_of):
 
     Returns ``((size_reg, x_reg, y_reg), idx_reg, address,
     coord_instrs)`` or None.  ``address`` are the ``mod``, the divide
-    and the ``floor`` (in that order), then the ``size.x`` swizzle and
-    the ``x``/``y`` locals' stores; ``coord_instrs`` are the
-    instructions that only turn ``x``/``y`` into the sample coordinate
-    (construct, 0.5, +, divide, and the coordinate local's store).
-    Both are candidates for deferral.
+    and the ``floor`` (in that order), then the ``size.x`` swizzle;
+    ``coord_instrs`` are the instructions that only turn ``x``/``y``
+    into the sample coordinate (construct, 0.5, +, divide).  Both are
+    candidates for deferral.
     """
-
-    def pure(reg, op):
-        res = info.resolve(reg)
-        if res is None or res[1] is not None or res[0].op != op:
-            return None
-        return res[0]
-
-    coord_res = info.resolve(tex.args[1])
-    if coord_res is None:
-        return None
-    coord, coord_store = coord_res
-    if coord.op != "arith" or coord.imm[0] != "/" or len(coord.args) != 2:
+    coord = info.resolve(tex.args[1], "arith")
+    if coord is None or coord.imm[0] != "/" or len(coord.args) != 2:
         return None
     sum_reg, size_reg = coord.args
     if size_reg in info.stores:
         return None
-    add = pure(sum_reg, "arith")
+    add = info.resolve(sum_reg, "arith")
     if add is None or add.imm[0] != "+" or len(add.args) != 2:
         return None
     for xy_reg, half_reg in (add.args, add.args[::-1]):
-        half = pure(half_reg, "const")
+        half = info.resolve(half_reg, "const")
         if half is not None and \
                 _splat_const(program, info, half_reg) == ("float", 0.5):
             break
     else:
         return None
-    xy = pure(xy_reg, "construct")
+    xy = info.resolve(xy_reg, "construct")
     if xy is None or len(xy.args) != 2 or str(xy.type) != "vec2":
         return None
     x_reg, y_reg = xy.args
-    x_res = info.resolve(x_reg)
-    y_res = info.resolve(y_reg)
-    if x_res is None or y_res is None:
-        return None
-    x, x_store = x_res
-    y, y_store = y_res
-    if x.op != "builtin" or x.imm[0] != "mod/0" or len(x.args) != 2:
+    x = info.resolve(x_reg, "builtin")
+    if x is None or x.imm[0] != "mod/0" or len(x.args) != 2:
         return None
     idx_reg, sx_reg = x.args
     if idx_reg in info.stores:
         return None
-    if y.op != "builtin" or y.imm[0] != "floor/0" or len(y.args) != 1:
+    y = info.resolve(y_reg, "builtin")
+    if y is None or y.imm[0] != "floor/0" or len(y.args) != 1:
         return None
-    quot = pure(y.args[0], "arith")
+    quot = info.resolve(y.args[0], "arith")
     if quot is None or quot.imm[0] != "/" or quot.args != (idx_reg, sx_reg):
         return None
-    sx = pure(sx_reg, "swizzle")
+    sx = info.resolve(sx_reg, "swizzle")
     if sx is None or sx.imm != (0,) or sx.args != (size_reg,):
         return None
-    # Lane-freshness: all three endpoints pure, or all three stored
-    # under one mask in the texture's own block (see module docstring).
-    endpoint_stores = [s for s in (coord_store, x_store, y_store)
-                       if s is not None]
-    if endpoint_stores:
-        if len(endpoint_stores) != 3:
-            return None  # mixed pure/stored: inactive lanes may skew
-        if not _same_mask_window(info, tex, endpoint_stores, index_of):
-            return None
-    coord_instrs = [xy, half, add, coord]
-    if coord_store is not None:
-        coord_instrs.append(coord_store[2])
-    address = [x, quot, y, sx] + [store[2] for store in (x_store, y_store)
-                                  if store is not None]
-    return (size_reg, x_reg, y_reg), idx_reg, address, coord_instrs
+    return ((size_reg, x_reg, y_reg), idx_reg, [x, quot, y, sx],
+            [xy, half, add, coord])
 
 
 def _match_decode(program, tex: Instr, info: _DefInfo):
@@ -603,7 +519,6 @@ def _fetch_site(program, tex: Instr, idx_reg: int, address, coord_instrs,
             p = pos[id(ins)]
             if (not info.private_to(ins, inside)
                     or any(index.rewritten(reg, p, t, inside)
-                           or index.carried(reg, p, inside)
                            for reg in ins.args)):
                 deferred.remove(ins)
                 inside.discard(id(ins))
@@ -623,19 +538,6 @@ def _fetch_site(program, tex: Instr, idx_reg: int, address, coord_instrs,
     return site
 
 
-def _private_local(decl: Instr, info: _DefInfo, block: Block) -> bool:
-    """True when ``decl`` declares a local (not a global) whose one
-    write is a single whole-value store later in the same block."""
-    reg = decl.out
-    writes = info.stores.get(reg, ())
-    if (info.defs.get(reg) is not decl or reg in info.globals
-            or len(writes) != 1):
-        return False
-    where, __, store = writes[0]
-    return (where is block and store.op == "store" and store.imm == ()
-            and len(store.args) == 2)
-
-
 def _decode_tail(tex: Instr, site: FetchSite,
                  info: _DefInfo) -> Optional[DecodeTail]:
     """Match the decode tail after a fused read (module docstring):
@@ -648,7 +550,6 @@ def _decode_tail(tex: Instr, site: FetchSite,
     ready: Dict[int, int] = {
         site.out: info.positions[id(site.fallback[-1])][1]
     }
-    pending: Dict[int, Instr] = {}  # private locals declared, not stored
     instrs: List[Instr] = []
     consts: Dict[int, Instr] = {}
     def reach(reg: int) -> int:
@@ -665,19 +566,6 @@ def _decode_tail(tex: Instr, site: FetchSite,
             break
         if id(ins) in skip or ins.op == "const":
             continue
-        if ins.op == "decl":
-            if _private_local(ins, info, block):
-                pending[ins.out] = ins
-                instrs.append(ins)
-            continue
-        if ins.op == "store":
-            root = ins.args[0]
-            if root in pending and ins.imm == () and ins.args[1] in ready:
-                del pending[root]
-                ready[root] = pos
-                horizon = max(horizon, reach(root))
-                instrs.append(ins)
-            continue
         out = ins.out
         if (ins.op not in _TAIL_OPS or out is None
                 or info.defs.get(out) is not ins or out in info.stores
@@ -693,9 +581,6 @@ def _decode_tail(tex: Instr, site: FetchSite,
         ready[out] = pos
         horizon = max(horizon, reach(out))
         instrs.append(ins)
-    # A local whose store did not qualify leaves the tail with its decl.
-    instrs = [ins for ins in instrs
-              if not (ins.op == "decl" and ins.out in pending)]
     inside = {id(ins) for ins in instrs}
     outputs = []
     for reg, at in ready.items():
@@ -751,7 +636,7 @@ def annotate_gathers(program: CompiledProgram) -> int:
         if (not isinstance(imm, tuple) or len(imm) != 2
                 or imm[0] not in _GATHER_TEX_KEYS or len(tex.args) != 2):
             continue
-        match = _match_fetch_chain(program, tex, info, index_of)
+        match = _match_fetch_chain(program, tex, info)
         if match is not None:
             tex.gather, idx_reg, address, coord_instrs = match
             tex.fetch = _fetch_site(program, tex, idx_reg, address,

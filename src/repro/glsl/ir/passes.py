@@ -1,7 +1,8 @@
 """IR optimisation passes: constant folding + static branch pruning,
 select-conversion (if-conversion of pure ternary/short-circuit arms),
-call-frame elision, parameter copy propagation, common-subexpression
-elimination and dead-code elimination.
+call-frame elision, parameter copy propagation, store-to-load
+forwarding, common-subexpression elimination and dead-code
+elimination.
 
 Folding is *abstract execution*: a batch-1 host executor runs the real
 instruction handlers under the real float model, so folded constants
@@ -37,11 +38,12 @@ Soundness notes
   blend only zero-fills lanes that are already dead (never stored),
   so outputs are bit-identical.
 * Copy propagation: an ``in``-parameter ``copy`` whose register is
-  never the root of a store — and whose source register is never the
-  root of a store either — can alias instead of clone.  Stores replace
-  ``Value.data`` with fresh arrays (the no-in-place invariant), so an
-  alias of a never-stored register can never observe a divergent
-  write.
+  never the root of a store — and whose source, with any storage the
+  source aliases, is stored only before the copy — can alias instead
+  of clone.  Stores replace ``Value.data`` with fresh arrays (the
+  no-in-place invariant), so such an alias can never observe a
+  divergent write.
+* Store forwarding: see :func:`forward_stores`.
 """
 
 from __future__ import annotations
@@ -774,20 +776,22 @@ class _UnitScan:
     """One execution-order walk of a unit collecting store positions.
 
     Positions are a DFS counter matching execution order for
-    straight-line code; any store inside a loop is recorded at +inf
-    (it can re-execute after anything), which keeps every position
-    test conservative across iterations.  ``top`` marks positions
-    whose only ancestors are :class:`FuncRegion` brackets — the
-    execution mask there is the unit's entry mask modulo kill-channel
-    lanes, which only ever diverge on dead lanes.
+    straight-line code; ``last_store`` records any store inside a loop
+    at +inf (it can re-execute after anything), which keeps every
+    "all stores come first" test conservative across iterations.
+    ``top`` marks positions whose only ancestors are
+    :class:`FuncRegion` brackets.
     """
 
     def __init__(self, unit: Block):
         self.pos = 0
         self.last_store: Dict[int, float] = {}
         self.store_count: Dict[int, int] = {}
-        #: root -> (pos, source reg) for plain top-level stores
-        self.top_stores: Dict[int, List] = {}
+        #: root -> the block holding its ``decl``
+        self.decl_block: Dict[int, Block] = {}
+        #: root -> (pos, instr, block, top and outside loops) of its
+        #: last plain whole-value store
+        self.plain_stores: Dict[int, tuple] = {}
         self.copies: List = []  # (instr, pos)
         self._walk(unit, in_loop=False, top=True)
 
@@ -801,10 +805,11 @@ class _UnitScan:
                         self.store_count.get(root, 0) + 1
                     self.last_store[root] = \
                         float("inf") if in_loop else self.pos
-                    if (item.op == "store" and item.imm == ()
-                            and top and not in_loop):
-                        self.top_stores.setdefault(root, []).append(
-                            (self.pos, item))
+                    if item.op == "store" and item.imm == ():
+                        self.plain_stores[root] = (
+                            self.pos, item, block, top and not in_loop)
+                elif item.op == "decl":
+                    self.decl_block[item.out] = block
                 elif item.op == "copy":
                     self.copies.append((item, self.pos))
             elif isinstance(item, FuncRegion):
@@ -816,18 +821,29 @@ class _UnitScan:
                 for sub in _region_blocks(item):
                     self._walk(sub, in_loop, False)
 
+    def settled(self, reg: int, pos: int, defs: Dict[int, object]) -> bool:
+        """True when every store that can change what ``reg`` reads —
+        to ``reg`` itself or to the storage it aliases (see
+        :func:`_snapshot_watch`) — comes before position ``pos``."""
+        watch = _snapshot_watch(reg, defs)
+        if watch is True:
+            return False
+        return all(self.last_store.get(root, -1) < pos
+                   for root in {reg, *(watch or ())})
+
 
 def propagate_copies(program: CompiledProgram) -> bool:
     """Turn read-only parameter clones into aliases.
 
     A ``copy`` upgrades to a ``move`` when its own register is never
-    stored to and every store to its source strictly precedes it in
-    execution order.  All data mutation in the executor replaces
-    ``Value.data`` arrays rather than writing in place, so an alias of
-    a register with no further stores can never observe a divergent
-    write.
+    stored to and every store to its source (or to the storage the
+    source aliases) strictly precedes it in execution order.  All data
+    mutation in the executor replaces ``Value.data`` arrays rather
+    than writing in place, so an alias of a register with no further
+    stores can never observe a divergent write.
     """
     changed = False
+    defs = _build_defs(program)
     units = [plan.init_block for plan in program.globals_plan
              if plan.init_block is not None] + [program.body]
     for unit in units:
@@ -835,19 +851,20 @@ def propagate_copies(program: CompiledProgram) -> bool:
         for ins, pos in scan.copies:
             if scan.store_count.get(ins.out, 0):
                 continue
-            if scan.last_store.get(ins.args[0], -1) >= pos:
+            if not scan.settled(ins.args[0], pos, defs):
                 continue
             ins.op = "move"
             changed = True
     return changed
 
 
-def _forward_rewrite(block: Block, state: Dict) -> None:
-    fwd = state["fwd"]
-    eligible = state["eligible"]
+def _forward_rewrite(block: Block, fwd: Dict[int, int],
+                     candidates: Dict[int, int], scan: _UnitScan,
+                     defs: Dict[int, object]) -> bool:
+    changed = False
+    scoped = []
     for item in block.items:
         if isinstance(item, Instr):
-            state["pos"] += 1
             if item.args and fwd:
                 if item.op in ("store", "incdec"):
                     # args[0] is the l-value root; only value/index
@@ -858,49 +875,68 @@ def _forward_rewrite(block: Block, state: Dict) -> None:
                     args = tuple(fwd.get(a, a) for a in item.args)
                 if args != item.args:
                     item.args = args
-                    state["changed"] = True
-            if item.op == "store":
-                entry = eligible.get(item.args[0])
-                if entry is not None and entry[0] == state["pos"]:
-                    fwd[item.args[0]] = item.args[1]
+                    changed = True
+            pos = candidates.get(id(item))
+            if pos is not None and scan.settled(item.args[1], pos, defs):
+                fwd[item.args[0]] = item.args[1]
+                scoped.append(item.args[0])
         else:
             for attr in ("cond", "left", "right", "true_reg",
                          "false_reg"):
                 reg = getattr(item, attr, None)
                 if reg is not None and fwd.get(reg, reg) != reg:
                     setattr(item, attr, fwd[reg])
-                    state["changed"] = True
+                    changed = True
             for sub in _region_blocks(item):
-                _forward_rewrite(sub, state)
+                changed |= _forward_rewrite(sub, fwd, candidates, scan,
+                                            defs)
+    for root in scoped:
+        del fwd[root]
+    return changed
 
 
 def forward_stores(program: CompiledProgram) -> bool:
-    """Store-to-load forwarding for single-store top-level variables.
+    """Store-to-load forwarding for single-store variables.
 
-    When a variable's only store in the whole unit is a plain
-    top-level ``store v <- r``, every later read of ``v`` sees exactly
-    the data of ``r`` (the top-level mask diverges from full only on
-    kill-channel lanes, whose values are unobservable), so those reads
-    can use ``r`` directly; DCE then retires the dead declaration and
-    store for non-pinned variables.  Reports a change only when some
-    operand or region register was rewritten.
+    A plain whole-value ``store v <- r`` that is ``v``'s only store in
+    the unit forwards ``r`` to the reads of ``v`` after it in the
+    block that holds the store (nested regions included) when
+
+    * the store sits in the block that holds ``v``'s ``decl``, at any
+      nesting (a loop body, an if-arm), or at top level outside every
+      loop (globals and outputs have no ``decl`` in the unit); and
+    * every store that can change what ``r`` reads — to ``r`` or to
+      the storage it aliases — comes before it.  Lowering stores a
+      variable's own storage register (``float a = b;``), so without
+      this a later ``b = ...`` would show through ``a``.
+
+    Within one pass through a block the execution mask only shrinks
+    (kills, ``break``, ``continue`` and ``return`` retire lanes until
+    the block ends, and a nested region restores at most the mask it
+    was entered with), so every lane that reads ``v`` after the store
+    was active at it and holds ``r``'s value; the other lanes are dead
+    until the block ends.  A loop body runs the store again before
+    each pass's reads; reads before it are not rewritten.  The rewrite
+    stops where the block ends: past a function body, lanes that
+    returned early are live again with ``v`` unwritten, which an
+    ``out`` parameter's copy-out reads.  DCE then retires the dead
+    declaration and store of non-pinned variables.  Reports a change
+    only when some operand or region register was rewritten.
     """
     changed = False
+    defs = _build_defs(program)
     units = [plan.init_block for plan in program.globals_plan
              if plan.init_block is not None] + [program.body]
     for unit in units:
         scan = _UnitScan(unit)
-        eligible: Dict[int, tuple] = {}
-        for root, entries in scan.top_stores.items():
-            if scan.store_count.get(root, 0) == 1 and len(entries) == 1:
-                pos, ins = entries[0]
-                eligible[root] = (pos, ins.args[1])
-        if not eligible:
-            continue
-        state = {"pos": 0, "fwd": {}, "eligible": eligible,
-                 "changed": False}
-        _forward_rewrite(unit, state)
-        changed |= state["changed"]
+        candidates = {
+            id(ins): pos
+            for root, (pos, ins, block, top) in scan.plain_stores.items()
+            if scan.store_count[root] == 1
+            and (top or scan.decl_block.get(root) is block)
+        }
+        if candidates:
+            changed |= _forward_rewrite(unit, {}, candidates, scan, defs)
     return changed
 
 

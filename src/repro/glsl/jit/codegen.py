@@ -59,6 +59,21 @@ values, multi-step or struct-field l-value paths — raises
 :class:`JitUnsupported`; the executor then falls back to the
 :class:`~repro.glsl.ir.executor.IRExecutor` and counts the event in
 the ``jit.fallbacks`` counter.
+
+Pass contract
+-------------
+The generator takes the output of
+:func:`~repro.glsl.ir.passes.run_passes`, and five of its passes are
+load-bearing: ``flatten_return_ladders``, ``elide_frames``,
+``propagate_copies``, ``select_convert`` and ``cse``.  Together they
+turn the §IV unpack helpers' early-return ladders
+(``gpgpu_unpack_float32``, ``gpgpu_unpack_half``) into straight-line
+code without a function frame.  With any one of them stubbed, the
+helper keeps a ``return`` and the draw of every kernel with a float
+input falls back.  Fused reads also need ``forward_stores``: the
+gather pass matches only the pure coordinate chain that forwarding
+leaves, so with it stubbed no read fuses.  ``dce`` and constant
+folding are not needed to generate code.
 """
 
 from __future__ import annotations
@@ -829,9 +844,8 @@ class CodeGen:
         # mask the site's decode tail runs in a decoder function
         # instead, and the call returns the tail's outputs.  Under a
         # mask the call takes the mask (inactive lanes may index past
-        # the storage) and the tail runs in place: its stores leave
-        # the inactive lanes at the decl's zeros, which no decoder
-        # output reproduces.
+        # the storage, so they read texel 0) and the tail runs in
+        # place on the bytes it returns.
         call = (f"_fetch({self.nsites}, {sampler}, r{site.index}, "
                 f"r{ins.gather[0]}, {site.channel is None}")
         self.nsites += 1

@@ -138,14 +138,6 @@ class GlslType:
             raise ValueError(f"{self} is not a matrix")
         return vector_type(BaseType.FLOAT, self.size)
 
-    def with_base(self, base: str) -> "GlslType":
-        """Same shape, different scalar base (e.g. vec3 -> bvec3)."""
-        if self.kind == TypeKind.SCALAR:
-            return scalar_type(base)
-        if self.kind == TypeKind.VECTOR:
-            return vector_type(base, self.size)
-        raise ValueError(f"cannot rebase {self}")
-
     # ------------------------------------------------------------------
     def glsl_name(self) -> str:
         """The type's spelling in GLSL source."""
@@ -236,11 +228,6 @@ def vector_type(base: str, size: int) -> GlslType:
     return table[(base, size)]
 
 
-def matrix_type(size: int) -> GlslType:
-    """The interned square float matrix type ``mat<size>``."""
-    return {2: MAT2, 3: MAT3, 4: MAT4}[size]
-
-
 def array_of(element: GlslType, length: int) -> GlslType:
     """A fixed-size array type."""
     return GlslType(TypeKind.ARRAY, element=element, length=length)
@@ -249,20 +236,6 @@ def array_of(element: GlslType, length: int) -> GlslType:
 def struct_type(name: str, fields) -> GlslType:
     """A struct type with an ordered ``(name, type)`` field list."""
     return GlslType(TypeKind.STRUCT, name=name, fields=tuple(fields))
-
-
-# ----------------------------------------------------------------------
-# Constructor semantics (spec §5.4)
-# ----------------------------------------------------------------------
-def constructor_arg_components(arg_type: GlslType) -> int:
-    """How many scalar components an argument contributes inside a
-    vector/matrix constructor."""
-    return arg_type.component_count()
-
-
-def scalar_can_construct(target: GlslType) -> bool:
-    """Whether the type can be built from constructor syntax at all."""
-    return target.kind in (TypeKind.SCALAR, TypeKind.VECTOR, TypeKind.MATRIX)
 
 
 #: Swizzle character sets (spec §5.5).  All characters of one swizzle

@@ -88,11 +88,6 @@ def batch_of(*values: Value) -> int:
     return n
 
 
-def float_dtype_of(model) -> np.dtype:
-    """dtype of float data under a float model (see gles2.precision)."""
-    return model.dtype
-
-
 # ----------------------------------------------------------------------
 # Constructors for fresh values
 # ----------------------------------------------------------------------

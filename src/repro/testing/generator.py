@@ -127,6 +127,11 @@ class _ProgramGenerator:
                     found.append(name)
         return found
 
+    def writable_vars(self) -> List[Tuple[str, str]]:
+        return [(name, gtype) for scope in self.scopes
+                for name, (gtype, writable) in scope.vars.items()
+                if writable]
+
     def arrays_in_scope(self) -> List[Tuple[str, int]]:
         return [
             (name, length)
@@ -437,6 +442,15 @@ class _ProgramGenerator:
         roll = self.rng.random()
         depth = self.rng.randrange(1, cfg.max_expr_depth + 1)
 
+        # Snapshot ``T s = v;`` of a local that later statements may
+        # overwrite: a read of ``s`` must not see those stores.
+        candidates = self.writable_vars()
+        if candidates and self.chance(0.06):
+            src, gtype = self.pick(candidates)
+            name = self.fresh("s")
+            self.scopes[-1].vars[name] = (gtype, True)
+            return [f"{indent}{gtype} {name} = {src};"]
+
         if roll < 0.3:  # declaration
             gtype = self.pick(
                 ["float", "float", "vec2", "vec3", "vec4", "int",
@@ -487,11 +501,7 @@ class _ProgramGenerator:
         return [f"{indent}float {name} = {init};"]
 
     def gen_assignment(self, indent: str, depth: int) -> Optional[List[str]]:
-        candidates = []
-        for scope in self.scopes:
-            for name, (gtype, writable) in scope.vars.items():
-                if writable:
-                    candidates.append((name, gtype))
+        candidates = self.writable_vars()
         if not candidates:
             return None
         name, gtype = self.pick(candidates)

@@ -102,13 +102,6 @@ def _candidates(unit: ast.TranslationUnit) -> Iterator[ast.TranslationUnit]:
 # Statement edits.  Edits are indexed by a pre-order walk; the walk is
 # re-run on each deep copy so indices stay valid.
 # ----------------------------------------------------------------------
-def _stmt_lists(stmt: ast.Stmt) -> List[List[ast.Stmt]]:
-    """All statement lists directly inside ``stmt``."""
-    if isinstance(stmt, ast.CompoundStmt):
-        return [stmt.statements]
-    return []
-
-
 def _count_stmt_edits(body: ast.CompoundStmt) -> int:
     return len(_collect_stmt_edits(body))
 

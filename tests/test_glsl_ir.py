@@ -323,3 +323,131 @@ def test_forward_stores_reports_only_rewrites():
         }
     """)
     assert passes.forward_stores(program) is False
+
+
+_FORWARD_CASES = {
+    # (main body, region holding the store, forwarded?)
+    "loop_body": ("""
+        float acc = 0.0;
+        for (int i = 0; i < 3; i++) {
+            float t = v_uv.x * float(i);
+            acc += t * t;
+        }
+        gl_FragColor = vec4(acc);""", nodes.LoopRegion, True),
+    "if_arm": ("""
+        vec4 c = vec4(0.0);
+        if (v_uv.x > 0.5) {
+            float t = v_uv.y * 2.0;
+            if (t > 1.5) discard;
+            c = vec4(t, t, 0.0, 1.0);
+        }
+        gl_FragColor = c;""", nodes.IfRegion, True),
+    "declared_outside_the_loop": ("""
+        float acc = 0.0;
+        float t;
+        for (int i = 0; i < 3; i++) {
+            t = v_uv.x * float(i);
+            acc += t * t;
+        }
+        gl_FragColor = vec4(acc);""", nodes.LoopRegion, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORWARD_CASES))
+def test_forward_stores_in_the_declaring_block(case):
+    """A local declared and stored once in a loop body or an if-arm is
+    forwarded, and DCE drops its ``decl`` and ``store``: the block keeps
+    only the store to the variable declared outside it.  A local
+    declared outside the loop that stores it keeps its store."""
+    body, kind, forwarded = _FORWARD_CASES[case]
+    program = _compile(_frag("void main() {" + body + "\n}"))
+    region = next(_regions(program.body, kind))
+    block = (region.body_block if kind is nodes.LoopRegion
+             else region.then_block)
+    ops = [item.op for item in block.items if isinstance(item, nodes.Instr)]
+    assert ops.count("store") == (1 if forwarded else 2), dump_ir(program)
+    assert "decl" not in ops, dump_ir(program)
+
+
+#: ``a`` copies ``b`` (lowering stores ``b``'s own storage register, or
+#: a field of it, into ``a``), then ``b`` changes: ``a`` must keep the
+#: old value wherever the copy sits.
+_SNAPSHOT_VARIANTS = {
+    "top_level": """
+        float b = v_uv.x;
+        float a = b;
+        b = 0.25;
+        gl_FragColor = vec4(a, b, 0.0, 1.0);""",
+    "loop_body": """
+        float s = 0.0;
+        for (int i = 0; i < 2; i++) {
+            float b = v_uv.x + float(i);
+            float a = b;
+            b = 0.25;
+            s += a + b;
+        }
+        gl_FragColor = vec4(s * 0.25, 0.0, 0.0, 1.0);""",
+    "if_arm": """
+        vec4 c = vec4(0.0);
+        if (v_uv.y > 0.3) {
+            float b = v_uv.x;
+            float a = b;
+            b = 0.25;
+            c = vec4(a, b, 0.0, 1.0);
+        }
+        gl_FragColor = c;""",
+    "swizzled_store": """
+        vec2 b = v_uv;
+        vec2 a = b;
+        b.x = 0.25;
+        gl_FragColor = vec4(a, b);""",
+    "struct_field": """
+        S b = S(v_uv.x, 0.0);
+        float a = b.x;
+        b.x = 0.25;
+        gl_FragColor = vec4(a, b.x, 0.0, 1.0);""",
+}
+
+
+@pytest.mark.parametrize("backend", ["ir", "jit"])
+@pytest.mark.parametrize("variant", sorted(_SNAPSHOT_VARIANTS))
+def test_forwarded_copy_ignores_later_stores_to_its_source(variant, backend):
+    source = _frag("struct S { float x; float y; };\nvoid main() {"
+                   + _SNAPSHOT_VARIANTS[variant] + "\n}")
+    result = run_differential(source, backend=backend)
+    assert result.ok, result.message
+
+
+@pytest.mark.parametrize("backend", ["ir", "jit"])
+def test_parameter_alias_ignores_later_stores_to_its_source(backend):
+    """``g`` reads its ``in`` parameter after overwriting the global
+    struct field the argument came from; propagate_copies may alias
+    the parameter only when no store to that storage follows."""
+    source = _frag("""
+struct S { float x; float y; };
+S s;
+float g(float p) { s.x = 0.25; return p; }
+void main() {
+    s = S(v_uv.x, 0.0);
+    gl_FragColor = vec4(g(s.x), s.x, 0.0, 1.0);
+}
+""")
+    result = run_differential(source, backend=backend)
+    assert result.ok, result.message
+
+
+@pytest.mark.parametrize("backend", ["ir", "jit"])
+def test_out_parameter_stays_unwritten_on_early_return(backend):
+    """Lanes that return before ``x = 0.75`` leave ``y`` zero: past
+    ``f``'s body they are live again, so forwarding the store must not
+    reach the copy-out."""
+    source = _frag("""
+void f(out float x, float c) { if (c > 0.5) return; x = 0.75; }
+void main() {
+    float y;
+    f(y, v_uv.x);
+    gl_FragColor = vec4(y, 0.0, 0.0, 1.0);
+}
+""")
+    result = run_differential(source, backend=backend)
+    assert result.ok, result.message

@@ -70,7 +70,7 @@ from repro.kernels import (
 from repro.perf import counters
 from repro.perf.counters import DrawStats
 from repro.testing import faults
-from repro.testing.oracle import draw_for_capture
+from repro.testing.oracle import draw_for_capture, run_differential
 from repro.workloads.hotspot import hotspot_gpu
 from repro.workloads.kmeans import kmeans_assign_gpu
 from repro.workloads.nn import nearest_neighbor_gpu
@@ -502,13 +502,14 @@ class TestFusedCoverage:
 precision highp float;
 uniform sampler2D u_tex_x;
 uniform vec2 u_size_x;
-varying vec2 v_coord;
+varying vec2 v_uv;
 void main() {
     OUTER
     float acc = 0.0;
     for (int i = 0; i < 4; i++) {
-        float x = mod(float(i) + v_coord.x, u_size_x.x);
-        float y = floor((float(i) + v_coord.x) / u_size_x.x);
+        float idx = float(i) + floor(v_uv.x * 4.0);
+        float x = mod(idx, u_size_x.x);
+        float y = floor(idx / u_size_x.x);
         INNER
         coord = (vec2(x, y) + 0.5) / u_size_x;
         acc += floor(texture2D(u_tex_x, coord) * 255.0 + vec4(0.5)).r;
@@ -519,21 +520,31 @@ void main() {
 
     @pytest.mark.parametrize("inner", [True, False])
     def test_loop_carried_coordinate_stays_in_place(self, inner):
-        """The coordinate local's store reads the local's old value.
-        Declared inside the loop, that value is fresh on every pass
-        and the store moves into the fallback; declared outside, a
-        pass whose read hit would leave it stale, so the coordinate
-        chain stays in place and only the sample and decode defer."""
+        """Declared inside the loop, the coordinate local is forwarded:
+        the chain is pure, the whole coordinate defers into the
+        fallback and no store is left to move.  Declared outside, the
+        local keeps its store (a pass could read it before storing),
+        so the read does not fuse and samples through ``texture2D``.
+        Either way the draw matches the IR executor and the scalar
+        reference bit for bit."""
         decl = "vec2 coord;"
         source = self.LOOP_FETCH.replace(
             "OUTER", "" if inner else decl
         ).replace("INNER", decl if inner else "")
         program = compile_ir(compile_shader(source, "fragment"),
                              make_model("videocore"))
-        (tex,) = fetch_sites(program.body)
-        deferred = {ins.op for ins in tex.fetch.private}
-        assert ("store" in deferred) == inner
-        assert ("construct" in deferred) == inner
+        sites = fetch_sites(program.body)
+        if inner:
+            (tex,) = sites
+            deferred = {ins.op for ins in tex.fetch.private}
+            assert "construct" in deferred and "store" not in deferred
+        else:
+            assert sites == []
+        texels = np.arange(64, dtype=np.uint8).reshape(4, 4, 4)
+        result = run_differential(source, backend="jit",
+                                  uniforms={"u_size_x": (4.0, 4.0)},
+                                  textures={"u_tex_x": texels})
+        assert result.ok, result.message
 
 
 class TestDecodeIdentity:
@@ -625,7 +636,7 @@ class TestFusedBitIdentity:
         assert np.array_equal(workers, sgemm_ir)
 
     def test_injected_misses_run_the_fallback(self):
-        """The fallback code of straight-line, loop (store-routed) and
+        """The fallback code of straight-line, loop and
         masked sites reproduces the IR executor.  ``gather_miss`` fires
         in this process only, so every draw here shades in-process,
         whatever the environment asks for."""
@@ -835,9 +846,9 @@ class TestDecodeTail:
         assert len(sites) == 3
         assert all(tex.fetch.tail is not None for tex in sites)
         text = CodeGen(program, fmodel, {"v_coord"}).generate()
-        # The two loop reads decode through a private local, the c0
-        # read straight from the bytes: two distinct decoders.
-        assert text.count("def _d") == 2
+        # Store forwarding leaves the loop reads' tails as pure as the
+        # c0 read's: all three share one decoder.
+        assert text.count("def _d") == 1
         assert text.count("_fetch(") == 3
 
     @pytest.mark.parametrize("model", MODELS)
