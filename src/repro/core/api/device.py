@@ -30,6 +30,57 @@ from .errors import GpgpuError, ShaderBuildError
 from .kernel import Kernel, KernelSpec, MultiOutputKernel, program_cache_key
 
 
+class Launches:
+    """The eager launch scope of a multi-pass driver (see
+    :meth:`GpgpuDevice.launches`).
+
+    ``array``/``scratch`` allocate arrays the scope owns, ``launch``
+    runs a kernel at once and ``keep`` marks the arrays that outlive
+    the ``with`` block.  On exit every other owned array is released;
+    if the block raised, the kept ones are released too.
+    :class:`~repro.core.api.graph.LaunchGraph` has the same surface,
+    with launches deferred to block exit.
+    """
+
+    def __init__(self, device: "GpgpuDevice"):
+        self.device = device
+        self._owned = []
+        self._kept = set()
+
+    def array(self, host: np.ndarray, fmt=None) -> GpuArray:
+        """Upload a host array the scope owns."""
+        array = self.device.array(host, fmt)
+        self._owned.append(array)
+        return array
+
+    def scratch(self, length: int, fmt):
+        """An intermediate array the scope owns."""
+        array = self.device.empty(length, fmt)
+        self._owned.append(array)
+        return array
+
+    def keep(self, array):
+        """Let ``array`` survive the scope; returns it."""
+        self._kept.add(id(array))
+        return array
+
+    def launch(self, kernel: Kernel, out, inputs=None, uniforms=None):
+        """Run ``kernel(out, inputs, uniforms)`` now."""
+        return kernel(out, inputs, uniforms)
+
+    def _release_owned(self, failed: bool) -> None:
+        for array in self._owned:
+            if failed or id(array) not in self._kept:
+                array.release()
+
+    def __enter__(self) -> "Launches":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._release_owned(exc_type is not None)
+        return False
+
+
 class GpgpuDevice:
     """A general-purpose compute device on top of OpenGL ES 2.
 
@@ -56,12 +107,12 @@ class GpgpuDevice:
         split into one contiguous range per worker.  Env default:
         ``REPRO_SHADE_WORKERS``.
     graph_mode:
-        When true, the multi-pass kernel drivers (``repro.kernels``)
-        and graph-aware workloads record their launches into a
-        deferred :class:`~repro.core.api.graph.LaunchGraph` and replay
-        them through the fusing scheduler instead of executing
-        eagerly.  None reads the ``REPRO_GRAPH`` environment knob
-        ("1" enables); eager execution is the default.
+        When true, :meth:`launches` hands the multi-pass drivers
+        (``repro.kernels`` and the Rodinia workloads) a deferred
+        :class:`~repro.core.api.graph.LaunchGraph`, which replays
+        their launches through the fusing scheduler instead of
+        executing them eagerly.  None reads the ``REPRO_GRAPH``
+        environment knob ("1" enables); eager execution is the default.
     """
 
     def __init__(
@@ -113,13 +164,15 @@ class GpgpuDevice:
     # ------------------------------------------------------------------
     # Deferred launch graphs
     # ------------------------------------------------------------------
-    @property
-    def graph_enabled(self) -> bool:
-        """True when drivers should record into a launch graph: the
-        graph knob is on and no recording is already active (drivers
-        nested inside another recording fall back to joining nothing —
-        the outer graph owns the schedule)."""
-        return self.graph_mode and self._active_graph is None
+    def launches(self) -> Launches:
+        """The scope a multi-pass driver allocates and launches in:
+        :meth:`record` under graph mode when no recording is active,
+        otherwise an eager :class:`Launches` (so a driver nested in a
+        recording runs eagerly and the outer graph keeps its
+        schedule)."""
+        if self.graph_mode and self._active_graph is None:
+            return self.record()
+        return Launches(self)
 
     def record(self):
         """Open a deferred :class:`~repro.core.api.graph.LaunchGraph`.

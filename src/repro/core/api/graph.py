@@ -15,10 +15,16 @@ cannot:
   the concatenated stages keeps the fused result bit-identical to
   eager execution on every backend.
 
+A :class:`LaunchGraph` has the surface of the eager
+:class:`~repro.core.api.device.Launches` scope, so a driver written
+against ``device.launches()`` runs unchanged in either mode.
 Intermediates declared with :meth:`LaunchGraph.scratch` get a fresh
 :class:`GpuArray` when a launch first touches them and are released
 (texture and framebuffer deleted) right after their last reader has
-run, unless kept with :meth:`LaunchGraph.keep`.
+run, unless kept with :meth:`LaunchGraph.keep`.  Uploads made through
+:meth:`~repro.core.api.device.Launches.array` are released after the
+replay unless kept; if recording or replay raises, every scratch and
+upload the graph made is released.
 
 Recording validates every launch eagerly (mistakes surface where they
 were made); replay happens when the ``with device.record() as graph:``
@@ -43,6 +49,7 @@ from ..codegen.fuse import (
 )
 from ..numerics.formats import NumericFormat, get_format
 from .buffer import GpuArray, texture_shape
+from .device import Launches
 from .errors import GpgpuError, ShaderBuildError
 from .kernel import Kernel
 
@@ -69,7 +76,6 @@ class ScratchArray:
             length, self.device.ctx.limits.max_texture_size
         )
         self.backing: Optional[GpuArray] = None
-        self.kept = False
         self.recycled = False
 
     # -- GpuArray surface ----------------------------------------------
@@ -153,7 +159,7 @@ class ReplayStats:
     counts: Dict[str, int] = field(default_factory=dict)
 
 
-class LaunchGraph:
+class LaunchGraph(Launches):
     """A deferred sequence of kernel launches (see module docstring).
 
     Obtained from :meth:`GpgpuDevice.record`; replays on clean exit of
@@ -161,7 +167,7 @@ class LaunchGraph:
     """
 
     def __init__(self, device):
-        self.device = device
+        super().__init__(device)
         self.nodes: List[LaunchNode] = []
         self.closed = False
         self.stats: Optional[ReplayStats] = None
@@ -180,14 +186,6 @@ class LaunchGraph:
         # Registered immediately so a kept-but-never-written scratch
         # still materialises (zero-filled) at replay.
         self._arrays.setdefault(id(array), array)
-        return array
-
-    def keep(self, array):
-        """Mark a scratch array as surviving replay (final results).
-        Passing a real GpuArray is a no-op, so drivers can keep
-        whatever they are about to return."""
-        if isinstance(array, ScratchArray):
-            array.kept = True
         return array
 
     def launch(self, kernel: Kernel, out, inputs=None, uniforms=None):
@@ -222,14 +220,20 @@ class LaunchGraph:
         )
         return out
 
-    def __enter__(self) -> "LaunchGraph":
-        return self
-
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self.device._active_graph is self:
             self.device._active_graph = None
-        if exc_type is None and not self.closed:
-            self.replay()
+        failed = True
+        try:
+            if exc_type is None and not self.closed:
+                self.replay()
+            failed = exc_type is not None
+        finally:
+            if failed:
+                for arr in self._arrays.values():
+                    if isinstance(arr, ScratchArray):
+                        arr.release()
+            self._release_owned(failed)
         return False
 
     # -- scheduling ----------------------------------------------------
@@ -302,7 +306,7 @@ class LaunchGraph:
                         if isinstance(node.out, ScratchArray):
                             node.out.release()
             for scratch in release_at.get(pos, ()):
-                if not scratch.kept and not scratch.recycled:
+                if id(scratch) not in self._kept and not scratch.recycled:
                     scratch.release()
 
         # Kept scratch arrays no launch wrote still honour their
@@ -310,7 +314,7 @@ class LaunchGraph:
         for arr in self._arrays.values():
             if (
                 isinstance(arr, ScratchArray)
-                and arr.kept
+                and id(arr) in self._kept
                 and arr.backing is None
                 and not arr.recycled
             ):
@@ -338,7 +342,7 @@ class LaunchGraph:
         consumed: set = set()
         for p in self.nodes:
             out = p.out
-            if not isinstance(out, ScratchArray) or out.kept:
+            if not isinstance(out, ScratchArray) or id(out) in self._kept:
                 continue
             if self._versions.get(id(out), 0) != 1:
                 continue  # rewritten later — not a simple intermediate

@@ -13,7 +13,7 @@ from ..core.api.buffer import GpuArray
 from ..core.api.device import GpgpuDevice
 from ..core.api.kernel import Kernel
 from ..core.numerics.formats import get_format
-from .reduction import eager_launch, halving_ladder
+from .reduction import halving_ladder, ladder_scalar
 
 _STEP_BODY_TEMPLATE = """
 float lo = gpgpu_index * 2.0;
@@ -41,24 +41,7 @@ def make_minmax_step_kernel(device: GpgpuDevice, fmt, op: str) -> Kernel:
 
 def _reduce(device: GpgpuDevice, array: GpuArray, op: str):
     kernel = make_minmax_step_kernel(device, array.format, op)
-    if device.graph_enabled:
-        with device.record() as graph:
-            current, __ = halving_ladder(
-                array, kernel, graph.scratch, graph.launch
-            )
-            graph.keep(current)
-        result = current.to_host()[0]
-        if current is not array:
-            current.release()
-        return result
-    current, owned = halving_ladder(
-        array, kernel, device.empty, eager_launch
-    )
-    result = current.to_host()[0]
-    for intermediate in owned:
-        if intermediate is not current:
-            intermediate.release()
-    return result
+    return ladder_scalar(device, array, kernel)
 
 
 def reduce_min(device: GpgpuDevice, array: GpuArray):
@@ -84,7 +67,6 @@ def argmin_via_encoding(device: GpgpuDevice, values: np.ndarray) -> int:
     # Normalise values to [0, 1] then quantise to 4096 levels.
     lo, hi = float(values.min()), float(values.max())
     span = (hi - lo) or 1.0
-    array = device.array(values)
     encode = device.kernel(
         "argmin_encode",
         [("v", "float32")],
@@ -96,22 +78,15 @@ def argmin_via_encoding(device: GpgpuDevice, values: np.ndarray) -> int:
         mode="gather",
     )
     uniforms = {"u_lo": lo, "u_span": span, "u_n": float(n)}
-    if device.graph_enabled:
-        # Record encode + reduction ladder as one graph so the encode
-        # output and every ladder intermediate are freed after their
-        # last reader.
-        kernel = make_minmax_step_kernel(device, "float32", "min")
-        with device.record() as graph:
-            encoded = graph.scratch(n, "float32")
-            graph.launch(encode, encoded, {"v": array}, uniforms)
-            current, __ = halving_ladder(
-                encoded, kernel, graph.scratch, graph.launch
-            )
-            graph.keep(current)
-        best = current.to_host()[0]
-        current.release()
-        return int(best % n)
-    encoded = device.empty(n, "float32")
-    encode(encoded, {"v": array}, uniforms)
-    best = _reduce(device, encoded, "min")
-    return int(best % n)
+    kernel = make_minmax_step_kernel(device, "float32", "min")
+    # One scope for encode + ladder: under graph mode the encode output
+    # and every ladder intermediate are freed after their last reader.
+    with device.launches() as scope:
+        array = scope.array(values)
+        encoded = scope.scratch(n, "float32")
+        scope.launch(encode, encoded, {"v": array}, uniforms)
+        best = scope.keep(halving_ladder(encoded, kernel, scope))
+    try:
+        return int(best.to_host()[0] % n)
+    finally:
+        best.release()

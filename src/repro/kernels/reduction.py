@@ -4,16 +4,15 @@ ES 2 fragments cannot communicate, so reductions run as a ping-pong
 of gather kernels, each pass halving the array until one element
 remains — the classic GPGPU pattern the paper's framework enables.
 
-Under the device's graph mode (``REPRO_GRAPH``), the ladder records
-into a deferred :class:`~repro.core.api.graph.LaunchGraph`: each
-per-pass intermediate is a graph scratch, allocated when its pass runs
-and freed right after the next pass has read it, so at most two are
-alive at once.
+The ladder runs in a :meth:`~repro.core.api.device.GpgpuDevice.launches`
+scope, which frees every per-pass intermediate when the driver is
+done.  Under the device's graph mode (``REPRO_GRAPH``) that scope is
+a deferred :class:`~repro.core.api.graph.LaunchGraph`: each
+intermediate is allocated when its pass runs and freed right after the
+next pass has read it, so at most two are alive at once.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..core.api.buffer import GpuArray
 from ..core.api.device import GpgpuDevice
@@ -43,54 +42,40 @@ def make_reduce_step_kernel(device: GpgpuDevice, fmt) -> Kernel:
     )
 
 
-def halving_ladder(array, kernel, alloc, launch):
-    """The shared reduction pass loop, parameterised over allocation
-    and launch so the eager path (``device.empty`` + direct call) and
-    the graph path (``graph.scratch`` + ``graph.launch``) run the same
-    schedule.  Returns (final array, intermediates made)."""
+def halving_ladder(array, kernel, scope):
+    """The reduction pass loop: halve ``array`` with ``kernel`` until
+    one element is left, allocating each pass's output as a ``scope``
+    scratch.  Returns the final one-element array (``array`` itself
+    when it already has one element)."""
     current = array
     length = current.length
-    made = []
     while length > 1:
         next_length = (length + 1) // 2
-        target = alloc(next_length, current.format)
-        made.append(target)
-        launch(kernel, target, {"a": current}, {"u_len": float(length)})
+        target = scope.scratch(next_length, current.format)
+        scope.launch(kernel, target, {"a": current}, {"u_len": float(length)})
         current = target
         length = next_length
-    return current, made
+    return current
 
 
-def eager_launch(kernel, out, inputs, uniforms=None):
-    """The eager ``launch`` callable for :func:`halving_ladder`."""
-    return kernel(out, inputs, uniforms)
+def ladder_scalar(device: GpgpuDevice, array: GpuArray, kernel: Kernel):
+    """Run :func:`halving_ladder` over ``array`` and read back the
+    single element left; every array the ladder made is freed."""
+    with device.launches() as scope:
+        result = scope.keep(halving_ladder(array, kernel, scope))
+    try:
+        return result.to_host()[0]
+    finally:
+        if result is not array:
+            result.release()
 
 
 def reduce_sum(device: GpgpuDevice, array: GpuArray, kernel: Kernel = None):
     """Sum all elements of ``array`` on the GPU.
 
     Returns a Python scalar of the array's format.  Runs
-    ceil(log2(n)) kernel passes; intermediate arrays are released
-    after use (eagerly, or by the replay in graph mode).
+    ceil(log2(n)) kernel passes and frees every intermediate.
     """
-    fmt = array.format
     if kernel is None:
-        kernel = make_reduce_step_kernel(device, fmt)
-    if device.graph_enabled:
-        with device.record() as graph:
-            current, __ = halving_ladder(
-                array, kernel, graph.scratch, graph.launch
-            )
-            graph.keep(current)
-        result = current.to_host()[0]
-        if current is not array:
-            current.release()
-        return result
-    current, owned = halving_ladder(
-        array, kernel, device.empty, eager_launch
-    )
-    result = current.to_host()[0]
-    for array_ in owned:
-        if array_ is not current:
-            array_.release()
-    return result
+        kernel = make_reduce_step_kernel(device, array.format)
+    return ladder_scalar(device, array, kernel)

@@ -5,11 +5,12 @@ Scan is the canonical building block GPGPU frameworks are judged by
 ceil(log2(n)) ping-pong passes: pass d adds the element 2^d to the
 left, fragments with no left neighbour pass through.
 
-Under graph mode the ladder records into a deferred
-:class:`~repro.core.api.graph.LaunchGraph`: ping/pong buffers are
-graph scratches, and ``exclusive_scan``'s shift pass fuses with
-the ladder's seed copy into a single draw (the copy consumes the
-shifted array element-for-element — the scheduler's map-chain rule).
+The ladder runs in a :meth:`~repro.core.api.device.GpgpuDevice.launches`
+scope that frees the spare ping-pong buffer.  Under graph mode that
+scope is a deferred :class:`~repro.core.api.graph.LaunchGraph`, and
+``exclusive_scan``'s shift pass fuses with the ladder's seed copy into
+a single draw (the copy consumes the shifted array element-for-element
+— the scheduler's map-chain rule).
 """
 
 from __future__ import annotations
@@ -49,22 +50,18 @@ def make_scan_copy_kernel(device: GpgpuDevice, fmt) -> Kernel:
     )
 
 
-def _scan_passes(source, identity, kernel, n, fmt, alloc, launch):
-    """The shared scan schedule: seed copy + Hillis-Steele ladder.
-    Returns (result array, the other ping-pong buffer)."""
-    ping = alloc(n, fmt)
-    pong = alloc(n, fmt)
-    launch(identity, ping, {"a": source}, None)
+def _scan_passes(source, identity, kernel, n, fmt, scope):
+    """The scan schedule: seed copy + Hillis-Steele ladder over two
+    ``scope`` scratches.  Returns the one holding the result."""
+    ping = scope.scratch(n, fmt)
+    pong = scope.scratch(n, fmt)
+    scope.launch(identity, ping, {"a": source}, None)
     offset = 1
     while offset < n:
-        launch(kernel, pong, {"a": ping}, {"u_offset": float(offset)})
+        scope.launch(kernel, pong, {"a": ping}, {"u_offset": float(offset)})
         ping, pong = pong, ping
         offset *= 2
-    return ping, pong
-
-
-def _eager_launch(kernel, out, inputs, uniforms=None):
-    return kernel(out, inputs, uniforms)
+    return ping
 
 
 def inclusive_scan(device: GpgpuDevice, array: GpuArray,
@@ -79,20 +76,10 @@ def inclusive_scan(device: GpgpuDevice, array: GpuArray,
     if kernel is None:
         kernel = make_scan_step_kernel(device, fmt)
     identity = make_scan_copy_kernel(device, fmt)
-    n = array.length
-    if device.graph_enabled:
-        with device.record() as graph:
-            ping, __ = _scan_passes(
-                array, identity, kernel, n, fmt,
-                graph.scratch, graph.launch,
-            )
-            graph.keep(ping)
-        return ping
-    ping, pong = _scan_passes(
-        array, identity, kernel, n, fmt, device.empty, _eager_launch
-    )
-    pong.release()
-    return ping
+    with device.launches() as scope:
+        return scope.keep(
+            _scan_passes(array, identity, kernel, array.length, fmt, scope)
+        )
 
 
 def exclusive_scan(device: GpgpuDevice, array: GpuArray) -> GpuArray:
@@ -109,21 +96,12 @@ def exclusive_scan(device: GpgpuDevice, array: GpuArray) -> GpuArray:
     kernel = make_scan_step_kernel(device, fmt)
     identity = make_scan_copy_kernel(device, fmt)
     n = array.length
-    if device.graph_enabled:
-        # One graph for shift + ladder: the shift output feeds the
-        # seed copy element-for-element, so the scheduler fuses the
-        # pair into a single draw.
-        with device.record() as graph:
-            shifted = graph.scratch(n, fmt)
-            graph.launch(shift, shifted, {"a": array})
-            ping, __ = _scan_passes(
-                shifted, identity, kernel, n, fmt,
-                graph.scratch, graph.launch,
-            )
-            graph.keep(ping)
-        return ping
-    shifted = device.empty(n, fmt)
-    shift(shifted, {"a": array})
-    result = inclusive_scan(device, shifted)
-    shifted.release()
-    return result
+    # One scope for shift + ladder: under graph mode the shift output
+    # feeds the seed copy element-for-element, so the scheduler fuses
+    # the pair into a single draw.
+    with device.launches() as scope:
+        shifted = scope.scratch(n, fmt)
+        scope.launch(shift, shifted, {"a": array})
+        return scope.keep(
+            _scan_passes(shifted, identity, kernel, n, fmt, scope)
+        )

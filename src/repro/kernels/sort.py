@@ -56,28 +56,23 @@ def make_bitonic_step_kernel(device: GpgpuDevice, fmt) -> Kernel:
     )
 
 
-def _bitonic_passes(source, identity, kernel, n, fmt, alloc, launch):
-    """The shared sorting-network schedule: seed copy plus the
-    k(k+1)/2 compare-exchange passes, parameterised over allocation
-    and launch so the eager and graph paths run identically.  Returns
-    (sorted array, the other ping-pong buffer)."""
-    ping = alloc(n, fmt)
-    pong = alloc(n, fmt)
-    launch(identity, ping, {"a": source}, None)
+def _bitonic_passes(source, identity, kernel, n, fmt, scope):
+    """The sorting-network schedule: seed copy plus the k(k+1)/2
+    compare-exchange passes over two ``scope`` scratches.  Returns the
+    one holding the sorted array."""
+    ping = scope.scratch(n, fmt)
+    pong = scope.scratch(n, fmt)
+    scope.launch(identity, ping, {"a": source}, None)
     k = 2
     while k <= n:
         j = k // 2
         while j >= 1:
-            launch(kernel, pong, {"a": ping},
-                   {"u_j": float(j), "u_k": float(k)})
+            scope.launch(kernel, pong, {"a": ping},
+                         {"u_j": float(j), "u_k": float(k)})
             ping, pong = pong, ping
             j //= 2
         k *= 2
-    return ping, pong
-
-
-def _eager_launch(kernel, out, inputs, uniforms=None):
-    return kernel(out, inputs, uniforms)
+    return ping
 
 
 def bitonic_sort(device: GpgpuDevice, array: GpuArray,
@@ -99,19 +94,10 @@ def bitonic_sort(device: GpgpuDevice, array: GpuArray,
     identity = device.kernel(
         f"bitonic_copy_{fmt.name}", [("a", fmt)], fmt, "result = a;"
     )
-    if device.graph_enabled:
-        with device.record() as graph:
-            ping, __ = _bitonic_passes(
-                array, identity, kernel, n, fmt,
-                graph.scratch, graph.launch,
-            )
-            graph.keep(ping)
-        return ping
-    ping, pong = _bitonic_passes(
-        array, identity, kernel, n, fmt, device.empty, _eager_launch
-    )
-    pong.release()
-    return ping
+    with device.launches() as scope:
+        return scope.keep(
+            _bitonic_passes(array, identity, kernel, n, fmt, scope)
+        )
 
 
 def sort_host_array(device: GpgpuDevice, values: np.ndarray) -> np.ndarray:
@@ -133,8 +119,11 @@ def sort_host_array(device: GpgpuDevice, values: np.ndarray) -> np.ndarray:
     padded = np.full(size, pad_value, dtype=values.dtype)
     padded[:n] = values
     array = device.array(padded)
-    sorted_array = bitonic_sort(device, array)
-    result = sorted_array.to_host()[:n]
-    sorted_array.release()
-    array.release()
-    return result
+    try:
+        sorted_array = bitonic_sort(device, array)
+    finally:
+        array.release()
+    try:
+        return sorted_array.to_host()[:n]
+    finally:
+        sorted_array.release()

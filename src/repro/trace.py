@@ -5,7 +5,9 @@
 
 ``view`` validates the Chrome trace-event schema (non-zero exit on an
 invalid or empty trace — the CI tracing leg relies on this) and prints
-a per-category summary.  ``export`` rewrites the file with events
+a per-category summary plus the self time of each span name (its
+spans' durations less their direct children's, so nested spans are
+not counted twice).  ``export`` rewrites the file with events
 sorted by timestamp — the canonical form Perfetto and
 ``chrome://tracing`` load directly.  Both accept ``--json`` for
 machine-readable output.
@@ -63,6 +65,32 @@ def load_trace(path: str) -> Tuple[Optional[Dict], List[str]]:
     return document, problems
 
 
+def self_times(events: List[Dict]) -> Dict[str, Dict[str, float]]:
+    """Span count and self time (µs) per span name.  A complete span's
+    self time is its duration less its direct children's; nesting is
+    resolved per (pid, tid) track, so spans on other threads or
+    processes never count as children."""
+    tracks: Dict[Tuple, List[Dict]] = {}
+    for event in events:
+        if isinstance(event, dict) and event.get("ph") == "X":
+            key = (event.get("pid"), event.get("tid"))
+            tracks.setdefault(key, []).append(event)
+    totals: Dict[str, Dict[str, float]] = {}
+    for spans in tracks.values():
+        open_spans: List[Tuple[float, str]] = []  # (end, name)
+        for event in sorted(spans, key=lambda e: (e["ts"], -e["dur"])):
+            while open_spans and open_spans[-1][0] <= event["ts"]:
+                open_spans.pop()
+            name, dur = event["name"], float(event["dur"])
+            total = totals.setdefault(name, {"spans": 0, "self_us": 0.0})
+            total["spans"] += 1
+            total["self_us"] += dur
+            if open_spans:  # the direct parent
+                totals[open_spans[-1][1]]["self_us"] -= dur
+            open_spans.append((event["ts"] + dur, name))
+    return totals
+
+
 def summarize(document: Dict) -> Dict:
     events = document.get("traceEvents", [])
     by_category: Dict[str, Dict[str, float]] = {}
@@ -93,6 +121,7 @@ def summarize(document: Dict) -> Dict:
             "dropped_events", 0
         ),
         "categories": by_category,
+        "self_time": self_times(events),
     }
 
 
@@ -118,6 +147,13 @@ def _cmd_view(path: str, as_json: bool) -> int:
             f"  {cat:>10}: {bucket['events']:6d} events, "
             f"{bucket['spans']:6d} spans, "
             f"{bucket['span_us'] / 1e3:10.3f} ms in spans"
+        )
+    print("  self time per span name (direct children subtracted):")
+    for name, total in sorted(info["self_time"].items(),
+                              key=lambda item: -item[1]["self_us"]):
+        print(
+            f"  {name:>24}: {total['spans']:6d} spans, "
+            f"{total['self_us'] / 1e3:10.3f} ms self"
         )
     print("load in Perfetto: https://ui.perfetto.dev → Open trace file")
     return 0

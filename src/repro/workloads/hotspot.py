@@ -70,33 +70,22 @@ def hotspot_gpu(
         ],
         mode="gather",
     )
-    power_arr = device.array(power.reshape(-1))
-    source = device.array(temp.reshape(-1))
     uniforms = {
         "u_width": float(width), "u_height": float(height),
         "u_cp": cp, "u_pw": pw,
     }
-    if device.graph_enabled:
-        # Record the whole ping-pong into one graph: the stencil reads
-        # neighbours, so no pass fuses, but the second ping-pong buffer
-        # is a graph scratch, freed when the replay ends.
-        with device.record() as graph:
-            ping = source
-            pong = graph.scratch(width * height, "float32")
-            for __ in range(iterations):
-                graph.launch(
-                    kernel, pong,
-                    {"temp": ping, "power": power_arr}, uniforms,
-                )
-                ping, pong = pong, ping
-            graph.keep(ping)
-        result = ping.to_host().reshape(height, width)
-        if ping is not source:
-            ping.release()
-        return result
-    ping = source
-    pong = device.empty(width * height, "float32")
-    for __ in range(iterations):
-        kernel(pong, {"temp": ping, "power": power_arr}, uniforms)
-        ping, pong = pong, ping
-    return ping.to_host().reshape(height, width)
+    # The stencil reads neighbours, so no pass fuses under graph mode;
+    # the uploaded grid doubles as the second ping-pong buffer.
+    with device.launches() as scope:
+        power_arr = scope.array(power.reshape(-1))
+        ping = scope.array(temp.reshape(-1))
+        pong = scope.scratch(width * height, "float32")
+        for __ in range(iterations):
+            scope.launch(kernel, pong,
+                         {"temp": ping, "power": power_arr}, uniforms)
+            ping, pong = pong, ping
+        scope.keep(ping)
+    try:
+        return ping.to_host().reshape(height, width)
+    finally:
+        ping.release()

@@ -97,46 +97,27 @@ def kmeans_assign_gpu(
     n, d = points.shape
     k = centroids.shape[0]
     kernel = _assign_kernel(device, k, d)
-    points_arr = device.array(points.reshape(-1))
-    centroids_arr = device.array(centroids.reshape(-1))
-    out = device.empty(n, "int32")
-    if shift is None and scale is None:
-        kernel(out, {"points": points_arr, "centroids": centroids_arr})
+    with device.launches() as scope:
+        inputs = {
+            "points": scope.array(points.reshape(-1)),
+            "centroids": scope.array(centroids.reshape(-1)),
+        }
+        out = scope.keep(scope.scratch(n, "int32"))
+        if shift is not None or scale is not None:
+            shift_k, scale_k = _normalize_kernels(device)
+            u_shift = {"u_shift": float(0.0 if shift is None else shift)}
+            u_scale = {"u_scale": float(1.0 if scale is None else scale)}
+            for name, arr in list(inputs.items()):
+                mid = scope.scratch(arr.length, "float32")
+                scope.launch(shift_k, mid, {"a": arr}, u_shift)
+                cooked = scope.scratch(arr.length, "float32")
+                scope.launch(scale_k, cooked, {"a": mid}, u_scale)
+                inputs[name] = cooked
+        scope.launch(kernel, out, inputs)
+    try:
         return out.to_host()
-    shift = float(0.0 if shift is None else shift)
-    scale = float(1.0 if scale is None else scale)
-    shift_k, scale_k = _normalize_kernels(device)
-    if device.graph_enabled:
-        with device.record() as graph:
-            normalized = {}
-            for name, arr, length in (
-                ("points", points_arr, n * d),
-                ("centroids", centroids_arr, k * d),
-            ):
-                mid = graph.scratch(length, "float32")
-                graph.launch(shift_k, mid, {"a": arr},
-                             {"u_shift": shift})
-                cooked = graph.scratch(length, "float32")
-                graph.launch(scale_k, cooked, {"a": mid},
-                             {"u_scale": scale})
-                normalized[name] = cooked
-            graph.launch(kernel, out, normalized)
-        return out.to_host()
-    normalized = {}
-    for name, arr, length in (
-        ("points", points_arr, n * d),
-        ("centroids", centroids_arr, k * d),
-    ):
-        mid = device.empty(length, "float32")
-        shift_k(mid, {"a": arr}, {"u_shift": shift})
-        cooked = device.empty(length, "float32")
-        scale_k(cooked, {"a": mid}, {"u_scale": scale})
-        mid.release()
-        normalized[name] = cooked
-    kernel(out, normalized)
-    for cooked in normalized.values():
-        cooked.release()
-    return out.to_host()
+    finally:
+        out.release()
 
 
 def kmeans_iteration(

@@ -49,28 +49,20 @@ def pathfinder_gpu(device: GpgpuDevice, grid: np.ndarray) -> np.ndarray:
         uniforms=[("u_width", "float")],
         mode="gather",
     )
-    source = device.array(grid[0])
-    row_arrays = [device.array(grid[r]) for r in range(1, rows)]
     uniforms = {"u_width": float(width)}
-    if device.graph_enabled:
-        # One graph for the whole DP: each row reads its left/right
-        # neighbours, so nothing fuses, but the ping-pong cost buffer
-        # is a graph scratch, freed when the replay ends.
-        with device.record() as graph:
-            ping = source
-            pong = graph.scratch(width, "int32")
-            for row_array in row_arrays:
-                graph.launch(kernel, pong,
-                             {"prev": ping, "row": row_array}, uniforms)
-                ping, pong = pong, ping
-            graph.keep(ping)
-        result = ping.to_host()
-        if ping is not source:
-            ping.release()
-        return result
-    ping = source
-    pong = device.empty(width, "int32")
-    for row_array in row_arrays:
-        kernel(pong, {"prev": ping, "row": row_array}, uniforms)
-        ping, pong = pong, ping
-    return ping.to_host()
+    # Each row reads its left/right neighbours, so nothing fuses under
+    # graph mode; the uploaded top row doubles as the second ping-pong
+    # buffer.
+    with device.launches() as scope:
+        ping = scope.array(grid[0])
+        row_arrays = [scope.array(grid[r]) for r in range(1, rows)]
+        pong = scope.scratch(width, "int32")
+        for row_array in row_arrays:
+            scope.launch(kernel, pong,
+                         {"prev": ping, "row": row_array}, uniforms)
+            ping, pong = pong, ping
+        scope.keep(ping)
+    try:
+        return ping.to_host()
+    finally:
+        ping.release()

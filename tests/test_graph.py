@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro import GpgpuDevice, GpgpuError
+from repro.core.api.device import Launches
+from repro.core.api.graph import LaunchGraph
 from repro.core.codegen.fuse import (
     FusedStage,
     compose_chain,
@@ -73,13 +75,18 @@ class TestRecording:
         with device.record():
             pass
 
-    def test_graph_enabled_requires_knob_and_no_active_graph(self):
+    def test_launches_records_only_under_the_knob_and_no_active_graph(self):
         device = GpgpuDevice(graph_mode=True)
-        assert device.graph_enabled
-        with device.record():
-            assert not device.graph_enabled
-        assert device.graph_enabled
-        assert not GpgpuDevice(graph_mode=False).graph_enabled
+        scope = device.launches()
+        assert isinstance(scope, LaunchGraph)
+        assert device._active_graph is scope
+        with scope:
+            nested = device.launches()
+            assert type(nested) is Launches
+        assert device._active_graph is None
+        with device.launches() as again:
+            assert isinstance(again, LaunchGraph)
+        assert type(GpgpuDevice(graph_mode=False).launches()) is Launches
 
     def test_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH", "1")
@@ -102,7 +109,7 @@ class TestRecording:
                 graph.launch(k1, out, {"a": src}, {"u_shift": 1.0})
                 raise RuntimeError("abort")
         assert not graph.closed or graph.stats is None
-        assert device.graph_enabled is False or device._active_graph is None
+        assert device._active_graph is None
 
 
 class TestFusion:

@@ -459,6 +459,44 @@ def test_cli_rejects_invalid_traces(tmp_path, capsys):
     assert trace_cli.main(["view", str(empty)]) == 1
 
 
+def test_view_reports_self_time_per_span_name(tmp_path, capsys):
+    def span(name, ts, dur, pid=1, tid=1):
+        return {"name": name, "ph": "X", "ts": ts, "dur": dur,
+                "pid": pid, "tid": tid, "cat": "test"}
+
+    document = {"traceEvents": [
+        span("A", 0, 100),
+        span("B", 10, 30),
+        span("C", 15, 10),
+        span("B", 40, 20),  # starts where its sibling ends
+        span("A", 200, 10),
+        # Overlapping in time, but on another thread / process: never
+        # a child of A.
+        span("D", 5, 50, tid=2),
+        span("B", 20, 5, pid=2),
+        {"name": "mark", "ph": "i", "ts": 12, "pid": 1, "tid": 1},
+    ]}
+    assert trace_cli.self_times(document["traceEvents"]) == {
+        "A": {"spans": 2, "self_us": 100 - 30 - 20 + 10},
+        "B": {"spans": 3, "self_us": 30 - 10 + 20 + 5},
+        "C": {"spans": 1, "self_us": 10},
+        "D": {"spans": 1, "self_us": 50},
+    }
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(document))
+    assert trace_cli.main(["view", "--json", str(path)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["self_time"]["A"] == {"spans": 2, "self_us": 60.0}
+    assert info["categories"]["test"]["span_us"] == 225.0
+    assert trace_cli.main(["view", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    self_lines = [line for line in lines if line.endswith("ms self")]
+    # Largest self time first.
+    assert [line.split(":")[0].strip() for line in self_lines] == [
+        "A", "D", "B", "C",
+    ]
+
+
 # ======================================================================
 # Satellite bugfixes
 # ======================================================================
