@@ -13,8 +13,8 @@ converge on the same numpy bulk work.  The script also
 demonstrates the two cache layers: a second ``device.kernel()``
 request for the same source is served from the kernel cache (no
 recompile, no relink), and repeated launches never re-lower the shader
-(the compiled program, and the JIT's generated function, are cached on
-the CheckedShader).
+(the compiled program stays in the front end's LRU, and the JIT's
+generated function on the shader's link summary).
 
 Run from the repository root::
 
@@ -86,16 +86,17 @@ def _time_interleaved(launches, reps=REPS, warmup=WARMUP):
 def _cache_stats(stats, backend, dev, request_again, launch):
     """Cache behaviour: an identical kernel request is a cache hit,
     and relaunching triggers no further compiles or links."""
-    compiles_before = dev.ctx.stats.shader_compiles
-    links_before = dev.ctx.stats.program_links
+    counts = dev.ctx.stats.counts
+    compiles_before = counts["compile.shaders"]
+    links_before = counts["compile.links"]
     request_again()
     launch()
     stats[backend]["kernel_cache_hits"] = dev.kernel_cache_hits
     stats[backend]["recompiles_on_relaunch"] = (
-        dev.ctx.stats.shader_compiles - compiles_before
+        counts["compile.shaders"] - compiles_before
     )
     stats[backend]["relinks_on_relaunch"] = (
-        dev.ctx.stats.program_links - links_before
+        counts["compile.links"] - links_before
     )
 
 
@@ -103,9 +104,10 @@ def _gather_stats(stats, backend, dev):
     """Texture-gather engagement of the most recent draw: >0 gathers
     and 0 fallbacks on the JIT backend means every kernel fetch took
     the direct texel-storage path (zero on IR by definition)."""
-    draw = dev.ctx.stats.draws[-1]
-    stats[backend]["texture_gathers"] = draw.texture_gathers
-    stats[backend]["gather_fallbacks"] = draw.gather_fallbacks
+    counts = dev.ctx.stats.draws[-1].counts
+    stats[backend]["texture_gathers"] = counts.get("draw.texture_gathers", 0)
+    stats[backend]["gather_fallbacks"] = counts.get(
+        "draw.gather_fallbacks", 0)
 
 
 def _sum_launch(backend):
@@ -516,7 +518,8 @@ def bench_publish(baseline=None):
 
 WARM_START_REPS = 10
 #: Rows with a 'before' column timed on a git baseline.
-BEFORE_AFTER_ROWS = ("cache_publish_6k", "warm_start", "cold_compile")
+BEFORE_AFTER_ROWS = ("cache_publish_6k", "warm_start", "cold_compile",
+                     "kernel_memory")
 
 #: Child process for the warm_start row: import the report module and
 #: regenerate EXPERIMENTS.md into argv[1] against the store in
@@ -703,19 +706,26 @@ print(json.dumps({
 """
 
 
-def _cold_compile_child(src_dir):
+def _empty_store_child(row, src_dir, script, *argv):
+    """Run ``script`` in a fresh interpreter on ``src_dir``, with an
+    empty artifact store and no other ``REPRO_*`` knob; returns the JSON
+    object its last stdout line prints."""
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = str(src_dir)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cold-") as store:
+    with tempfile.TemporaryDirectory(prefix=f"repro-bench-{row}-") as store:
         env["REPRO_CACHE_DIR"] = store
         proc = subprocess.run(
-            [sys.executable, "-c", _COLD_COMPILE_CHILD],
+            [sys.executable, "-c", script, *argv],
             capture_output=True, text=True, env=env, timeout=600,
         )
     if proc.returncode != 0:
-        raise SystemExit(f"cold_compile: child failed\n{proc.stderr}")
+        raise SystemExit(f"{row}: child failed\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _cold_compile_child(src_dir):
+    return _empty_store_child("cold_compile", src_dir, _COLD_COMPILE_CHILD)
 
 
 def bench_cold_compile(baseline=None, reps=COLD_COMPILE_REPS):
@@ -752,6 +762,100 @@ def bench_cold_compile(baseline=None, reps=COLD_COMPILE_REPS):
         row["reps"] = reps
         row["correct"] = True
         stats[column] = row
+    if baseline is not None:
+        stats["before_rev"] = baseline
+    return stats
+
+
+KERNEL_MEMORY_REPS = 3
+#: The kernels of the ``first_launch`` plan whose retention the traced
+#: child measures: the allocations made while they build and launch
+#: that are still alive after the last of them.
+KERNEL_MEMORY_SPAN = (20, 80)
+
+#: Child process for the kernel_memory row: build and first-launch the
+#: seed-0 ``first_launch`` plan of the benchmark ledger (argv[1] is its
+#: directory) on the JIT against the empty store in REPRO_CACHE_DIR,
+#: checking every output.  argv[2] == "rss": report the peak resident
+#: set (VmHWM); "traced": report the KB that kernels argv[3]..argv[4]
+#: leave allocated, per kernel (tracemalloc, on from kernel argv[3]).
+_KERNEL_MEMORY_CHILD = r"""
+import gc, json, sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+import workloads
+from repro.perf.counters import values
+
+mode, first, last = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+wl = workloads.FirstLaunch(0)
+wl.build()
+correct, retained = True, None
+for i in range(wl.round_size):
+    if mode == "traced" and i == first:
+        gc.collect()
+        tracemalloc.start()
+    out = wl.op(i)
+    if mode == "traced" and i == last - 1:
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] / 1024 / (last - first)
+        tracemalloc.stop()
+    correct = correct and bool(wl.check(i, out))
+with open("/proc/self/status") as status:
+    vmhwm = next(int(line.split()[1]) for line in status
+                 if line.startswith("VmHWM:"))
+print(json.dumps({
+    "kernels": wl.round_size,
+    "vmhwm_mb": vmhwm / 1024,
+    "retained_kb_per_kernel": retained,
+    # Front ends rerun for an evicted shader; None on trees without
+    # the counter.
+    "frontend_reruns": values.get("compile.frontend.reruns"),
+    "correct": correct,
+}))
+"""
+
+
+def _kernel_memory_child(src_dir, mode):
+    first, last = KERNEL_MEMORY_SPAN
+    return _empty_store_child(
+        "kernel_memory", src_dir, _KERNEL_MEMORY_CHILD,
+        str(ROOT / "benchmarks" / "ledger"), mode, str(first), str(last),
+    )
+
+
+def bench_kernel_memory(baseline=None, reps=KERNEL_MEMORY_REPS):
+    """Memory of a many-kernel process: in fresh interpreters on an
+    empty artifact store, build and first-launch the benchmark
+    ledger's seed-0 ``first_launch`` plan (100 never-seen kernels) and
+    record the peak resident set (median of ``reps`` runs), the KB per
+    kernel that kernels 20-79 leave allocated (one tracemalloc run) and
+    the front ends rerun.  ``after`` runs this checkout; with
+    ``baseline`` (a git revision) ``before`` runs that revision's
+    ``src/``, interleaved run for run with ``after``."""
+    with contextlib.ExitStack() as stack:
+        trees = {"after": ROOT / "src"}
+        if baseline is not None:
+            trees["before"] = stack.enter_context(_revision_src(baseline))
+        runs = {column: [] for column in trees}
+        traced = {}
+        for __ in range(reps):
+            for column, src in trees.items():
+                runs[column].append(_kernel_memory_child(src, "rss"))
+        for column, src in trees.items():
+            traced[column] = _kernel_memory_child(src, "traced")
+    stats = {}
+    for column, column_runs in runs.items():
+        stats[column] = {
+            "vmhwm_mb": _summary([r["vmhwm_mb"] for r in column_runs]),
+            "retained_kb_per_kernel": round(
+                traced[column]["retained_kb_per_kernel"], 1),
+            "frontend_reruns": column_runs[-1]["frontend_reruns"],
+            "kernels": column_runs[-1]["kernels"],
+            "reps": reps,
+            "correct": all(r["correct"] for r in column_runs)
+            and traced[column]["correct"],
+        }
+    if not stats["after"]["correct"]:
+        raise SystemExit("kernel_memory: a first_launch output is wrong")
     if baseline is not None:
         stats["before_rev"] = baseline
     return stats
@@ -886,10 +990,25 @@ def _cold_compile_row(baseline):
     return cold
 
 
+def _kernel_memory_row(baseline):
+    memory = bench_kernel_memory(baseline)
+    for column in ("before", "after"):
+        if column in memory:
+            row = memory[column]
+            print(
+                f"kernel_memory [{column}] VmHWM median "
+                f"{row['vmhwm_mb']['median']:.1f} MB; "
+                f"{row['retained_kb_per_kernel']:.1f} KB retained per "
+                f"kernel; {row['frontend_reruns']} front-end reruns"
+            )
+    return memory
+
+
 BEFORE_AFTER_BENCHES = {
     "cache_publish_6k": _publish_row,
     "warm_start": _warm_start_row,
     "cold_compile": _cold_compile_row,
+    "kernel_memory": _kernel_memory_row,
 }
 
 
@@ -943,7 +1062,12 @@ def main(argv=None):
             "first_launch family on an empty store in fresh "
             "interpreters, with the self ms of the compile.shader, "
             "compile.ir and compile.jit spans and the IR pass rounds "
-            "per compile, after and before"
+            "per compile, after and before; kernel_memory builds and "
+            "first-launches the ledger's seed-0 first_launch plan (100 "
+            "kernels) on an empty store in fresh interpreters, with the "
+            "peak resident set (VmHWM), the tracemalloc KB per kernel "
+            "that kernels 20-79 leave allocated and the front ends "
+            "rerun, after and before"
         ),
         "python": platform.python_version(),
         "numpy": np.__version__,

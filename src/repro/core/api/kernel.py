@@ -55,10 +55,9 @@ def program_cache_key(vertex_source: str, fragment_source: str) -> Tuple[str, st
 
     Two kernels with the same key compile to the same GL program; the
     other half of the full key — the device float/precision model — is
-    applied downstream (the gles2 front-end cache shares the
-    ``CheckedShader`` per source hash, and
-    :func:`repro.glsl.ir.get_compiled` memoises the compiled IR per
-    float model on it)."""
+    applied downstream (the gles2 front-end cache shares the link
+    summary per source hash, and :func:`repro.glsl.jit.get_compiled`
+    memoises the generated code per float model on it)."""
     return (
         hashlib.sha1(vertex_source.encode("utf-8")).hexdigest(),
         hashlib.sha1(fragment_source.encode("utf-8")).hexdigest(),

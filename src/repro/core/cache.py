@@ -12,8 +12,9 @@ parse → typecheck → IR-optimise → JIT-codegen.
 Two artifact kinds are stored:
 
 ``frontend``
-    The pickled :class:`~repro.glsl.typecheck.CheckedShader` (the
-    parse/typecheck result), keyed by (stage, source digest).
+    The pickled :class:`~repro.gles2.shader.LinkSummary` (what linking
+    and drawing read of the parse/typecheck result, without the typed
+    AST), keyed by (stage, source digest).
 ``jit``
     The generated NumPy source, its marshalled code object, and its
     captured namespace in a pickle-safe encoding (arrays as-is, builtin
@@ -25,7 +26,9 @@ Two artifact kinds are stored:
 The optimised IR program is not stored: a warm JIT draw runs from its
 ``jit`` entry alone, and what still needs the program (IR-executor
 draws, programs outside the JIT subset, unfolded global initialisers,
-pooled draws) lowers it once per process.
+pooled draws) lowers it in memory, rerunning the front end from the
+shader's source when the process no longer holds its typed AST (see
+:mod:`repro.gles2.shader`).
 
 Every key mixes in the cache schema version and the Python/NumPy
 versions (:func:`env_fingerprint`), so interpreter or dependency
@@ -97,7 +100,8 @@ from ..perf import counters, trace
 #: 8: IR programs and ``unsupported`` JIT markers are no longer stored.
 #: 9: store forwarding no longer lets a copy see later stores to its
 #: source; schema-8 JIT code may carry that miscompile.
-SCHEMA_VERSION = 9
+#: 10: ``frontend`` entries hold a link summary, not the typed AST.
+SCHEMA_VERSION = 10
 
 _MAGIC = b"repro-artifact-v1\n"
 _ENTRY_SUFFIX = ".art"
@@ -372,7 +376,7 @@ def verify() -> Dict[str, int]:
             if unpacked is not None:
                 header, payload = unpacked
                 if header.get("kind") == "frontend":
-                    ok = load_checked(payload) is not None
+                    ok = load_summary(payload) is not None
                 elif header.get("kind") == "jit":
                     ok = load_jit_entry(payload) is not None
                 else:
@@ -597,23 +601,23 @@ def _note_load_failure(kind: str, exc: BaseException) -> None:
     faults.note_swallowed(f"cache_load[{kind}]", exc)
 
 
-def dump_checked(checked) -> bytes:
-    return _dumps(checked)
+def dump_summary(summary) -> bytes:
+    return _dumps(summary)
 
 
-def load_checked(data: bytes):
-    """Deserialise a front-end artifact; None on any data failure
-    (counted in ``load_failures``, logged under
+def load_summary(data: bytes):
+    """Deserialise a front-end artifact (a link summary); None on any
+    data failure (counted in ``load_failures``, logged under
     ``REPRO_DEBUG_FAULTS=1``)."""
-    from ..glsl.typecheck import CheckedShader
+    from ..gles2.shader import LinkSummary
 
     try:
-        checked = _loads(data)
+        summary = _loads(data)
     except _DESERIALISE_ERRORS as exc:
         counters.values["cache.disk.load_failures"] += 1
         _note_load_failure("frontend", exc)
         return None
-    return checked if isinstance(checked, CheckedShader) else None
+    return summary if isinstance(summary, LinkSummary) else None
 
 
 def encode_captured(captured: Dict[str, object]) -> Optional[Dict]:

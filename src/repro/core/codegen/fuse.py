@@ -270,8 +270,8 @@ def compose_chain(stages: Sequence[FusedStage]) -> FusedRecipe:
     name = "fuse[" + "+".join(stage.spec.name for stage in stages) + "]"
     signature = fusion_signature(stages)
     # The marker rides in the generated GLSL so the front end can stamp
-    # the chain identity onto the CheckedShader (see
-    # repro.gles2.shader._FUSION_MARKER) and key persistent IR/JIT
+    # the chain identity onto the shader's link summary (see
+    # repro.gles2.shader._FUSION_MARKER) and key persistent JIT
     # artifacts on it.
     preamble = "\n".join(
         [f"// gpgpu-fusion: {signature}"] + roundtrips + preambles

@@ -289,10 +289,8 @@ def shade_draw(
     if pool is None:
         return None
 
-    program = fs_interp.program
-    if program is None or program.checked is not fs_interp.checked:
-        program = get_compiled(fs_interp.checked, fs_interp.fmodel)
-        fs_interp.program = program
+    program = fs_interp.program = get_compiled(fs_interp.checked,
+                                              fs_interp.fmodel)
     wide = frozenset(
         name for name, value in presets.items() if value.batch > 1
     )

@@ -50,7 +50,8 @@ class FragmentCapture:
     before the framebuffer write.  Consumed by ``repro.testing`` to
     replay the exact same fragments through independent interpreters."""
 
-    #: The fragment shader as compiled (CheckedShader).
+    #: The fragment shader's full front-end result (CheckedShader; the
+    #: hook's draw reruns the front end if the LRU had dropped it).
     fragment_shader: object
     #: Global presets handed to the fragment interpreter (uniforms,
     #: interpolated varyings, gl_FragCoord, ...), batched per fragment.
@@ -374,7 +375,7 @@ def execute_draw(
     if _capture_hook is not None:
         _capture_hook(
             FragmentCapture(
-                fragment_shader=program.fragment,
+                fragment_shader=program.fragment.frontend(),
                 fs_presets=fs_presets,
                 px=batch.px.copy(),
                 py=batch.py.copy(),

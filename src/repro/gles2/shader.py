@@ -2,13 +2,28 @@
 
 ``Shader`` wraps the GLSL front end: ``glCompileShader`` runs the
 preprocessor, parser and type checker and produces a driver-style info
-log on failure.  Successful compiles are memoised in a module-level
-front-end cache keyed by (stage, source hash): recompiling identical
-source — e.g. relaunching the same GPGPU kernel — returns the cached
-``CheckedShader`` without touching the front end, and because the IR
-compile cache (:func:`repro.glsl.ir.get_compiled`) hangs off the
-``CheckedShader`` object itself, the lowered program artifact is
-shared too.  ``Program`` links a vertex + fragment pair: varyings
+log on failure.  What a shader object keeps of a successful compile is
+its :class:`LinkSummary` — the stage, source digest and fusion
+signature, the interface symbols with their types and precisions, the
+struct types, the written builtins and ``has_main`` — which is all
+``glLinkProgram`` and a draw read of it, and which also carries the
+JIT kernels generated for it (:func:`repro.glsl.jit.get_compiled`).
+Summaries are memoised per (stage, source hash): recompiling identical
+source — e.g. relaunching the same GPGPU kernel — returns the memoised
+summary without touching the front end.  The artifact store's
+``frontend`` entry is the pickled summary.
+
+The full front-end result — the typed AST (:class:`CheckedShader`)
+and the IR programs lowered from it — lives only in a small LRU of
+:data:`FRONTEND_CAPACITY` entries, the way a GLES2 driver keeps a
+program's binary but releases its compiler's intermediate forms.  An
+IR consumer (an IR-executor draw, a JIT miss or fallback, an unfolded
+global initialiser, a pooled draw, the capture hook) asks the summary
+for it through :meth:`LinkSummary.frontend`, which reruns the front
+end from the summary's source when the LRU has dropped it, counted in
+``compile.frontend.reruns``.
+
+``Program`` links a vertex + fragment pair: varyings
 are matched by name and type, uniforms from both stages are merged and
 flattened into locations (including struct members and arrays, with
 ``glGetUniformLocation("s.field[3]")`` syntax), and attribute
@@ -20,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +45,7 @@ from ..glsl.optimize import optimize
 from ..glsl.typecheck import CheckedShader, ShaderStage, check
 from ..glsl.types import BaseType, GlslType, TypeKind
 from ..glsl.values import INT_DTYPE, Value
-from ..perf import counters
+from ..perf import counters, trace
 from . import enums
 
 
@@ -51,10 +66,129 @@ def parse(source: str):
     return run(source)
 
 
-#: (stage, sha1(source)) -> CheckedShader for successful compiles.
-#: Failures are never cached so the info log is regenerated each time.
-_FRONTEND_CACHE: Dict[Tuple[str, str], CheckedShader] = {}
-_FRONTEND_CACHE_MAX = 256
+#: Fusion-signature marker the map-chain composer embeds in fused
+#: kernel sources (see repro.core.codegen.fuse.compose_chain); the
+#: signature becomes a component of the disk-cache keys of every
+#: artifact compiled from that source.
+_FUSION_MARKER = re.compile(r"//\s*gpgpu-fusion:\s*([0-9a-f]+)")
+
+
+def frontend_cache_key(stage: str, source: str) -> Tuple[str, str]:
+    """The program-cache key: (stage, source hash).  The second half of
+    the full key — the float/precision model — is applied downstream by
+    :func:`repro.glsl.ir.get_compiled` and
+    :func:`repro.glsl.jit.get_compiled`."""
+    return (stage, hashlib.sha1(source.encode("utf-8")).hexdigest())
+
+
+def run_frontend(source: str, stage: str) -> CheckedShader:
+    """Preprocess, parse, optimise and type-check ``source``, stamped
+    with the identity the compile caches key on (source digest and
+    fusion signature).  Raises :class:`~repro.glsl.errors.GlslError`."""
+    checked = check(optimize(parse(preprocess(source).source)), stage)
+    checked.source_digest = frontend_cache_key(stage, source)[1]
+    match = _FUSION_MARKER.search(source)
+    checked.fusion_signature = match.group(1) if match else ""
+    return checked
+
+
+class LinkSymbol(NamedTuple):
+    """One interface global of a link summary: a uniform, attribute,
+    varying or builtin, without its initialiser."""
+
+    name: str
+    type: GlslType
+    qualifier: str
+    precision: Optional[str]
+
+
+#: The global qualifiers a link summary keeps.
+_LINKED_QUALIFIERS = frozenset({"uniform", "attribute", "varying", "builtin"})
+
+
+class LinkSummary:
+    """What linking and drawing read of a compiled shader, and the JIT
+    kernels generated for it.  Pickled as the ``frontend`` artifact
+    without ``source`` and ``kernels``, which the loading shader object
+    attaches."""
+
+    __slots__ = ("stage", "source_digest", "fusion_signature", "globals",
+                 "structs", "written_builtins", "has_main", "source",
+                 "kernels")
+
+    #: The fields a ``frontend`` entry stores, in order.
+    _STORED = __slots__[:7]
+
+    def __init__(self, checked: CheckedShader, source: str):
+        self.stage = checked.stage
+        self.source_digest = checked.source_digest
+        self.fusion_signature = checked.fusion_signature
+        self.globals = tuple(
+            LinkSymbol(g.name, g.type, g.qualifier, g.precision)
+            for g in checked.globals.values()
+            if g.qualifier in _LINKED_QUALIFIERS
+        )
+        self.structs = dict(checked.structs)
+        self.written_builtins = frozenset(checked.written_builtins)
+        self.has_main = checked.has_main
+        self.source = source
+        self.kernels = checked.kernels
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self._STORED)
+
+    def __setstate__(self, state) -> None:
+        # A summary pickled with another field layout is bad data: the
+        # store counts it as a load failure and recompiles.
+        if not isinstance(state, tuple) or len(state) != len(self._STORED):
+            raise ValueError("link summary of another layout")
+        for name, value in zip(self._STORED, state):
+            setattr(self, name, value)
+        self.source = ""
+        self.kernels = {}
+
+    def active_uniforms(self) -> List[LinkSymbol]:
+        return [g for g in self.globals if g.qualifier == "uniform"]
+
+    def active_attributes(self) -> List[LinkSymbol]:
+        return [g for g in self.globals if g.qualifier == "attribute"]
+
+    def varyings(self) -> List[LinkSymbol]:
+        return [g for g in self.globals if g.qualifier == "varying"]
+
+    def frontend(self) -> CheckedShader:
+        """The full front-end result: from the LRU when it still holds
+        this shader's, otherwise the front end reruns on the summary's
+        source (counted in ``compile.frontend.reruns``, traced as a
+        ``compile.shader`` span with ``event="rerun"``) and the result
+        joins the LRU, sharing this summary's kernels."""
+        key = (self.stage, self.source_digest)
+        checked = _FRONTEND_RESULTS.get(key)
+        if checked is not None:
+            _FRONTEND_RESULTS.move_to_end(key)
+            return checked
+        with trace.span("compile.shader", "compile",
+                        {"stage": self.stage, "event": "rerun"}):
+            checked = run_frontend(self.source, self.stage)
+        counters.values["compile.frontend.reruns"] += 1
+        checked.kernels = self.kernels
+        _remember(_FRONTEND_RESULTS, key, checked, FRONTEND_CAPACITY)
+        return checked
+
+
+#: Full front-end results (CheckedShader, with the IR programs memoised
+#: on it) the process keeps: a small LRU, so a many-kernel process
+#: holds the typed ASTs and IR programs of its most recent shaders only.
+FRONTEND_CAPACITY = 16
+_FRONTEND_RESULTS: "OrderedDict[Tuple[str, str], CheckedShader]" = (
+    OrderedDict()
+)
+
+#: (stage, sha1(source)) -> LinkSummary for successful compiles, least
+#: recently used first.  Failures are never cached so the info log is
+#: regenerated each time.
+_SUMMARIES: "OrderedDict[Tuple[str, str], LinkSummary]" = OrderedDict()
+_SUMMARY_CAPACITY = 256
 
 #: The front-end cache counters under their short names, read-only,
 #: for the benchmark ledger.
@@ -67,34 +201,19 @@ frontend_cache_stats = counters.View({
     "disk_hits": "compile.frontend.disk",
 })
 
-#: Fusion-signature marker the map-chain composer embeds in fused
-#: kernel sources (see repro.core.codegen.fuse.compose_chain); the
-#: signature becomes a component of the disk-cache keys of every
-#: artifact compiled from that source.
-_FUSION_MARKER = re.compile(r"//\s*gpgpu-fusion:\s*([0-9a-f]+)")
 
-
-def _attach_artifact_attrs(checked: CheckedShader, source_digest: str,
-                           source: str) -> None:
-    """Stamp the front-end artifact with the identity the disk-cache
-    layers key on: the source digest and (for fused map chains) the
-    fusion signature."""
-    checked.source_digest = source_digest
-    match = _FUSION_MARKER.search(source)
-    checked.fusion_signature = match.group(1) if match else ""
-
-
-def frontend_cache_key(stage: str, source: str) -> Tuple[str, str]:
-    """The program-cache key: (stage, source hash).  The second half of
-    the full key — the float/precision model — is applied downstream by
-    :func:`repro.glsl.ir.get_compiled`, which memoises per model on the
-    CheckedShader this cache returns."""
-    return (stage, hashlib.sha1(source.encode("utf-8")).hexdigest())
+def _remember(cache: OrderedDict, key, value, capacity: int) -> None:
+    cache[key] = value
+    cache.move_to_end(key)
+    while len(cache) > capacity:
+        cache.popitem(last=False)
 
 
 def clear_frontend_cache() -> None:
-    """Drop all cached front-end artifacts."""
-    _FRONTEND_CACHE.clear()
+    """Drop every memoised summary and front-end result, as a fresh
+    process starts."""
+    _SUMMARIES.clear()
+    _FRONTEND_RESULTS.clear()
 
 
 class Shader:
@@ -106,7 +225,8 @@ class Shader:
         self.source = ""
         self.compiled = False
         self.info_log = ""
-        self.checked: Optional[CheckedShader] = None
+        #: The link summary of the last successful compile.
+        self.summary: Optional[LinkSummary] = None
         self.deleted = False
         #: Whether the last successful compile was served by the
         #: persistent artifact store (no fresh parse/typecheck ran in
@@ -122,19 +242,20 @@ class Shader:
 
     def compile(self) -> None:
         """glCompileShader: run the full front end — or hit the
-        in-process cache, or warm-start from the persistent artifact
+        in-process memo, or warm-start from the persistent artifact
         store (:mod:`repro.core.cache`)."""
         from ..core import cache as artifact_cache
 
         self.compiled = False
-        self.checked = None
+        self.summary = None
         self.info_log = ""
         self.loaded_from_disk = False
         key = frontend_cache_key(self.stage, self.source)
-        cached = _FRONTEND_CACHE.get(key)
+        cached = _SUMMARIES.get(key)
         if cached is not None:
             counters.values["compile.frontend.memo_hits"] += 1
-            self.checked = cached
+            _SUMMARIES.move_to_end(key)
+            self.summary = cached
             self.compiled = True
             return
         counters.values["compile.frontend.memo_misses"] += 1
@@ -145,36 +266,35 @@ class Shader:
             )
             data = artifact_cache.get(disk_key)
             if data is not None:
-                checked = artifact_cache.load_checked(data)
-                if checked is not None and checked.stage == self.stage:
-                    _attach_artifact_attrs(checked, key[1], self.source)
+                summary = artifact_cache.load_summary(data)
+                if summary is not None and \
+                        (summary.stage, summary.source_digest) == key:
                     counters.values["compile.frontend.disk"] += 1
-                    self.checked = checked
-                    self.compiled = True
+                    summary.source = self.source
+                    self._compiled(summary)
                     self.loaded_from_disk = True
-                    if len(_FRONTEND_CACHE) >= _FRONTEND_CACHE_MAX:
-                        _FRONTEND_CACHE.clear()
-                    _FRONTEND_CACHE[key] = checked
                     return
                 # Undeserialisable payload or wrong stage under a
                 # colliding key: drop the entry and recompile.
                 artifact_cache.invalidate(disk_key)
         try:
-            preprocessed = preprocess(self.source)
-            unit = optimize(parse(preprocessed.source))
-            self.checked = check(unit, self.stage)
-            _attach_artifact_attrs(self.checked, key[1], self.source)
-            self.compiled = True
-            if len(_FRONTEND_CACHE) >= _FRONTEND_CACHE_MAX:
-                _FRONTEND_CACHE.clear()
-            _FRONTEND_CACHE[key] = self.checked
-            if disk_key is not None:
-                artifact_cache.put(
-                    disk_key, artifact_cache.dump_checked(self.checked),
-                    "frontend",
-                )
+            checked = run_frontend(self.source, self.stage)
         except GlslError as exc:
             self.info_log = exc.info_log_entry() + "\n"
+            return
+        _remember(_FRONTEND_RESULTS, key, checked, FRONTEND_CAPACITY)
+        summary = LinkSummary(checked, self.source)
+        self._compiled(summary)
+        if disk_key is not None:
+            artifact_cache.put(
+                disk_key, artifact_cache.dump_summary(summary), "frontend"
+            )
+
+    def _compiled(self, summary: LinkSummary) -> None:
+        self.summary = summary
+        self.compiled = True
+        _remember(_SUMMARIES, (summary.stage, summary.source_digest),
+                  summary, _SUMMARY_CAPACITY)
 
 
 class UniformLeaf:
@@ -219,8 +339,9 @@ class Program:
         self.validated = False
         self.info_log = ""
         self.deleted = False
-        self.vertex: Optional[CheckedShader] = None
-        self.fragment: Optional[CheckedShader] = None
+        #: The link summaries of the linked stages.
+        self.vertex: Optional[LinkSummary] = None
+        self.fragment: Optional[LinkSummary] = None
         #: leaf full name -> UniformLeaf
         self.uniform_leaves: Dict[str, UniformLeaf] = {}
         #: location -> (leaf, element offset)
@@ -269,8 +390,8 @@ class Program:
         if not (vertex.compiled and fragment.compiled):
             self.info_log = "ERROR: attached shaders are not compiled\n"
             return
-        self.vertex = vertex.checked
-        self.fragment = fragment.checked
+        self.vertex = vertex.summary
+        self.fragment = fragment.summary
 
         # --- varying interface ------------------------------------------------
         vs_varyings = {g.name: g.type for g in self.vertex.varyings()}

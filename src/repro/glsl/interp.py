@@ -108,7 +108,9 @@ class Interpreter:
     Parameters
     ----------
     checked:
-        The type-checked shader.
+        The shader: a type-checked :class:`CheckedShader`, or a gles2
+        link summary (its ``frontend()`` gives the CheckedShader when
+        the IR program is needed).
     float_model:
         Object with ``dtype`` and ``quantize(data, category)`` — models
         the device's float precision (defaults to exact float64).
@@ -190,7 +192,7 @@ class Interpreter:
         """The compiled IR program, resolved on first use, with its
         constant pool materialised for this float model."""
         program = self.program
-        if program is None or program.checked is not self.checked:
+        if program is None:
             from .ir import get_compiled
 
             program = self.program = get_compiled(self.checked, self.fmodel)

@@ -10,13 +10,17 @@ the shared runtime base :class:`~repro.glsl.interp.Interpreter`.
 :func:`get_compiled` is the cached front door: compiled artifacts are
 memoised per (float model, dtype) on the CheckedShader itself, so
 repeated draws — and repeated kernels compiled from identical source —
-skip lowering and the pass pipeline entirely.  The program is an
-in-memory artifact only: the persistent artifact store
+skip lowering and the pass pipeline entirely.  A shader object holds
+only its link summary; its CheckedShader, and with it its programs,
+stay in the gles2 front end's small LRU
+(:data:`repro.gles2.shader.FRONTEND_CAPACITY`) and are rebuilt from
+source when an evicted shader needs a program again.  The program is
+an in-memory artifact only: the persistent artifact store
 (:mod:`repro.core.cache`) keeps the JIT's generated functions, which
 carry what a JIT draw reads of the program, so a process lowers a
-program at most once per (shader, float model) and a warm JIT draw
-not at all.  Every pipeline run counts ``compile.ir.uncached``
-(:mod:`repro.perf.counters`).
+program once per (shader, float model) while the shader's front-end
+result stays cached, and a warm JIT draw not at all.  Every pipeline
+run counts ``compile.ir.uncached`` (:mod:`repro.perf.counters`).
 """
 
 from __future__ import annotations
@@ -83,29 +87,23 @@ def compile_ir(checked, fmodel=None) -> CompiledProgram:
     return program
 
 
-def get_compiled(checked, fmodel=None) -> CompiledProgram:
+def get_compiled(shader, fmodel=None) -> CompiledProgram:
     """Cached compile: one artifact per (shader, float model, dtype).
 
-    The cache lives on the CheckedShader object, so it shares the
-    lifetime of the front-end artifact (and of the gles2 shader cache
-    that holds on to it)."""
+    ``shader`` is a CheckedShader or a gles2 link summary; either
+    names its full front-end result through ``frontend()`` (a summary
+    may rerun the front end for it), and the programs are memoised on
+    that result, so they live exactly as long as it does."""
     from ..interp import _ExactModel
 
     fmodel = fmodel or _ExactModel()
-    cache = getattr(checked, "_ir_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            checked._ir_cache = cache
-        except AttributeError:  # frozen/slotted shader object
-            return compile_ir(checked, fmodel)
+    checked = shader.frontend()
     key = _model_key(fmodel)
-    program = cache.get(key)
+    program = checked.programs.get(key)
     if program is None:
         with trace.span("compile.ir", "compile") as sp:
             if sp is not None:
-                sp.args.update(stage=getattr(checked, "stage", ""),
-                               event="uncached")
-            program = cache[key] = compile_ir(checked, fmodel)
+                sp.args.update(stage=checked.stage, event="uncached")
+            program = checked.programs[key] = compile_ir(checked, fmodel)
         counters.values["compile.ir.uncached"] += 1
     return program

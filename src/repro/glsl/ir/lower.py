@@ -144,8 +144,8 @@ class Lowerer:
             self.lower_call(main, [], None)
         finally:
             self.blocks.pop()
-        program = CompiledProgram(self.checked, plans, body, self.nregs,
-                                  self.consts)
+        program = CompiledProgram(self.checked.stage, plans, body,
+                                  self.nregs, self.consts)
         program.var_regs = self.var_regs
         return program
 

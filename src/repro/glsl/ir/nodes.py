@@ -227,10 +227,14 @@ class CompiledProgram:
     instruction streams.
     """
 
-    def __init__(self, checked, globals_plan: List[GlobalPlan],
+    def __init__(self, stage: str, globals_plan: List[GlobalPlan],
                  body: Block, nregs: int,
                  consts: List[Tuple[object, np.ndarray]]):
-        self.checked = checked
+        #: The shader stage.  The program keeps no reference to the
+        #: CheckedShader it was lowered from: the shader memoises its
+        #: programs, so a back-reference would make every evicted
+        #: front-end result cyclic garbage.
+        self.stage = stage
         self.globals_plan = globals_plan
         self.body = body
         self.nregs = nregs

@@ -114,7 +114,7 @@ class _FoldPass:
 
         self.program = program
         self.handlers = HANDLERS
-        host = IRExecutor(program.checked, float_model=fmodel)
+        host = IRExecutor(None, float_model=fmodel)
         host.n = 1
         host.exec_mask = np.ones(1, dtype=bool)
         host.discarded = np.zeros(1, dtype=bool)

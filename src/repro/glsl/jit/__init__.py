@@ -17,7 +17,8 @@ per-draw quantities are computed once instead of once per fragment.
 
 :class:`JitExecutor` is the drop-in `execute(n, presets)` engine.  Its
 cached compile, :func:`get_compiled`, keeps one :class:`JitKernel` per
-(shader, float model, wide-global set) on the CheckedShader, over the
+(shader, float model, wide-global set) in the shader's ``kernels``
+dict (shared by a CheckedShader and its gles2 link summary), over the
 persistent artifact store.  A kernel carries what a draw reads of the
 IR program — the global bindings that
 :meth:`repro.glsl.interp.Interpreter.execute` walks and the static
@@ -158,32 +159,34 @@ class JitKernel:
         self.plan_entry = None
 
 
-def _disk_key(checked, fmodel, wide: FrozenSet[str]):
+def _disk_key(shader, fmodel, wide: FrozenSet[str]):
     """The artifact-store key for one generated function, or None when
     the shader has no source digest / the store is disabled."""
-    digest = getattr(checked, "source_digest", None)
-    if digest is None or not artifact_cache.enabled():
+    if shader.source_digest is None or not artifact_cache.enabled():
         return None
     return artifact_cache.artifact_key(
-        "jit", digest,
-        stage=getattr(checked, "stage", ""),
+        "jit", shader.source_digest,
+        stage=shader.stage,
         model=artifact_cache.model_tag(fmodel),
         wide=wide,
-        fusion=getattr(checked, "fusion_signature", ""),
+        fusion=shader.fusion_signature,
     )
 
 
-def get_compiled(checked, fmodel, wide: FrozenSet[str]):
+def get_compiled(shader, fmodel, wide: FrozenSet[str]):
     """Cached compile for the JIT backend: one :class:`JitKernel` per
     (shader, float model, wide-global set), or ``None`` when the
     program is outside the JIT subset (the negative result is cached
     in memory, so an unsupported shader pays codegen once per process).
 
-    The memo lives on the CheckedShader under the model key
-    :func:`repro.glsl.ir.get_compiled` uses.  Under it sits the
-    persistent artifact store: on a memory miss the kernel loads from
-    disk when some earlier process generated it.  Only a miss there
-    compiles the IR program and runs :func:`generate`.
+    ``shader`` is a CheckedShader or a gles2 link summary.  The memo is
+    its ``kernels`` dict, keyed by the model key
+    :func:`repro.glsl.ir.get_compiled` uses and the wide set; a link
+    summary shares that dict with its front-end result, so a kernel
+    outlives the evicted AST it was generated from.  Under the memo
+    sits the persistent artifact store: on a memory miss the kernel
+    loads from disk when some earlier process generated it.  Only a
+    miss there compiles the IR program and runs :func:`generate`.
     """
     if faults.fire("jit_error"):
         # Injected codegen failure: this *draw* degrades to the IR
@@ -193,26 +196,20 @@ def get_compiled(checked, fmodel, wide: FrozenSet[str]):
         counters.values["fault.fallbacks"] += 1
         return None
     key = (ir._model_key(fmodel), wide)
-    cache = getattr(checked, "_jit_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            checked._jit_cache = cache
-        except AttributeError:  # frozen/slotted shader object
-            return _load_or_generate(checked, fmodel, wide)
+    cache = shader.kernels
     try:
         return cache[key]
     except KeyError:
-        kernel = cache[key] = _load_or_generate(checked, fmodel, wide)
+        kernel = cache[key] = _load_or_generate(shader, fmodel, wide)
         return kernel
 
 
-def _load_or_generate(checked, fmodel, wide: FrozenSet[str]):
+def _load_or_generate(shader, fmodel, wide: FrozenSet[str]):
     """The disk layer under the in-memory kernel memo."""
     with trace.span("compile.jit", "compile") as sp:
         if sp is not None:
-            sp.args["stage"] = getattr(checked, "stage", "")
-        disk_key = _disk_key(checked, fmodel, wide)
+            sp.args["stage"] = shader.stage
+        disk_key = _disk_key(shader, fmodel, wide)
         if disk_key is not None:
             payload = artifact_cache.get(disk_key)
             if payload is not None:
@@ -247,7 +244,7 @@ def _load_or_generate(checked, fmodel, wide: FrozenSet[str]):
                         sp.args["event"] = "disk"
                     return kernel
                 artifact_cache.invalidate(disk_key)
-        program = ir.get_compiled(checked, fmodel)
+        program = ir.get_compiled(shader, fmodel)
         from .codegen import JitUnsupported
 
         try:

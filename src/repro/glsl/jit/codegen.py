@@ -1091,8 +1091,7 @@ def generate(program: CompiledProgram, fmodel, wide_globals: Set[str]):
     source = gen.generate()
     ns = make_helpers(fmodel)
     ns.update(gen.ns)
-    shader_name = getattr(program.checked, "stage", "shader")
-    code = compile(source, f"<jit:{shader_name}>", "exec")
+    code = compile(source, f"<jit:{program.stage}>", "exec")
     exec(code, ns)
     fn = ns["_jit_main"]
     fn._jit_source = source

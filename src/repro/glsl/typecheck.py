@@ -80,6 +80,29 @@ class CheckedShader:
     #: Built-in variables the shader statically writes (gl_Position,
     #: gl_FragColor, gl_FragData, ...).
     written_builtins: Set[str] = field(default_factory=set)
+    #: The identity the compile caches key on, stamped by the gles2
+    #: front end: sha1 of the source, and the map-chain fusion
+    #: signature the source carries ("" for none).  None: a shader
+    #: checked outside it, which no artifact-store entry addresses.
+    source_digest: Optional[str] = field(default=None, compare=False)
+    fusion_signature: str = field(default="", compare=False)
+    #: The JIT kernels generated for this shader (see
+    #: :func:`repro.glsl.jit.get_compiled`); the gles2 front end shares
+    #: the dict with the shader's link summary, which outlives it.
+    kernels: Dict[tuple, object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: The IR programs lowered from this shader, per float model (see
+    #: :func:`repro.glsl.ir.get_compiled`).
+    programs: Dict[tuple, object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def frontend(self) -> "CheckedShader":
+        """The full front-end result the IR lowers from: this shader
+        itself.  A gles2 link summary answers the same call from its
+        front-end cache, rerunning the front end when it must."""
+        return self
 
     def active_uniforms(self) -> List[GlobalSymbol]:
         return [g for g in self.globals.values() if g.qualifier == "uniform"]

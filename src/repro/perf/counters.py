@@ -52,6 +52,9 @@ DECLARATIONS = (
     ("compile.frontend.memo_hits", PROCESS, None),
     ("compile.frontend.memo_misses", PROCESS, None),
     ("compile.frontend.disk", PROCESS, "disk_warm_compiles"),
+    # Front ends rerun from a link summary's source for an IR consumer
+    # after the front-end LRU dropped the shader's typed AST.
+    ("compile.frontend.reruns", PROCESS, None),
     # Always 0 since IR programs left the artifact store; declared
     # because the benchmark ledger reads them.
     ("compile.ir.fresh", PROCESS, None),

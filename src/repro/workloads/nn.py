@@ -48,12 +48,17 @@ def nearest_neighbor_gpu(
         ),
         uniforms=[("u_qlat", "float"), ("u_qlon", "float")],
     )
-    distances = device.empty(n, "float32")
-    kernel(
-        distances,
-        {"lat": device.array(lat), "lon": device.array(lon)},
-        {"u_qlat": float(query[0]), "u_qlon": float(query[1])},
-    )
-    host_distances = distances.to_host()
+    with device.launches() as scope:
+        distances = scope.keep(scope.scratch(n, "float32"))
+        scope.launch(
+            kernel,
+            distances,
+            {"lat": scope.array(lat), "lon": scope.array(lon)},
+            {"u_qlat": float(query[0]), "u_qlon": float(query[1])},
+        )
+    try:
+        host_distances = distances.to_host()
+    finally:
+        distances.release()
     best = argmin_via_encoding(device, host_distances)
     return best, float(host_distances[best])

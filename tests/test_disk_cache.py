@@ -224,21 +224,23 @@ void main() {
 
 
 def test_builtin_overloads_round_trip_by_registry_identity():
-    from repro.glsl.interp import _ExactModel, compile_shader
+    from repro.gles2 import enums, shader as shader_mod
+    from repro.glsl.interp import _ExactModel
 
-    # A front end names its builtin calls by key; restored from its
-    # entry, it compiles to the same IR and JIT source.
-    checked = compile_shader(_BUILTIN_SHADER, "fragment")
-    blob = store.dump_checked(checked)
-    restored = store.load_checked(blob)
-    assert store.dump_checked(restored) == blob
-    program = ir_mod.compile_ir(checked)
-    program_restored = ir_mod.compile_ir(restored)
-    assert ir_mod.dump_ir(program_restored) == ir_mod.dump_ir(program)
+    # A front end's entry is its link summary, which restores to the
+    # same bytes and the same interface; it holds no typed AST.
+    obj = shader_mod.Shader(1, enums.GL_FRAGMENT_SHADER)
+    obj.source = _BUILTIN_SHADER
+    obj.compile()
+    assert obj.compiled, obj.info_log
+    blob = store.dump_summary(obj.summary)
+    restored = store.load_summary(blob)
+    assert store.dump_summary(restored) == blob
+    assert restored.varyings() == obj.summary.varyings()
+    assert restored.written_builtins == {"gl_FragColor"}
+    program = ir_mod.compile_ir(obj.summary.frontend())
     fmodel = _ExactModel()
     fn = jit_mod.generate(program, fmodel, set())
-    assert jit_mod.generate(program_restored, fmodel, set())._jit_source \
-        == fn._jit_source
     # The generated function's builtin implementations ship in its
     # entry by registry key and resolve back to the live registry
     # objects.
@@ -249,6 +251,19 @@ def test_builtin_overloads_round_trip_by_registry_identity():
     for name, (kind, __) in encoded.items():
         if kind == "builtin":
             assert decoded[name] is fn._jit_captured[name], name
+
+
+def test_a_summary_of_another_layout_is_a_counted_load_failure():
+    from repro.gles2.shader import LinkSummary
+
+    # A summary pickled by a tree with other fields (two, here).
+    class Stale:
+        def __reduce__(self):
+            return object.__new__, (LinkSummary,), ("fragment", "cafe")
+
+    failures = counters.values["cache.disk.load_failures"]
+    assert store.load_summary(store.dump_summary(Stale())) is None
+    assert counters.values["cache.disk.load_failures"] == failures + 1
 
 
 def test_unknown_builtin_key_is_a_counted_load_failure():
@@ -419,7 +434,7 @@ def test_v6_jit_entries_are_never_addressed(monkeypatch):
     x = np.linspace(-1, 1, 16).astype(np.float32)
 
     def run_fresh_process_view():
-        monkeypatch.setattr(shader_mod, "_FRONTEND_CACHE", {})
+        shader_mod.clear_frontend_cache()
         dev = GpgpuDevice(execution_backend="jit")
         kernel = dev.kernel("schema_probe", [("x", "float32")], "float32",
                             "result = x * 3.0 - 1.0;")
@@ -457,7 +472,7 @@ def test_warm_jit_execs_the_stored_code_object(monkeypatch):
     def run_cold_process_view():
         # A fresh in-memory front-end cache: every artifact comes from
         # the store, as in a new process.
-        monkeypatch.setattr(shader_mod, "_FRONTEND_CACHE", {})
+        shader_mod.clear_frontend_cache()
         dev = GpgpuDevice(execution_backend="jit")
         kernel = dev.kernel("marshal_probe", [("x", "float32")], "float32",
                             "result = x * 2.0 + 1.0;")
@@ -545,15 +560,15 @@ def test_in_memory_jit_key_covers_wide():
     obj.compile()
     assert obj.compiled, obj.info_log
     fmodel = _ExactModel()
-    checked = obj.checked
+    summary = obj.summary
     kernels = {
-        jit_mod.get_compiled(checked, fmodel, frozenset()),
-        jit_mod.get_compiled(checked, fmodel, frozenset({"u_a"})),
+        jit_mod.get_compiled(summary, fmodel, frozenset()),
+        jit_mod.get_compiled(summary, fmodel, frozenset({"u_a"})),
     }
-    assert jit_mod.get_compiled(checked, fmodel, frozenset()) in kernels
+    assert jit_mod.get_compiled(summary, fmodel, frozenset()) in kernels
     kernels.discard(None)
     assert len(kernels) == 2  # the wide set fragments
-    assert len(checked._jit_cache) == 2
+    assert len(summary.kernels) == 2
 
 
 def test_execution_knobs_do_not_fragment_the_key(tmp_path):
@@ -573,7 +588,7 @@ def test_execution_knobs_do_not_fragment_the_key(tmp_path):
 def test_fused_chains_key_on_the_fusion_signature():
     """Launch-graph fusion stamps a content signature into the fused
     source (``// gpgpu-fusion:``), the front end lifts it onto the
-    CheckedShader, and recomposing the same chain is memoised."""
+    shader's link summary, and recomposing the same chain is memoised."""
     from repro.core import GpgpuDevice
     from repro.core.codegen import fuse
     from repro.gles2 import shader as shader_mod
@@ -606,9 +621,9 @@ def test_fused_chains_key_on_the_fusion_signature():
     # One recipe composition for two replays of the same chain.
     assert len(fuse._RECIPE_MEMO) == memo_before + 1
     signatures = {
-        checked.fusion_signature
-        for checked in shader_mod._FRONTEND_CACHE.values()
-        if getattr(checked, "fusion_signature", "")
+        summary.fusion_signature
+        for summary in shader_mod._SUMMARIES.values()
+        if summary.fusion_signature
     }
     assert signatures  # the fused program carries its chain signature
     # The signature reaches the artifact key, so a fused fragment

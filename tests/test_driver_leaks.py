@@ -19,6 +19,7 @@ from repro.kernels.scan import exclusive_scan, inclusive_scan
 from repro.kernels.sort import bitonic_sort, sort_host_array
 from repro.workloads.hotspot import hotspot_gpu
 from repro.workloads.kmeans import kmeans_assign_gpu
+from repro.workloads.nn import nearest_neighbor_gpu
 from repro.workloads.pathfinder import pathfinder_gpu
 
 RNG = np.random.default_rng(31)
@@ -29,6 +30,7 @@ CENTROIDS = RNG.standard_normal((4, 2)).astype(np.float32) * 2
 TEMP = RNG.uniform(20, 90, (8, 8)).astype(np.float32)
 POWER = RNG.uniform(0, 1, (8, 8)).astype(np.float32)
 GRID = RNG.integers(0, 10, (6, 16)).astype(np.int32)
+LAT, LON = RNG.uniform(-60, 60, (2, 64)).astype(np.float32)
 
 
 #: name -> call(device, caller-owned int32 array of 1024 elements)
@@ -47,6 +49,9 @@ DRIVERS = {
     ),
     "hotspot": lambda d, a: hotspot_gpu(d, TEMP, POWER, 3),
     "pathfinder": lambda d, a: pathfinder_gpu(d, GRID),
+    "nearest_neighbor": lambda d, a: nearest_neighbor_gpu(
+        d, LAT, LON, (12.5, -7.25)
+    ),
 }
 
 #: Drivers that return a GpuArray the caller must release.
@@ -137,8 +142,9 @@ def raising_call_leaves(monkeypatch, device, call, at):
 
 #: Which launch raises: the second by default (one pass has drawn into
 #: a framebuffer); kmeans makes only one launch; reduce_sum on 1024
-#: ints fails in its 4th pass, halfway down the ladder.
-FAIL_AT = {"kmeans": 1, "reduce_sum": 4}
+#: ints fails in its 4th pass, halfway down the ladder;
+#: nearest_neighbor fails in its own distance pass, before the argmin.
+FAIL_AT = {"kmeans": 1, "reduce_sum": 4, "nearest_neighbor": 1}
 
 
 @pytest.mark.parametrize("graph_mode", MODES)
